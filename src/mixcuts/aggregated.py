@@ -7,6 +7,14 @@ strictly stronger than the plain sum.  L(Theta) is the smallest, over
 positions t, total of columnwise minima between the value at t and the best
 value appearing later in the sequence (the final position contributes its
 full row sum).
+
+Chains, column heads and L(Theta) are all suffix quantities, so
+:func:`walk` enumerates sequences depth first by *prepending* indices: the
+new first index joins the chain of every column whose head it reaches, and
+its own term, the sum of columnwise minima against the old heads, can only
+lower L.  Each node costs O(k) integer operations on the instance scaled by
+one common denominator.  Because prepending never raises L, a subtree whose
+L has fallen below epsilon holds no starred cut and is skipped whole.
 """
 
 from __future__ import annotations
@@ -146,6 +154,122 @@ def count_sequences(ground: int, max_length: Optional[int] = None) -> int:
     return total
 
 
+def integer_view(
+    inst: MixingInstance,
+) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """Common denominator D of the weights and epsilon, with both scaled by D."""
+    scale = math.lcm(
+        inst.epsilon.denominator, *(w.denominator for row in inst.weights for w in row)
+    )
+    weights = tuple(
+        tuple(w.numerator * (scale // w.denominator) for w in row)
+        for row in inst.weights
+    )
+    eps = inst.epsilon.numerator * (scale // inst.epsilon.denominator)
+    return scale, weights, eps
+
+
+Node = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int, int]
+
+
+def walk(
+    inst: MixingInstance,
+    ground: Sequence[int],
+    max_length: Optional[int] = None,
+    starred: bool = False,
+    point: Optional[tuple[Sequence[Fraction], Sequence[Fraction]]] = None,
+) -> Iterator[Node]:
+    """Every sequence of distinct indices from ``ground``, depth first by
+    prepending, as ``(theta, chains, l, gap)``.
+
+    ``chains`` equals ``decompose(inst, theta).per_column`` and ``l`` equals
+    ``D * l_theta(inst, theta)`` for the common denominator D of
+    :func:`integer_view`.  With a point (y, z), ``gap`` is the violation of
+    ``aggregated_cut(inst, theta)`` at it times D times the common
+    denominator of the point, so it is positive exactly when the cut is
+    violated and orders sequences by violation; without one it is 0.
+
+    ``starred`` yields only sequences whose cut is starred (every chain head
+    at its column maximum and epsilon <= L) and skips each subtree whose L
+    fell below epsilon.  The walk keeps one frame per depth level.
+    """
+    if not inst.lower_is_zero:
+        raise LowerBoundsNotReduced("reduce lower bounds before aggregating")
+    scale, weights, eps = integer_view(inst)
+    k = inst.k
+    peaks = [max(row[j] for row in weights) for j in range(k)]
+    top = len(ground) if max_length is None else min(max_length, len(ground))
+    if top < 1:
+        return
+    if point is None:
+        slack = at_one = [0] * inst.n
+        base = 0
+    else:
+        y = [Fraction(v) for v in point[0]]
+        z = [Fraction(v) for v in point[1]]
+        p = math.lcm(*(v.denominator for v in y + z))
+        at_one = [v.numerator * (p // v.denominator) for v in z]  # p * z_i
+        slack = [p - v for v in at_one]  # p * (1 - z_i)
+        base = scale * sum(v.numerator * (p // v.denominator) for v in y)
+    # Frame: (theta, heads, chains, l, acc, remaining candidates); acc is
+    # sum over theta of (new coefficient of i) * p * (1 - z_i).
+    stack = [((), [0] * k, [()] * k, None, 0, iter(ground))]
+    while stack:
+        theta, heads, chains, low, acc, candidates = stack[-1]
+        for i in candidates:
+            if i in theta:
+                continue
+            row = weights[i]
+            gain = 0  # coefficient of i: what it adds to the heads
+            term = 0  # sum_j min(w_ij, head_j): i's own term of L
+            new_heads = list(heads)
+            new_chains = list(chains)
+            for j in range(k):
+                v = row[j]
+                h = heads[j]
+                if v >= h:
+                    gain += v - h
+                    term += h
+                    new_heads[j] = v
+                    new_chains[j] = (i,) + chains[j]
+                else:
+                    term += v
+            if low is None:
+                l = gain  # a single index contributes its full row sum
+            else:
+                l = term if term < low else low
+            if starred and l < eps:
+                continue
+            new_theta = (i,) + theta
+            new_acc = acc + gain * slack[i]
+            if not starred or new_heads == peaks:
+                cap = eps if eps < l else l
+                gap = new_acc + cap * at_one[new_theta[-1]] - base
+                yield new_theta, tuple(new_chains), l, gap
+            if len(new_theta) < top:
+                stack.append(
+                    (new_theta, new_heads, new_chains, l, new_acc, iter(ground))
+                )
+                break
+        else:
+            stack.pop()
+
+
+def starred_sequences(
+    inst: MixingInstance, ground: Sequence[int], max_length: Optional[int] = None
+) -> list[SequenceTheta]:
+    """One sequence per distinct chain tuple among the starred sequences over
+    ``ground``: the first one that :func:`sequences` meets, in the order it
+    meets them."""
+    first: dict[tuple[tuple[int, ...], ...], tuple[int, tuple[int, ...]]] = {}
+    for theta, chains, _, _ in walk(inst, sorted(ground), max_length, starred=True):
+        rank = (len(theta), theta)
+        known = first.get(chains)
+        if known is None or rank < known:
+            first[chains] = rank
+    return [SequenceTheta(theta) for _, theta in sorted(first.values())]
+
+
 def check_validity(inst: MixingInstance, cut: LinearCut, vrep=None) -> bool:
     """Evaluate a cut at every extreme point and ray of the set's hull.
 
@@ -245,14 +369,10 @@ def separate_aggregated(
         raise GroundSetTooLarge(
             f"{len(ground)} free indices need more than {max_sequences} sequences"
         )
-    best: Optional[tuple[Fraction, tuple[int, ...], LinearCut]] = None
-    for theta in sequences(ground):
-        cut = aggregated_cut(inst, theta)
-        gap = cut.violation(y, z)
+    best: Optional[tuple[int, tuple[int, ...]]] = None
+    for theta, _, _, gap in walk(inst, ground, point=(y, z)):
         if gap > 0 and (
-            best is None
-            or gap > best[0]
-            or (gap == best[0] and theta.indices < best[1])
+            best is None or gap > best[0] or (gap == best[0] and theta < best[1])
         ):
-            best = (gap, theta.indices, cut)
-    return best[2] if best else None
+            best = (gap, theta)
+    return aggregated_cut(inst, SequenceTheta(best[1])) if best else None

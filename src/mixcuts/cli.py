@@ -26,6 +26,7 @@ from .core import (
     DomainError,
     EpsilonViolated,
     GroundSetTooLarge,
+    InvalidSequence,
     LinearCut,
     MixcutsError,
     MixingInstance,
@@ -56,9 +57,15 @@ def _print_cuts(cuts: Sequence[tuple[Fraction, LinearCut]]) -> None:
         print(str(cut))
 
 
+def _reduced_instance(path: str) -> MixingInstance:
+    reduced, shift = mixing.reduce_lower_bounds(load_instance(path))
+    if any(shift):
+        print(f"note: lower bounds {tuple(map(format_rational, shift))} reduced away")
+    return reduced
+
+
 def cmd_diagnose(args) -> int:
-    inst = load_instance(args.instance)
-    diag = hull.diagnose(inst)
+    diag = hull.diagnose(_reduced_instance(args.instance))
     lw = "inf" if diag.l_w_eps == math.inf else format_rational(diag.l_w_eps)
     if diag.sufficient:
         print(f"sufficient: yes; L_W(eps)={lw}; I_bar={_fmt_set(diag.i_bar)}")
@@ -128,10 +135,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = load_instance(args.instance)
-    reduced, shift = mixing.reduce_lower_bounds(inst)
-    if any(shift):
-        print(f"note: lower bounds {tuple(map(format_rational, shift))} reduced away")
+    reduced = _reduced_instance(args.instance)
 
     if args.mode == "sufficiency":
         report = hull.check_sufficiency(reduced, samples=args.samples, seed=args.seed)
@@ -277,6 +281,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         RiskOutOfRange,
         EpsilonViolated,
         GroundSetTooLarge,
+        InvalidSequence,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

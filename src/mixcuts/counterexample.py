@@ -13,12 +13,13 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .aggregated import sequences, aggregated_cut
+from .aggregated import aggregated_cut, walk
 from .core import (
     GroundSetTooLarge,
     LowerBoundsNotReduced,
     MixingInstance,
     PreconditionFailed,
+    SequenceTheta,
     complement,
 )
 from .mixing import all_mixing_cuts
@@ -180,11 +181,15 @@ def witness(inst: MixingInstance, diag=None) -> tuple[Point, str]:
 def certify_witness(
     inst: MixingInstance,
     point: Point,
-    vrep=None,
+    verdict=None,
 ) -> list[str]:
     """Replay the witness argument, returning one message per assertion:
     the point satisfies the relaxed constraint rows, every mixing cut,
-    every aggregated mixing cut, and still lies outside the hull."""
+    every aggregated mixing cut, and still lies outside the hull.
+
+    Pass the point's membership verdict when it is already known; otherwise
+    the membership LP is solved here.
+    """
     from .hull import membership, v_representation
 
     if inst.n > CERTIFY_BOUND:
@@ -222,21 +227,24 @@ def certify_witness(
         else f"FAIL: mixing cut violated: {bad_mix}"
     )
 
-    bad_agg = None
-    for theta in sequences(range(inst.n)):
-        cut = aggregated_cut(inst, theta)
-        if not cut.satisfied_by(y, z):
-            bad_agg = (theta, cut)
-            break
-    messages.append(
-        "ok: all aggregated cuts hold"
-        if bad_agg is None
-        else f"FAIL: aggregated cut violated for {bad_agg[0].indices}: {bad_agg[1]}"
+    # Every sequence is checked; the report names the first violated one in
+    # shortest-first lexicographic order.
+    bad_agg = min(
+        (
+            (len(theta), theta)
+            for theta, _, _, gap in walk(inst, range(inst.n), point=point)
+            if gap > 0
+        ),
+        default=None,
     )
+    if bad_agg is None:
+        messages.append("ok: all aggregated cuts hold")
+    else:
+        cut = aggregated_cut(inst, SequenceTheta(bad_agg[1]))
+        messages.append(f"FAIL: aggregated cut violated for {bad_agg[1]}: {cut}")
 
-    if vrep is None:
-        vrep = v_representation(inst)
-    verdict = membership(vrep, y, complement(z))
+    if verdict is None:
+        verdict = membership(v_representation(inst), y, complement(z))
     messages.append(
         "ok: membership LP certifies the point outside the hull"
         if not verdict.inside

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import counterexample as _witness_mod
-from .aggregated import aggregated_cut, sequences
+from .aggregated import aggregated_cut, count_sequences, starred_sequences
 from .core import (
     CutKind,
     DimensionMismatch,
@@ -281,11 +281,12 @@ def membership(
 # ---------------------------------------------------------------------------
 
 
-def hull_cut_family(inst: MixingInstance) -> list[LinearCut]:
+def hull_cut_family(
+    inst: MixingInstance, max_length: Optional[int] = None
+) -> list[LinearCut]:
     """Starred mixing cuts for every column plus starred aggregated cuts over
-    sequences avoiding the low rows, plus the linking constraint."""
-    from .aggregated import count_sequences
-
+    sequences avoiding the low rows (up to ``max_length`` long), plus the
+    linking constraint."""
     diag = diagnose(inst)
     cuts: list[LinearCut] = []
     seen = set()
@@ -296,14 +297,12 @@ def hull_cut_family(inst: MixingInstance) -> list[LinearCut]:
                 seen.add(key)
                 cuts.append(cut)
     outside = sorted(set(range(inst.n)) - diag.i_bar)
-    if count_sequences(len(outside)) > FAMILY_SEQUENCE_BOUND:
+    if count_sequences(len(outside), max_length) > FAMILY_SEQUENCE_BOUND:
         raise GroundSetTooLarge(
             f"{len(outside)} rows outside the low set need too many sequences"
         )
-    for theta in sequences(outside):
+    for theta in starred_sequences(inst, outside, max_length):
         cut = aggregated_cut(inst, theta)
-        if cut.kind is not CutKind.AMIX_STAR:
-            continue
         key = cut.canonical_key()
         if key not in seen:
             seen.add(key)
@@ -522,9 +521,9 @@ def check_sufficiency(
         )
 
     point, case = _witness_mod.witness(inst, diag)
-    assertions = _witness_mod.certify_witness(inst, point, vrep=vrep)
-    ok = all(msg.startswith("ok") for msg in assertions)
     verdict = membership(vrep, point[0], complement(point[1]))
+    assertions = _witness_mod.certify_witness(inst, point, verdict=verdict)
+    ok = all(msg.startswith("ok") for msg in assertions)
     return SufficiencyReport(
         diag, "witness", tuple(), 0, tuple(failures), point, case,
         tuple(assertions), verdict.hyperplane, ok,

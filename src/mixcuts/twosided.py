@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .aggregated import aggregated_cut, decompose
+from .aggregated import aggregated_cut, count_sequences, decompose
 from .core import (
     ConditionViolated,
     CutKind,
@@ -27,7 +27,13 @@ from .core import (
     SequenceTheta,
     parse_rational,
 )
-from .hull import VRepresentation, diagnose, membership, v_representation
+from .hull import (
+    VRepresentation,
+    diagnose,
+    hull_cut_family,
+    membership,
+    v_representation,
+)
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,11 @@ def hull_with_bounds(
         (((Fraction(1), Fraction(1)), tuple(0 for _ in range(data.n))),),
     )
 
-    cuts = _banded_cut_family(data, inst, max_cut_sequences)
+    outside = sum(1 for wi, vi in zip(data.w, data.v) if wi != 0 or vi != 0)
+    max_len = outside
+    while max_len > 1 and count_sequences(outside, max_len) > max_cut_sequences:
+        max_len -= 1
+    cuts = hull_cut_family(inst, max_len)
     cuts.append(
         LinearCut(
             (Fraction(-1), Fraction(1)),
@@ -230,42 +240,6 @@ def hull_with_bounds(
         high[i] = Fraction(-1)
         cuts.append(LinearCut((0, 0), high, -1, CutKind.BOUND_UPPER))
     return BandedHullReport(inst, band_ok, points, clipped, tuple(cuts))
-
-
-def _banded_cut_family(
-    data: TwoSidedData, inst: MixingInstance, max_cut_sequences: int
-) -> list[LinearCut]:
-    from .aggregated import count_sequences, sequences, aggregated_cut
-    from .mixing import mix_star_cuts
-
-    cuts: list[LinearCut] = []
-    seen = set()
-    for j in range(2):
-        for cut in mix_star_cuts(inst, j):
-            key = cut.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                cuts.append(cut)
-    outside = sorted(
-        i for i in range(data.n) if data.w[i] != 0 or data.v[i] != 0
-    )
-    max_len = len(outside)
-    while max_len > 1 and count_sequences(len(outside), max_len) > max_cut_sequences:
-        max_len -= 1
-    for theta in sequences(outside, max_length=max_len):
-        cut = aggregated_cut(inst, theta)
-        if cut.kind is not CutKind.AMIX_STAR:
-            continue
-        key = cut.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            cuts.append(cut)
-    linking = LinearCut(
-        (Fraction(1), Fraction(1)), [Fraction(0)] * data.n, data.u_a, CutKind.LINKING
-    )
-    if data.u_a > 0 and linking.canonical_key() not in seen:
-        cuts.append(linking)
-    return cuts
 
 
 def banded_membership(

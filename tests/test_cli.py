@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mixcuts.cli import main
 
 from conftest import fixture_path
@@ -191,3 +193,38 @@ def test_twosided_band_report(capsys):
     code, out, _ = run_cli(capsys, "twosided", fixture_path("twosided_demo.json"))
     assert code == 0
     assert "band_ok=yes" in out
+
+
+LIFTED_EXAMPLE1 = json.dumps(
+    {
+        "n": 5,
+        "k": 2,
+        "W": [["9", "4"], ["7", "5"], ["14", "3"], ["2", "3"], ["5", "2"]],
+        "lower": ["1", "1"],
+        "epsilon": "7",
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["twosided", fixture_path("twosided_demo.json"), "--theta=0,1"], 2),
+        (["twosided", fixture_path("twosided_demo.json"), "--theta=1,9"], 2),
+        (["twosided", fixture_path("twosided_demo.json"), "--theta=1,1"], 2),
+        (["twosided", fixture_path("twosided_demo.json"), "--theta=x"], 2),
+        (["twosided", fixture_path("example1.json")], 1),
+        (["diagnose", LIFTED_EXAMPLE1], 0),
+        (["verify", LIFTED_EXAMPLE1, "--mode=witness"], 3),
+        (["diagnose", '{"n": 1, "k": 1, "W": [["-3"]]}'], 2),
+        (["diagnose", "{ not json"], 1),
+    ],
+)
+def test_exit_codes(capsys, argv, code):
+    assert run_cli(capsys, *argv)[0] == code
+
+
+def test_diagnose_reduces_lower_bounds_first(capsys):
+    _, plain, _ = run_cli(capsys, "diagnose", fixture_path("example1.json"))
+    _, lifted, _ = run_cli(capsys, "diagnose", LIFTED_EXAMPLE1)
+    assert lifted == "note: lower bounds ('1', '1') reduced away\n" + plain
