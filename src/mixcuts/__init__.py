@@ -47,24 +47,21 @@ from .mixing import (
     separate_mixing,
 )
 from .aggregated import (
+    HullDiagnosis,
     SubsequenceDecomposition,
     aggregated_cut,
-    check_validity,
     decompose,
+    diagnose,
     dominates_linking,
     l_theta,
+    linking_oracle,
     separate_aggregated,
     sequences,
 )
-from .hull import (
-    HullDiagnosis,
+from .vertices import (
     MembershipResult,
-    SufficiencyReport,
     VRepresentation,
-    check_sufficiency,
-    diagnose,
-    hull_cut_family,
-    linking_oracle,
+    check_validity,
     membership,
     v_representation,
 )
@@ -75,6 +72,11 @@ from .counterexample import (
     witness_c1,
     witness_c2,
     witness_lw,
+)
+from .hull import (
+    SufficiencyReport,
+    check_sufficiency,
+    hull_cut_family,
 )
 from .twosided import (
     BandedHullReport,

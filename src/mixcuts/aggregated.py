@@ -15,6 +15,11 @@ its own term, the sum of columnwise minima against the old heads, can only
 lower L.  Each node costs O(k) integer operations on the instance scaled by
 one common denominator.  Because prepending never raises L, a subtree whose
 L has fallen below epsilon holds no starred cut and is skipped whole.
+
+The linking oracle z -> max(epsilon, sum_j column_max_j(z)) decides how the
+family is separated: when it is submodular (:func:`diagnose` reads this off
+the coefficient matrix and epsilon) one greedy pass finds the most violated
+cut, and the mixing and aggregated families describe the hull.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .core import (
     CutKind,
@@ -38,9 +43,8 @@ from .core import (
     complement,
     parse_rational,
 )
-from .submodular import greedy_vertex
+from .submodular import SetFunctionOracle, greedy_vertex
 
-VALIDITY_BOUND = 20
 SEPARATION_SEQUENCE_BOUND = 2_000_000
 
 
@@ -270,43 +274,81 @@ def starred_sequences(
     return [SequenceTheta(theta) for _, theta in sorted(first.values())]
 
 
-def check_validity(inst: MixingInstance, cut: LinearCut, vrep=None) -> bool:
-    """Evaluate a cut at every extreme point and ray of the set's hull.
+def linking_oracle(inst: MixingInstance) -> SetFunctionOracle:
+    """Oracle z -> max(epsilon, sum_j column_max_j(z)) over indicator bitmasks."""
+    if not inst.lower_is_zero:
+        raise LowerBoundsNotReduced("linking oracle requires zero lower bounds")
+    eps = inst.epsilon
+    rows = inst.weights
+    k = inst.k
 
-    Sufficient for linear cuts.  Works over the scenario-indicator view of the
-    vertices (complemented from the epigraph view) with everything scaled to
-    integers, so the check is exact and fast.  Pass a precomputed vertex
-    representation to amortize enumeration over many cuts.
-    """
-    from .hull import v_representation  # local import to avoid a cycle
+    def value(mask: int) -> Fraction:
+        best = [Fraction(0)] * k
+        for i, row in enumerate(rows):
+            if mask & (1 << i):
+                for j in range(k):
+                    if row[j] > best[j]:
+                        best[j] = row[j]
+        total = sum(best, Fraction(0))
+        return total if total > eps else eps
 
-    if inst.n > VALIDITY_BOUND:
-        raise GroundSetTooLarge(f"validity check limited to n <= {VALIDITY_BOUND}")
-    if cut.k != inst.k or cut.n != inst.n:
-        raise DimensionMismatch("cut dimensions disagree with instance")
-    # Rays (e_j, 0): the cut must not be violated in any unbounded direction.
-    if any(a < 0 for a in cut.y_coeffs):
-        return False
-    if vrep is None:
-        vrep = v_representation(inst)
-    key = cut.canonical_key()
-    alpha = key[: inst.k]
-    beta = key[inst.k : inst.k + inst.n]
-    gamma = key[-1]
-    beta_total = sum(beta)
-    scale = math.lcm(*(coord.denominator for y, _ in vrep.points for coord in y))
-    gamma_scaled = gamma * scale
-    for y, z in vrep.points:
-        lhs = beta_total * scale
-        for b, zi in zip(beta, z):
-            if zi:
-                lhs -= b * scale
-        for a, yi in zip(alpha, y):
-            if a:
-                lhs += a * int(yi * scale)
-        if lhs < gamma_scaled:
-            return False
-    return True
+    return SetFunctionOracle(inst.n, value, name="linking")
+
+
+@dataclass(frozen=True)
+class HullDiagnosis:
+    """Verdict of the hull-sufficiency conditions for one instance."""
+
+    i_bar: frozenset[int]
+    c1_ok: bool
+    c2_ok: bool
+    negligible: bool
+    l_w_eps: Union[Fraction, float]  # +inf sentinel only ever compared, never added
+    g_submodular: bool
+
+    @property
+    def sufficient(self) -> bool:
+        """The mixing and aggregated families describe the hull exactly when
+        the linking oracle is submodular."""
+        return self.g_submodular
+
+
+def diagnose(inst: MixingInstance) -> HullDiagnosis:
+    """Compute the index set of low rows, its negligibility, the pairwise
+    minimum constant, and the resulting submodularity/sufficiency verdict."""
+    if not inst.lower_is_zero:
+        raise LowerBoundsNotReduced("diagnose requires zero lower bounds")
+    eps = inst.epsilon
+    n, k = inst.n, inst.k
+    i_bar = frozenset(i for i in range(n) if inst.row_sum(i) <= eps)
+    outside = [i for i in range(n) if i not in i_bar]
+
+    if i_bar:
+        peaks = [max(inst.weights[i][j] for i in i_bar) for j in range(k)]
+        c1_ok = all(
+            peaks[j] <= inst.weights[i][j] for i in outside for j in range(k)
+        )
+        c2_ok = sum(peaks, Fraction(0)) <= eps
+    else:
+        c1_ok = c2_ok = True
+    negligible = c1_ok and c2_ok
+
+    l_w_eps: Union[Fraction, float]
+    if not outside:
+        l_w_eps = math.inf
+    elif len(outside) == 1:
+        l_w_eps = inst.row_sum(outside[0])
+    else:
+        l_w_eps = min(
+            sum(
+                (min(inst.weights[p][j], inst.weights[q][j]) for j in range(k)),
+                Fraction(0),
+            )
+            for p, q in itertools.combinations(outside, 2)
+        )
+
+    g_submodular = negligible and eps <= l_w_eps
+    return HullDiagnosis(i_bar, c1_ok, c2_ok, negligible, l_w_eps, g_submodular)
 
 
 def separate_aggregated(
@@ -323,8 +365,6 @@ def separate_aggregated(
     subsequence avoiding it, so the verdict is still exact — and returns the
     most violated cut found (ties: lexicographically smallest sequence).
     """
-    from .hull import diagnose, linking_oracle  # local import to avoid a cycle
-
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds first")
     y = [parse_rational(v) for v in y_bar]

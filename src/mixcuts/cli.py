@@ -20,20 +20,15 @@ from . import counterexample as cx
 from . import hull
 from . import mixing
 from . import twosided as ts
+from . import vertices
 from .core import (
     CutKind,
     DimensionMismatch,
-    DomainError,
-    EpsilonViolated,
-    GroundSetTooLarge,
-    InvalidSequence,
     LinearCut,
     MixcutsError,
     MixingInstance,
     ParseError,
-    RiskOutOfRange,
     SequenceTheta,
-    ValidationError,
     format_rational,
     load_instance,
     loads_point,
@@ -65,7 +60,7 @@ def _reduced_instance(path: str) -> MixingInstance:
 
 
 def cmd_diagnose(args) -> int:
-    diag = hull.diagnose(_reduced_instance(args.instance))
+    diag = agg.diagnose(_reduced_instance(args.instance))
     lw = "inf" if diag.l_w_eps == math.inf else format_rational(diag.l_w_eps)
     if diag.sufficient:
         print(f"sufficient: yes; L_W(eps)={lw}; I_bar={_fmt_set(diag.i_bar)}")
@@ -143,7 +138,7 @@ def cmd_verify(args) -> int:
         return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
     if args.mode == "witness":
-        diag = hull.diagnose(reduced)
+        diag = agg.diagnose(reduced)
         if diag.sufficient:
             print("instance is sufficient; no witness point exists")
             return EXIT_INSUFFICIENT
@@ -157,19 +152,20 @@ def cmd_verify(args) -> int:
         return EXIT_OK if all(m.startswith("ok") for m in messages) else EXIT_CHECK_FAILED
 
     # validity mode: sweep generated families against the vertex list
+    vrep = vertices.v_representation(reduced)
     checked = 0
     bad = 0
     for j in range(reduced.k):
         for cut in mixing.all_mixing_cuts(reduced, j, max_chains=args.max_chains):
             checked += 1
-            if not agg.check_validity(reduced, cut):
+            if not vertices.check_validity(reduced, cut, vrep):
                 bad += 1
                 print(f"INVALID {cut}")
     max_len = reduced.n if reduced.n <= 5 else 3
     for theta in agg.sequences(range(reduced.n), max_length=max_len):
         cut = agg.aggregated_cut(reduced, theta)
         checked += 1
-        if not agg.check_validity(reduced, cut):
+        if not vertices.check_validity(reduced, cut, vrep):
             bad += 1
             print(f"INVALID {cut} (sequence {tuple(i + 1 for i in theta.indices)})")
     print(f"checked {checked} cuts: {checked - bad} valid, {bad} invalid")
@@ -205,7 +201,7 @@ def cmd_twosided(args) -> int:
         print(f"error: cannot read data file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     inst = ts.to_mixing(data)
-    diag = hull.diagnose(inst)
+    diag = agg.diagnose(inst)
     print(
         f"instance: n={data.n}, k=2, eps={format_rational(data.u_a)}; "
         f"g_submodular={'yes' if diag.g_submodular else 'no'}"
@@ -271,24 +267,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (
-        ValidationError,
-        DimensionMismatch,
-        DomainError,
-        RiskOutOfRange,
-        EpsilonViolated,
-        GroundSetTooLarge,
-        InvalidSequence,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except MixcutsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return exc.exit_code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,11 +19,19 @@ RationalLike = Union[Fraction, int, str]
 
 
 class MixcutsError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``exit_code`` is the command line's exit status for the error: 1 for
+    unreadable input, 2 for invalid data, 4 only for a failed certified check.
+    """
+
+    exit_code = 2
 
 
 class ParseError(MixcutsError):
     """Raised for malformed instance/point documents."""
+
+    exit_code = 1
 
 
 class ValidationError(MixcutsError):
@@ -72,6 +80,8 @@ class ConditionViolated(MixcutsError):
 
 class InternalInvariant(MixcutsError):
     """Raised when a certified internal consistency check fails."""
+
+    exit_code = 4
 
 
 def parse_rational(text: RationalLike) -> Fraction:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .aggregated import aggregated_cut, walk
+from .aggregated import HullDiagnosis, aggregated_cut, diagnose, walk
 from .core import (
     GroundSetTooLarge,
     LowerBoundsNotReduced,
@@ -22,7 +22,8 @@ from .core import (
     SequenceTheta,
     complement,
 )
-from .mixing import all_mixing_cuts
+from .mixing import separate_mixing
+from .vertices import MembershipResult, membership, v_representation
 
 CERTIFY_BOUND = 7
 
@@ -44,8 +45,6 @@ def find_minimal_U(inst: MixingInstance) -> tuple[int, ...]:
     """Inclusion-minimal subset of the low rows whose columnwise peaks still
     exceed the linking threshold (greedy deletion, ascending index order)."""
     _require_reduced(inst)
-    from .hull import diagnose
-
     diag = diagnose(inst)
     if diag.c2_ok:
         raise PreconditionFailed("peak condition holds; no violating subset exists")
@@ -99,8 +98,6 @@ def witness_c1(inst: MixingInstance, p: int, q: int) -> Point:
     set) and q (inside, beating p somewhere): half weight on p and q, ones
     elsewhere."""
     _require_reduced(inst)
-    from .hull import diagnose
-
     diag = diagnose(inst)
     if p in diag.i_bar or q not in diag.i_bar:
         raise PreconditionFailed("need p outside and q inside the low-row set")
@@ -121,8 +118,6 @@ def witness_lw(inst: MixingInstance, p: int, q: int) -> Point:
     """Point for a linking threshold above the pairwise minimum constant,
     built from the attaining pair outside the low-row set."""
     _require_reduced(inst)
-    from .hull import diagnose
-
     diag = diagnose(inst)
     if p == q or p in diag.i_bar or q in diag.i_bar:
         raise PreconditionFailed("need two distinct rows outside the low-row set")
@@ -141,11 +136,11 @@ def witness_lw(inst: MixingInstance, p: int, q: int) -> Point:
     return tuple(y), z
 
 
-def witness(inst: MixingInstance, diag=None) -> tuple[Point, str]:
+def witness(
+    inst: MixingInstance, diag: Optional[HullDiagnosis] = None
+) -> tuple[Point, str]:
     """Build the witness for whichever condition fails, with a deterministic
     choice of subset/pair (smallest in lexicographic order)."""
-    from .hull import diagnose
-
     if diag is None:
         diag = diagnose(inst)
     if diag.sufficient:
@@ -181,7 +176,7 @@ def witness(inst: MixingInstance, diag=None) -> tuple[Point, str]:
 def certify_witness(
     inst: MixingInstance,
     point: Point,
-    verdict=None,
+    verdict: Optional[MembershipResult] = None,
 ) -> list[str]:
     """Replay the witness argument, returning one message per assertion:
     the point satisfies the relaxed constraint rows, every mixing cut,
@@ -190,8 +185,6 @@ def certify_witness(
     Pass the point's membership verdict when it is already known; otherwise
     the membership LP is solved here.
     """
-    from .hull import membership, v_representation
-
     if inst.n > CERTIFY_BOUND:
         raise GroundSetTooLarge(
             f"exhaustive certification limited to n <= {CERTIFY_BOUND}"
@@ -213,18 +206,13 @@ def certify_witness(
         "ok: relaxation rows hold" if relax_ok else "FAIL: relaxation row violated"
     )
 
-    bad_mix = None
-    for j in range(inst.k):
-        for cut in all_mixing_cuts(inst, j):
-            if not cut.satisfied_by(y, z):
-                bad_mix = cut
-                break
-        if bad_mix:
-            break
+    # Greedy separation is exact per column: it returns nothing exactly when
+    # every mixing cut, starred or not, holds at a point of the unit box.
+    bad_mix = separate_mixing(inst, y, z)
     messages.append(
-        "ok: all mixing cuts hold"
-        if bad_mix is None
-        else f"FAIL: mixing cut violated: {bad_mix}"
+        f"FAIL: mixing cut violated: {bad_mix[0]}"
+        if bad_mix
+        else "ok: all mixing cuts hold"
     )
 
     # Every sequence is checked; the report names the first violated one in

@@ -146,10 +146,13 @@ def verify_feasible(
     b: Sequence[Fraction],
     x: Sequence[Fraction],
 ) -> bool:
+    """Whether x >= 0 and Ax = b."""
     if any(v < 0 for v in x):
         return False
+    # Zero entries add nothing, and a basic solution has at most len(b) others.
+    support = [(j, v) for j, v in enumerate(x) if v]
     for row, rhs in zip(a_rows, b):
-        if sum(c * v for c, v in zip(row, x)) != rhs:
+        if sum(row[j] * v for j, v in support) != rhs:
             return False
     return True
 
@@ -159,6 +162,8 @@ def verify_farkas(
     b: Sequence[Fraction],
     u: Sequence[Fraction],
 ) -> bool:
+    """Whether u.A <= 0 in every column and u.b > 0, which proves Ax = b has
+    no solution x >= 0."""
     ncols = len(a_rows[0]) if a_rows else 0
     for j in range(ncols):
         if sum(u[i] * a_rows[i][j] for i in range(len(a_rows))) > 0:

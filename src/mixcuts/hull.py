@@ -1,12 +1,12 @@
-"""Hull diagnostics, vertex enumeration, exact membership and closure checks.
+"""Closure checks: the hull family on one side, the membership LP on the other.
 
 Everything here works on instances with zero lower bounds.  The diagnosis
-decides, from the coefficient matrix and the linking threshold alone,
-whether the mixing and aggregated mixing families describe the convex hull;
-the remaining operations certify that verdict point by point: an explicit
-vertex/ray representation, an exact LP membership test with certificates,
-and a closure check that either confirms sampled cut-feasible points are
-inside the hull or produces a witness point outside it.
+(:func:`mixcuts.aggregated.diagnose`) decides from the coefficient matrix and
+the linking threshold alone whether the mixing and aggregated mixing
+families describe the convex hull; :func:`check_sufficiency` certifies that
+verdict point by point.  It either confirms that sampled cut-feasible points
+lie inside the hull, by the membership LP over the explicit vertex list of
+:mod:`mixcuts.vertices`, or builds a witness point outside it.
 """
 
 from __future__ import annotations
@@ -17,268 +17,30 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from . import counterexample as _witness_mod
-from .aggregated import aggregated_cut, count_sequences, starred_sequences
+from .aggregated import (
+    HullDiagnosis,
+    aggregated_cut,
+    count_sequences,
+    diagnose,
+    starred_sequences,
+)
 from .core import (
     CutKind,
-    DimensionMismatch,
     GroundSetTooLarge,
     InternalInvariant,
     LinearCut,
-    LowerBoundsNotReduced,
     MixingInstance,
     complement,
     format_rational,
 )
-from .exactlp import solve_feasibility
+from .counterexample import certify_witness, witness
 from .mixing import mix_star_cuts
-from .submodular import SetFunctionOracle
+from .vertices import SeparatingHyperplane, membership, v_representation
 
-ENUMERATION_BOUND = 20
 BASIS_ENUMERATION_WORK = 3_000
 FAMILY_SEQUENCE_BOUND = 150_000
-
-
-def linking_oracle(inst: MixingInstance) -> SetFunctionOracle:
-    """Oracle z -> max(epsilon, sum_j column_max_j(z)) over indicator bitmasks."""
-    if not inst.lower_is_zero:
-        raise LowerBoundsNotReduced("linking oracle requires zero lower bounds")
-    eps = inst.epsilon
-    rows = inst.weights
-    k = inst.k
-
-    def value(mask: int) -> Fraction:
-        best = [Fraction(0)] * k
-        for i, row in enumerate(rows):
-            if mask & (1 << i):
-                for j in range(k):
-                    if row[j] > best[j]:
-                        best[j] = row[j]
-        total = sum(best, Fraction(0))
-        return total if total > eps else eps
-
-    return SetFunctionOracle(inst.n, value, name="linking")
-
-
-@dataclass(frozen=True)
-class HullDiagnosis:
-    """Verdict of the hull-sufficiency conditions for one instance."""
-
-    i_bar: frozenset[int]
-    c1_ok: bool
-    c2_ok: bool
-    negligible: bool
-    l_w_eps: Union[Fraction, float]  # +inf sentinel only ever compared, never added
-    g_submodular: bool
-    sufficient: bool
-
-
-def diagnose(inst: MixingInstance) -> HullDiagnosis:
-    """Compute the index set of low rows, its negligibility, the pairwise
-    minimum constant, and the resulting submodularity/sufficiency verdict."""
-    if not inst.lower_is_zero:
-        raise LowerBoundsNotReduced("diagnose requires zero lower bounds")
-    eps = inst.epsilon
-    n, k = inst.n, inst.k
-    i_bar = frozenset(i for i in range(n) if inst.row_sum(i) <= eps)
-    outside = [i for i in range(n) if i not in i_bar]
-
-    if i_bar:
-        peaks = [max(inst.weights[i][j] for i in i_bar) for j in range(k)]
-        c1_ok = all(
-            peaks[j] <= inst.weights[i][j] for i in outside for j in range(k)
-        )
-        c2_ok = sum(peaks, Fraction(0)) <= eps
-    else:
-        c1_ok = c2_ok = True
-    negligible = c1_ok and c2_ok
-
-    l_w_eps: Union[Fraction, float]
-    if not outside:
-        l_w_eps = math.inf
-    elif len(outside) == 1:
-        l_w_eps = inst.row_sum(outside[0])
-    else:
-        l_w_eps = min(
-            sum(
-                (min(inst.weights[p][j], inst.weights[q][j]) for j in range(k)),
-                Fraction(0),
-            )
-            for p, q in itertools.combinations(outside, 2)
-        )
-
-    g_submodular = negligible and eps <= l_w_eps
-    return HullDiagnosis(
-        i_bar, c1_ok, c2_ok, negligible, l_w_eps, g_submodular, g_submodular
-    )
-
-
-@dataclass(frozen=True)
-class VRepresentation:
-    """Extreme points and rays of the hull in the indicator-epigraph view
-    (z_i = 1 means scenario i is active; callers complement for the
-    original variables)."""
-
-    points: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
-    rays: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.points[0][0])
-
-    @property
-    def n(self) -> int:
-        return len(self.points[0][1])
-
-
-def v_representation(inst: MixingInstance) -> VRepresentation:
-    """Enumerate all extreme points: per binary z either the componentwise
-    floor (when its coordinate sum already exceeds the linking threshold) or
-    one point per column absorbing the deficit; rays are the unit y
-    directions."""
-    if not inst.lower_is_zero:
-        raise LowerBoundsNotReduced("vertex enumeration requires zero lower bounds")
-    if inst.n > ENUMERATION_BOUND:
-        raise GroundSetTooLarge(
-            f"vertex enumeration limited to n <= {ENUMERATION_BOUND}"
-        )
-    n, k = inst.n, inst.k
-    eps = inst.epsilon
-    points = []
-    for mask in range(1 << n):
-        floor = [Fraction(0)] * k
-        for i in range(n):
-            if mask & (1 << i):
-                row = inst.weights[i]
-                for j in range(k):
-                    if row[j] > floor[j]:
-                        floor[j] = row[j]
-        z = tuple(1 if mask & (1 << i) else 0 for i in range(n))
-        deficit = eps - sum(floor, Fraction(0))
-        if deficit < 0:
-            points.append((tuple(floor), z))
-        else:
-            for d in range(k):
-                y = list(floor)
-                y[d] += deficit
-                points.append((tuple(y), z))
-    rays = tuple(
-        (
-            tuple(Fraction(1 if j == d else 0) for j in range(k)),
-            tuple(0 for _ in range(n)),
-        )
-        for d in range(k)
-    )
-    return VRepresentation(tuple(points), rays)
-
-
-@dataclass(frozen=True)
-class SeparatingHyperplane:
-    """Functional phi(y, z) = y_coeffs.y + z_coeffs.z with phi <= bound on the
-    hull and phi(point) > bound."""
-
-    y_coeffs: tuple[Fraction, ...]
-    z_coeffs: tuple[Fraction, ...]
-    bound: Fraction
-
-
-@dataclass(frozen=True)
-class MembershipResult:
-    inside: bool
-    # Convex multipliers per vrep point and ray multipliers, when inside.
-    coefficients: Optional[tuple[Fraction, ...]]
-    ray_coefficients: Optional[tuple[Fraction, ...]]
-    hyperplane: Optional[SeparatingHyperplane]
-
-
-def membership(
-    vrep: VRepresentation,
-    y: Sequence[Fraction],
-    z: Sequence[Fraction],
-) -> MembershipResult:
-    """Exact test for (y, z) in conv(points) + cone(rays), with certificate.
-
-    Solves the feasibility LP "convex combination of points plus nonnegative
-    ray multiples equals the target" by a rational simplex; an infeasible
-    outcome converts the Farkas vector into a strictly separating hyperplane.
-    Both certificates are re-verified before returning.
-    """
-    k, n = vrep.k, vrep.n
-    if len(y) != k or len(z) != n:
-        raise DimensionMismatch("point dimensions disagree with representation")
-    # Columns: one convex multiplier per point, one nonnegative multiplier per
-    # ray.  Rows: n equalities for z, one convexity row, k equalities for y.
-    npts = len(vrep.points)
-    a_rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for i in range(n):
-        a_rows.append(
-            [Fraction(pz[i]) for _, pz in vrep.points]
-            + [Fraction(rz[i]) for _, rz in vrep.rays]
-        )
-        b.append(Fraction(z[i]))
-    a_rows.append([Fraction(1)] * npts + [Fraction(0)] * len(vrep.rays))
-    b.append(Fraction(1))
-    for j in range(k):
-        row = [py[j] for py, _ in vrep.points]
-        row += [ry[j] for ry, _ in vrep.rays]
-        a_rows.append(row)
-        b.append(Fraction(y[j]))
-
-    result = solve_feasibility(a_rows, b)
-    if result.feasible:
-        lam = result.x[:npts]
-        mu = result.x[npts:]
-        recon_y = [
-            sum((l * py[j] for l, (py, _) in zip(lam, vrep.points)), Fraction(0))
-            + sum((m * ry[j] for m, (ry, _) in zip(mu, vrep.rays)), Fraction(0))
-            for j in range(k)
-        ]
-        recon_z = [
-            sum((l * pz[i] for l, (_, pz) in zip(lam, vrep.points)), Fraction(0))
-            + sum((m * rz[i] for m, (_, rz) in zip(mu, vrep.rays)), Fraction(0))
-            for i in range(n)
-        ]
-        if (
-            any(l < 0 for l in result.x)
-            or sum(lam, Fraction(0)) != 1
-            or recon_y != list(y)
-            or recon_z != list(z)
-        ):
-            raise InternalInvariant("membership certificate failed verification")
-        return MembershipResult(True, lam, mu, None)
-
-    u = result.farkas
-    u_z = u[:n]
-    u_conv = u[n]
-    u_y = u[n + 1 :]
-    plane = SeparatingHyperplane(tuple(u_y), tuple(u_z), -u_conv)
-    # Verify: phi <= bound on every generator, phi unbounded-safe on rays,
-    # and phi(target) strictly beyond the bound.
-    for py, pz in vrep.points:
-        phi = sum((a * v for a, v in zip(plane.y_coeffs, py)), Fraction(0))
-        phi += sum((a * Fraction(v) for a, v in zip(plane.z_coeffs, pz)), Fraction(0))
-        if phi > plane.bound:
-            raise InternalInvariant("separating hyperplane fails on a vertex")
-    for ry, rz in vrep.rays:
-        drift = sum((a * v for a, v in zip(plane.y_coeffs, ry)), Fraction(0))
-        drift += sum((a * v for a, v in zip(plane.z_coeffs, rz)), Fraction(0))
-        if drift > 0:
-            raise InternalInvariant("separating hyperplane increases along a ray")
-    phi_target = sum((a * Fraction(v) for a, v in zip(plane.y_coeffs, y)), Fraction(0))
-    phi_target += sum(
-        (a * Fraction(v) for a, v in zip(plane.z_coeffs, z)), Fraction(0)
-    )
-    if phi_target <= plane.bound:
-        raise InternalInvariant("separating hyperplane does not separate")
-    return MembershipResult(False, None, None, plane)
-
-
-# ---------------------------------------------------------------------------
-# Closure check: the hull family on one side, the membership LP on the other.
-# ---------------------------------------------------------------------------
 
 
 def hull_cut_family(
@@ -520,9 +282,9 @@ def check_sufficiency(
             tuple(), None, not failures,
         )
 
-    point, case = _witness_mod.witness(inst, diag)
+    point, case = witness(inst, diag)
     verdict = membership(vrep, point[0], complement(point[1]))
-    assertions = _witness_mod.certify_witness(inst, point, verdict=verdict)
+    assertions = certify_witness(inst, point, verdict=verdict)
     ok = all(msg.startswith("ok") for msg in assertions)
     return SufficiencyReport(
         diag, "witness", tuple(), 0, tuple(failures), point, case,

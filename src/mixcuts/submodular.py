@@ -49,19 +49,8 @@ class SetFunctionOracle:
             cached = self._memo[mask] = self._func(mask)
         return cached
 
-    def value_empty(self) -> Fraction:
-        return self.value(0)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SetFunctionOracle(n={self.ground_size}, name={self.name!r})"
-
-
-def tabulate(ground_size: int, values: Sequence[Fraction]) -> SetFunctionOracle:
-    """Oracle backed by an explicit table indexed by bitmask."""
-    if len(values) != 1 << ground_size:
-        raise DimensionMismatch("table size must be 2**ground_size")
-    table = [parse_rational(v) for v in values]
-    return SetFunctionOracle(ground_size, lambda m: table[m], name="table")
 
 
 @dataclass(frozen=True)
@@ -133,7 +122,7 @@ def separate_polymatroid(
     if any(v < 0 or v > 1 for v in z):
         raise DomainError(f"point outside [0,1]^{f.ground_size}: {z}")
     vertex = greedy_vertex(f, z)
-    offset = f.value_empty()
+    offset = f.value(0)
     bound = sum((p * v for p, v in zip(vertex.pi, z)), offset)
     if parse_rational(y_bar) >= bound:
         return None

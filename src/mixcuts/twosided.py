@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .aggregated import aggregated_cut, count_sequences, decompose
+from .aggregated import aggregated_cut, count_sequences, decompose, diagnose
 from .core import (
     ConditionViolated,
     CutKind,
@@ -27,13 +27,8 @@ from .core import (
     SequenceTheta,
     parse_rational,
 )
-from .hull import (
-    VRepresentation,
-    diagnose,
-    hull_cut_family,
-    membership,
-    v_representation,
-)
+from .hull import hull_cut_family
+from .vertices import VRepresentation, v_representation
 
 
 @dataclass(frozen=True)
@@ -161,15 +156,6 @@ class BandedHullReport:
     clipped: VRepresentation
     cuts: tuple[LinearCut, ...]
 
-    def to_json(self) -> str:
-        doc = {
-            "band_ok": self.band_ok,
-            "extreme_points": len(self.extreme_points),
-            "clipped_points": len(self.clipped.points),
-            "cuts": [str(c) for c in self.cuts],
-        }
-        return json.dumps(doc, indent=2)
-
 
 def hull_with_bounds(
     data: TwoSidedData, max_cut_sequences: int = 5_000
@@ -241,9 +227,3 @@ def hull_with_bounds(
         cuts.append(LinearCut((0, 0), high, -1, CutKind.BOUND_UPPER))
     return BandedHullReport(inst, band_ok, points, clipped, tuple(cuts))
 
-
-def banded_membership(
-    report: BandedHullReport, y: Sequence[Fraction], z: Sequence[Fraction]
-):
-    """Membership in the band-clipped hull (original indicator orientation)."""
-    return membership(report.clipped, y, z)

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+import mixcuts
 from mixcuts.cli import main
 
 from conftest import fixture_path
@@ -218,10 +220,38 @@ LIFTED_EXAMPLE1 = json.dumps(
         (["verify", LIFTED_EXAMPLE1, "--mode=witness"], 3),
         (["diagnose", '{"n": 1, "k": 1, "W": [["-3"]]}'], 2),
         (["diagnose", "{ not json"], 1),
+        (["twosided", {"w": ["1", "4"], "v": ["2", "1"], "u_a": "5"}], 2),
+        (["twosided", {"w": ["6", "4"], "v": ["1", "1"], "u_a": "5"}], 2),
     ],
 )
-def test_exit_codes(capsys, argv, code):
+def test_exit_codes(capsys, tmp_path, argv, code):
+    # two-sided data is read from a file only
+    for t, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"arg{t}.json"
+            path.write_text(json.dumps(arg), encoding="utf-8")
+            argv = argv[:t] + [str(path)] + argv[t + 1 :]
     assert run_cli(capsys, *argv)[0] == code
+
+
+def test_validity_sweep_enumerates_vertices_once(capsys, monkeypatch):
+    original = mixcuts.v_representation
+    calls = []
+
+    def counting(inst):
+        calls.append(inst)
+        return original(inst)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mixcuts" or name.startswith("mixcuts."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    code, out, _ = run_cli(
+        capsys, "verify", fixture_path("example1.json"), "--mode=validity"
+    )
+    assert code == 0 and out.startswith("checked 379 cuts: 379 valid")
+    assert len(calls) == 1
 
 
 def test_diagnose_reduces_lower_bounds_first(capsys):

@@ -1,0 +1,72 @@
+"""The package's modules form a chain: no import cycle, and no import of
+another module of the package inside a function or class body, where it
+would hide a cycle until the line runs."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mixcuts"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def imported_modules(node: ast.AST) -> list[str]:
+    """Modules of the package that one import statement names."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names if a.name.split(".")[0] == "mixcuts"]
+        return [n.split(".")[1] if "." in n else "__init__" for n in names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = node.module or ""
+    if node.level == 0:
+        if module.split(".")[0] != "mixcuts":
+            return []
+        module = module[len("mixcuts") :].lstrip(".")
+    if module:
+        return [module.split(".")[0]]
+    return [a.name if a.name in MODULES else "__init__" for a in node.names]
+
+
+def parse(stem: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+
+
+def test_detector_reads_every_import_form():
+    source = (
+        "import json\nimport mixcuts.core\nfrom mixcuts import hull\n"
+        "from .aggregated import walk\nfrom . import mixing, __version__\n"
+    )
+    found = [imported_modules(n) for n in ast.parse(source).body]
+    assert found == [[], ["core"], ["hull"], ["aggregated"], ["mixing", "__init__"]]
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_no_import_inside_a_function(stem):
+    nested = []
+    for scope in ast.walk(parse(stem)):
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for node in ast.walk(scope):
+                if imported_modules(node):
+                    nested.append(f"line {node.lineno} in {scope.name}")
+    assert nested == []
+
+
+def test_import_graph_is_acyclic():
+    graph = {
+        stem: {m for node in ast.walk(parse(stem)) for m in imported_modules(node)}
+        for stem in MODULES
+    }
+    assert set().union(*graph.values()) <= set(MODULES)
+    assert graph["core"] == set() and "hull" in graph["cli"]
+    done: set[str] = set()
+
+    def visit(stem: str, path: list[str]) -> None:
+        assert stem not in path, "import cycle: " + " -> ".join(path + [stem])
+        if stem not in done:
+            for target in sorted(graph[stem]):
+                visit(target, path + [stem])
+            done.add(stem)
+
+    for stem in MODULES:
+        visit(stem, [])

@@ -15,10 +15,17 @@ from mixcuts import (
     separate_polymatroid,
     weighted_combination,
 )
-from mixcuts.hull import VRepresentation
-from mixcuts.submodular import SetFunctionOracle, tabulate
+from mixcuts.submodular import SetFunctionOracle
+from mixcuts.vertices import VRepresentation
 
 from conftest import random_sufficient_instance
+
+
+def tabulate(ground_size, values):
+    """Oracle backed by an explicit table indexed by bitmask."""
+    table = list(values)
+    assert len(table) == 1 << ground_size
+    return SetFunctionOracle(ground_size, lambda m: table[m], name="table")
 
 
 def pairwise_submodular(f):

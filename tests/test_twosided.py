@@ -10,11 +10,17 @@ from mixcuts import (
     diagnose,
     generalized_cut,
     hull_with_bounds,
+    membership,
     to_mixing,
 )
-from mixcuts.twosided import banded_membership, loads_twosided
+from mixcuts.twosided import loads_twosided
 
 from conftest import random_twosided
+
+
+def banded_membership(report, y, z):
+    """Membership in the band-clipped hull (original indicator orientation)."""
+    return membership(report.clipped, y, z)
 
 
 DEMO = TwoSidedData(
