@@ -101,6 +101,34 @@ def l_theta(inst: MixingInstance, theta: SequenceTheta) -> Fraction:
     return best
 
 
+def _chain_sum_cut(
+    inst: MixingInstance,
+    chains: Sequence[tuple[int, ...]],
+    last: int,
+    cap: Fraction,
+) -> LinearCut:
+    """Summed per-column chains minus ``cap`` on the index ``last``.
+
+    Starred when every chain head attains its column maximum and the cap is
+    epsilon.
+    """
+    coeffs = [Fraction(0)] * inst.n
+    rhs = Fraction(0)
+    star = cap == inst.epsilon
+    for j, chain in enumerate(chains):
+        col = inst.column(j)
+        values = [col[i] for i in chain] + [Fraction(0)]
+        for s, i in enumerate(chain):
+            coeffs[i] += values[s] - values[s + 1]
+        rhs += values[0]
+        if values[0] != max(col):
+            star = False
+    coeffs[last] -= cap
+    y = [Fraction(1)] * inst.k
+    kind = CutKind.AMIX_STAR if star else CutKind.AMIX
+    return LinearCut(y, coeffs, rhs, kind)
+
+
 def aggregated_cut(inst: MixingInstance, theta: SequenceTheta) -> LinearCut:
     """Summed per-column chains minus min(epsilon, L(Theta)) on the last index.
 
@@ -109,25 +137,9 @@ def aggregated_cut(inst: MixingInstance, theta: SequenceTheta) -> LinearCut:
     """
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds before aggregating")
-    decomp = decompose(inst, theta)
-    coeffs = [Fraction(0)] * inst.n
-    rhs = Fraction(0)
-    star = True
-    for j, chain in enumerate(decomp.per_column):
-        col = inst.column(j)
-        values = [col[i] for i in chain] + [Fraction(0)]
-        for s, i in enumerate(chain):
-            coeffs[i] += values[s] - values[s + 1]
-        rhs += values[0]
-        if values[0] != inst.column_max(j):
-            star = False
+    chains = decompose(inst, theta).per_column
     cap = min(inst.epsilon, l_theta(inst, theta))
-    if cap != inst.epsilon:
-        star = False
-    coeffs[theta.last] -= cap
-    y = [Fraction(1)] * inst.k
-    kind = CutKind.AMIX_STAR if star else CutKind.AMIX
-    return LinearCut(y, coeffs, rhs, kind)
+    return _chain_sum_cut(inst, chains, theta.last, cap)
 
 
 def dominates_linking(inst: MixingInstance, theta: SequenceTheta) -> bool:
@@ -259,19 +271,37 @@ def walk(
             stack.pop()
 
 
-def starred_sequences(
+def starred_cuts(
     inst: MixingInstance, ground: Sequence[int], max_length: Optional[int] = None
-) -> list[SequenceTheta]:
-    """One sequence per distinct chain tuple among the starred sequences over
-    ``ground``: the first one that :func:`sequences` meets, in the order it
-    meets them."""
+) -> list[LinearCut]:
+    """One starred aggregated cut per distinct chain tuple among the starred
+    sequences over ``ground``, built from the walker node of the first
+    sequence that :func:`sequences` meets, in the order it meets them.
+
+    A starred node has epsilon <= L, so its cap is epsilon.
+    """
     first: dict[tuple[tuple[int, ...], ...], tuple[int, tuple[int, ...]]] = {}
     for theta, chains, _, _ in walk(inst, sorted(ground), max_length, starred=True):
         rank = (len(theta), theta)
         known = first.get(chains)
         if known is None or rank < known:
             first[chains] = rank
-    return [SequenceTheta(theta) for _, theta in sorted(first.values())]
+    kept = sorted((rank, chains) for chains, rank in first.items())
+    return [
+        _chain_sum_cut(inst, chains, theta[-1], inst.epsilon)
+        for (_, theta), chains in kept
+    ]
+
+
+def linking_cut(inst: MixingInstance) -> LinearCut:
+    """The linking constraint sum_j (y_j - lower_j) >= epsilon, written as
+    sum_j y_j >= epsilon + sum_j lower_j."""
+    return LinearCut(
+        [Fraction(1)] * inst.k,
+        [Fraction(0)] * inst.n,
+        inst.epsilon + sum(inst.lower, Fraction(0)),
+        CutKind.LINKING,
+    )
 
 
 def linking_oracle(inst: MixingInstance) -> SetFunctionOracle:
@@ -355,7 +385,6 @@ def separate_aggregated(
     inst: MixingInstance,
     y_bar: Sequence[Fraction],
     z_bar: Sequence[Fraction],
-    max_sequences: int = SEPARATION_SEQUENCE_BOUND,
 ) -> Optional[LinearCut]:
     """Most violated aggregated cut at (y_bar, z_bar), or None.
 
@@ -405,9 +434,10 @@ def separate_aggregated(
         ground = list(range(inst.n))
     if not ground:
         return None
-    if count_sequences(len(ground)) > max_sequences:
+    if count_sequences(len(ground)) > SEPARATION_SEQUENCE_BOUND:
         raise GroundSetTooLarge(
-            f"{len(ground)} free indices need more than {max_sequences} sequences"
+            f"{len(ground)} free indices need more than "
+            f"{SEPARATION_SEQUENCE_BOUND} sequences"
         )
     best: Optional[tuple[int, tuple[int, ...]]] = None
     for theta, _, _, gap in walk(inst, ground, point=(y, z)):

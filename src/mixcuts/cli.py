@@ -22,7 +22,6 @@ from . import mixing
 from . import twosided as ts
 from . import vertices
 from .core import (
-    CutKind,
     DimensionMismatch,
     LinearCut,
     MixcutsError,
@@ -103,15 +102,10 @@ def cmd_separate(args) -> int:
     if "amix" in families:
         reduced, shift = mixing.reduce_lower_bounds(inst)
         shifted_y = tuple(v - s for v, s in zip(y, shift))
-        linking_rhs = inst.epsilon + sum(shift, Fraction(0))
-        if sum(y, Fraction(0)) < linking_rhs:
-            linking = LinearCut(
-                [Fraction(1)] * inst.k,
-                [Fraction(0)] * inst.n,
-                linking_rhs,
-                CutKind.LINKING,
-            )
-            found.append((linking.violation(y, z), linking))
+        linking = agg.linking_cut(inst)
+        gap = linking.violation(y, z)
+        if gap > 0:
+            found.append((gap, linking))
         else:
             cut = agg.separate_aggregated(reduced, shifted_y, z)
             if cut is not None:

@@ -21,13 +21,12 @@ from typing import Optional, Sequence
 
 from .aggregated import (
     HullDiagnosis,
-    aggregated_cut,
     count_sequences,
     diagnose,
-    starred_sequences,
+    linking_cut,
+    starred_cuts,
 )
 from .core import (
-    CutKind,
     GroundSetTooLarge,
     InternalInvariant,
     LinearCut,
@@ -49,31 +48,22 @@ def hull_cut_family(
     """Starred mixing cuts for every column plus starred aggregated cuts over
     sequences avoiding the low rows (up to ``max_length`` long), plus the
     linking constraint."""
-    diag = diagnose(inst)
-    cuts: list[LinearCut] = []
-    seen = set()
-    for j in range(inst.k):
-        for cut in mix_star_cuts(inst, j):
-            key = cut.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                cuts.append(cut)
-    outside = sorted(set(range(inst.n)) - diag.i_bar)
+    outside = sorted(set(range(inst.n)) - diagnose(inst).i_bar)
     if count_sequences(len(outside), max_length) > FAMILY_SEQUENCE_BOUND:
         raise GroundSetTooLarge(
             f"{len(outside)} rows outside the low set need too many sequences"
         )
-    for theta in starred_sequences(inst, outside, max_length):
-        cut = aggregated_cut(inst, theta)
+    candidates = [cut for j in range(inst.k) for cut in mix_star_cuts(inst, j)]
+    candidates += starred_cuts(inst, outside, max_length)
+    if inst.epsilon > 0:
+        candidates.append(linking_cut(inst))
+    cuts: list[LinearCut] = []
+    seen = set()
+    for cut in candidates:
         key = cut.canonical_key()
         if key not in seen:
             seen.add(key)
             cuts.append(cut)
-    linking = LinearCut(
-        [Fraction(1)] * inst.k, [Fraction(0)] * inst.n, inst.epsilon, CutKind.LINKING
-    )
-    if inst.epsilon > 0 and linking.canonical_key() not in seen:
-        cuts.append(linking)
     return cuts
 
 
@@ -236,14 +226,13 @@ def check_sufficiency(
     samples: int = 50,
     seed: int = 20240,
     basis_work_bound: int = BASIS_ENUMERATION_WORK,
-    midpoint_cap: int = 800,
 ) -> SufficiencyReport:
     """Certify the diagnosis empirically.
 
     Sufficient instances: sample points of the cut polyhedron (seeded
-    rejection/projection, vertex-pair midpoints, and its exact vertices when
-    basis enumeration is affordable) and confirm each is inside the hull by
-    the membership LP.  Insufficient instances: build the explicit witness
+    projections of random box points, and its exact vertices when basis
+    enumeration is affordable) and confirm each is inside the hull by the
+    membership LP.  Insufficient instances: build the explicit witness
     point for the failing condition and certify that it satisfies every
     mixing and aggregated mixing cut yet lies outside the hull.
     """
@@ -260,16 +249,6 @@ def check_sufficiency(
             y, z = project_to_cut_polyhedron(inst, cuts, z, s % inst.k)
             if not membership(vrep, y, complement(z)).inside:
                 failures.append(f"projected sample {s} outside hull: y={y} z={z}")
-            checked += 1
-        pts = vrep.points
-        pairs = itertools.combinations(range(len(pts)), 2)
-        for a, b in itertools.islice(pairs, midpoint_cap):
-            mid_y = tuple((u + v) / 2 for u, v in zip(pts[a][0], pts[b][0]))
-            mid_z = tuple(
-                Fraction(u + v, 2) for u, v in zip(pts[a][1], pts[b][1])
-            )
-            if not membership(vrep, mid_y, mid_z).inside:
-                failures.append(f"midpoint of vertices {a},{b} outside hull")
             checked += 1
         vertices = _cut_polyhedron_vertices(inst, cuts, basis_work_bound)
         if vertices is not None:

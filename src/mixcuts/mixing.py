@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     CutKind,
@@ -183,59 +183,46 @@ def separate_mixing(
 # ---------------------------------------------------------------------------
 
 
-def _chains(
+def _chain_cuts(
     inst: MixingInstance, j: int, star_only: bool, max_chains: Optional[int] = None
-) -> Iterator[tuple[int, ...]]:
+) -> list[LinearCut]:
+    """Distinct mixing cuts of the first ``max_chains`` chains of a column;
+    with ``star_only`` only chains headed at the column maximum."""
     col = inst.column(j)
     floor = inst.lower[j]
     by_value: dict[Fraction, list[int]] = {}
     for i, w in enumerate(col):
         if w >= floor:
             by_value.setdefault(w, []).append(i)
-    values = sorted(by_value, reverse=True)
-    if not values:
-        return
-    groups = [by_value[v] for v in values]
-    heads = groups[0] if star_only else [i for g in groups for i in g]
-    count = 0
-    for start, head_group in enumerate(groups if not star_only else groups[:1]):
-        for head in head_group:
-            tail_groups = groups[start + 1 :]
-            for pattern in itertools.product(
-                *[[None] + g for g in tail_groups]  # type: ignore[list-item]
-            ):
-                chain = (head,) + tuple(i for i in pattern if i is not None)
-                yield chain
-                count += 1
-                if max_chains is not None and count >= max_chains:
-                    return
-
-
-def mix_star_cuts(
-    inst: MixingInstance, j: int, max_chains: Optional[int] = None
-) -> list[LinearCut]:
-    """All distinct starred mixing cuts of a column (deduplicated)."""
+    groups = [by_value[v] for v in sorted(by_value, reverse=True)]
+    chains = (
+        (head,) + tuple(i for i in pattern if i is not None)
+        for start, head_group in enumerate(groups[:1] if star_only else groups)
+        for head in head_group
+        for pattern in itertools.product(
+            *[[None] + g for g in groups[start + 1 :]]  # type: ignore[list-item]
+        )
+    )
     seen = set()
     cuts = []
-    for chain in _chains(inst, j, star_only=True, max_chains=max_chains):
+    for count, chain in enumerate(chains, 1):
         cut = mixing_cut(inst, MixingSequence(j, chain))
         key = cut.canonical_key()
         if key not in seen:
             seen.add(key)
             cuts.append(cut)
+        if max_chains is not None and count >= max_chains:
+            break
     return cuts
+
+
+def mix_star_cuts(inst: MixingInstance, j: int) -> list[LinearCut]:
+    """All distinct starred mixing cuts of a column (deduplicated)."""
+    return _chain_cuts(inst, j, star_only=True)
 
 
 def all_mixing_cuts(
     inst: MixingInstance, j: int, max_chains: Optional[int] = None
 ) -> list[LinearCut]:
     """All distinct mixing cuts of a column, starred or not (deduplicated)."""
-    seen = set()
-    cuts = []
-    for chain in _chains(inst, j, star_only=False, max_chains=max_chains):
-        cut = mixing_cut(inst, MixingSequence(j, chain))
-        key = cut.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            cuts.append(cut)
-    return cuts
+    return _chain_cuts(inst, j, star_only=False, max_chains=max_chains)

@@ -61,7 +61,7 @@ class PolymatroidVertex:
     permutation: tuple[int, ...]
 
 
-def is_submodular(f: SetFunctionOracle, bound: int = BRUTE_FORCE_BOUND) -> bool:
+def is_submodular(f: SetFunctionOracle) -> bool:
     """Brute-force submodularity check via the adjacent-exchange condition.
 
     f(S+i) - f(S) >= f(S+i+j) - f(S+j) for all S and i, j not in S; this is
@@ -69,8 +69,10 @@ def is_submodular(f: SetFunctionOracle, bound: int = BRUTE_FORCE_BOUND) -> bool:
     instead of O(4^n).
     """
     n = f.ground_size
-    if n > bound:
-        raise GroundSetTooLarge(f"ground set {n} exceeds brute-force bound {bound}")
+    if n > BRUTE_FORCE_BOUND:
+        raise GroundSetTooLarge(
+            f"ground set {n} exceeds brute-force bound {BRUTE_FORCE_BOUND}"
+        )
     for mask in range(1 << n):
         outside = [i for i in range(n) if not mask & (1 << i)]
         for a in range(len(outside)):

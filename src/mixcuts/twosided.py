@@ -30,6 +30,8 @@ from .core import (
 from .hull import hull_cut_family
 from .vertices import VRepresentation, v_representation
 
+BAND_SEQUENCE_BOUND = 5_000
+
 
 @dataclass(frozen=True)
 class TwoSidedData:
@@ -157,17 +159,16 @@ class BandedHullReport:
     cuts: tuple[LinearCut, ...]
 
 
-def hull_with_bounds(
-    data: TwoSidedData, max_cut_sequences: int = 5_000
-) -> BandedHullReport:
+def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
     """Intersect the linking-set hull with the band u_a >= y_1 - y_2 >= -u_a.
 
     Every extreme point already satisfies the band (asserted exhaustively);
     clipping therefore only adds points where a unit ray leaving an extreme
     point meets a band plane, whose z parts stay integral.  The certified
     description is the linking-set family plus the band and the z bounds;
-    the aggregated part of the family is enumerated up to the sequence
-    budget (it is exponential in n).
+    the aggregated part of the family is enumerated up to the longest
+    sequence length whose sequence count stays within
+    ``BAND_SEQUENCE_BOUND`` (it is exponential in n).
     """
     inst = to_mixing(data)
     vrep = v_representation(inst)
@@ -199,7 +200,7 @@ def hull_with_bounds(
 
     outside = sum(1 for wi, vi in zip(data.w, data.v) if wi != 0 or vi != 0)
     max_len = outside
-    while max_len > 1 and count_sequences(outside, max_len) > max_cut_sequences:
+    while max_len > 1 and count_sequences(outside, max_len) > BAND_SEQUENCE_BOUND:
         max_len -= 1
     cuts = hull_cut_family(inst, max_len)
     cuts.append(

@@ -229,7 +229,6 @@ def test_criterion_7_sufficiency_closure():
             samples=200,
             seed=20240 + trial,
             basis_work_bound=0,
-            midpoint_cap=0,
         )
         assert report.branch == "closure"
         assert report.ok, (inst, report.failures[:3])

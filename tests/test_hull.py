@@ -23,6 +23,7 @@ from mixcuts import (
 )
 from mixcuts.core import CutKind, DimensionMismatch, complement
 from mixcuts.hull import (
+    BASIS_ENUMERATION_WORK,
     _cut_polyhedron_vertices,
     project_to_cut_polyhedron,
 )
@@ -213,7 +214,7 @@ def test_duplicate_rows_tolerated():
     for cut in fam:
         for y, z in vrep.points:
             assert cut.lhs(y, tuple(1 - zi for zi in z)) >= cut.rhs
-    report = check_sufficiency(inst, samples=20, midpoint_cap=50)
+    report = check_sufficiency(inst, samples=20)
     assert report.ok
 
 
@@ -282,10 +283,10 @@ def test_membership_example2_witness_outside(example2):
 
 
 def test_check_sufficiency_example1(example1):
-    report = check_sufficiency(example1, samples=25, midpoint_cap=200)
+    report = check_sufficiency(example1, samples=25)
     assert report.branch == "closure"
     assert report.ok and not report.failures
-    assert report.samples_checked >= 225
+    assert report.samples_checked == 25
     published = {
         LinearCut((1, 1), (1, 1, 8, 0, 0), 17),
         LinearCut((1, 1), (0, 2, 8, 0, 0), 17),
@@ -294,8 +295,26 @@ def test_check_sufficiency_example1(example1):
         LinearCut((1, 1), (4, 1, 5, 0, 0), 17),
     }
     assert published <= set(report.cuts)
-    again = check_sufficiency(example1, samples=25, midpoint_cap=200)
+    again = check_sufficiency(example1, samples=25)
     assert report.to_json() == again.to_json()
+
+
+def test_closure_checks_each_sample_and_every_cut_polyhedron_vertex():
+    # the count is exactly the projected samples plus the exact vertices of
+    # the cut polyhedron: no point whose membership is known in advance
+    rng = random.Random(5)
+    covered = 0
+    while covered < 10:
+        n, k = rng.randint(2, 3), rng.randint(1, 2)
+        inst = random_sufficient_instance(rng, n, k, with_low_rows=n == 3)
+        cuts = hull_cut_family(inst)
+        vertices = _cut_polyhedron_vertices(inst, cuts, BASIS_ENUMERATION_WORK)
+        if vertices is None:
+            continue
+        report = check_sufficiency(inst, samples=10)
+        assert report.ok, (inst, report.failures[:3])
+        assert report.samples_checked == 10 + len(vertices)
+        covered += 1
 
 
 def test_check_sufficiency_witness_branches(example2, example3, example4):

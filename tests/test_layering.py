@@ -1,6 +1,7 @@
 """The package's modules form a chain: no import cycle, and no import of
 another module of the package inside a function or class body, where it
-would hide a cycle until the line runs."""
+would hide a cycle until the line runs.  No module keeps a module-level
+import it never uses (the package's ``__init__`` only re-exports)."""
 
 import ast
 from pathlib import Path
@@ -28,6 +29,21 @@ def imported_modules(node: ast.AST) -> list[str]:
     return [a.name if a.name in MODULES else "__init__" for a in node.names]
 
 
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module's top-level imports that no name in the
+    module reads; ``from __future__`` imports bind nothing."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
 def parse(stem: str) -> ast.Module:
     return ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
 
@@ -39,6 +55,20 @@ def test_detector_reads_every_import_form():
     )
     found = [imported_modules(n) for n in ast.parse(source).body]
     assert found == [[], ["core"], ["hull"], ["aggregated"], ["mixing", "__init__"]]
+
+
+def test_unused_import_detector():
+    source = (
+        "from __future__ import annotations\nimport json\nimport os.path\n"
+        "from .core import A, B as C, D\n"
+        "def f(x: A) -> None:\n    return os.path.join(C)\n"
+    )
+    assert unused_imports(ast.parse(source)) == ["json (line 2)", "D (line 4)"]
+
+
+@pytest.mark.parametrize("stem", [m for m in MODULES if m != "__init__"])
+def test_no_unused_module_level_import(stem):
+    assert unused_imports(parse(stem)) == []
 
 
 @pytest.mark.parametrize("stem", MODULES)
