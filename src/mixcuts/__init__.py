@@ -20,7 +20,6 @@ from .core import (
     RiskOutOfRange,
     SequenceTheta,
     ValidationError,
-    canonicalize,
     complement,
     format_rational,
     load_instance,
@@ -32,9 +31,8 @@ from .submodular import (
     PolymatroidVertex,
     SetFunctionOracle,
     greedy_vertex,
-    is_submodular,
+    max_sum_oracle,
     separate_polymatroid,
-    weighted_combination,
 )
 from .mixing import (
     MixingSequence,
@@ -52,7 +50,6 @@ from .aggregated import (
     aggregated_cut,
     decompose,
     diagnose,
-    dominates_linking,
     l_theta,
     linking_oracle,
     separate_aggregated,

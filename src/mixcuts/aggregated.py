@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     CutKind,
@@ -43,7 +43,7 @@ from .core import (
     complement,
     parse_rational,
 )
-from .submodular import SetFunctionOracle, greedy_vertex
+from .submodular import SetFunctionOracle, greedy_vertex, max_sum_oracle
 
 SEPARATION_SEQUENCE_BOUND = 2_000_000
 
@@ -142,14 +142,6 @@ def aggregated_cut(inst: MixingInstance, theta: SequenceTheta) -> LinearCut:
     return _chain_sum_cut(inst, chains, theta.last, cap)
 
 
-def dominates_linking(inst: MixingInstance, theta: SequenceTheta) -> bool:
-    """Whether the sequence's aggregated cut implies sum_j y_j >= epsilon
-    over the unit box (exactly when epsilon <= L(Theta))."""
-    if not inst.lower_is_zero:
-        raise LowerBoundsNotReduced("reduce lower bounds first")
-    return inst.epsilon <= l_theta(inst, theta)
-
-
 def sequences(
     indices: Sequence[int], max_length: Optional[int] = None
 ) -> Iterator[SequenceTheta]:
@@ -170,21 +162,6 @@ def count_sequences(ground: int, max_length: Optional[int] = None) -> int:
     return total
 
 
-def integer_view(
-    inst: MixingInstance,
-) -> tuple[int, tuple[tuple[int, ...], ...], int]:
-    """Common denominator D of the weights and epsilon, with both scaled by D."""
-    scale = math.lcm(
-        inst.epsilon.denominator, *(w.denominator for row in inst.weights for w in row)
-    )
-    weights = tuple(
-        tuple(w.numerator * (scale // w.denominator) for w in row)
-        for row in inst.weights
-    )
-    eps = inst.epsilon.numerator * (scale // inst.epsilon.denominator)
-    return scale, weights, eps
-
-
 Node = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int, int]
 
 
@@ -200,7 +177,7 @@ def walk(
 
     ``chains`` equals ``decompose(inst, theta).per_column`` and ``l`` equals
     ``D * l_theta(inst, theta)`` for the common denominator D of
-    :func:`integer_view`.  With a point (y, z), ``gap`` is the violation of
+    ``inst.scaled``.  With a point (y, z), ``gap`` is the violation of
     ``aggregated_cut(inst, theta)`` at it times D times the common
     denominator of the point, so it is positive exactly when the cut is
     violated and orders sequences by violation; without one it is 0.
@@ -211,7 +188,7 @@ def walk(
     """
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds before aggregating")
-    scale, weights, eps = integer_view(inst)
+    scale, weights, eps = inst.scaled
     k = inst.k
     peaks = [max(row[j] for row in weights) for j in range(k)]
     top = len(ground) if max_length is None else min(max_length, len(ground))
@@ -308,32 +285,21 @@ def linking_oracle(inst: MixingInstance) -> SetFunctionOracle:
     """Oracle z -> max(epsilon, sum_j column_max_j(z)) over indicator bitmasks."""
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("linking oracle requires zero lower bounds")
-    eps = inst.epsilon
-    rows = inst.weights
-    k = inst.k
-
-    def value(mask: int) -> Fraction:
-        best = [Fraction(0)] * k
-        for i, row in enumerate(rows):
-            if mask & (1 << i):
-                for j in range(k):
-                    if row[j] > best[j]:
-                        best[j] = row[j]
-        total = sum(best, Fraction(0))
-        return total if total > eps else eps
-
-    return SetFunctionOracle(inst.n, value, name="linking")
+    return max_sum_oracle(inst.weights, inst.lower, inst.epsilon, "linking")
 
 
 @dataclass(frozen=True)
 class HullDiagnosis:
-    """Verdict of the hull-sufficiency conditions for one instance."""
+    """Verdict of the hull-sufficiency conditions for one instance.
+
+    ``l_w_eps`` is None when no row lies outside the low set.
+    """
 
     i_bar: frozenset[int]
     c1_ok: bool
     c2_ok: bool
     negligible: bool
-    l_w_eps: Union[Fraction, float]  # +inf sentinel only ever compared, never added
+    l_w_eps: Optional[Fraction]
     g_submodular: bool
 
     @property
@@ -345,39 +311,46 @@ class HullDiagnosis:
 
 def diagnose(inst: MixingInstance) -> HullDiagnosis:
     """Compute the index set of low rows, its negligibility, the pairwise
-    minimum constant, and the resulting submodularity/sufficiency verdict."""
+    minimum constant, and the resulting submodularity/sufficiency verdict.
+
+    The verdict depends on the instance alone, so it is computed once and
+    kept on the instance, the way ``functools.cached_property`` keeps a
+    value: a second call returns the same object.
+    """
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("diagnose requires zero lower bounds")
-    eps = inst.epsilon
-    n, k = inst.n, inst.k
-    i_bar = frozenset(i for i in range(n) if inst.row_sum(i) <= eps)
-    outside = [i for i in range(n) if i not in i_bar]
+    cached = inst.__dict__.get("_diagnosis")
+    if cached is None:
+        cached = inst.__dict__["_diagnosis"] = _diagnosis(inst)
+    return cached
+
+
+def _diagnosis(inst: MixingInstance) -> HullDiagnosis:
+    """The body of :func:`diagnose`, in integers on ``inst.scaled``."""
+    scale, w, eps = inst.scaled
+    sums = [sum(row) for row in w]
+    i_bar = frozenset(i for i, s in enumerate(sums) if s <= eps)
+    outside = [i for i in range(inst.n) if i not in i_bar]
 
     if i_bar:
-        peaks = [max(inst.weights[i][j] for i in i_bar) for j in range(k)]
-        c1_ok = all(
-            peaks[j] <= inst.weights[i][j] for i in outside for j in range(k)
-        )
-        c2_ok = sum(peaks, Fraction(0)) <= eps
+        peaks = [max(w[i][j] for i in i_bar) for j in range(inst.k)]
+        c1_ok = all(p <= v for i in outside for p, v in zip(peaks, w[i]))
+        c2_ok = sum(peaks) <= eps
     else:
         c1_ok = c2_ok = True
     negligible = c1_ok and c2_ok
 
-    l_w_eps: Union[Fraction, float]
     if not outside:
-        l_w_eps = math.inf
+        pair_min = None
     elif len(outside) == 1:
-        l_w_eps = inst.row_sum(outside[0])
+        pair_min = sums[outside[0]]
     else:
-        l_w_eps = min(
-            sum(
-                (min(inst.weights[p][j], inst.weights[q][j]) for j in range(k)),
-                Fraction(0),
-            )
-            for p, q in itertools.combinations(outside, 2)
+        pair_min = min(
+            sum(map(min, w[p], w[q])) for p, q in itertools.combinations(outside, 2)
         )
 
-    g_submodular = negligible and eps <= l_w_eps
+    g_submodular = negligible and (pair_min is None or eps <= pair_min)
+    l_w_eps = None if pair_min is None else Fraction(pair_min, scale)
     return HullDiagnosis(i_bar, c1_ok, c2_ok, negligible, l_w_eps, g_submodular)
 
 

@@ -10,7 +10,6 @@ rationals are printed as integers or fractions, never decimals.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -60,7 +59,7 @@ def _reduced_instance(path: str) -> MixingInstance:
 
 def cmd_diagnose(args) -> int:
     diag = agg.diagnose(_reduced_instance(args.instance))
-    lw = "inf" if diag.l_w_eps == math.inf else format_rational(diag.l_w_eps)
+    lw = "inf" if diag.l_w_eps is None else format_rational(diag.l_w_eps)
     if diag.sufficient:
         print(f"sufficient: yes; L_W(eps)={lw}; I_bar={_fmt_set(diag.i_bar)}")
     elif not diag.c1_ok:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -114,6 +115,14 @@ def _fracs(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(parse_rational(v) for v in values)
 
 
+_ZERO = Fraction(0)
+
+
+def _coeffs(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """Like :func:`_fracs`, with every zero the one shared ``Fraction(0)``."""
+    return tuple(v if v else _ZERO for v in map(parse_rational, values))
+
+
 class CutKind(Enum):
     MIX = "Mix"
     MIX_STAR = "Mix*"
@@ -128,7 +137,7 @@ class CutKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LinearCut:
     """A linear inequality ``y_coeffs . y + z_coeffs . z >= rhs``.
 
@@ -150,8 +159,8 @@ class LinearCut:
         rhs: RationalLike,
         kind: CutKind = CutKind.POLYMATROID,
     ) -> None:
-        object.__setattr__(self, "y_coeffs", _fracs(y_coeffs))
-        object.__setattr__(self, "z_coeffs", _fracs(z_coeffs))
+        object.__setattr__(self, "y_coeffs", _coeffs(y_coeffs))
+        object.__setattr__(self, "z_coeffs", _coeffs(z_coeffs))
         object.__setattr__(self, "rhs", parse_rational(rhs))
         object.__setattr__(self, "kind", kind)
 
@@ -210,23 +219,6 @@ class LinearCut:
         alpha = " ".join(str(v) for v in ints[:k])
         beta = " ".join(str(v) for v in ints[k : k + self.n])
         return f"{alpha} | {beta} | >= {ints[-1]} | {self.kind.value}"
-
-
-def canonicalize(cut: LinearCut) -> LinearCut:
-    """Scale a cut to coprime integer coefficients; direction is preserved.
-
-    Idempotent, and the scaling factor is a positive rational, so the feasible
-    half-space is exactly unchanged.  Raises :class:`AllZeroCut` on the zero
-    inequality.
-    """
-    ints = cut.canonical_key()
-    k = cut.k
-    return LinearCut(
-        [Fraction(v) for v in ints[:k]],
-        [Fraction(v) for v in ints[k : k + cut.n]],
-        Fraction(ints[-1]),
-        cut.kind,
-    )
 
 
 @dataclass(frozen=True)
@@ -306,6 +298,21 @@ class MixingInstance:
     @property
     def lower_is_zero(self) -> bool:
         return all(l == 0 for l in self.lower)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+        """Common denominator D of the weights and epsilon, with both scaled
+        by D: ``(D, weights, epsilon)`` in integers, computed once."""
+        scale = math.lcm(
+            self.epsilon.denominator,
+            *(w.denominator for row in self.weights for w in row),
+        )
+        weights = tuple(
+            tuple(w.numerator * (scale // w.denominator) for w in row)
+            for row in self.weights
+        )
+        eps = self.epsilon.numerator * (scale // self.epsilon.denominator)
+        return scale, weights, eps
 
 
 @dataclass(frozen=True)

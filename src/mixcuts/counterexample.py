@@ -9,7 +9,6 @@ executably (cut sweeps plus the exact membership LP).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -125,7 +124,7 @@ def witness_lw(inst: MixingInstance, p: int, q: int) -> Point:
         (min(inst.weights[p][j], inst.weights[q][j]) for j in range(inst.k)),
         Fraction(0),
     )
-    if not (diag.l_w_eps != math.inf and pair_min == diag.l_w_eps < inst.epsilon):
+    if not (diag.l_w_eps is not None and pair_min == diag.l_w_eps < inst.epsilon):
         raise PreconditionFailed("pair does not attain a constant below epsilon")
     pair_max = [max(inst.weights[p][j], inst.weights[q][j]) for j in range(inst.k)]
     z = tuple(

@@ -196,7 +196,7 @@ class SufficiencyReport:
             "c1": self.diagnosis.c1_ok,
             "c2": self.diagnosis.c2_ok,
             "l_w_eps": "inf"
-            if self.diagnosis.l_w_eps == math.inf
+            if self.diagnosis.l_w_eps is None
             else format_rational(self.diagnosis.l_w_eps),
             "branch": self.branch,
             "cuts": [str(c) for c in self.cuts],

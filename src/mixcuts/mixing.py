@@ -25,22 +25,14 @@ from .core import (
     complement,
     parse_rational,
 )
-from .submodular import SetFunctionOracle, separate_polymatroid
+from .submodular import SetFunctionOracle, max_sum_oracle, separate_polymatroid
 
 
 def column_oracle(inst: MixingInstance, j: int) -> SetFunctionOracle:
     """Oracle z -> max(lower_j, max_i w[i][j] z_i) over indicator bitmasks."""
-    col = inst.column(j)
-    floor = inst.lower[j]
-
-    def value(mask: int) -> Fraction:
-        best = floor
-        for i, w in enumerate(col):
-            if mask & (1 << i) and w > best:
-                best = w
-        return best
-
-    return SetFunctionOracle(inst.n, value, name=f"column-{j}")
+    return max_sum_oracle(
+        [(w,) for w in inst.column(j)], (inst.lower[j],), Fraction(0), f"column-{j}"
+    )
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,11 @@ from .core import (
     CutKind,
     DimensionMismatch,
     DomainError,
-    GroundSetTooLarge,
     LinearCut,
     parse_rational,
 )
 
 SubsetLike = Union[int, Iterable[int]]
-
-BRUTE_FORCE_BOUND = 16
 
 
 def as_mask(subset: SubsetLike) -> int:
@@ -53,37 +50,49 @@ class SetFunctionOracle:
         return f"SetFunctionOracle(n={self.ground_size}, name={self.name!r})"
 
 
+def max_sum_oracle(
+    rows: Sequence[Sequence[Fraction]],
+    floors: Sequence[Fraction],
+    eps: Fraction,
+    name: str = "",
+) -> SetFunctionOracle:
+    """Oracle S -> max(eps, sum_j max(floor_j, max_{i in S} rows[i][j])).
+
+    Each evaluation remembers its mask and column maxima.  When the next mask
+    is a superset of the last one only the new rows are folded in, so the
+    greedy's nested sets cost O(k) each; any other mask starts again from the
+    floors.
+    """
+    floors = tuple(floors)
+    last = (0, floors)  # one tuple, so a reader never mixes two evaluations
+
+    def value(mask: int) -> Fraction:
+        nonlocal last
+        seen, best = last
+        if mask & seen == seen:
+            new = mask ^ seen
+        else:
+            new, best = mask, floors
+        best = list(best)
+        while new:
+            bit = new & -new
+            new ^= bit
+            for j, v in enumerate(rows[bit.bit_length() - 1]):
+                if v > best[j]:
+                    best[j] = v
+        last = (mask, tuple(best))
+        total = sum(best, Fraction(0))
+        return total if total > eps else eps
+
+    return SetFunctionOracle(len(rows), value, name=name)
+
+
 @dataclass(frozen=True)
 class PolymatroidVertex:
     """Greedy extreme point: pi[sigma(t)] telescopes the oracle's gains."""
 
     pi: tuple[Fraction, ...]
     permutation: tuple[int, ...]
-
-
-def is_submodular(f: SetFunctionOracle) -> bool:
-    """Brute-force submodularity check via the adjacent-exchange condition.
-
-    f(S+i) - f(S) >= f(S+i+j) - f(S+j) for all S and i, j not in S; this is
-    equivalent to the pairwise definition but costs O(2^n n^2) evaluations
-    instead of O(4^n).
-    """
-    n = f.ground_size
-    if n > BRUTE_FORCE_BOUND:
-        raise GroundSetTooLarge(
-            f"ground set {n} exceeds brute-force bound {BRUTE_FORCE_BOUND}"
-        )
-    for mask in range(1 << n):
-        outside = [i for i in range(n) if not mask & (1 << i)]
-        for a in range(len(outside)):
-            i = outside[a]
-            gain_i = f.value(mask | 1 << i) - f.value(mask)
-            for b in range(a + 1, len(outside)):
-                j = outside[b]
-                with_j = mask | 1 << j
-                if gain_i < f.value(with_j | 1 << i) - f.value(with_j):
-                    return False
-    return True
 
 
 def greedy_vertex(
@@ -117,8 +126,8 @@ def separate_polymatroid(
 
     Returns None exactly when (y_bar, z_bar) lies in the convex hull of the
     epigraph of f, because the greedy vertex maximizes pi . z_bar.  The sort
-    costs O(n log n) comparisons; each of the n oracle evaluations here is
-    O(nk) on first access (memoized), not O(1).
+    costs O(n log n) comparisons; the greedy's sets are nested, so on a
+    :func:`max_sum_oracle` each of its n evaluations folds in one row, O(k).
     """
     z = [parse_rational(v) for v in z_bar]
     if any(v < 0 or v > 1 for v in z):
@@ -134,25 +143,3 @@ def separate_polymatroid(
         offset,
         CutKind.POLYMATROID,
     )
-
-
-def weighted_combination(
-    fs: Sequence[SetFunctionOracle], weights: Sequence[Fraction]
-) -> SetFunctionOracle:
-    """The oracle S -> sum_j c_j f_j(S) for nonnegative weights c."""
-    if len(fs) != len(weights):
-        raise DimensionMismatch("one weight per oracle required")
-    if not fs:
-        raise DimensionMismatch("need at least one oracle")
-    n = fs[0].ground_size
-    if any(f.ground_size != n for f in fs):
-        raise DimensionMismatch("oracles must share a ground set")
-    coeffs = [parse_rational(c) for c in weights]
-    if any(c < 0 for c in coeffs):
-        raise DomainError("weights must be nonnegative")
-    pairs = [(c, f) for c, f in zip(coeffs, fs) if c != 0]
-
-    def combined(mask: int) -> Fraction:
-        return sum((c * f.value(mask) for c, f in pairs), Fraction(0))
-
-    return SetFunctionOracle(n, combined, name="weighted-combination")

@@ -106,7 +106,7 @@ def to_mixing(data: TwoSidedData) -> MixingInstance:
     )
     if diag.i_bar != expected_low:
         raise InternalInvariant("low-row set disagrees with the zero scenarios")
-    if not diag.l_w_eps >= data.u_a:
+    if diag.l_w_eps is not None and diag.l_w_eps < data.u_a:
         raise InternalInvariant("pairwise minimum constant fell below the bound")
     if not diag.g_submodular:
         raise InternalInvariant("linking oracle unexpectedly not submodular")

@@ -23,7 +23,6 @@ from mixcuts import (
     generalized_cut,
     greedy_vertex,
     hull_with_bounds,
-    is_submodular,
     linking_oracle,
     mix_star_cuts,
     quantile_lower_bounds,
@@ -41,6 +40,7 @@ from conftest import (
     random_twosided,
     random_weights,
 )
+from helpers import is_submodular
 
 PAPER_AMIX_CUTS = [
     LinearCut((1, 1), (1, 1, 8, 0, 0), 17),

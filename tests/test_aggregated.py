@@ -14,7 +14,6 @@ from mixcuts import (
     aggregated_cut,
     check_validity,
     decompose,
-    dominates_linking,
     l_theta,
     mixing_cut,
     separate_aggregated,
@@ -25,6 +24,7 @@ from mixcuts.core import complement
 from mixcuts.hull import diagnose, v_representation
 
 from conftest import random_weights
+from helpers import dominates_linking
 
 THETA_213 = SequenceTheta((1, 0, 2))  # paper's {2 -> 1 -> 3}
 

@@ -13,12 +13,13 @@ from mixcuts import (
     ParseError,
     SequenceTheta,
     ValidationError,
-    canonicalize,
     loads_instance,
     parse_rational,
     serialize_instance,
 )
 from mixcuts.core import InvalidSequence, loads_point, DimensionMismatch
+
+from helpers import canonicalize
 
 rationals = st.fractions(max_denominator=50)
 

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from mixcuts import (
     check_sufficiency,
     diagnose,
     hull_cut_family,
-    is_submodular,
     l_theta,
     linking_oracle,
     membership,
@@ -29,6 +27,7 @@ from mixcuts.hull import (
 )
 
 from conftest import random_instance, random_sufficient_instance
+from helpers import is_submodular
 
 
 def test_diagnose_example1(example1):
@@ -70,7 +69,7 @@ def test_diagnose_all_rows_low():
     inst = MixingInstance([[1, 1], [2, 0]], None, 5)
     d = diagnose(inst)
     assert d.i_bar == frozenset({0, 1})
-    assert d.l_w_eps == math.inf
+    assert d.l_w_eps is None
     assert d.negligible == d.sufficient == (sum(
         max(inst.weights[i][j] for i in range(2)) for j in range(2)
     ) <= 5)

@@ -100,3 +100,51 @@ def test_import_graph_is_acyclic():
 
     for stem in MODULES:
         visit(stem, [])
+
+
+def unreferenced_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Public top-level functions and classes that no library module reads
+    outside their own definition; ``__init__`` re-exports, which is no use."""
+    used: dict[tuple[str, int], set[str]] = {}
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        for statement in tree.body:
+            used[(stem, id(statement))] = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(statement)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+    unused = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            if not any(
+                node.name in names
+                for place, names in used.items()
+                if place != (stem, id(node))
+            ):
+                unused.append(f"{stem}.{node.name}")
+    return unused
+
+
+def test_unreferenced_definition_detector():
+    trees = {
+        "__init__": ast.parse("from .a import f, g, h, K\n"),
+        "a": ast.parse(
+            "def f():\n    return f()\n"
+            "def g():\n    pass\n"
+            "def h():\n    return g\n"
+            "class K:\n    def m(self):\n        return K\n"
+            "def _p():\n    pass\n"
+        ),
+        "b": ast.parse("from . import a\nx = a.h\n"),
+    }
+    assert unreferenced_definitions(trees) == ["a.f", "a.K"]
+
+
+def test_every_public_definition_is_used_by_the_library():
+    assert unreferenced_definitions({stem: parse(stem) for stem in MODULES}) == []

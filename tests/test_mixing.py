@@ -12,7 +12,6 @@ from mixcuts import (
     RiskOutOfRange,
     all_mixing_cuts,
     column_oracle,
-    is_submodular,
     mix_star_cuts,
     mixing_cut,
     quantile_lower_bounds,
@@ -22,6 +21,7 @@ from mixcuts import (
 from mixcuts.hull import project_to_cut_polyhedron
 
 from conftest import random_weights
+from helpers import is_submodular
 
 
 def floor_point(inst, z_mask):

@@ -9,16 +9,15 @@ from mixcuts import (
     GroundSetTooLarge,
     column_oracle,
     greedy_vertex,
-    is_submodular,
     linking_oracle,
     membership,
     separate_polymatroid,
-    weighted_combination,
 )
 from mixcuts.submodular import SetFunctionOracle
 from mixcuts.vertices import VRepresentation
 
 from conftest import random_sufficient_instance
+from helpers import is_submodular, weighted_combination
 
 
 def tabulate(ground_size, values):

@@ -28,7 +28,7 @@ from mixcuts import (
     sequences,
     witness,
 )
-from mixcuts.aggregated import integer_view, walk
+from mixcuts.aggregated import walk
 from mixcuts.mixing import mix_star_cuts
 
 from conftest import random_insufficient_instance
@@ -69,7 +69,7 @@ CASES = [(seed, n) for n in range(1, 7) for seed in range(8 if n < 6 else 3)]
 def test_walk_matches_per_sequence_path_at_every_node(seed, n):
     rng = random.Random(1000 * n + seed)
     inst = random_case(rng, n)
-    scale = integer_view(inst)[0]
+    scale = inst.scaled[0]
     y, z = random_point(rng, inst)
     p = math.lcm(*(v.denominator for v in y + z))
     ground = sorted(rng.sample(range(n), rng.randint(1, n)))
