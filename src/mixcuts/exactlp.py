@@ -1,52 +1,45 @@
-"""Exact feasibility LP: find x >= 0 with Ax = b, or a Farkas certificate.
+"""Exact feasibility LP in integers: find x >= 0 with Ax = b, or a Farkas
+certificate.
 
-Phase-1 simplex over the rationals with Bland's anti-cycling rule, so
-termination is guaranteed.  The tableau is kept integer (each pivot divides
-by the previous pivot value, which is exact), which is considerably faster
-than Fraction arithmetic; answers are converted back to Fractions at the end.
+The system comes in as integer rows and an integer right-hand side; callers
+clear their own denominators.  Phase-1 simplex with Bland's anti-cycling
+rule, so termination is guaranteed.  The tableau stays integer by
+fraction-free pivoting (Bareiss 1968): a row the pivot changes is divided by
+earlier pivots, which is exact because each entry is a minor of the input,
+and that exactness is checked on every updated row.  Each row keeps its own
+denominator, so a row the pivot leaves alone is not rewritten.
 
-Both outcomes are certified: a feasible result carries x with Ax = b checked
-exactly, an infeasible result carries u with u.A <= 0 (columnwise) and
-u.b > 0 checked exactly.
+Both outcomes carry an integer certificate: a feasible result is x / den with
+x >= 0 and Ax = b, an infeasible one is u with u.A <= 0 in every column and
+u.b > 0.  :func:`verify_feasible` and :func:`verify_farkas` check a
+certificate against any integer system, which need not be the one solved.
+Nothing here uses ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import DimensionMismatch, InternalInvariant
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
-    x: Optional[tuple[Fraction, ...]]
-    farkas: Optional[tuple[Fraction, ...]]
-
-
-def _scale_rows(
-    a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> tuple[list[list[int]], list[int], list[int]]:
-    """Clear denominators row by row (positive scaling keeps the system intact)."""
-    int_rows: list[list[int]] = []
-    int_b: list[int] = []
-    scales: list[int] = []
-    for row, rhs in zip(a_rows, b):
-        dens = [v.denominator for v in row] + [rhs.denominator]
-        scale = math.lcm(*dens)
-        int_rows.append([int(v * scale) for v in row])
-        int_b.append(int(rhs * scale))
-        scales.append(scale)
-    return int_rows, int_b, scales
+    # Numerators of x over ``den`` (> 0), when feasible.
+    x: Optional[tuple[int, ...]]
+    # u with u.A <= 0 and u.b > 0 for the rows as given, when infeasible.
+    farkas: Optional[tuple[int, ...]]
+    den: int
 
 
 def solve_feasibility(
-    a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    a_rows: Sequence[Sequence[int]], b: Sequence[int]
 ) -> FeasibilityResult:
-    """Decide whether {x >= 0 : Ax = b} is nonempty, with certificate."""
+    """Decide whether {x >= 0 : Ax = b} is nonempty, with certificate.
+
+    The rows are read, never modified.
+    """
     m = len(a_rows)
     if len(b) != m:
         raise DimensionMismatch("rhs length disagrees with row count")
@@ -54,30 +47,33 @@ def solve_feasibility(
     if any(len(r) != ncols for r in a_rows):
         raise DimensionMismatch("ragged constraint matrix")
 
-    rows, rhs, scales = _scale_rows(a_rows, b)
-    # Flip rows to rhs >= 0; remember signs to map the Farkas vector back.
-    sign = [1] * m
-    for i in range(m):
-        if rhs[i] < 0:
-            sign[i] = -1
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-
     # Tableau columns: [0..ncols) variables, [ncols..ncols+m) artificials, rhs.
+    # Rows with a negative rhs are flipped; the signs map the Farkas vector back.
     width = ncols + m + 1
+    sign = [-1 if rhs < 0 else 1 for rhs in b]
     tab: list[list[int]] = []
-    for i in range(m):
-        row = rows[i] + [0] * m + [rhs[i]]
-        row[ncols + i] = 1
-        tab.append(row)
+    for i, (row, rhs) in enumerate(zip(a_rows, b)):
+        unit = [0] * m
+        unit[i] = 1
+        if sign[i] < 0:
+            tab.append([-v for v in row] + unit + [-rhs])
+        else:
+            tab.append(list(row) + unit + [rhs])
     # Phase-1 reduced cost row for basis = artificials: cost_j = -sum_i A[i][j].
-    cost = [0] * width
-    for j in range(ncols):
-        cost[j] = -sum(tab[i][j] for i in range(m))
-    cost[width - 1] = -sum(rhs)
+    cost = [-sum(col) for col in zip(*tab)] if m else [0] * width
+    for i in range(ncols, ncols + m):
+        cost[i] = 0
 
     basis = list(range(ncols, ncols + m))
-    den = 1  # tableau denominator: true value = tab[i][j] / den
+    # Fraction-free pivoting with one denominator per row: row i stands for
+    # tab[i] / dens[i], and tab[i] * den / dens[i] is the integer row that
+    # pivoting every row over the common denominator den would hold.  A row
+    # whose entering coefficient is zero keeps its integers, so only rows the
+    # pivot changes are touched.  Every denominator is a pivot, so positive.
+    # The cost row changes at every pivot (its entering entry is negative),
+    # so it is always over den.
+    dens = [1] * m
+    den = 1
 
     while True:
         # Bland: entering = smallest-index variable column with negative cost.
@@ -88,7 +84,8 @@ def solve_feasibility(
                 break
         if enter < 0:
             break
-        # Ratio test, ties broken by smallest basis index (Bland).
+        # Ratio test, ties broken by smallest basis index (Bland); a row's
+        # ratio does not depend on its denominator.
         leave = -1
         best_num = best_den = 0
         for i in range(m):
@@ -101,71 +98,80 @@ def solve_feasibility(
                     leave, best_num, best_den = i, num, coef
         if leave < 0:
             raise InternalInvariant("phase-1 objective unbounded")
-        pivot = tab[leave][enter]
         prow = tab[leave]
-        # Integer pivoting: the pivot row is left as-is, every other row and
-        # the cost row update by (row*pivot - row[enter]*prow)/den, which is
-        # an exact division because all entries are minors of the input.
+        pivot = prow[enter]
+        prow_den = dens[leave]
+        # The common denominator becomes the pivot over it.  Each changed row
+        # becomes (row*pivot - row[enter]*prow) * den / (its den * prow_den),
+        # the common-denominator row after the pivot; the division is exact
+        # because every such entry is a minor.
+        new_den = pivot * den // prow_den
         for i in range(m + 1):
             row = cost if i == m else tab[i]
-            if row is prow:
-                continue
             factor = row[enter]
-            if den == 1:
-                for j in range(width):
-                    row[j] = row[j] * pivot - factor * prow[j]
+            if row is prow or not factor:
+                continue
+            joint = (den if i == m else dens[i]) * prow_den
+            g = math.gcd(den, joint)
+            mul, div = den // g, joint // g
+            new = [v * pivot - factor * p for v, p in zip(row, prow)]
+            if div != 1:
+                quotients = [v // div for v in new]
+                if [q * div for q in quotients] != new:
+                    raise InternalInvariant("integer pivot division not exact")
+                new = quotients
+            if mul != 1:
+                new = [v * mul for v in new]
+            if i == m:
+                cost = new
             else:
-                for j in range(width):
-                    t = row[j] * pivot - factor * prow[j]
-                    q, r = divmod(t, den)
-                    if r:
-                        raise InternalInvariant("integer pivot division not exact")
-                    row[j] = q
-        den = pivot
+                tab[i], dens[i] = new, new_den
+        # The pivot row keeps its integers and stands for itself over its
+        # own pivot.
+        dens[leave] = pivot
+        den = new_den
         basis[leave] = enter
 
-    objective = Fraction(-cost[width - 1], den)
-    if objective == 0:
-        x = [Fraction(0)] * ncols
+    # Answers are read over the common denominator den.
+    if cost[width - 1] == 0:
+        x = [0] * ncols
         for i, var in enumerate(basis):
             if var < ncols:
-                x[var] = Fraction(tab[i][width - 1], den)
-        return FeasibilityResult(True, tuple(x), None)
+                x[var] = tab[i][width - 1] * den // dens[i]
+        return FeasibilityResult(True, tuple(x), None, den)
 
-    # Farkas vector from phase-1 multipliers: u_i = 1 - redcost(artificial_i),
-    # mapped back through the per-row sign flips and denominators.
-    farkas = tuple(
-        Fraction(sign[i] * scales[i]) * (1 - Fraction(cost[ncols + i], den))
-        for i in range(m)
-    )
-    return FeasibilityResult(False, None, farkas)
+    # Farkas vector from the phase-1 multipliers: den * u_i = den -
+    # den * redcost(artificial_i), mapped back through the row flips.
+    farkas = tuple(sign[i] * (den - cost[ncols + i]) for i in range(m))
+    return FeasibilityResult(False, None, farkas, den)
 
 
 def verify_feasible(
-    a_rows: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    x: Sequence[Fraction],
+    a_rows: Sequence[Sequence[int]],
+    b: Sequence[int],
+    x: Sequence[int],
+    den: int,
 ) -> bool:
-    """Whether x >= 0 and Ax = b."""
-    if any(v < 0 for v in x):
+    """Whether x / den is nonnegative and solves Ax = b (den > 0)."""
+    if den <= 0 or any(v < 0 for v in x) or any(len(r) != len(x) for r in a_rows):
         return False
     # Zero entries add nothing, and a basic solution has at most len(b) others.
     support = [(j, v) for j, v in enumerate(x) if v]
-    for row, rhs in zip(a_rows, b):
-        if sum(row[j] * v for j, v in support) != rhs:
-            return False
-    return True
+    return all(
+        sum(row[j] * v for j, v in support) == rhs * den
+        for row, rhs in zip(a_rows, b)
+    )
 
 
 def verify_farkas(
-    a_rows: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    u: Sequence[Fraction],
+    a_rows: Sequence[Sequence[int]], b: Sequence[int], u: Sequence[int]
 ) -> bool:
     """Whether u.A <= 0 in every column and u.b > 0, which proves Ax = b has
     no solution x >= 0."""
-    ncols = len(a_rows[0]) if a_rows else 0
-    for j in range(ncols):
-        if sum(u[i] * a_rows[i][j] for i in range(len(a_rows))) > 0:
-            return False
-    return sum(ui * bi for ui, bi in zip(u, b)) > 0
+    if len(u) != len(a_rows):
+        return False
+    totals = [0] * (len(a_rows[0]) if a_rows else 0)
+    for ui, row in zip(u, a_rows):
+        if ui:
+            totals = [t + ui * v for t, v in zip(totals, row)]
+    return all(t <= 0 for t in totals) and sum(ui * bi for ui, bi in zip(u, b)) > 0

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .aggregated import (
     HullDiagnosis,
@@ -67,9 +67,53 @@ def hull_cut_family(
     return cuts
 
 
+class CutMatrix(NamedTuple):
+    """A cut family ``y_coeffs . y + z_coeffs . z >= rhs`` as one integer
+    matrix over a common denominator, each cut tagged with its shape.
+
+    ``shapes[r]`` is the column j when cut r reads ``y_j + ... >= ...`` (a
+    floor on one coordinate) and -1 when every y coefficient is 1 (a floor
+    on the total).  ``rows[r]`` holds the y then the z coefficients and
+    ``rhs[r]`` the right-hand side, all times the common ``denominator``.
+    """
+
+    k: int
+    n: int
+    denominator: int
+    rows: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
+    shapes: tuple[int, ...]
+
+
+def cut_matrix(inst: MixingInstance, cuts: Sequence[LinearCut]) -> CutMatrix:
+    """The cuts over one common denominator; raises ``InternalInvariant`` on
+    a cut of neither shape."""
+    shapes = []
+    for cut in cuts:
+        support = [j for j, a in enumerate(cut.y_coeffs) if a != 0]
+        if len(support) == 1 and cut.y_coeffs[support[0]] == 1:
+            shapes.append(support[0])
+        elif all(a == 1 for a in cut.y_coeffs):
+            shapes.append(-1)
+        else:
+            raise InternalInvariant(f"unexpected cut shape {cut.y_coeffs}")
+    entries = [cut.y_coeffs + cut.z_coeffs + (cut.rhs,) for cut in cuts]
+    scale = math.lcm(*(v.denominator for row in entries for v in row))
+    scaled = [
+        tuple(v.numerator * (scale // v.denominator) for v in row) for row in entries
+    ]
+    return CutMatrix(
+        inst.k,
+        inst.n,
+        scale,
+        tuple(row[:-1] for row in scaled),
+        tuple(row[-1] for row in scaled),
+        tuple(shapes),
+    )
+
+
 def project_to_cut_polyhedron(
-    inst: MixingInstance,
-    cuts: Sequence[LinearCut],
+    family: CutMatrix,
     z: Sequence[Fraction],
     deficit_column: int = 0,
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -81,26 +125,25 @@ def project_to_cut_polyhedron(
     every cut and is tight somewhere, which is where closure failures show.
     """
     z = tuple(Fraction(v) for v in z)
-    y = [Fraction(0)] * inst.k
-    total_floor = Fraction(0)
-    for cut in cuts:
-        support = [j for j, a in enumerate(cut.y_coeffs) if a != 0]
-        need = cut.rhs - sum(
-            (b * v for b, v in zip(cut.z_coeffs, z)), Fraction(0)
-        )
-        if len(support) == 1 and cut.y_coeffs[support[0]] == 1:
-            j = support[0]
-            if need > y[j]:
-                y[j] = need
-        elif all(cut.y_coeffs[j] == 1 for j in range(inst.k)):
+    k = family.k
+    # Everything below is scaled by the cut matrix's denominator times the
+    # common denominator Z of z, so each cut's need is one integer.
+    z_den = math.lcm(*(v.denominator for v in z))
+    z_int = [v.numerator * (z_den // v.denominator) for v in z]
+    y = [0] * k
+    total_floor = 0
+    for row, rhs, shape in zip(family.rows, family.rhs, family.shapes):
+        need = rhs * z_den - sum(b * v for b, v in zip(row[k:], z_int) if v)
+        if shape < 0:
             if need > total_floor:
                 total_floor = need
-        else:  # pragma: no cover - family above only emits the two shapes
-            raise InternalInvariant(f"unexpected cut shape {cut.y_coeffs}")
-    shortfall = total_floor - sum(y, Fraction(0))
+        elif need > y[shape]:
+            y[shape] = need
+    shortfall = total_floor - sum(y)
     if shortfall > 0:
         y[deficit_column] += shortfall
-    return tuple(y), z
+    den = family.denominator * z_den
+    return tuple(Fraction(v, den) for v in y), z
 
 
 def _random_box_point(rng: random.Random, n: int) -> tuple[Fraction, ...]:
@@ -111,65 +154,77 @@ def _random_box_point(rng: random.Random, n: int) -> tuple[Fraction, ...]:
 
 
 def _cut_polyhedron_vertices(
-    inst: MixingInstance, cuts: Sequence[LinearCut], work_bound: int
+    family: CutMatrix, work_bound: int
 ) -> Optional[list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]]:
     """All vertices of the cut system by exhaustive basis enumeration, or
     None when that would exceed the work bound.
 
     The system is every cut plus the box rows 0 <= z <= 1 and y >= 0 in
     dimension d = k + n; a vertex is a feasible intersection of d of them
-    with full rank.
+    with full rank.  Each square system is solved by fraction-free
+    Gauss-Jordan elimination and checked against every row in integers.
     """
-    d = inst.k + inst.n
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for cut in cuts:
-        rows.append((tuple(cut.y_coeffs) + tuple(cut.z_coeffs), cut.rhs))
-    for j in range(inst.k):
-        coeff = [Fraction(0)] * d
-        coeff[j] = Fraction(1)
-        rows.append((tuple(coeff), Fraction(0)))
-    for i in range(inst.n):
-        coeff = [Fraction(0)] * d
-        coeff[inst.k + i] = Fraction(1)
-        rows.append((tuple(coeff), Fraction(0)))
-        coeff2 = [Fraction(0)] * d
-        coeff2[inst.k + i] = Fraction(-1)
-        rows.append((tuple(coeff2), Fraction(-1)))
+    k, d = family.k, family.k + family.n
+    rows = list(zip(family.rows, family.rhs))
+    for j in range(k):
+        rows.append((_unit(d, j, 1), 0))
+    for i in range(family.n):
+        rows.append((_unit(d, k + i, 1), 0))
+        rows.append((_unit(d, k + i, -1), -1))
     if math.comb(len(rows), d) > work_bound:
         return None
     vertices = []
     seen = set()
-    for combo in itertools.combinations(range(len(rows)), d):
-        solution = _solve_square([rows[i] for i in combo])
+    for combo in itertools.combinations(rows, d):
+        solution = _solve_square(combo)
         if solution is None:
             continue
+        num, den = solution
         if all(
-            sum((c * v for c, v in zip(coeff, solution)), Fraction(0)) >= rhs
-            for coeff, rhs in rows
-        ):
-            if solution not in seen:
-                seen.add(solution)
-                vertices.append((solution[: inst.k], solution[inst.k :]))
+            sum(c * v for c, v in zip(coeff, num)) >= rhs * den for coeff, rhs in rows
+        ) and solution not in seen:
+            seen.add(solution)
+            point = tuple(Fraction(v, den) for v in num)
+            vertices.append((point[:k], point[k:]))
     return vertices
 
 
+def _unit(d: int, j: int, value: int) -> tuple[int, ...]:
+    return tuple(value if i == j else 0 for i in range(d))
+
+
 def _solve_square(
-    rows: list[tuple[tuple[Fraction, ...], Fraction]]
-) -> Optional[tuple[Fraction, ...]]:
+    rows: Sequence[tuple[tuple[int, ...], int]]
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """The unique solution of a square integer system as (numerators,
+    denominator) in lowest terms with a positive denominator, or None when
+    the system is singular.
+
+    Fraction-free Gauss-Jordan: each update divides by the previous pivot,
+    which is exact, so the last pivot is the common denominator.
+    """
     d = len(rows)
     mat = [list(coeff) + [rhs] for coeff, rhs in rows]
+    prev = 1
     for col in range(d):
         pivot = next((r for r in range(col, d) if mat[r][col] != 0), None)
         if pivot is None:
             return None
         mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [v * inv for v in mat[col]]
+        prow = mat[col]
+        p = prow[col]
         for r in range(d):
-            if r != col and mat[r][col]:
+            if r != col:
                 f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return tuple(mat[r][d] for r in range(d))
+                mat[r] = [(a * p - f * b) // prev for a, b in zip(mat[r], prow)]
+        prev = p
+    if prev < 0:
+        prev = -prev
+        num = [-mat[r][d] for r in range(d)]
+    else:
+        num = [mat[r][d] for r in range(d)]
+    g = math.gcd(prev, *num)
+    return tuple(v // g for v in num), prev // g
 
 
 @dataclass(frozen=True)
@@ -242,15 +297,16 @@ def check_sufficiency(
 
     if diag.sufficient:
         cuts = hull_cut_family(inst)
+        family = cut_matrix(inst, cuts)
         rng = random.Random(seed)
         checked = 0
         for s in range(samples):
             z = _random_box_point(rng, inst.n)
-            y, z = project_to_cut_polyhedron(inst, cuts, z, s % inst.k)
+            y, z = project_to_cut_polyhedron(family, z, s % inst.k)
             if not membership(vrep, y, complement(z)).inside:
                 failures.append(f"projected sample {s} outside hull: y={y} z={z}")
             checked += 1
-        vertices = _cut_polyhedron_vertices(inst, cuts, basis_work_bound)
+        vertices = _cut_polyhedron_vertices(family, basis_work_bound)
         if vertices is not None:
             for y, z in vertices:
                 if not membership(vrep, y, complement(z)).inside:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,12 +29,20 @@ from .exactlp import solve_feasibility, verify_farkas, verify_feasible
 ENUMERATION_BOUND = 20
 VALIDITY_BOUND = 20
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class VRepresentation:
     """Extreme points and rays of the hull in the indicator-epigraph view
     (z_i = 1 means scenario i is active; callers complement for the
-    original variables)."""
+    original variables).
+
+    The membership LP's constraint matrix has one column per point, then one
+    per ray, and the rows: n z rows, the convexity row, k y rows.  It is
+    built in integers once per vertex list, in two scalings (see
+    :attr:`lp_matrix` and :attr:`common_matrix`).
+    """
 
     points: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
     rays: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
@@ -45,6 +54,38 @@ class VRepresentation:
     @property
     def n(self) -> int:
         return len(self.points[0][1])
+
+    @cached_property
+    def lp_matrix(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """``(rows, scales)``: each row of the constraint matrix times
+        ``scales[i]``, the lcm of that row's own denominators (1 for the
+        0/1 z rows and the convexity row)."""
+        rational = self._rational_rows()
+        scales = tuple(math.lcm(*(v.denominator for v in row)) for row in rational)
+        return _scaled(rational, scales), scales
+
+    @cached_property
+    def common_matrix(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(D, rows)``: the constraint matrix times one common denominator
+        D of every coordinate.  The certificates are checked against it, so
+        it is built from the coordinates, not from :attr:`lp_matrix`."""
+        rational = self._rational_rows()
+        common = math.lcm(*(v.denominator for row in rational for v in row))
+        return common, _scaled(rational, [common] * len(rational))
+
+    def _rational_rows(self) -> list[list]:
+        columns = self.points + self.rays
+        rows = [[cz[i] for _, cz in columns] for i in range(self.n)]
+        rows.append([1] * len(self.points) + [0] * len(self.rays))
+        return rows + [[cy[j] for cy, _ in columns] for j in range(self.k)]
+
+
+def _scaled(rows, scales) -> tuple[tuple[int, ...], ...]:
+    """Each rational row times its scale, a multiple of its denominators."""
+    return tuple(
+        tuple(v.numerator * (scale // v.denominator) for v in row)
+        for row, scale in zip(rows, scales)
+    )
 
 
 def v_representation(inst: MixingInstance) -> VRepresentation:
@@ -115,43 +156,52 @@ def membership(
     """Exact test for (y, z) in conv(points) + cone(rays), with certificate.
 
     Solves the feasibility LP "convex combination of points plus nonnegative
-    ray multiples equals the target" by a rational simplex; an infeasible
-    outcome converts the Farkas vector into a strictly separating hyperplane.
-    Both certificates are re-verified before returning.
+    ray multiples equals the target" by the integer simplex on the vertex
+    list's row-scaled matrix; only the right-hand side is built here.  An
+    infeasible outcome converts the Farkas vector into a strictly separating
+    hyperplane.  Both certificates are re-checked in integers against the
+    common-denominator matrix before returning.
     """
     k, n = vrep.k, vrep.n
     if len(y) != k or len(z) != n:
         raise DimensionMismatch("point dimensions disagree with representation")
-    # Columns: one convex multiplier per point, one nonnegative multiplier per
-    # ray.  Rows: n equalities for z, one convexity row, k equalities for y.
     npts = len(vrep.points)
-    a_rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for i in range(n):
-        a_rows.append(
-            [Fraction(pz[i]) for _, pz in vrep.points]
-            + [Fraction(rz[i]) for _, rz in vrep.rays]
-        )
-        b.append(Fraction(z[i]))
-    a_rows.append([Fraction(1)] * npts + [Fraction(0)] * len(vrep.rays))
-    b.append(Fraction(1))
-    for j in range(k):
-        row = [py[j] for py, _ in vrep.points]
-        row += [ry[j] for ry, _ in vrep.rays]
-        a_rows.append(row)
-        b.append(Fraction(y[j]))
-
+    target = [Fraction(v) for v in z] + [Fraction(1)] + [Fraction(v) for v in y]
+    # Each LP row is scaled by the lcm of its own and its rhs's denominators.
+    rows, row_scales = vrep.lp_matrix
+    a_rows = []
+    b = []
+    scales = []
+    for row, row_scale, t in zip(rows, row_scales, target):
+        scale = math.lcm(row_scale, t.denominator)
+        factor = scale // row_scale
+        a_rows.append(row if factor == 1 else [v * factor for v in row])
+        b.append(t.numerator * (scale // t.denominator))
+        scales.append(scale)
     result = solve_feasibility(a_rows, b)
-    if result.feasible:
-        if not verify_feasible(a_rows, b, result.x):
-            raise InternalInvariant("membership certificate failed verification")
-        return MembershipResult(True, result.x[:npts], result.x[npts:], None)
 
-    # u.A <= 0 on every column and u.b > 0 say exactly that phi <= bound on
-    # every point, phi does not grow along a ray, and phi(target) > bound.
-    u = result.farkas
-    if not verify_farkas(a_rows, b, u):
+    # The target over one common denominator L, for the checks.
+    den, common = vrep.common_matrix
+    target_den = math.lcm(*(t.denominator for t in target))
+    target_int = [t.numerator * (target_den // t.denominator) for t in target]
+    if result.feasible:
+        # (common / den) x = target_int / target_den, in integers.
+        x = result.x
+        if not verify_feasible(
+            common, target_int, [target_den * v for v in x], den * result.den
+        ):
+            raise InternalInvariant("membership certificate failed verification")
+        x = tuple(Fraction(v, result.den) if v else _ZERO for v in x)
+        return MembershipResult(True, x[:npts], x[npts:], None)
+
+    # The LP's Farkas vector, mapped back through the row scales, proves the
+    # unscaled system infeasible: u.A <= 0 on every column and u.b > 0 say
+    # exactly that phi <= bound on every point, phi does not grow along a
+    # ray, and phi(target) > bound.
+    u = [scale * v for scale, v in zip(scales, result.farkas)]
+    if not verify_farkas(common, target_int, u):
         raise InternalInvariant("separating hyperplane failed verification")
+    u = [Fraction(v, result.den) for v in u]
     return MembershipResult(
         False, None, None, SeparatingHyperplane(tuple(u[n + 1 :]), tuple(u[:n]), -u[n])
     )
@@ -161,9 +211,10 @@ def check_validity(inst: MixingInstance, cut: LinearCut, vrep=None) -> bool:
     """Evaluate a cut at every extreme point and ray of the set's hull.
 
     Sufficient for linear cuts.  Works over the scenario-indicator view of the
-    vertices (complemented from the epigraph view) with everything scaled to
-    integers, so the check is exact and fast.  Pass a precomputed vertex
-    representation to amortize enumeration over many cuts.
+    vertices (complemented from the epigraph view) on the vertex list's
+    common-denominator matrix, so the check is exact and in integers.  Pass a
+    precomputed vertex representation to amortize enumeration and scaling
+    over many cuts.
     """
     if inst.n > VALIDITY_BOUND:
         raise GroundSetTooLarge(f"validity check limited to n <= {VALIDITY_BOUND}")
@@ -178,17 +229,14 @@ def check_validity(inst: MixingInstance, cut: LinearCut, vrep=None) -> bool:
     alpha = key[: inst.k]
     beta = key[inst.k : inst.k + inst.n]
     gamma = key[-1]
-    beta_total = sum(beta)
-    scale = math.lcm(*(coord.denominator for y, _ in vrep.points for coord in y))
-    gamma_scaled = gamma * scale
-    for y, z in vrep.points:
-        lhs = beta_total * scale
-        for b, zi in zip(beta, z):
-            if zi:
-                lhs -= b * scale
-        for a, yi in zip(alpha, y):
-            if a:
-                lhs += a * int(yi * scale)
-        if lhs < gamma_scaled:
-            return False
-    return True
+    # D * (alpha.y + beta.(1 - z)) at every point, one matrix row at a time.
+    den, rows = vrep.common_matrix
+    lhs = [sum(beta) * den] * len(vrep.points)
+    for b, row in zip(beta, rows[: inst.n]):
+        if b:
+            lhs = [v - b * r for v, r in zip(lhs, row)]
+    for a, row in zip(alpha, rows[inst.n + 1 :]):
+        if a:
+            lhs = [v + a * r for v, r in zip(lhs, row)]
+    bound = gamma * den
+    return all(v >= bound for v in lhs)

@@ -4,6 +4,15 @@ from fractions import Fraction
 
 from mixcuts.exactlp import solve_feasibility, verify_farkas, verify_feasible
 
+from helpers import fraction_verify_feasible, scale_rows
+
+
+def solve_scaled(a_rows, b):
+    """Clear the system's denominators row by row, then solve it; returns the
+    integer system alongside the result."""
+    rows, rhs, _ = scale_rows(a_rows, b)
+    return rows, rhs, solve_feasibility(rows, rhs)
+
 
 def brute_force_feasible(a_rows, b):
     """Feasibility by basic-solution enumeration (valid for any polyhedron
@@ -41,7 +50,7 @@ def brute_force_feasible(a_rows, b):
                 full = [Fraction(0)] * ncols
                 for idx, c in enumerate(cols):
                     full[c] = x[idx]
-                if verify_feasible(a_rows, b, full):
+                if fraction_verify_feasible(a_rows, b, full):
                     return True
     return False
 
@@ -57,9 +66,11 @@ def test_constructed_feasible_systems():
         ]
         x_star = [Fraction(rng.randint(0, 4), rng.randint(1, 2)) for _ in range(ncols)]
         b = [sum(row[j] * x_star[j] for j in range(ncols)) for row in a]
-        res = solve_feasibility(a, b)
+        rows, rhs, res = solve_scaled(a, b)
         assert res.feasible
-        assert verify_feasible(a, b, res.x)
+        assert verify_feasible(rows, rhs, res.x, res.den)
+        x = [Fraction(v, res.den) for v in res.x]
+        assert fraction_verify_feasible(a, b, x)
 
 
 def test_random_systems_certified_and_cross_checked():
@@ -72,25 +83,25 @@ def test_random_systems_certified_and_cross_checked():
             [Fraction(rng.randint(-4, 4)) for _ in range(ncols)] for _ in range(m)
         ]
         b = [Fraction(rng.randint(-6, 6)) for _ in range(m)]
-        res = solve_feasibility(a, b)
+        rows, rhs, res = solve_scaled(a, b)
         if res.feasible:
             feasible_seen += 1
-            assert verify_feasible(a, b, res.x)
+            assert verify_feasible(rows, rhs, res.x, res.den)
         else:
             infeasible_seen += 1
-            assert verify_farkas(a, b, res.farkas)
+            assert verify_farkas(rows, rhs, res.farkas)
         assert res.feasible == brute_force_feasible(a, b)
     assert feasible_seen and infeasible_seen
 
 
 def test_edge_cases():
-    res = solve_feasibility([[Fraction(1)]], [Fraction(0)])
+    res = solve_feasibility([[1]], [0])
     assert res.feasible and res.x == (0,)
     # no columns, nonzero rhs: infeasible with a trivial certificate
-    res = solve_feasibility([[], []], [Fraction(2), Fraction(-3)])
+    res = solve_feasibility([[], []], [2, -3])
     assert not res.feasible
-    assert verify_farkas([[], []], [Fraction(2), Fraction(-3)], res.farkas)
+    assert verify_farkas([[], []], [2, -3], res.farkas)
     # x must be nonnegative: 1*x = -1 infeasible
-    res = solve_feasibility([[Fraction(1)]], [Fraction(-1)])
+    res = solve_feasibility([[1]], [-1])
     assert not res.feasible
-    assert verify_farkas([[Fraction(1)]], [Fraction(-1)], res.farkas)
+    assert verify_farkas([[1]], [-1], res.farkas)

@@ -23,6 +23,7 @@ from mixcuts.core import CutKind, DimensionMismatch, complement
 from mixcuts.hull import (
     BASIS_ENUMERATION_WORK,
     _cut_polyhedron_vertices,
+    cut_matrix,
     project_to_cut_polyhedron,
 )
 
@@ -228,7 +229,7 @@ def test_insufficient_instances_have_closure_vertices_outside():
 
         inst = random_insufficient_instance(rng, 3, 2, case)
         cuts = hull_cut_family(inst)
-        vertices = _cut_polyhedron_vertices(inst, cuts, 2_000_000)
+        vertices = _cut_polyhedron_vertices(cut_matrix(inst, cuts), 2_000_000)
         assert vertices is not None
         vrep = v_representation(inst)
         outside = [
@@ -307,7 +308,9 @@ def test_closure_checks_each_sample_and_every_cut_polyhedron_vertex():
         n, k = rng.randint(2, 3), rng.randint(1, 2)
         inst = random_sufficient_instance(rng, n, k, with_low_rows=n == 3)
         cuts = hull_cut_family(inst)
-        vertices = _cut_polyhedron_vertices(inst, cuts, BASIS_ENUMERATION_WORK)
+        vertices = _cut_polyhedron_vertices(
+            cut_matrix(inst, cuts), BASIS_ENUMERATION_WORK
+        )
         if vertices is None:
             continue
         report = check_sufficiency(inst, samples=10)
@@ -332,7 +335,7 @@ def test_cut_polyhedron_vertices_all_inside():
     rng = random.Random(33)
     inst = random_sufficient_instance(rng, 3, 2)
     cuts = hull_cut_family(inst)
-    vertices = _cut_polyhedron_vertices(inst, cuts, 40_000)
+    vertices = _cut_polyhedron_vertices(cut_matrix(inst, cuts), 40_000)
     assert vertices  # small case: enumeration must run and find vertices
     vrep = v_representation(inst)
     for y, z in vertices:
@@ -344,6 +347,6 @@ def test_projection_points_satisfy_all_cuts(example1):
     cuts = hull_cut_family(example1)
     for s in range(30):
         z = tuple(Fraction(rng.randint(0, 4), 4) for _ in range(5))
-        y, z = project_to_cut_polyhedron(example1, cuts, z, s % 2)
+        y, z = project_to_cut_polyhedron(cut_matrix(example1, cuts), z, s % 2)
         for cut in cuts:
             assert cut.satisfied_by(y, z)

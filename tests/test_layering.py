@@ -1,7 +1,8 @@
 """The package's modules form a chain: no import cycle, and no import of
 another module of the package inside a function or class body, where it
 would hide a cycle until the line runs.  No module keeps a module-level
-import it never uses (the package's ``__init__`` only re-exports)."""
+import it never uses (the package's ``__init__`` only re-exports), and the
+LP kernel with its certificate checks imports nothing from ``fractions``."""
 
 import ast
 from pathlib import Path
@@ -80,6 +81,33 @@ def test_no_import_inside_a_function(stem):
                 if imported_modules(node):
                     nested.append(f"line {node.lineno} in {scope.name}")
     assert nested == []
+
+
+def imports_from(tree: ast.Module, module: str) -> list[int]:
+    """Lines of every import, at any depth, that names ``module``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == module for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_fractions_import_detector():
+    source = (
+        "import math\nfrom fractions import Fraction\nimport fractions as f\n"
+        "def g():\n    import fractions\nfrom .core import fractions\n"
+    )
+    assert imports_from(ast.parse(source), "fractions") == [2, 3, 5]
+
+
+def test_lp_kernel_is_integer_only():
+    assert imports_from(parse("exactlp"), "fractions") == []
 
 
 def test_import_graph_is_acyclic():

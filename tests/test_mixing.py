@@ -18,7 +18,7 @@ from mixcuts import (
     reduce_lower_bounds,
     separate_mixing,
 )
-from mixcuts.hull import project_to_cut_polyhedron
+from mixcuts.hull import cut_matrix, project_to_cut_polyhedron
 
 from conftest import random_weights
 from helpers import is_submodular
@@ -276,6 +276,6 @@ def test_subchain_cuts_implied_by_star_family(example1):
     full = [c for j in range(2) for c in all_mixing_cuts(example1, j)]
     for s in range(40):
         z = tuple(Fraction(rng.randint(0, 4), 4) for _ in range(5))
-        y, z = project_to_cut_polyhedron(example1, star, z, s % 2)
+        y, z = project_to_cut_polyhedron(cut_matrix(example1, star), z, s % 2)
         for cut in full:
             assert cut.satisfied_by(y, z)
