@@ -32,7 +32,6 @@ from .submodular import (
     SetFunctionOracle,
     greedy_vertex,
     max_sum_oracle,
-    separate_polymatroid,
 )
 from .mixing import (
     MixingSequence,
@@ -52,6 +51,7 @@ from .aggregated import (
     diagnose,
     l_theta,
     linking_oracle,
+    separate,
     separate_aggregated,
     sequences,
 )

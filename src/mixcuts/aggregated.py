@@ -32,17 +32,17 @@ from typing import Iterator, Optional, Sequence
 
 from .core import (
     CutKind,
-    DimensionMismatch,
-    DomainError,
     EpsilonViolated,
     GroundSetTooLarge,
     LinearCut,
     LowerBoundsNotReduced,
     MixingInstance,
     SequenceTheta,
+    ValidationError,
+    check_point,
     complement,
-    parse_rational,
 )
+from .mixing import reduce_lower_bounds, separate_mixing
 from .submodular import SetFunctionOracle, greedy_vertex, max_sum_oracle
 
 SEPARATION_SEQUENCE_BOUND = 2_000_000
@@ -369,12 +369,7 @@ def separate_aggregated(
     """
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds first")
-    y = [parse_rational(v) for v in y_bar]
-    z = [parse_rational(v) for v in z_bar]
-    if len(y) != inst.k or len(z) != inst.n:
-        raise DimensionMismatch("point dimensions disagree with instance")
-    if any(v < 0 or v > 1 for v in z):
-        raise DomainError("z outside the unit box")
+    y, z = check_point(inst, y_bar, z_bar)
     y_total = sum(y, Fraction(0))
     if y_total < inst.epsilon:
         raise EpsilonViolated(
@@ -419,3 +414,42 @@ def separate_aggregated(
         ):
             best = (gap, theta)
     return aggregated_cut(inst, SequenceTheta(best[1])) if best else None
+
+
+def separate(
+    inst: MixingInstance,
+    y_bar: Sequence[Fraction],
+    z_bar: Sequence[Fraction],
+    families: Sequence[str] = ("mix", "amix"),
+) -> list[tuple[Fraction, LinearCut]]:
+    """Violated cuts of the chosen families at (y_bar, z_bar), each with its
+    violation: the most violated mixing cut per column (family "mix"), then
+    the linking row or the most violated aggregated cut (family "amix").
+
+    The point is checked before any family runs.  Mixing cuts are separated
+    on the instance as given, whose column oracles carry the lower bounds.
+    A violated linking row takes precedence over the aggregated family, which
+    presumes it; otherwise the aggregated family is separated on the reduced
+    instance at y - lower, and the cut found, alpha.(y - lower) + beta.z >=
+    gamma, is returned with right-hand side gamma + alpha.lower.
+    """
+    unknown = set(families) - {"mix", "amix"}
+    if unknown:
+        raise ValidationError(f"unknown families {sorted(unknown)}")
+    y, z = check_point(inst, y_bar, z_bar)
+    found = []
+    if "mix" in families:
+        found += [(cut.violation(y, z), cut) for cut in separate_mixing(inst, y, z)]
+    if "amix" in families:
+        linking = linking_cut(inst)
+        gap = linking.violation(y, z)
+        if gap > 0:
+            found.append((gap, linking))
+        else:
+            reduced, shift = reduce_lower_bounds(inst)
+            cut = separate_aggregated(reduced, [v - s for v, s in zip(y, shift)], z)
+            if cut is not None:
+                lift = sum((a * s for a, s in zip(cut.y_coeffs, shift)), Fraction(0))
+                cut = LinearCut(cut.y_coeffs, cut.z_coeffs, cut.rhs + lift, cut.kind)
+                found.append((cut.violation(y, z), cut))
+    return found

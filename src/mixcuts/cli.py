@@ -21,20 +21,18 @@ from . import mixing
 from . import twosided as ts
 from . import vertices
 from .core import (
-    DimensionMismatch,
     LinearCut,
     MixcutsError,
     MixingInstance,
-    ParseError,
     SequenceTheta,
     format_rational,
     load_instance,
     loads_point,
+    read_text,
     serialize_instance,
 )
 
 EXIT_OK = 0
-EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_INSUFFICIENT = 3
 EXIT_CHECK_FAILED = 4
@@ -79,46 +77,9 @@ def cmd_diagnose(args) -> int:
 
 def cmd_separate(args) -> int:
     inst = load_instance(args.instance)
-    try:
-        with open(args.point, "r", encoding="utf-8") as fh:
-            y, z = loads_point(fh.read(), inst.k, inst.n)
-    except OSError as exc:
-        print(f"error: cannot read point file: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ParseError, DimensionMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    y, z = loads_point(read_text(args.point), inst.k, inst.n)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    unknown = set(families) - {"mix", "amix"}
-    if unknown:
-        print(f"error: unknown families {sorted(unknown)}", file=sys.stderr)
-        return EXIT_INVALID
-
-    found: list[tuple[Fraction, LinearCut]] = []
-    if "mix" in families:
-        for cut in mixing.separate_mixing(inst, y, z):
-            found.append((cut.violation(y, z), cut))
-    if "amix" in families:
-        reduced, shift = mixing.reduce_lower_bounds(inst)
-        shifted_y = tuple(v - s for v, s in zip(y, shift))
-        linking = agg.linking_cut(inst)
-        gap = linking.violation(y, z)
-        if gap > 0:
-            found.append((gap, linking))
-        else:
-            cut = agg.separate_aggregated(reduced, shifted_y, z)
-            if cut is not None:
-                lifted = LinearCut(
-                    cut.y_coeffs,
-                    cut.z_coeffs,
-                    cut.rhs
-                    + sum(
-                        (a * s for a, s in zip(cut.y_coeffs, shift)), Fraction(0)
-                    ),
-                    cut.kind,
-                )
-                found.append((lifted.violation(y, z), lifted))
-    _print_cuts([vc for vc in found if vc[0] > 0])
+    _print_cuts(agg.separate(inst, y, z, families))
     return EXIT_OK
 
 
@@ -187,12 +148,7 @@ def cmd_quantile(args) -> int:
 
 
 def cmd_twosided(args) -> int:
-    try:
-        with open(args.data, "r", encoding="utf-8") as fh:
-            data = ts.loads_twosided(fh.read())
-    except OSError as exc:
-        print(f"error: cannot read data file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    data = ts.loads_twosided(read_text(args.data))
     inst = ts.to_mixing(data)
     diag = agg.diagnose(inst)
     print(

@@ -376,16 +376,20 @@ def loads_instance(text: str) -> MixingInstance:
     return MixingInstance(w_rows, lower, epsilon, probabilities)
 
 
+def read_text(path: str) -> str:
+    """The contents of a text file; an unreadable file is a :class:`ParseError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path!r}: {exc}") from exc
+
+
 def load_instance(path_or_text: str) -> MixingInstance:
     """Load an instance from a file path, or directly from JSON text."""
-    text = path_or_text
-    if not path_or_text.lstrip().startswith("{"):
-        try:
-            with open(path_or_text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path_or_text!r}: {exc}") from exc
-    return loads_instance(text)
+    if path_or_text.lstrip().startswith("{"):
+        return loads_instance(path_or_text)
+    return loads_instance(read_text(path_or_text))
 
 
 def serialize_instance(inst: MixingInstance) -> str:
@@ -416,6 +420,19 @@ def loads_point(text: str, k: int, n: int) -> tuple[tuple[Fraction, ...], tuple[
         raise DimensionMismatch(
             f"point is {len(y)}+{len(z)} dimensional, instance needs {k}+{n}"
         )
+    return y, z
+
+
+def check_point(
+    inst: MixingInstance, y_bar: Sequence[RationalLike], z_bar: Sequence[RationalLike]
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Parse a point (y, z) of the instance's space and check that z lies in
+    the unit box."""
+    y, z = _fracs(y_bar), _fracs(z_bar)
+    if len(y) != inst.k or len(z) != inst.n:
+        raise DimensionMismatch("point dimensions disagree with instance")
+    if any(v < 0 or v > 1 for v in z):
+        raise DomainError("z outside the unit box")
     return y, z
 
 

@@ -3,8 +3,8 @@
 The mixing inequality of a chain of scenario indices with nonincreasing
 column values telescopes their differences; the starred form starts the
 chain at the column maximum and, together with the variable bounds, yields
-the full hull of the linking-free set.  Separation reduces to greedy
-polymatroid separation on the column oracle against complemented variables.
+the full hull of the linking-free set.  Separation is one greedy vertex of
+the column oracle against the complemented variables.
 """
 
 from __future__ import annotations
@@ -16,16 +16,15 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     CutKind,
-    DimensionMismatch,
-    DomainError,
     InvalidSequence,
     LinearCut,
     MixingInstance,
     RiskOutOfRange,
+    check_point,
     complement,
     parse_rational,
 )
-from .submodular import SetFunctionOracle, max_sum_oracle, separate_polymatroid
+from .submodular import SetFunctionOracle, greedy_vertex, max_sum_oracle
 
 
 def column_oracle(inst: MixingInstance, j: int) -> SetFunctionOracle:
@@ -128,17 +127,6 @@ def mixing_cut(inst: MixingInstance, seq: MixingSequence) -> LinearCut:
     return LinearCut(y, coeffs, values[0], kind)
 
 
-def _polymatroid_to_mixing(
-    inst: MixingInstance, j: int, pi: Sequence[Fraction]
-) -> LinearCut:
-    """Translate y_j >= pi.z' + lower_j (complemented variables z' = 1 - z)
-    into original variables: y_j + pi.z >= lower_j + sum(pi)."""
-    y = [Fraction(0)] * inst.k
-    y[j] = Fraction(1)
-    rhs = inst.lower[j] + sum(pi, Fraction(0))
-    return LinearCut(y, tuple(pi), rhs, CutKind.MIX_STAR)
-
-
 def separate_mixing(
     inst: MixingInstance,
     y_bar: Sequence[Fraction],
@@ -146,24 +134,23 @@ def separate_mixing(
 ) -> list[LinearCut]:
     """Most violated mixing cut per column at (y_bar, z_bar), greedy-exact.
 
-    Runs polymatroid separation for every column oracle against the
-    complemented point; a column contributes nothing exactly when its
-    coordinate satisfies all of the column's mixing inequalities.
+    The greedy vertex pi of each column oracle against the complemented point
+    gives the column's most violated inequality y_j >= lower_j + pi.(1 - z),
+    written y_j + pi.z >= lower_j + sum(pi); a column contributes nothing
+    exactly when its coordinate satisfies all of the column's mixing
+    inequalities.
     """
-    y = [parse_rational(v) for v in y_bar]
-    z = [parse_rational(v) for v in z_bar]
-    if len(y) != inst.k or len(z) != inst.n:
-        raise DimensionMismatch("point dimensions disagree with instance")
-    if any(v < 0 or v > 1 for v in z):
-        raise DomainError("z outside the unit box")
+    y, z = check_point(inst, y_bar, z_bar)
     z_formal = complement(z)
     cuts = []
     for j in range(inst.k):
-        raw = separate_polymatroid(column_oracle(inst, j), y[j], z_formal)
-        if raw is None:
+        pi = greedy_vertex(column_oracle(inst, j), z_formal).pi
+        rhs = inst.lower[j] + sum(pi, Fraction(0))
+        if y[j] + sum((p * v for p, v in zip(pi, z) if p), Fraction(0)) >= rhs:
             continue
-        pi = tuple(-b for b in raw.z_coeffs)
-        cuts.append(_polymatroid_to_mixing(inst, j, pi))
+        e_j = [Fraction(0)] * inst.k
+        e_j[j] = Fraction(1)
+        cuts.append(LinearCut(e_j, pi, rhs, CutKind.MIX_STAR))
     return cuts
 
 

@@ -1,4 +1,4 @@
-"""Set-function oracles, greedy extreme points and polymatroid separation.
+"""Set-function oracles and greedy extreme points of their polymatroids.
 
 Subsets of the ground set are bitmasks.  Oracles memoize their values, which
 is safe because they are pure; all operations here are reentrant.
@@ -10,13 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-from .core import (
-    CutKind,
-    DimensionMismatch,
-    DomainError,
-    LinearCut,
-    parse_rational,
-)
+from .core import DimensionMismatch
 
 SubsetLike = Union[int, Iterable[int]]
 
@@ -117,29 +111,3 @@ def greedy_vertex(
         pi[i] = cur - prev
         prev = cur
     return PolymatroidVertex(tuple(pi), tuple(order))
-
-
-def separate_polymatroid(
-    f: SetFunctionOracle, y_bar: Fraction, z_bar: Sequence[Fraction]
-) -> LinearCut | None:
-    """Most violated epigraph inequality y >= pi . z + f({}), or None.
-
-    Returns None exactly when (y_bar, z_bar) lies in the convex hull of the
-    epigraph of f, because the greedy vertex maximizes pi . z_bar.  The sort
-    costs O(n log n) comparisons; the greedy's sets are nested, so on a
-    :func:`max_sum_oracle` each of its n evaluations folds in one row, O(k).
-    """
-    z = [parse_rational(v) for v in z_bar]
-    if any(v < 0 or v > 1 for v in z):
-        raise DomainError(f"point outside [0,1]^{f.ground_size}: {z}")
-    vertex = greedy_vertex(f, z)
-    offset = f.value(0)
-    bound = sum((p * v for p, v in zip(vertex.pi, z)), offset)
-    if parse_rational(y_bar) >= bound:
-        return None
-    return LinearCut(
-        (Fraction(1),),
-        tuple(-p for p in vertex.pi),
-        offset,
-        CutKind.POLYMATROID,
-    )

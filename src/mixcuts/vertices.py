@@ -27,7 +27,6 @@ from .core import (
 from .exactlp import solve_feasibility, verify_farkas, verify_feasible
 
 ENUMERATION_BOUND = 20
-VALIDITY_BOUND = 20
 
 _ZERO = Fraction(0)
 
@@ -216,8 +215,6 @@ def check_validity(inst: MixingInstance, cut: LinearCut, vrep=None) -> bool:
     precomputed vertex representation to amortize enumeration and scaling
     over many cuts.
     """
-    if inst.n > VALIDITY_BOUND:
-        raise GroundSetTooLarge(f"validity check limited to n <= {VALIDITY_BOUND}")
     if cut.k != inst.k or cut.n != inst.n:
         raise DimensionMismatch("cut dimensions disagree with instance")
     # Rays (e_j, 0): the cut must not be violated in any unbounded direction.

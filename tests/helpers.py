@@ -1,6 +1,7 @@
 """Helpers that only the tests use: canonical cuts, the brute-force
 submodularity check, weighted oracle combinations, the linking-dominance
-test of one sequence, and the ``Fraction`` closure-check oracle (membership
+test of one sequence, polymatroid separation and the mixing separation
+built on it, and the ``Fraction`` closure-check oracle (membership
 LP, projection and basis enumeration as they were before the integer
 kernel)."""
 
@@ -10,6 +11,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from mixcuts import (
+    CutKind,
     DimensionMismatch,
     InternalInvariant,
     DomainError,
@@ -18,6 +20,9 @@ from mixcuts import (
     LowerBoundsNotReduced,
     MixingInstance,
     SequenceTheta,
+    column_oracle,
+    complement,
+    greedy_vertex,
     l_theta,
     parse_rational,
 )
@@ -97,6 +102,56 @@ def weighted_combination(
         return sum((c * f.value(mask) for c, f in pairs), Fraction(0))
 
     return SetFunctionOracle(n, combined, name="weighted-combination")
+
+
+def separate_polymatroid(
+    f: SetFunctionOracle, y_bar: Fraction, z_bar: Sequence[Fraction]
+) -> Optional[LinearCut]:
+    """Most violated epigraph inequality y >= pi . z + f({}), or None.
+
+    Returns None exactly when (y_bar, z_bar) lies in the convex hull of the
+    epigraph of f, because the greedy vertex maximizes pi . z_bar.
+    """
+    z = [parse_rational(v) for v in z_bar]
+    if any(v < 0 or v > 1 for v in z):
+        raise DomainError(f"point outside [0,1]^{f.ground_size}: {z}")
+    vertex = greedy_vertex(f, z)
+    offset = f.value(0)
+    bound = sum((p * v for p, v in zip(vertex.pi, z)), offset)
+    if parse_rational(y_bar) >= bound:
+        return None
+    return LinearCut(
+        (Fraction(1),),
+        tuple(-p for p in vertex.pi),
+        offset,
+        CutKind.POLYMATROID,
+    )
+
+
+def round_trip_mixing(
+    inst: MixingInstance, y_bar: Sequence[Fraction], z_bar: Sequence[Fraction]
+) -> list[LinearCut]:
+    """Mixing separation through polymatroid separation: each column's
+    epigraph cut y_j >= pi.(1 - z) + lower_j over the complemented point,
+    rewritten as y_j + pi.z >= lower_j + sum(pi)."""
+    y = [parse_rational(v) for v in y_bar]
+    z = [parse_rational(v) for v in z_bar]
+    if len(y) != inst.k or len(z) != inst.n:
+        raise DimensionMismatch("point dimensions disagree with instance")
+    if any(v < 0 or v > 1 for v in z):
+        raise DomainError("z outside the unit box")
+    cuts = []
+    for j in range(inst.k):
+        raw = separate_polymatroid(column_oracle(inst, j), y[j], complement(z))
+        if raw is None:
+            continue
+        pi = tuple(-b for b in raw.z_coeffs)
+        e_j = [Fraction(0)] * inst.k
+        e_j[j] = Fraction(1)
+        cuts.append(
+            LinearCut(e_j, pi, inst.lower[j] + sum(pi, Fraction(0)), CutKind.MIX_STAR)
+        )
+    return cuts
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,10 @@ LIFTED_EXAMPLE1 = json.dumps(
 )
 
 
+class File(str):
+    """A command-line argument given as a file holding this text."""
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [
@@ -222,14 +226,27 @@ LIFTED_EXAMPLE1 = json.dumps(
         (["diagnose", "{ not json"], 1),
         (["twosided", {"w": ["1", "4"], "v": ["2", "1"], "u_a": "5"}], 2),
         (["twosided", {"w": ["6", "4"], "v": ["1", "1"], "u_a": "5"}], 2),
+        (["separate", fixture_path("example1.json"), "no-such-point.json"], 1),
+        (["separate", fixture_path("example1.json"), File("{ not json")], 1),
+        (["separate", fixture_path("example1.json"), {"y": ["1"], "z": ["0"]}], 2),
+        (
+            [
+                "separate",
+                fixture_path("example1.json"),
+                {"y": ["1", "1"], "z": ["2", "0", "0", "0", "0"]},
+                "--families=amix",
+            ],
+            2,
+        ),
     ],
 )
 def test_exit_codes(capsys, tmp_path, argv, code):
-    # two-sided data is read from a file only
+    # two-sided data and points are read from a file only
     for t, arg in enumerate(argv):
-        if isinstance(arg, dict):
+        if isinstance(arg, (dict, File)):
             path = tmp_path / f"arg{t}.json"
-            path.write_text(json.dumps(arg), encoding="utf-8")
+            text = arg if isinstance(arg, File) else json.dumps(arg)
+            path.write_text(text, encoding="utf-8")
             argv = argv[:t] + [str(path)] + argv[t + 1 :]
     assert run_cli(capsys, *argv)[0] == code
 

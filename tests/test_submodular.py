@@ -11,13 +11,12 @@ from mixcuts import (
     greedy_vertex,
     linking_oracle,
     membership,
-    separate_polymatroid,
 )
 from mixcuts.submodular import SetFunctionOracle
 from mixcuts.vertices import VRepresentation
 
 from conftest import random_sufficient_instance
-from helpers import is_submodular, weighted_combination
+from helpers import is_submodular, separate_polymatroid, weighted_combination
 
 
 def tabulate(ground_size, values):
