@@ -36,7 +36,6 @@ from .submodular import (
 from .mixing import (
     MixingSequence,
     all_mixing_cuts,
-    column_oracle,
     mix_star_cuts,
     mixing_cut,
     quantile_lower_bounds,
@@ -50,7 +49,6 @@ from .aggregated import (
     decompose,
     diagnose,
     l_theta,
-    linking_oracle,
     separate,
     separate_aggregated,
     sequences,

@@ -25,7 +25,6 @@ cut, and the mixing and aggregated families describe the hull.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -40,10 +39,10 @@ from .core import (
     SequenceTheta,
     ValidationError,
     check_point,
-    complement,
+    scale_point,
 )
 from .mixing import reduce_lower_bounds, separate_mixing
-from .submodular import SetFunctionOracle, greedy_vertex, max_sum_oracle
+from .submodular import greedy_vertex, max_sum_oracle
 
 SEPARATION_SEQUENCE_BOUND = 2_000_000
 
@@ -105,28 +104,31 @@ def _chain_sum_cut(
     inst: MixingInstance,
     chains: Sequence[tuple[int, ...]],
     last: int,
-    cap: Fraction,
+    cap: int,
 ) -> LinearCut:
-    """Summed per-column chains minus ``cap`` on the index ``last``.
+    """Summed per-column chains minus ``cap / D`` on the index ``last``,
+    computed in integers on ``inst.scaled`` (common denominator D).
 
     Starred when every chain head attains its column maximum and the cap is
     epsilon.
     """
-    coeffs = [Fraction(0)] * inst.n
-    rhs = Fraction(0)
-    star = cap == inst.epsilon
-    for j, chain in enumerate(chains):
-        col = inst.column(j)
-        values = [col[i] for i in chain] + [Fraction(0)]
+    scale, weights, eps, _ = inst.scaled
+    coeffs = [0] * inst.n
+    rhs = 0
+    star = cap == eps
+    for j, (chain, peak) in enumerate(zip(chains, map(max, zip(*weights)))):
+        values = [weights[i][j] for i in chain] + [0]
         for s, i in enumerate(chain):
             coeffs[i] += values[s] - values[s + 1]
         rhs += values[0]
-        if values[0] != max(col):
+        if values[0] != peak:
             star = False
     coeffs[last] -= cap
     y = [Fraction(1)] * inst.k
     kind = CutKind.AMIX_STAR if star else CutKind.AMIX
-    return LinearCut(y, coeffs, rhs, kind)
+    return LinearCut(
+        y, [Fraction(c, scale) for c in coeffs], Fraction(rhs, scale), kind
+    )
 
 
 def aggregated_cut(inst: MixingInstance, theta: SequenceTheta) -> LinearCut:
@@ -138,8 +140,8 @@ def aggregated_cut(inst: MixingInstance, theta: SequenceTheta) -> LinearCut:
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds before aggregating")
     chains = decompose(inst, theta).per_column
-    cap = min(inst.epsilon, l_theta(inst, theta))
-    return _chain_sum_cut(inst, chains, theta.last, cap)
+    cap = min(inst.epsilon, l_theta(inst, theta)) * inst.scaled[0]
+    return _chain_sum_cut(inst, chains, theta.last, cap.numerator)
 
 
 def sequences(
@@ -165,6 +167,50 @@ def count_sequences(ground: int, max_length: Optional[int] = None) -> int:
 Node = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int, int]
 
 
+def _prepend(
+    i: int,
+    row: Sequence[int],
+    heads: Sequence[int],
+    chains: Sequence[tuple[int, ...]],
+    low: Optional[int],
+    acc: int,
+    slack: int,
+) -> tuple[list[int], list[tuple[int, ...]], int, int]:
+    """Prepend index ``i``, whose scaled row is ``row``, to a sequence.
+
+    The sequence is given by its column heads and chains, its scaled L
+    (None for the empty sequence) and ``acc``, the sum over its indices of
+    coefficient times p * (1 - z_i); ``slack`` is p * (1 - z_i) of the new
+    index.  Returns the new heads, chains, L and acc.
+    """
+    gain = 0  # coefficient of i: what it adds to the heads
+    term = 0  # sum_j min(w_ij, head_j): i's own term of L
+    new_heads = list(heads)
+    new_chains = list(chains)
+    for j, v in enumerate(row):
+        h = heads[j]
+        if v >= h:
+            gain += v - h
+            term += h
+            new_heads[j] = v
+            new_chains[j] = (i,) + chains[j]
+        else:
+            term += v
+    if low is None:
+        l = gain  # a single index contributes its full row sum
+    else:
+        l = term if term < low else low
+    return new_heads, new_chains, l, acc + gain * slack
+
+
+def _gap(acc: int, l: int, eps: int, tail: int, base: int) -> int:
+    """Scaled violation of a sequence's cut: ``acc`` and L as kept by
+    :func:`_prepend`, ``tail`` = p * z of its last index and ``base`` = D *
+    p * sum(y)."""
+    cap = eps if eps < l else l
+    return acc + cap * tail - base
+
+
 def walk(
     inst: MixingInstance,
     ground: Sequence[int],
@@ -186,9 +232,24 @@ def walk(
     at its column maximum and epsilon <= L) and skips each subtree whose L
     fell below epsilon.  The walk keeps one frame per depth level.
     """
+    scaled = None
+    if point is not None:
+        scaled = scale_point(*([Fraction(v) for v in part] for part in point))
+    return _walk(inst, ground, max_length, starred, scaled)
+
+
+def _walk(
+    inst: MixingInstance,
+    ground: Sequence[int],
+    max_length: Optional[int],
+    starred: bool,
+    point: Optional[tuple[int, Sequence[int], Sequence[int]]],
+) -> Iterator[Node]:
+    """The body of :func:`walk`, with the point scaled to integers as
+    ``core.scale_point`` does."""
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds before aggregating")
-    scale, weights, eps = inst.scaled
+    scale, weights, eps, _ = inst.scaled
     k = inst.k
     peaks = [max(row[j] for row in weights) for j in range(k)]
     top = len(ground) if max_length is None else min(max_length, len(ground))
@@ -198,46 +259,24 @@ def walk(
         slack = at_one = [0] * inst.n
         base = 0
     else:
-        y = [Fraction(v) for v in point[0]]
-        z = [Fraction(v) for v in point[1]]
-        p = math.lcm(*(v.denominator for v in y + z))
-        at_one = [v.numerator * (p // v.denominator) for v in z]  # p * z_i
+        p, y_p, at_one = point  # at_one[i] = p * z_i
         slack = [p - v for v in at_one]  # p * (1 - z_i)
-        base = scale * sum(v.numerator * (p // v.denominator) for v in y)
-    # Frame: (theta, heads, chains, l, acc, remaining candidates); acc is
-    # sum over theta of (new coefficient of i) * p * (1 - z_i).
+        base = scale * sum(y_p)
+    # Frame: (theta, heads, chains, l, acc, remaining candidates).
     stack = [((), [0] * k, [()] * k, None, 0, iter(ground))]
     while stack:
         theta, heads, chains, low, acc, candidates = stack[-1]
         for i in candidates:
             if i in theta:
                 continue
-            row = weights[i]
-            gain = 0  # coefficient of i: what it adds to the heads
-            term = 0  # sum_j min(w_ij, head_j): i's own term of L
-            new_heads = list(heads)
-            new_chains = list(chains)
-            for j in range(k):
-                v = row[j]
-                h = heads[j]
-                if v >= h:
-                    gain += v - h
-                    term += h
-                    new_heads[j] = v
-                    new_chains[j] = (i,) + chains[j]
-                else:
-                    term += v
-            if low is None:
-                l = gain  # a single index contributes its full row sum
-            else:
-                l = term if term < low else low
+            new_heads, new_chains, l, new_acc = _prepend(
+                i, weights[i], heads, chains, low, acc, slack[i]
+            )
             if starred and l < eps:
                 continue
             new_theta = (i,) + theta
-            new_acc = acc + gain * slack[i]
             if not starred or new_heads == peaks:
-                cap = eps if eps < l else l
-                gap = new_acc + cap * at_one[new_theta[-1]] - base
+                gap = _gap(new_acc, l, eps, at_one[new_theta[-1]], base)
                 yield new_theta, tuple(new_chains), l, gap
             if len(new_theta) < top:
                 stack.append(
@@ -265,7 +304,7 @@ def starred_cuts(
             first[chains] = rank
     kept = sorted((rank, chains) for chains, rank in first.items())
     return [
-        _chain_sum_cut(inst, chains, theta[-1], inst.epsilon)
+        _chain_sum_cut(inst, chains, theta[-1], inst.scaled[2])
         for (_, theta), chains in kept
     ]
 
@@ -279,13 +318,6 @@ def linking_cut(inst: MixingInstance) -> LinearCut:
         inst.epsilon + sum(inst.lower, Fraction(0)),
         CutKind.LINKING,
     )
-
-
-def linking_oracle(inst: MixingInstance) -> SetFunctionOracle:
-    """Oracle z -> max(epsilon, sum_j column_max_j(z)) over indicator bitmasks."""
-    if not inst.lower_is_zero:
-        raise LowerBoundsNotReduced("linking oracle requires zero lower bounds")
-    return max_sum_oracle(inst.weights, inst.lower, inst.epsilon, "linking")
 
 
 @dataclass(frozen=True)
@@ -327,7 +359,7 @@ def diagnose(inst: MixingInstance) -> HullDiagnosis:
 
 def _diagnosis(inst: MixingInstance) -> HullDiagnosis:
     """The body of :func:`diagnose`, in integers on ``inst.scaled``."""
-    scale, w, eps = inst.scaled
+    scale, w, eps, _ = inst.scaled
     sums = [sum(row) for row in w]
     i_bar = frozenset(i for i, s in enumerate(sums) if s <= eps)
     outside = [i for i in range(inst.n) if i not in i_bar]
@@ -361,43 +393,55 @@ def separate_aggregated(
 ) -> Optional[LinearCut]:
     """Most violated aggregated cut at (y_bar, z_bar), or None.
 
-    When the linking oracle is submodular this runs one greedy separation and
-    is exact over the whole family.  Otherwise it enumerates sequences over
+    When the linking oracle z -> max(epsilon, sum_j column_max_j(z)) is
+    submodular this runs one greedy separation and is exact over the whole
+    family: the greedy vertex's support, latest first, is the sequence of
+    the most violated cut.  Otherwise it enumerates sequences over
     {i : z_bar_i < 1} — sequences touching an index at 1 are dominated by a
     subsequence avoiding it, so the verdict is still exact — and returns the
     most violated cut found (ties: lexicographically smallest sequence).
+
+    Both branches run in integers on the instance scaled by D and the point
+    scaled by p, with the walker's prepend step; a cut is built only for
+    the sequence returned.
     """
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds first")
     y, z = check_point(inst, y_bar, z_bar)
-    y_total = sum(y, Fraction(0))
-    if y_total < inst.epsilon:
+    point = p, y_p, z_p = scale_point(y, z)
+    scale, weights, eps, _ = inst.scaled
+    y_total = sum(y_p)  # p * sum(y)
+    if y_total * scale < eps * p:
         raise EpsilonViolated(
-            f"sum(y) = {y_total} < epsilon = {inst.epsilon}; the aggregated family "
-            "presumes the linking constraint"
+            f"sum(y) = {Fraction(y_total, p)} < epsilon = {inst.epsilon}; the "
+            "aggregated family presumes the linking constraint"
         )
+    slack = [p - v for v in z_p]  # p * (1 - z_i)
 
     if diagnose(inst).g_submodular:
-        g = linking_oracle(inst)
-        vertex = greedy_vertex(g, complement(z))
-        support = [i for i in range(inst.n) if vertex.pi[i] != 0]
+        g = max_sum_oracle(weights, [0] * inst.k, eps, "linking")
+        vertex = greedy_vertex(g, slack)
+        support = [i for i in vertex.permutation if vertex.pi[i]]
         if not support:
             return None  # only the linking constraint itself, already satisfied
-        order = {i: t for t, i in enumerate(vertex.permutation)}
-        theta = SequenceTheta(sorted(support, key=lambda i: -order[i]))
-        cut = aggregated_cut(inst, theta)
-        return cut if cut.violation(y, z) > 0 else None
+        node = [0] * inst.k, [()] * inst.k, None, 0
+        for i in support:  # prepending in greedy order puts support[0] last
+            node = _prepend(i, weights[i], *node, slack[i])
+        _, chains, l, acc = node
+        if _gap(acc, l, eps, z_p[support[0]], scale * y_total) <= 0:
+            return None
+        return _chain_sum_cut(inst, chains, support[0], min(eps, l))
 
     # The restriction to indices below 1 is exact for points satisfying the
     # big-M rows (a sequence touching an index at 1 is dominated by the
     # subsequence without it); otherwise search the full ground set.
     relaxation_ok = all(
-        y[j] >= inst.weights[i][j] * (1 - z[i])
-        for i in range(inst.n)
+        y_p[j] * scale >= row[j] * s
+        for row, s in zip(weights, slack)
         for j in range(inst.k)
     )
     if relaxation_ok:
-        ground = [i for i in range(inst.n) if z[i] < 1]
+        ground = [i for i, s in enumerate(slack) if s > 0]
     else:
         ground = list(range(inst.n))
     if not ground:
@@ -407,13 +451,17 @@ def separate_aggregated(
             f"{len(ground)} free indices need more than "
             f"{SEPARATION_SEQUENCE_BOUND} sequences"
         )
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    for theta, _, _, gap in walk(inst, ground, point=(y, z)):
+    best: Optional[Node] = None
+    for node in _walk(inst, ground, None, False, point):
+        theta, _, _, gap = node
         if gap > 0 and (
-            best is None or gap > best[0] or (gap == best[0] and theta < best[1])
+            best is None or gap > best[3] or (gap == best[3] and theta < best[0])
         ):
-            best = (gap, theta)
-    return aggregated_cut(inst, SequenceTheta(best[1])) if best else None
+            best = node
+    if best is None:
+        return None
+    theta, chains, l, _ = best
+    return _chain_sum_cut(inst, chains, theta[-1], min(eps, l))
 
 
 def separate(

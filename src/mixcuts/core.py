@@ -1,9 +1,10 @@
 """Exact scalars, instance model, cut representation and instance I/O.
 
-Every number in this library is a :class:`fractions.Fraction`.  There are no
-tolerance parameters anywhere: cut generation, separation and hull membership
-are decided by exact comparisons, so two runs on the same input are
-bit-identical.
+Every number in this library is a :class:`fractions.Fraction`, or an integer
+in an integer view (an instance or a point scaled by a common denominator).
+There are no tolerance parameters anywhere: cut generation, separation and
+hull membership are decided by exact comparisons, so two runs on the same
+input are bit-identical.
 """
 
 from __future__ import annotations
@@ -300,19 +301,24 @@ class MixingInstance:
         return all(l == 0 for l in self.lower)
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...], int]:
-        """Common denominator D of the weights and epsilon, with both scaled
-        by D: ``(D, weights, epsilon)`` in integers, computed once."""
+    def scaled(
+        self,
+    ) -> tuple[int, tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+        """Common denominator D of the weights, epsilon and lower bounds, with
+        all three scaled by D: ``(D, weights, epsilon, lower)`` in integers,
+        computed once."""
         scale = math.lcm(
             self.epsilon.denominator,
             *(w.denominator for row in self.weights for w in row),
+            *(l.denominator for l in self.lower),
         )
         weights = tuple(
             tuple(w.numerator * (scale // w.denominator) for w in row)
             for row in self.weights
         )
         eps = self.epsilon.numerator * (scale // self.epsilon.denominator)
-        return scale, weights, eps
+        lower = tuple(l.numerator * (scale // l.denominator) for l in self.lower)
+        return scale, weights, eps, lower
 
 
 @dataclass(frozen=True)
@@ -431,9 +437,22 @@ def check_point(
     y, z = _fracs(y_bar), _fracs(z_bar)
     if len(y) != inst.k or len(z) != inst.n:
         raise DimensionMismatch("point dimensions disagree with instance")
-    if any(v < 0 or v > 1 for v in z):
+    if any(v.numerator < 0 or v.numerator > v.denominator for v in z):
         raise DomainError("z outside the unit box")
     return y, z
+
+
+def scale_point(
+    y: Sequence[Fraction], z: Sequence[Fraction]
+) -> tuple[int, list[int], list[int]]:
+    """Common denominator p of a point (y, z), with both scaled by p:
+    ``(p, y, z)`` in integers."""
+    p = math.lcm(*(v.denominator for v in y), *(v.denominator for v in z))
+    return (
+        p,
+        [v.numerator * (p // v.denominator) for v in y],
+        [v.numerator * (p // v.denominator) for v in z],
+    )
 
 
 def complement(z: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -4,7 +4,8 @@ The mixing inequality of a chain of scenario indices with nonincreasing
 column values telescopes their differences; the starred form starts the
 chain at the column maximum and, together with the variable bounds, yields
 the full hull of the linking-free set.  Separation is one greedy vertex of
-the column oracle against the complemented variables.
+each column oracle against the complemented variables, all in integers on
+the instance's and the point's integer views.
 """
 
 from __future__ import annotations
@@ -21,17 +22,10 @@ from .core import (
     MixingInstance,
     RiskOutOfRange,
     check_point,
-    complement,
     parse_rational,
+    scale_point,
 )
-from .submodular import SetFunctionOracle, greedy_vertex, max_sum_oracle
-
-
-def column_oracle(inst: MixingInstance, j: int) -> SetFunctionOracle:
-    """Oracle z -> max(lower_j, max_i w[i][j] z_i) over indicator bitmasks."""
-    return max_sum_oracle(
-        [(w,) for w in inst.column(j)], (inst.lower[j],), Fraction(0), f"column-{j}"
-    )
+from .submodular import greedy_vertex, max_sum_oracle
 
 
 @dataclass(frozen=True)
@@ -70,18 +64,25 @@ def reduce_lower_bounds(
     A cut alpha.y + beta.z >= gamma on the reduced instance is valid for the
     original one as alpha.(y - lower) + beta.z >= gamma, i.e. with right-hand
     side gamma + alpha.lower.
+
+    The reduced instance is built once and kept on the instance, the way
+    ``aggregated.diagnose`` keeps its verdict, so its integer view and its
+    diagnosis are computed once however often the instance is separated.
     """
     shift = inst.lower
     if inst.lower_is_zero:
         return inst, shift
-    reduced = [
-        [max(Fraction(0), w - shift[j]) for j, w in enumerate(row)]
-        for row in inst.weights
-    ]
-    return (
-        MixingInstance(reduced, None, inst.epsilon, inst.probabilities),
-        shift,
-    )
+    cached = inst.__dict__.get("_reduced")
+    if cached is None:
+        reduced = [
+            [max(Fraction(0), w - shift[j]) for j, w in enumerate(row)]
+            for row in inst.weights
+        ]
+        cached = inst.__dict__["_reduced"] = (
+            MixingInstance(reduced, None, inst.epsilon, inst.probabilities),
+            shift,
+        )
+    return cached
 
 
 def quantile_lower_bounds(inst: MixingInstance, risk: Fraction) -> tuple[Fraction, ...]:
@@ -134,23 +135,35 @@ def separate_mixing(
 ) -> list[LinearCut]:
     """Most violated mixing cut per column at (y_bar, z_bar), greedy-exact.
 
-    The greedy vertex pi of each column oracle against the complemented point
-    gives the column's most violated inequality y_j >= lower_j + pi.(1 - z),
-    written y_j + pi.z >= lower_j + sum(pi); a column contributes nothing
-    exactly when its coordinate satisfies all of the column's mixing
-    inequalities.
+    The greedy vertex pi of each column oracle z -> max(lower_j, max_i
+    w[i][j] z_i) against the complemented point gives the column's most
+    violated inequality y_j >= lower_j + pi.(1 - z), written y_j + pi.z >=
+    lower_j + sum(pi); a column contributes nothing exactly when its
+    coordinate satisfies all of the column's mixing inequalities.
+
+    Everything runs in integers: the oracles on the instance scaled by its
+    common denominator D, the greedies against p * (1 - z) for the point's
+    common denominator p, and the test y_j >= lower_j + pi.(1 - z) times D
+    * p.  Only a violated column's cut is built, over D.
     """
     y, z = check_point(inst, y_bar, z_bar)
-    z_formal = complement(z)
+    p, y_p, z_p = scale_point(y, z)
+    slack = [p - v for v in z_p]  # p * (1 - z_i)
+    scale, weights, _, lower = inst.scaled
     cuts = []
     for j in range(inst.k):
-        pi = greedy_vertex(column_oracle(inst, j), z_formal).pi
-        rhs = inst.lower[j] + sum(pi, Fraction(0))
-        if y[j] + sum((p * v for p, v in zip(pi, z) if p), Fraction(0)) >= rhs:
+        oracle = max_sum_oracle(
+            [(row[j],) for row in weights], (lower[j],), 0, f"column-{j}"
+        )
+        pi = greedy_vertex(oracle, slack).pi
+        bound = lower[j] * p + sum(g * s for g, s in zip(pi, slack) if g)
+        if y_p[j] * scale >= bound:
             continue
         e_j = [Fraction(0)] * inst.k
         e_j[j] = Fraction(1)
-        cuts.append(LinearCut(e_j, pi, rhs, CutKind.MIX_STAR))
+        coeffs = [Fraction(g, scale) for g in pi]
+        rhs = Fraction(lower[j] + sum(pi), scale)
+        cuts.append(LinearCut(e_j, coeffs, rhs, CutKind.MIX_STAR))
     return cuts
 
 

@@ -1,7 +1,9 @@
 """Set-function oracles and greedy extreme points of their polymatroids.
 
 Subsets of the ground set are bitmasks.  Oracles memoize their values, which
-is safe because they are pure; all operations here are reentrant.
+is safe because they are pure; all operations here are reentrant.  Nothing
+here fixes the number type: oracles built on integers yield integer values
+and vertices, oracles built on ``Fraction`` s yield ``Fraction`` s.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Callable, Iterable, Sequence, Union
 from .core import DimensionMismatch
 
 SubsetLike = Union[int, Iterable[int]]
+Exact = Union[int, Fraction]
 
 
 def as_mask(subset: SubsetLike) -> int:
@@ -25,16 +28,16 @@ def as_mask(subset: SubsetLike) -> int:
 
 
 class SetFunctionOracle:
-    """A pure function from subsets of the ground set to exact rationals."""
+    """A pure function from subsets of the ground set to exact numbers."""
 
-    def __init__(self, ground_size: int, func: Callable[[int], Fraction], name: str = ""):
+    def __init__(self, ground_size: int, func: Callable[[int], Exact], name: str = ""):
         self.ground_size = ground_size
         self._func = func
-        self._memo: dict[int, Fraction] = {}
+        self._memo: dict[int, Exact] = {}
         self.name = name
 
-    def value(self, subset: SubsetLike) -> Fraction:
-        mask = as_mask(subset)
+    def value(self, subset: SubsetLike) -> Exact:
+        mask = subset if isinstance(subset, int) else as_mask(subset)
         cached = self._memo.get(mask)
         if cached is None:
             cached = self._memo[mask] = self._func(mask)
@@ -45,9 +48,9 @@ class SetFunctionOracle:
 
 
 def max_sum_oracle(
-    rows: Sequence[Sequence[Fraction]],
-    floors: Sequence[Fraction],
-    eps: Fraction,
+    rows: Sequence[Sequence[Exact]],
+    floors: Sequence[Exact],
+    eps: Exact,
     name: str = "",
 ) -> SetFunctionOracle:
     """Oracle S -> max(eps, sum_j max(floor_j, max_{i in S} rows[i][j])).
@@ -60,7 +63,7 @@ def max_sum_oracle(
     floors = tuple(floors)
     last = (0, floors)  # one tuple, so a reader never mixes two evaluations
 
-    def value(mask: int) -> Fraction:
+    def value(mask: int) -> Exact:
         nonlocal last
         seen, best = last
         if mask & seen == seen:
@@ -75,7 +78,7 @@ def max_sum_oracle(
                 if v > best[j]:
                     best[j] = v
         last = (mask, tuple(best))
-        total = sum(best, Fraction(0))
+        total = sum(best)
         return total if total > eps else eps
 
     return SetFunctionOracle(len(rows), value, name=name)
@@ -85,12 +88,12 @@ def max_sum_oracle(
 class PolymatroidVertex:
     """Greedy extreme point: pi[sigma(t)] telescopes the oracle's gains."""
 
-    pi: tuple[Fraction, ...]
+    pi: tuple[Exact, ...]
     permutation: tuple[int, ...]
 
 
 def greedy_vertex(
-    f: SetFunctionOracle, objective: Sequence[Fraction]
+    f: SetFunctionOracle, objective: Sequence[Exact]
 ) -> PolymatroidVertex:
     """Maximize objective . pi over the extended polymatroid of f - f({}).
 
@@ -101,8 +104,9 @@ def greedy_vertex(
     n = f.ground_size
     if len(objective) != n:
         raise DimensionMismatch(f"objective has length {len(objective)}, expected {n}")
-    order = sorted(range(n), key=lambda i: (-objective[i], i))
-    pi = [Fraction(0)] * n
+    # A stable sort keeps equal values in index order, also when reversed.
+    order = sorted(range(n), key=objective.__getitem__, reverse=True)
+    pi = [0] * n  # every entry is set below, to a difference of oracle values
     mask = 0
     prev = f.value(0)
     for i in order:

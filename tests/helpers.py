@@ -1,9 +1,10 @@
 """Helpers that only the tests use: canonical cuts, the brute-force
 submodularity check, weighted oracle combinations, the linking-dominance
-test of one sequence, polymatroid separation and the mixing separation
-built on it, and the ``Fraction`` closure-check oracle (membership
-LP, projection and basis enumeration as they were before the integer
-kernel)."""
+test of one sequence, the ``Fraction`` column and linking oracles,
+polymatroid separation and the mixing separation built on it, the
+``Fraction`` greedy separation of the aggregated family, and the
+``Fraction`` closure-check oracle (membership LP, projection and basis
+enumeration as they were before the integer kernel)."""
 
 import itertools
 import math
@@ -19,11 +20,13 @@ from mixcuts import (
     LinearCut,
     LowerBoundsNotReduced,
     MixingInstance,
+    PolymatroidVertex,
     SequenceTheta,
-    column_oracle,
+    aggregated_cut,
     complement,
     greedy_vertex,
     l_theta,
+    max_sum_oracle,
     parse_rational,
 )
 from mixcuts.submodular import SetFunctionOracle
@@ -55,6 +58,20 @@ def dominates_linking(inst: MixingInstance, theta: SequenceTheta) -> bool:
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds first")
     return inst.epsilon <= l_theta(inst, theta)
+
+
+def column_oracle(inst: MixingInstance, j: int) -> SetFunctionOracle:
+    """Oracle z -> max(lower_j, max_i w[i][j] z_i) over indicator bitmasks."""
+    return max_sum_oracle(
+        [(w,) for w in inst.column(j)], (inst.lower[j],), Fraction(0), f"column-{j}"
+    )
+
+
+def linking_oracle(inst: MixingInstance) -> SetFunctionOracle:
+    """Oracle z -> max(epsilon, sum_j column_max_j(z)) over indicator bitmasks."""
+    if not inst.lower_is_zero:
+        raise LowerBoundsNotReduced("linking oracle requires zero lower bounds")
+    return max_sum_oracle(inst.weights, inst.lower, inst.epsilon, "linking")
 
 
 def is_submodular(f: SetFunctionOracle) -> bool:
@@ -152,6 +169,42 @@ def round_trip_mixing(
             LinearCut(e_j, pi, inst.lower[j] + sum(pi, Fraction(0)), CutKind.MIX_STAR)
         )
     return cuts
+
+
+def fraction_greedy_vertex(
+    f: SetFunctionOracle, objective: Sequence[Fraction]
+) -> PolymatroidVertex:
+    """The greedy vertex in ``Fraction`` with its own order, independent of
+    the library's: objective descending, ties by ascending index."""
+    n = f.ground_size
+    order = sorted(range(n), key=lambda i: (-objective[i], i))
+    pi = [Fraction(0)] * n
+    mask = 0
+    prev = f.value(0)
+    for i in order:
+        mask |= 1 << i
+        cur = f.value(mask)
+        pi[i] = cur - prev
+        prev = cur
+    return PolymatroidVertex(tuple(pi), tuple(order))
+
+
+def fraction_greedy_aggregated(
+    inst: MixingInstance, y_bar: Sequence[Fraction], z_bar: Sequence[Fraction]
+) -> Optional[LinearCut]:
+    """The greedy branch of aggregated separation in ``Fraction``: the
+    linking oracle's greedy vertex against 1 - z, its support latest first
+    as the sequence, and that sequence's cut when the point violates it.
+    Exact over the family when ``diagnose(inst).g_submodular``."""
+    y = [parse_rational(v) for v in y_bar]
+    z = [parse_rational(v) for v in z_bar]
+    vertex = fraction_greedy_vertex(linking_oracle(inst), complement(z))
+    support = [i for i in range(inst.n) if vertex.pi[i] != 0]
+    if not support:
+        return None
+    order = {i: t for t, i in enumerate(vertex.permutation)}
+    cut = aggregated_cut(inst, SequenceTheta(sorted(support, key=lambda i: -order[i])))
+    return cut if cut.violation(y, z) > 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from mixcuts import (
     generalized_cut,
     greedy_vertex,
     hull_with_bounds,
-    linking_oracle,
     mix_star_cuts,
     quantile_lower_bounds,
     sequences,
@@ -31,7 +30,6 @@ from mixcuts import (
     v_representation,
     witness,
 )
-from mixcuts.mixing import column_oracle
 
 from conftest import (
     random_insufficient_instance,
@@ -40,7 +38,7 @@ from conftest import (
     random_twosided,
     random_weights,
 )
-from helpers import is_submodular
+from helpers import column_oracle, is_submodular, linking_oracle
 
 PAPER_AMIX_CUTS = [
     LinearCut((1, 1), (1, 1, 8, 0, 0), 17),

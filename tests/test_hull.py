@@ -14,7 +14,6 @@ from mixcuts import (
     diagnose,
     hull_cut_family,
     l_theta,
-    linking_oracle,
     membership,
     sequences,
     v_representation,
@@ -28,7 +27,7 @@ from mixcuts.hull import (
 )
 
 from conftest import random_instance, random_sufficient_instance
-from helpers import is_submodular
+from helpers import column_oracle, is_submodular, linking_oracle
 
 
 def test_diagnose_example1(example1):
@@ -147,8 +146,6 @@ def test_greedy_vertices_all_linking_when_every_row_low():
 def test_weak_independence_identity(example1):
     # min of alpha . y over the hull at fixed binary z equals
     # alpha_min * g + sum (alpha_j - alpha_min) f_j when g is submodular
-    from mixcuts import column_oracle
-
     rng = random.Random(21)
     vrep = v_representation(example1)
     by_z = {}

@@ -11,7 +11,6 @@ from mixcuts import (
     MixingSequence,
     RiskOutOfRange,
     all_mixing_cuts,
-    column_oracle,
     mix_star_cuts,
     mixing_cut,
     quantile_lower_bounds,
@@ -21,7 +20,7 @@ from mixcuts import (
 from mixcuts.hull import cut_matrix, project_to_cut_polyhedron
 
 from conftest import random_weights
-from helpers import is_submodular
+from helpers import column_oracle, is_submodular
 
 
 def floor_point(inst, z_mask):

@@ -11,11 +11,12 @@ import pytest
 
 from mixcuts import (
     MixingInstance,
-    column_oracle,
     diagnose,
-    linking_oracle,
+    load_instance,
     loads_instance,
     max_sum_oracle,
+    reduce_lower_bounds,
+    separate,
     separate_mixing,
     serialize_instance,
 )
@@ -23,6 +24,7 @@ from mixcuts import aggregated
 from mixcuts.cli import main
 
 from conftest import fixture_path
+from helpers import column_oracle, linking_oracle
 
 VALUES = (0, Fraction(1, 2), 1, 2, 3)  # few values, so ties are common
 
@@ -179,7 +181,7 @@ def test_diagnosis_and_integer_view_are_kept_on_the_instance(example1):
     d = diagnose(inst)
     assert diagnose(inst) is d
     assert inst.scaled is inst.scaled
-    assert inst.scaled == (12, ((12, 6), (8, 36)), 15)
+    assert inst.scaled == (12, ((12, 6), (8, 36)), 15, (0, 0))
     fresh = loads_instance(text)
     assert inst == fresh and fresh == inst
     assert (hash(inst), repr(inst)) == before == (hash(fresh), repr(fresh))
@@ -211,3 +213,20 @@ def test_cuts_carry_no_dict_and_share_one_zero(example1):
     zeros = {id(c) for cut in cuts for c in cut.y_coeffs + cut.z_coeffs if c == 0}
     assert len(zeros) == 1
     assert not hasattr(cuts[0], "__dict__")
+
+
+def test_separation_keeps_the_reduced_instance_and_diagnoses_once(monkeypatch):
+    calls = []
+    body = aggregated._diagnosis
+
+    def counted(inst):
+        calls.append(inst)
+        return body(inst)
+
+    monkeypatch.setattr(aggregated, "_diagnosis", counted)
+    inst = load_instance(fixture_path("example1_lifted.json"))
+    found = [separate(inst, [9, 9], ["1/2"] * 5) for _ in range(5)]
+    assert len(calls) == 1
+    assert all(f == found[0] for f in found)
+    reduced, shift = reduce_lower_bounds(inst)
+    assert reduce_lower_bounds(inst)[0] is reduced and shift == inst.lower

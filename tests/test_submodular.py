@@ -7,16 +7,20 @@ import pytest
 from mixcuts import (
     DomainError,
     GroundSetTooLarge,
-    column_oracle,
     greedy_vertex,
-    linking_oracle,
     membership,
 )
 from mixcuts.submodular import SetFunctionOracle
 from mixcuts.vertices import VRepresentation
 
 from conftest import random_sufficient_instance
-from helpers import is_submodular, separate_polymatroid, weighted_combination
+from helpers import (
+    column_oracle,
+    is_submodular,
+    linking_oracle,
+    separate_polymatroid,
+    weighted_combination,
+)
 
 
 def tabulate(ground_size, values):
