@@ -232,21 +232,6 @@ def walk(
     at its column maximum and epsilon <= L) and skips each subtree whose L
     fell below epsilon.  The walk keeps one frame per depth level.
     """
-    scaled = None
-    if point is not None:
-        scaled = scale_point(*([Fraction(v) for v in part] for part in point))
-    return _walk(inst, ground, max_length, starred, scaled)
-
-
-def _walk(
-    inst: MixingInstance,
-    ground: Sequence[int],
-    max_length: Optional[int],
-    starred: bool,
-    point: Optional[tuple[int, Sequence[int], Sequence[int]]],
-) -> Iterator[Node]:
-    """The body of :func:`walk`, with the point scaled to integers as
-    ``core.scale_point`` does."""
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds before aggregating")
     scale, weights, eps, _ = inst.scaled
@@ -259,7 +244,8 @@ def _walk(
         slack = at_one = [0] * inst.n
         base = 0
     else:
-        p, y_p, at_one = point  # at_one[i] = p * z_i
+        y, z = ([Fraction(v) for v in part] for part in point)
+        p, y_p, at_one = scale_point(y, z)  # at_one[i] = p * z_i
         slack = [p - v for v in at_one]  # p * (1 - z_i)
         base = scale * sum(y_p)
     # Frame: (theta, heads, chains, l, acc, remaining candidates).
@@ -408,7 +394,7 @@ def separate_aggregated(
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds first")
     y, z = check_point(inst, y_bar, z_bar)
-    point = p, y_p, z_p = scale_point(y, z)
+    p, y_p, z_p = scale_point(y, z)
     scale, weights, eps, _ = inst.scaled
     y_total = sum(y_p)  # p * sum(y)
     if y_total * scale < eps * p:
@@ -452,7 +438,7 @@ def separate_aggregated(
             f"{SEPARATION_SEQUENCE_BOUND} sequences"
         )
     best: Optional[Node] = None
-    for node in _walk(inst, ground, None, False, point):
+    for node in walk(inst, ground, point=(y, z)):
         theta, _, _, gap = node
         if gap > 0 and (
             best is None or gap > best[3] or (gap == best[3] and theta < best[0])

@@ -64,25 +64,18 @@ def reduce_lower_bounds(
     A cut alpha.y + beta.z >= gamma on the reduced instance is valid for the
     original one as alpha.(y - lower) + beta.z >= gamma, i.e. with right-hand
     side gamma + alpha.lower.
-
-    The reduced instance is built once and kept on the instance, the way
-    ``aggregated.diagnose`` keeps its verdict, so its integer view and its
-    diagnosis are computed once however often the instance is separated.
     """
     shift = inst.lower
     if inst.lower_is_zero:
         return inst, shift
-    cached = inst.__dict__.get("_reduced")
-    if cached is None:
-        reduced = [
-            [max(Fraction(0), w - shift[j]) for j, w in enumerate(row)]
-            for row in inst.weights
-        ]
-        cached = inst.__dict__["_reduced"] = (
-            MixingInstance(reduced, None, inst.epsilon, inst.probabilities),
-            shift,
-        )
-    return cached
+    reduced = [
+        [max(Fraction(0), w - shift[j]) for j, w in enumerate(row)]
+        for row in inst.weights
+    ]
+    return (
+        MixingInstance(reduced, None, inst.epsilon, inst.probabilities),
+        shift,
+    )
 
 
 def quantile_lower_bounds(inst: MixingInstance, risk: Fraction) -> tuple[Fraction, ...]:

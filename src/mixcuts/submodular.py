@@ -37,7 +37,7 @@ class SetFunctionOracle:
         self.name = name
 
     def value(self, subset: SubsetLike) -> Exact:
-        mask = subset if isinstance(subset, int) else as_mask(subset)
+        mask = as_mask(subset)
         cached = self._memo.get(mask)
         if cached is None:
             cached = self._memo[mask] = self._func(mask)

@@ -12,11 +12,8 @@ import pytest
 from mixcuts import (
     MixingInstance,
     diagnose,
-    load_instance,
     loads_instance,
     max_sum_oracle,
-    reduce_lower_bounds,
-    separate,
     separate_mixing,
     serialize_instance,
 )
@@ -213,20 +210,3 @@ def test_cuts_carry_no_dict_and_share_one_zero(example1):
     zeros = {id(c) for cut in cuts for c in cut.y_coeffs + cut.z_coeffs if c == 0}
     assert len(zeros) == 1
     assert not hasattr(cuts[0], "__dict__")
-
-
-def test_separation_keeps_the_reduced_instance_and_diagnoses_once(monkeypatch):
-    calls = []
-    body = aggregated._diagnosis
-
-    def counted(inst):
-        calls.append(inst)
-        return body(inst)
-
-    monkeypatch.setattr(aggregated, "_diagnosis", counted)
-    inst = load_instance(fixture_path("example1_lifted.json"))
-    found = [separate(inst, [9, 9], ["1/2"] * 5) for _ in range(5)]
-    assert len(calls) == 1
-    assert all(f == found[0] for f in found)
-    reduced, shift = reduce_lower_bounds(inst)
-    assert reduce_lower_bounds(inst)[0] is reduced and shift == inst.lower
