@@ -34,21 +34,16 @@ from .submodular import (
     max_sum_oracle,
 )
 from .mixing import (
-    MixingSequence,
     all_mixing_cuts,
     mix_star_cuts,
-    mixing_cut,
     quantile_lower_bounds,
     reduce_lower_bounds,
     separate_mixing,
 )
 from .aggregated import (
     HullDiagnosis,
-    SubsequenceDecomposition,
     aggregated_cut,
-    decompose,
     diagnose,
-    l_theta,
     separate,
     separate_aggregated,
     sequences,

@@ -14,7 +14,10 @@ new first index joins the chain of every column whose head it reaches, and
 its own term, the sum of columnwise minima against the old heads, can only
 lower L.  Each node costs O(k) integer operations on the instance scaled by
 one common denominator.  Because prepending never raises L, a subtree whose
-L has fallen below epsilon holds no starred cut and is skipped whole.
+L has fallen below epsilon holds no starred cut and is skipped whole.  The
+prepend step is the only place chains and L are computed: :func:`fold` runs
+it over one given sequence, for :func:`aggregated_cut` and the greedy
+separation.
 
 The linking oracle z -> max(epsilon, sum_j column_max_j(z)) decides how the
 family is separated: when it is submodular (:func:`diagnose` reads this off
@@ -45,59 +48,6 @@ from .mixing import reduce_lower_bounds, separate_mixing
 from .submodular import greedy_vertex, max_sum_oracle
 
 SEPARATION_SEQUENCE_BOUND = 2_000_000
-
-
-@dataclass(frozen=True)
-class SubsequenceDecomposition:
-    """Per-column suffix-maxima subsequences of one sequence."""
-
-    theta: SequenceTheta
-    per_column: tuple[tuple[int, ...], ...]
-
-
-def decompose(inst: MixingInstance, theta: SequenceTheta) -> SubsequenceDecomposition:
-    """Single right-to-left scan per column keeping the running suffix max.
-
-    An index stays if its column value is >= every value appearing after it
-    in the sequence; the last element always stays.
-    """
-    theta.validate_for(inst.n)
-    per_column = []
-    for j in range(inst.k):
-        col = inst.column(j)
-        suffix_max = Fraction(0)
-        kept: list[int] = []
-        for i in reversed(theta.indices):
-            if col[i] >= suffix_max:
-                kept.append(i)
-            if col[i] > suffix_max:
-                suffix_max = col[i]
-        per_column.append(tuple(reversed(kept)))
-    return SubsequenceDecomposition(theta, tuple(per_column))
-
-
-def l_theta(inst: MixingInstance, theta: SequenceTheta) -> Fraction:
-    """Aggregation constant of a sequence.
-
-    Position t contributes sum_j min(w[i_t][j], best value after t in column
-    j); the last position has nothing after it and contributes its full row
-    sum.
-    """
-    theta.validate_for(inst.n)
-    idx = theta.indices
-    best = inst.row_sum(idx[-1])
-    suffix_max = [inst.weights[idx[-1]][j] for j in range(inst.k)]
-    for t in range(len(idx) - 2, -1, -1):
-        row = inst.weights[idx[t]]
-        term = sum(
-            (min(row[j], suffix_max[j]) for j in range(inst.k)), Fraction(0)
-        )
-        if term < best:
-            best = term
-        for j in range(inst.k):
-            if row[j] > suffix_max[j]:
-                suffix_max[j] = row[j]
-    return best
 
 
 def _chain_sum_cut(
@@ -139,9 +89,9 @@ def aggregated_cut(inst: MixingInstance, theta: SequenceTheta) -> LinearCut:
     """
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds before aggregating")
-    chains = decompose(inst, theta).per_column
-    cap = min(inst.epsilon, l_theta(inst, theta)) * inst.scaled[0]
-    return _chain_sum_cut(inst, chains, theta.last, cap.numerator)
+    theta.validate_for(inst.n)
+    _, chains, l, _ = fold(inst, theta.indices)
+    return _chain_sum_cut(inst, chains, theta.last, min(inst.scaled[2], l))
 
 
 def sequences(
@@ -203,6 +153,22 @@ def _prepend(
     return new_heads, new_chains, l, acc + gain * slack
 
 
+def fold(
+    inst: MixingInstance,
+    theta: Sequence[int],
+    slack: Optional[Sequence[int]] = None,
+) -> tuple[list[int], list[tuple[int, ...]], int, int]:
+    """The heads, chains, scaled L and acc of a nonempty sequence, as
+    :func:`_prepend` builds them from its indices, last index first, on
+    ``inst.scaled``; ``slack`` gives p * (1 - z_i) per index (0 without
+    one)."""
+    weights = inst.scaled[1]
+    node = [0] * inst.k, [()] * inst.k, None, 0
+    for i in reversed(theta):
+        node = _prepend(i, weights[i], *node, 0 if slack is None else slack[i])
+    return node  # type: ignore[return-value]
+
+
 def _gap(acc: int, l: int, eps: int, tail: int, base: int) -> int:
     """Scaled violation of a sequence's cut: ``acc`` and L as kept by
     :func:`_prepend`, ``tail`` = p * z of its last index and ``base`` = D *
@@ -221,9 +187,9 @@ def walk(
     """Every sequence of distinct indices from ``ground``, depth first by
     prepending, as ``(theta, chains, l, gap)``.
 
-    ``chains`` equals ``decompose(inst, theta).per_column`` and ``l`` equals
-    ``D * l_theta(inst, theta)`` for the common denominator D of
-    ``inst.scaled``.  With a point (y, z), ``gap`` is the violation of
+    ``chains`` and ``l`` are the per-column chains and D * L(Theta) for the
+    common denominator D of ``inst.scaled``, as :func:`fold` gives them.
+    With a point (y, z), ``gap`` is the violation of
     ``aggregated_cut(inst, theta)`` at it times D times the common
     denominator of the point, so it is positive exactly when the cut is
     violated and orders sequences by violation; without one it is 0.
@@ -407,16 +373,13 @@ def separate_aggregated(
     if diagnose(inst).g_submodular:
         g = max_sum_oracle(weights, [0] * inst.k, eps, "linking")
         vertex = greedy_vertex(g, slack)
-        support = [i for i in vertex.permutation if vertex.pi[i]]
-        if not support:
+        theta = [i for i in reversed(vertex.permutation) if vertex.pi[i]]
+        if not theta:
             return None  # only the linking constraint itself, already satisfied
-        node = [0] * inst.k, [()] * inst.k, None, 0
-        for i in support:  # prepending in greedy order puts support[0] last
-            node = _prepend(i, weights[i], *node, slack[i])
-        _, chains, l, acc = node
-        if _gap(acc, l, eps, z_p[support[0]], scale * y_total) <= 0:
+        _, chains, l, acc = fold(inst, theta, slack)
+        if _gap(acc, l, eps, z_p[theta[-1]], scale * y_total) <= 0:
             return None
-        return _chain_sum_cut(inst, chains, support[0], min(eps, l))
+        return _chain_sum_cut(inst, chains, theta[-1], min(eps, l))
 
     # The restriction to indices below 1 is exact for points satisfying the
     # big-M rows (a sequence touching an index at 1 is dominated by the

@@ -25,9 +25,11 @@ from .core import (
     MixcutsError,
     MixingInstance,
     SequenceTheta,
+    ValidationError,
     format_rational,
     load_instance,
     loads_point,
+    parse_rational,
     read_text,
     serialize_instance,
 )
@@ -84,6 +86,10 @@ def cmd_separate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    counts = {"--samples": args.samples, "--max-chains": args.max_chains}
+    for option, value in counts.items():
+        if value < 1:
+            raise ValidationError(f"{option} must be at least 1, got {value}")
     reduced = _reduced_instance(args.instance)
 
     if args.mode == "sufficiency":
@@ -131,8 +137,7 @@ def cmd_quantile(args) -> int:
     if inst.probabilities is None:
         print("error: instance has no scenario probabilities", file=sys.stderr)
         return EXIT_INVALID
-    risk = Fraction(args.risk)
-    bounds = mixing.quantile_lower_bounds(inst, risk)
+    bounds = mixing.quantile_lower_bounds(inst, parse_rational(args.risk))
     print("l = (" + ", ".join(format_rational(v) for v in bounds) + ")")
     lifted = MixingInstance(
         inst.weights, bounds, inst.epsilon, inst.probabilities

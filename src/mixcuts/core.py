@@ -112,7 +112,10 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _fracs(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+def _fracs(values: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+    """A list or tuple of rationals; anything else is a :class:`ParseError`."""
+    if not isinstance(values, (list, tuple)):
+        raise ParseError(f"not a list of rationals: {values!r}")
     return tuple(parse_rational(v) for v in values)
 
 

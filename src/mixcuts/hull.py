@@ -57,14 +57,12 @@ def hull_cut_family(
     candidates += starred_cuts(inst, outside, max_length)
     if inst.epsilon > 0:
         candidates.append(linking_cut(inst))
-    cuts: list[LinearCut] = []
-    seen = set()
+    # Every cut's largest y coefficient is 1, so equal canonical forms are
+    # equal coefficient by coefficient; the first cut of each is kept.
+    unique: dict[tuple, LinearCut] = {}
     for cut in candidates:
-        key = cut.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            cuts.append(cut)
-    return cuts
+        unique.setdefault((cut.y_coeffs, cut.z_coeffs, cut.rhs), cut)
+    return list(unique.values())
 
 
 class CutMatrix(NamedTuple):

@@ -5,19 +5,19 @@ column values telescopes their differences; the starred form starts the
 chain at the column maximum and, together with the variable bounds, yields
 the full hull of the linking-free set.  Separation is one greedy vertex of
 each column oracle against the complemented variables, all in integers on
-the instance's and the point's integer views.
+the instance's and the point's integer views.  One builder writes every
+mixing cut from its chain: the enumerated chains of a column and the
+support of a violated greedy vertex alike.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     CutKind,
-    InvalidSequence,
     LinearCut,
     MixingInstance,
     RiskOutOfRange,
@@ -26,34 +26,6 @@ from .core import (
     scale_point,
 )
 from .submodular import greedy_vertex, max_sum_oracle
-
-
-@dataclass(frozen=True)
-class MixingSequence:
-    """Chain of scenario indices with nonincreasing values in one column."""
-
-    j: int
-    indices: tuple[int, ...]
-
-    def __init__(self, j: int, indices: Iterable[int]):
-        object.__setattr__(self, "j", int(j))
-        object.__setattr__(self, "indices", tuple(int(i) for i in indices))
-        if not self.indices:
-            raise InvalidSequence("mixing sequence must be nonempty")
-
-    def validate_for(self, inst: MixingInstance) -> None:
-        if not 0 <= self.j < inst.k:
-            raise InvalidSequence(f"column {self.j} out of range")
-        if any(not 0 <= i < inst.n for i in self.indices):
-            raise InvalidSequence(f"sequence {self.indices} exceeds ground set")
-        col = inst.column(self.j)
-        values = [col[i] for i in self.indices]
-        if any(a < b for a, b in zip(values, values[1:])):
-            raise InvalidSequence(f"column {self.j} values not nonincreasing: {values}")
-        if values[-1] < inst.lower[self.j]:
-            raise InvalidSequence(
-                f"chain tail {values[-1]} below column lower bound {inst.lower[self.j]}"
-            )
 
 
 def reduce_lower_bounds(
@@ -106,19 +78,27 @@ def quantile_lower_bounds(inst: MixingInstance, risk: Fraction) -> tuple[Fractio
     return tuple(bounds)
 
 
-def mixing_cut(inst: MixingInstance, seq: MixingSequence) -> LinearCut:
-    """Telescoped chain inequality for one column; starred when the chain
-    head attains the column maximum."""
-    seq.validate_for(inst)
-    col = inst.column(seq.j)
-    coeffs = [Fraction(0)] * inst.n
-    values = [col[i] for i in seq.indices] + [inst.lower[seq.j]]
-    for s, i in enumerate(seq.indices):
-        coeffs[i] += values[s] - values[s + 1]
+def _column_cut(inst: MixingInstance, j: int, chain: Sequence[int]) -> LinearCut:
+    """Telescoped inequality of a chain of column j with nonincreasing values
+    down to lower_j, in integers on ``inst.scaled``: y_j plus each member's
+    drop to the next (the last one's to lower_j) times its z is at least the
+    head.  Starred when the head reaches the column maximum; the empty chain
+    gives y_j >= lower_j."""
+    scale, weights, _, lower = inst.scaled
+    coeffs = [0] * inst.n
+    head = lower[j]
+    for i in reversed(chain):
+        coeffs[i] = weights[i][j] - head
+        head = weights[i][j]
     y = [Fraction(0)] * inst.k
-    y[seq.j] = Fraction(1)
-    kind = CutKind.MIX_STAR if values[0] == inst.column_max(seq.j) else CutKind.MIX
-    return LinearCut(y, coeffs, values[0], kind)
+    y[j] = Fraction(1)
+    star = head >= max(row[j] for row in weights)
+    return LinearCut(
+        y,
+        [Fraction(c, scale) for c in coeffs],
+        Fraction(head, scale),
+        CutKind.MIX_STAR if star else CutKind.MIX,
+    )
 
 
 def separate_mixing(
@@ -148,15 +128,15 @@ def separate_mixing(
         oracle = max_sum_oracle(
             [(row[j],) for row in weights], (lower[j],), 0, f"column-{j}"
         )
-        pi = greedy_vertex(oracle, slack).pi
+        vertex = greedy_vertex(oracle, slack)
+        pi = vertex.pi
         bound = lower[j] * p + sum(g * s for g, s in zip(pi, slack) if g)
         if y_p[j] * scale >= bound:
             continue
-        e_j = [Fraction(0)] * inst.k
-        e_j[j] = Fraction(1)
-        coeffs = [Fraction(g, scale) for g in pi]
-        rhs = Fraction(lower[j] + sum(pi), scale)
-        cuts.append(LinearCut(e_j, coeffs, rhs, CutKind.MIX_STAR))
+        # The support in greedy order, reversed, is a chain headed at the
+        # column maximum whose telescoped drops are pi.
+        chain = [i for i in reversed(vertex.permutation) if pi[i]]
+        cuts.append(_column_cut(inst, j, chain))
     return cuts
 
 
@@ -164,7 +144,8 @@ def separate_mixing(
 # Cut family enumeration.  Distinct canonical chains are value-subsets of a
 # column (each represented by one attaining index): equal-value chain members
 # other than the last carry a zero coefficient, so only the representative
-# choice matters.
+# choice matters.  Chains are built nonincreasing and at or above lower_j, so
+# none is checked again.
 # ---------------------------------------------------------------------------
 
 
@@ -173,12 +154,11 @@ def _chain_cuts(
 ) -> list[LinearCut]:
     """Distinct mixing cuts of the first ``max_chains`` chains of a column;
     with ``star_only`` only chains headed at the column maximum."""
-    col = inst.column(j)
-    floor = inst.lower[j]
-    by_value: dict[Fraction, list[int]] = {}
-    for i, w in enumerate(col):
-        if w >= floor:
-            by_value.setdefault(w, []).append(i)
+    _, weights, _, lower = inst.scaled
+    by_value: dict[int, list[int]] = {}
+    for i, row in enumerate(weights):
+        if row[j] >= lower[j]:
+            by_value.setdefault(row[j], []).append(i)
     groups = [by_value[v] for v in sorted(by_value, reverse=True)]
     chains = (
         (head,) + tuple(i for i in pattern if i is not None)
@@ -188,17 +168,13 @@ def _chain_cuts(
             *[[None] + g for g in groups[start + 1 :]]  # type: ignore[list-item]
         )
     )
-    seen = set()
-    cuts = []
-    for count, chain in enumerate(chains, 1):
-        cut = mixing_cut(inst, MixingSequence(j, chain))
-        key = cut.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            cuts.append(cut)
-        if max_chains is not None and count >= max_chains:
-            break
-    return cuts
+    # Every cut reads y_j with coefficient 1, so equal canonical forms are
+    # equal coefficient by coefficient; the first cut of each is kept.
+    unique: dict[tuple, LinearCut] = {}
+    for chain in itertools.islice(chains, max_chains):
+        cut = _column_cut(inst, j, chain)
+        unique.setdefault((cut.z_coeffs, cut.rhs), cut)
+    return list(unique.values())
 
 
 def mix_star_cuts(inst: MixingInstance, j: int) -> list[LinearCut]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .aggregated import aggregated_cut, count_sequences, decompose, diagnose
+from .aggregated import aggregated_cut, count_sequences, diagnose, fold
 from .core import (
     ConditionViolated,
     CutKind,
@@ -85,6 +85,8 @@ def loads_twosided(text: str) -> TwoSidedData:
         ua = doc["u_a"]
     except KeyError as exc:
         raise ParseError(f"missing field: {exc}") from exc
+    if not isinstance(w, list) or not isinstance(v, list):
+        raise ParseError("w and v must be lists")
     n = doc.get("n")
     if n is not None and (len(w) != int(n) or len(v) != int(n)):
         raise DimensionMismatch("w/v length disagrees with declared n")
@@ -128,11 +130,10 @@ def generalized_cut(
     theta.validate_for(data.n)
     primed = aggregated_cut(inst, theta)
 
-    decomp = decompose(inst, theta)
     coeffs = [Fraction(0)] * data.n
     series = (data.w, data.v)
     rhs = Fraction(0)
-    for j, chain in enumerate(decomp.per_column):
+    for j, chain in enumerate(fold(inst, theta.indices)[1]):
         vals = [series[j][i] for i in chain] + [Fraction(0)]
         for s, i in enumerate(chain):
             coeffs[i] += vals[s] - vals[s + 1]

@@ -1,10 +1,18 @@
-"""Helpers that only the tests use: canonical cuts, the brute-force
-submodularity check, weighted oracle combinations, the linking-dominance
-test of one sequence, the ``Fraction`` column and linking oracles,
-polymatroid separation and the mixing separation built on it, the
-``Fraction`` greedy separation of the aggregated family, and the
-``Fraction`` closure-check oracle (membership LP, projection and basis
-enumeration as they were before the integer kernel)."""
+"""Helpers that only the tests use, among them the ``Fraction`` references
+that the library's integer code is compared against.
+
+- Canonical cuts, the brute-force submodularity check, weighted oracle
+  combinations and the linking-dominance test of one sequence.
+- The cut builders as the paper defines them: per-column suffix-maxima
+  chains, L(Theta), the mixing cut of one chain, the aggregated cut of one
+  sequence, and the chain loop of the mixing and hull families with
+  deduplication on canonical forms.
+- The ``Fraction`` column and linking oracles, polymatroid separation and
+  the mixing separation built on it, and the ``Fraction`` greedy separation
+  of the aggregated family.
+- The ``Fraction`` closure-check oracle: membership LP, projection and basis
+  enumeration as they were before the integer kernel.
+"""
 
 import itertools
 import math
@@ -15,6 +23,7 @@ from mixcuts import (
     CutKind,
     DimensionMismatch,
     InternalInvariant,
+    InvalidSequence,
     DomainError,
     GroundSetTooLarge,
     LinearCut,
@@ -22,12 +31,12 @@ from mixcuts import (
     MixingInstance,
     PolymatroidVertex,
     SequenceTheta,
-    aggregated_cut,
     complement,
+    diagnose,
     greedy_vertex,
-    l_theta,
     max_sum_oracle,
     parse_rational,
+    sequences,
 )
 from mixcuts.submodular import SetFunctionOracle
 from mixcuts.vertices import MembershipResult, SeparatingHyperplane, VRepresentation
@@ -50,6 +59,146 @@ def canonicalize(cut: LinearCut) -> LinearCut:
         Fraction(ints[-1]),
         cut.kind,
     )
+
+
+# ---------------------------------------------------------------------------
+# The Fraction reference for the cut builders.  Chains and L(Theta) follow
+# their definitions as suffix quantities of the whole sequence, and each cut
+# is built from them in Fractions; nothing here shares code with the
+# library's prepend step or its column builder.
+# ---------------------------------------------------------------------------
+
+
+def decompose(inst: MixingInstance, theta: SequenceTheta) -> tuple[tuple[int, ...], ...]:
+    """Per-column suffix-maxima subsequences of a sequence, by one
+    right-to-left scan per column: an index stays if its column value is >=
+    every value after it in the sequence; the last index always stays."""
+    theta.validate_for(inst.n)
+    per_column = []
+    for j in range(inst.k):
+        col = inst.column(j)
+        suffix_max = Fraction(0)
+        kept: list[int] = []
+        for i in reversed(theta.indices):
+            if col[i] >= suffix_max:
+                kept.append(i)
+            if col[i] > suffix_max:
+                suffix_max = col[i]
+        per_column.append(tuple(reversed(kept)))
+    return tuple(per_column)
+
+
+def l_theta(inst: MixingInstance, theta: SequenceTheta) -> Fraction:
+    """Aggregation constant of a sequence: the smallest over positions t of
+    sum_j min(w[i_t][j], best value after t in column j); the last position
+    has nothing after it and contributes its full row sum."""
+    theta.validate_for(inst.n)
+    idx = theta.indices
+    best = inst.row_sum(idx[-1])
+    suffix_max = list(inst.weights[idx[-1]])
+    for t in range(len(idx) - 2, -1, -1):
+        row = inst.weights[idx[t]]
+        term = sum((min(row[j], suffix_max[j]) for j in range(inst.k)), Fraction(0))
+        best = min(best, term)
+        suffix_max = [max(a, b) for a, b in zip(row, suffix_max)]
+    return best
+
+
+def mixing_cut(inst: MixingInstance, j: int, chain: Sequence[int]) -> LinearCut:
+    """Telescoped inequality of a nonempty chain of column j, checked to be
+    nonincreasing and at or above lower_j; starred when the chain head
+    attains the column maximum."""
+    chain = tuple(chain)
+    if not chain:
+        raise InvalidSequence("mixing chain must be nonempty")
+    if not 0 <= j < inst.k:
+        raise InvalidSequence(f"column {j} out of range")
+    if any(not 0 <= i < inst.n for i in chain):
+        raise InvalidSequence(f"chain {chain} exceeds ground set")
+    col = inst.column(j)
+    values = [col[i] for i in chain] + [inst.lower[j]]
+    if any(a < b for a, b in zip(values, values[1:])):
+        raise InvalidSequence(f"column {j} values not nonincreasing: {values}")
+    coeffs = [Fraction(0)] * inst.n
+    for s, i in enumerate(chain):
+        coeffs[i] += values[s] - values[s + 1]
+    y = [Fraction(0)] * inst.k
+    y[j] = Fraction(1)
+    kind = CutKind.MIX_STAR if values[0] == inst.column_max(j) else CutKind.MIX
+    return LinearCut(y, coeffs, values[0], kind)
+
+
+def fraction_aggregated_cut(inst: MixingInstance, theta: SequenceTheta) -> LinearCut:
+    """The per-column mixing cuts of the sequence's chains summed, minus
+    min(epsilon, L(Theta)) on its last index; starred when every chain head
+    attains its column maximum and epsilon <= L(Theta)."""
+    if not inst.lower_is_zero:
+        raise LowerBoundsNotReduced("reduce lower bounds before aggregating")
+    coeffs = [Fraction(0)] * inst.n
+    rhs = Fraction(0)
+    star = True
+    for j, chain in enumerate(decompose(inst, theta)):
+        cut = mixing_cut(inst, j, chain)
+        coeffs = [a + b for a, b in zip(coeffs, cut.z_coeffs)]
+        rhs += cut.rhs
+        star = star and cut.kind is CutKind.MIX_STAR
+    l = l_theta(inst, theta)
+    coeffs[theta.last] -= min(inst.epsilon, l)
+    kind = CutKind.AMIX_STAR if star and inst.epsilon <= l else CutKind.AMIX
+    return LinearCut([Fraction(1)] * inst.k, coeffs, rhs, kind)
+
+
+def dedup_canonical(cuts) -> list[LinearCut]:
+    """The cuts with each canonical form kept at its first occurrence."""
+    seen = set()
+    kept = []
+    for cut in cuts:
+        if cut.canonical_key() not in seen:
+            seen.add(cut.canonical_key())
+            kept.append(cut)
+    return kept
+
+
+def fraction_chain_cuts(
+    inst: MixingInstance, j: int, star_only: bool, max_chains: Optional[int] = None
+) -> list[LinearCut]:
+    """The mixing family of a column by the chain loop: chains of distinct
+    values at or above lower_j, one representative index per value, headed
+    by each index in turn from the largest value down (only the largest with
+    ``star_only``), the tail patterns in ``itertools.product`` order; the
+    first ``max_chains`` chains, deduplicated on canonical forms."""
+    col = inst.column(j)
+    values = sorted({w for w in col if w >= inst.lower[j]}, reverse=True)
+    groups = [[i for i, w in enumerate(col) if w == v] for v in values]
+    cuts = []
+    for start, head_group in enumerate(groups[:1] if star_only else groups):
+        for head in head_group:
+            options = [[None] + g for g in groups[start + 1 :]]
+            for pattern in itertools.product(*options):
+                if len(cuts) == max_chains:
+                    return dedup_canonical(cuts)
+                chain = (head,) + tuple(i for i in pattern if i is not None)
+                cuts.append(mixing_cut(inst, j, chain))
+    return dedup_canonical(cuts)
+
+
+def fraction_hull_cut_family(
+    inst: MixingInstance, max_length: Optional[int] = None
+) -> list[LinearCut]:
+    """Starred mixing cuts of every column, the starred aggregated cuts over
+    sequences avoiding the low rows in :func:`sequences` order, and the
+    linking row when epsilon > 0, deduplicated on canonical forms."""
+    outside = sorted(set(range(inst.n)) - diagnose(inst).i_bar)
+    candidates = [c for j in range(inst.k) for c in fraction_chain_cuts(inst, j, True)]
+    for theta in sequences(outside, max_length):
+        cut = fraction_aggregated_cut(inst, theta)
+        if cut.kind is CutKind.AMIX_STAR:
+            candidates.append(cut)
+    if inst.epsilon > 0:
+        candidates.append(
+            LinearCut([1] * inst.k, [0] * inst.n, inst.epsilon, CutKind.LINKING)
+        )
+    return dedup_canonical(candidates)
 
 
 def dominates_linking(inst: MixingInstance, theta: SequenceTheta) -> bool:
@@ -203,7 +352,8 @@ def fraction_greedy_aggregated(
     if not support:
         return None
     order = {i: t for t, i in enumerate(vertex.permutation)}
-    cut = aggregated_cut(inst, SequenceTheta(sorted(support, key=lambda i: -order[i])))
+    theta = SequenceTheta(sorted(support, key=lambda i: -order[i]))
+    cut = fraction_aggregated_cut(inst, theta)
     return cut if cut.violation(y, z) > 0 else None
 
 

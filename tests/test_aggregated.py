@@ -9,35 +9,30 @@ from mixcuts import (
     LinearCut,
     LowerBoundsNotReduced,
     MixingInstance,
-    MixingSequence,
     SequenceTheta,
     aggregated_cut,
     check_validity,
-    decompose,
-    l_theta,
-    mixing_cut,
     separate_aggregated,
     sequences,
 )
-from mixcuts.aggregated import count_sequences
+from mixcuts.aggregated import count_sequences, fold
 from mixcuts.core import complement
 from mixcuts.hull import diagnose, v_representation
 
 from conftest import random_weights
-from helpers import dominates_linking
+from helpers import decompose, dominates_linking, l_theta, mixing_cut
 
 THETA_213 = SequenceTheta((1, 0, 2))  # paper's {2 -> 1 -> 3}
 
 
 def test_decompose_example1(example1):
-    decomp = decompose(example1, THETA_213)
-    assert decomp.per_column[0] == (2,)
-    assert decomp.per_column[1] == (1, 0, 2)
+    assert decompose(example1, THETA_213) == ((2,), (1, 0, 2))
+    assert fold(example1, THETA_213.indices)[1] == [(2,), (1, 0, 2)]
 
 
 def test_decompose_singleton(example1):
-    decomp = decompose(example1, SequenceTheta((3,)))
-    assert decomp.per_column == ((3,), (3,))
+    assert decompose(example1, SequenceTheta((3,))) == ((3,), (3,))
+    assert fold(example1, (3,))[1] == [(3,), (3,)]
 
 
 def definitional_subsequence(inst, theta, j):
@@ -58,11 +53,12 @@ def test_decompose_matches_definition_randomly():
         size = rng.randint(1, n)
         theta = SequenceTheta(rng.sample(range(n), size))
         decomp = decompose(inst, theta)
+        assert list(decomp) == fold(inst, theta.indices)[1]
         for j in range(k):
-            assert decomp.per_column[j] == definitional_subsequence(inst, theta, j)
+            assert decomp[j] == definitional_subsequence(inst, theta, j)
             # the last element always closes the chain, values nonincreasing
-            assert decomp.per_column[j][-1] == theta.last
-            vals = [inst.weights[i][j] for i in decomp.per_column[j]]
+            assert decomp[j][-1] == theta.last
+            vals = [inst.weights[i][j] for i in decomp[j]]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
@@ -70,6 +66,8 @@ def test_l_theta_examples(example1):
     assert l_theta(example1, THETA_213) == 9
     assert l_theta(example1, SequenceTheta((1, 2))) == 8
     assert l_theta(example1, SequenceTheta((2,))) == example1.row_sum(2) == 15
+    # example1 has integer weights, so its scaled L is L itself
+    assert [fold(example1, t)[2] for t in ((1, 0, 2), (1, 2), (2,))] == [9, 8, 15]
 
 
 def test_aggregated_cut_examples(example1, example2):
@@ -119,11 +117,10 @@ def test_aggregated_dominates_summed_mixing():
         size = rng.randint(1, min(n, 4))
         theta = SequenceTheta(rng.sample(range(n), size))
         agg = aggregated_cut(inst, theta)
-        decomp = decompose(inst, theta)
         summed = [Fraction(0)] * n
         rhs = Fraction(0)
-        for j, chain in enumerate(decomp.per_column):
-            cut = mixing_cut(inst, MixingSequence(j, chain))
+        for j, chain in enumerate(decompose(inst, theta)):
+            cut = mixing_cut(inst, j, chain)
             for i in range(n):
                 summed[i] += cut.z_coeffs[i]
             rhs += cut.rhs

@@ -1,0 +1,67 @@
+"""One integer builder per cut family against the ``Fraction`` chain loop.
+
+The library builds mixing cuts with one integer column builder and
+aggregated cuts from the prepend step's chains and L(Theta), and
+deduplicates both families on their coefficients.  The reference in
+``helpers`` builds every cut in Fractions from the definitions and
+deduplicates on canonical forms.  On seeded instances with nonzero lower
+bounds, tied values, all-zero columns and fractional weights, both give the
+same cuts, kinds included, in the same order.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from mixcuts import (
+    MixingInstance,
+    aggregated_cut,
+    all_mixing_cuts,
+    hull_cut_family,
+    mix_star_cuts,
+    reduce_lower_bounds,
+    sequences,
+)
+
+from helpers import fraction_aggregated_cut, fraction_chain_cuts, fraction_hull_cut_family
+
+
+def random_case(rng: random.Random) -> MixingInstance:
+    n, k = rng.randint(1, 5), rng.randint(1, 3)
+    dens = rng.choice([(1,), (1, 2, 3)])
+
+    def value(top):
+        return Fraction(rng.randint(0, top), rng.choice(dens))
+
+    weights = [[value(4) for _ in range(k)] for _ in range(n)]
+    if rng.random() < 0.25:
+        zero = rng.randrange(k)
+        for row in weights:
+            row[zero] = Fraction(0)
+    lower = None if rng.random() < 0.25 else [value(3) for _ in range(k)]
+    return MixingInstance(weights, lower, value(8))
+
+
+def fields(cuts):
+    return [(c.kind, c.y_coeffs, c.z_coeffs, c.rhs) for c in cuts]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_builders_match_the_fraction_chain_loop(seed):
+    rng = random.Random(5000 + seed)
+    inst = random_case(rng)
+    for j in range(inst.k):
+        want = fraction_chain_cuts(inst, j, star_only=True)
+        assert fields(mix_star_cuts(inst, j)) == fields(want)
+        for max_chains in (None, 1, 2, 5):
+            want = fraction_chain_cuts(inst, j, False, max_chains)
+            assert fields(all_mixing_cuts(inst, j, max_chains)) == fields(want)
+
+    reduced, _ = reduce_lower_bounds(inst)
+    for depth in (None, 2):
+        want = fraction_hull_cut_family(reduced, depth)
+        assert fields(hull_cut_family(reduced, depth)) == fields(want)
+    for theta in sequences(range(reduced.n)):
+        want = fraction_aggregated_cut(reduced, theta)
+        assert fields([aggregated_cut(reduced, theta)]) == fields([want])

@@ -238,6 +238,17 @@ class File(str):
             ],
             2,
         ),
+        (["diagnose", '{"n": 1, "k": 1, "W": [["3"]], "lower": 5}'], 1),
+        (["diagnose", '{"n": 1, "k": 1, "W": [["3"]], "probabilities": 1}'], 1),
+        (["separate", fixture_path("example1.json"), {"y": 8, "z": ["0"] * 5}], 1),
+        (["separate", fixture_path("example1.json"), {"y": ["8", "8"], "z": "00000"}], 1),
+        (["twosided", {"w": 4, "v": ["1"], "u_a": "5"}], 1),
+        (["twosided", {"w": ["4"], "v": "1", "u_a": "5"}], 1),
+        (["quantile", fixture_path("example1_probs.json"), "--risk=1/0"], 1),
+        (["verify", fixture_path("example1.json"), "--samples=-1"], 2),
+        (["verify", fixture_path("example1.json"), "--samples=0"], 2),
+        (["verify", fixture_path("example1.json"), "--mode=validity", "--max-chains=0"], 2),
+        (["verify", fixture_path("example1.json"), "--mode=validity", "--max-chains=-5"], 2),
     ],
 )
 def test_exit_codes(capsys, tmp_path, argv, code):

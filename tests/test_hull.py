@@ -13,7 +13,6 @@ from mixcuts import (
     check_sufficiency,
     diagnose,
     hull_cut_family,
-    l_theta,
     membership,
     sequences,
     v_representation,
@@ -27,7 +26,7 @@ from mixcuts.hull import (
 )
 
 from conftest import random_instance, random_sufficient_instance
-from helpers import column_oracle, is_submodular, linking_oracle
+from helpers import column_oracle, is_submodular, l_theta, linking_oracle
 
 
 def test_diagnose_example1(example1):

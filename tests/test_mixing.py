@@ -8,19 +8,18 @@ from mixcuts import (
     InvalidSequence,
     LinearCut,
     MixingInstance,
-    MixingSequence,
     RiskOutOfRange,
     all_mixing_cuts,
     mix_star_cuts,
-    mixing_cut,
     quantile_lower_bounds,
     reduce_lower_bounds,
     separate_mixing,
 )
 from mixcuts.hull import cut_matrix, project_to_cut_polyhedron
+from mixcuts.mixing import _column_cut
 
 from conftest import random_weights
-from helpers import column_oracle, is_submodular
+from helpers import column_oracle, is_submodular, mixing_cut
 
 
 def floor_point(inst, z_mask):
@@ -141,25 +140,33 @@ def test_quantile_matches_brute_force():
         assert quantile_lower_bounds(inst, risk) == brute_quantile(inst, risk)
 
 
+def same_cut(a, b):
+    return (a.kind, a.y_coeffs, a.z_coeffs, a.rhs) == (b.kind, b.y_coeffs, b.z_coeffs, b.rhs)
+
+
 def test_mixing_cut_paper_facets(example1):
-    cut = mixing_cut(example1, MixingSequence(0, (2, 0, 1, 4, 3)))
+    cut = mixing_cut(example1, 0, (2, 0, 1, 4, 3))
     assert cut.y_coeffs == (1, 0)
     assert cut.z_coeffs == (2, 2, 5, 1, 3)
     assert cut.rhs == 13
-    cut2 = mixing_cut(example1, MixingSequence(1, (1, 3, 4)))
+    assert same_cut(_column_cut(example1, 0, (2, 0, 1, 4, 3)), cut)
+    cut2 = mixing_cut(example1, 1, (1, 3, 4))
     assert cut2.z_coeffs == (0, 2, 0, 1, 1)
     assert cut2.rhs == 4
+    assert same_cut(_column_cut(example1, 1, (1, 3, 4)), cut2)
 
 
 def test_mixing_cut_singleton_is_big_m_row(example1):
-    cut = mixing_cut(example1, MixingSequence(0, (2,)))
+    cut = mixing_cut(example1, 0, (2,))
     assert cut.z_coeffs == (0, 0, 13, 0, 0)
     assert cut.rhs == 13
+    assert same_cut(_column_cut(example1, 0, (2,)), cut)
+
 
 
 def test_mixing_cut_rejects_non_monotone(example1):
     with pytest.raises(InvalidSequence):
-        mixing_cut(example1, MixingSequence(0, (3, 2)))  # values 1 < 13
+        mixing_cut(example1, 0, (3, 2))  # values 1 < 13
 
 
 def test_separate_mixing_examples(example1):
@@ -261,7 +268,7 @@ def test_every_greedy_vertex_is_a_star_cut_and_back(example1):
                 cur = f.value(mask)
                 pi[i] = cur - prev
                 prev = cur
-            target = mixing_cut(example1, MixingSequence(j, chain))
+            target = mixing_cut(example1, j, chain)
             y = [Fraction(0)] * 2
             y[j] = Fraction(1)
             translated = LinearCut(y, pi, example1.lower[j] + sum(pi))

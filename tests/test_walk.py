@@ -1,7 +1,9 @@
-"""The prepend walker against the per-sequence path it replaces.
+"""The prepend walker and the builders on it against the ``Fraction``
+references in ``helpers``.
 
-The oracle is the plain loop over ``sequences()`` with ``aggregated_cut``,
-``decompose`` and ``l_theta`` evaluated afresh for every sequence.  Instances
+The references evaluate every sequence afresh: ``decompose``, ``l_theta``
+and ``fraction_aggregated_cut`` from their definitions, and the hull family
+by the per-sequence loop with deduplication on canonical forms.  Instances
 are seeded and small (n <= 6) and cover tied values, all-zero columns,
 fractional weights, epsilon = 0, epsilon at or above every row sum, and
 depth limits.
@@ -15,23 +17,25 @@ import pytest
 
 from mixcuts import (
     CutKind,
-    LinearCut,
     MixingInstance,
     SequenceTheta,
     aggregated_cut,
     certify_witness,
-    decompose,
     diagnose,
     hull_cut_family,
-    l_theta,
     separate_aggregated,
     sequences,
     witness,
 )
 from mixcuts.aggregated import walk
-from mixcuts.mixing import mix_star_cuts
 
 from conftest import random_insufficient_instance
+from helpers import (
+    decompose,
+    fraction_aggregated_cut,
+    fraction_hull_cut_family,
+    l_theta,
+)
 
 
 def random_case(rng: random.Random, n: int) -> MixingInstance:
@@ -78,38 +82,21 @@ def test_walk_matches_per_sequence_path_at_every_node(seed, n):
     visited = set()
     for theta, chains, l, gap in walk(inst, ground, depth, point=(y, z)):
         seq = SequenceTheta(theta)
-        assert chains == decompose(inst, seq).per_column
+        assert chains == decompose(inst, seq)
         assert l == scale * l_theta(inst, seq)
-        assert gap == scale * p * aggregated_cut(inst, seq).violation(y, z)
+        want = fraction_aggregated_cut(inst, seq)
+        assert gap == scale * p * want.violation(y, z)
+        got = aggregated_cut(inst, seq)
+        assert (got.kind, got.z_coeffs, got.rhs) == (want.kind, want.z_coeffs, want.rhs)
         visited.add(theta)
     assert visited == expected
 
     starred = {
         theta
         for theta in expected
-        if aggregated_cut(inst, SequenceTheta(theta)).kind is CutKind.AMIX_STAR
+        if fraction_aggregated_cut(inst, SequenceTheta(theta)).kind is CutKind.AMIX_STAR
     }
     assert {t for t, _, _, _ in walk(inst, ground, depth, starred=True)} == starred
-
-
-def reference_hull_family(inst: MixingInstance, max_length=None):
-    """The family as the per-sequence loop built it."""
-    outside = sorted(set(range(inst.n)) - diagnose(inst).i_bar)
-    candidates = [c for j in range(inst.k) for c in mix_star_cuts(inst, j)]
-    for theta in sequences(outside, max_length):
-        cut = aggregated_cut(inst, theta)
-        if cut.kind is CutKind.AMIX_STAR:
-            candidates.append(cut)
-    if inst.epsilon > 0:
-        candidates.append(
-            LinearCut([1] * inst.k, [0] * inst.n, inst.epsilon, CutKind.LINKING)
-        )
-    cuts, seen = [], set()
-    for cut in candidates:
-        if cut.canonical_key() not in seen:
-            seen.add(cut.canonical_key())
-            cuts.append(cut)
-    return cuts
 
 
 @pytest.mark.parametrize("seed,n", CASES)
@@ -118,7 +105,7 @@ def test_starred_family_identical_in_content_and_order(seed, n):
     inst = random_case(rng, n)
     for depth in (None, 1, 2):
         got = hull_cut_family(inst, depth)
-        want = reference_hull_family(inst, depth)
+        want = fraction_hull_cut_family(inst, depth)
         assert [(c.kind, c.y_coeffs, c.z_coeffs, c.rhs) for c in got] == [
             (c.kind, c.y_coeffs, c.z_coeffs, c.rhs) for c in want
         ]
@@ -126,7 +113,7 @@ def test_starred_family_identical_in_content_and_order(seed, n):
 
 def reference_aggregated_message(inst: MixingInstance, point) -> str:
     for theta in sequences(range(inst.n)):
-        cut = aggregated_cut(inst, theta)
+        cut = fraction_aggregated_cut(inst, theta)
         if not cut.satisfied_by(*point):
             return f"FAIL: aggregated cut violated for {theta.indices}: {cut}"
     return "ok: all aggregated cuts hold"
@@ -165,7 +152,7 @@ def reference_separation(inst: MixingInstance, y, z):
         ground = list(range(inst.n))
     best = None
     for theta in sequences(ground):
-        cut = aggregated_cut(inst, theta)
+        cut = fraction_aggregated_cut(inst, theta)
         gap = cut.violation(y, z)
         if gap > 0 and (
             best is None or gap > best[0] or (gap == best[0] and theta.indices < best[1])
