@@ -14,10 +14,11 @@ new first index joins the chain of every column whose head it reaches, and
 its own term, the sum of columnwise minima against the old heads, can only
 lower L.  Each node costs O(k) integer operations on the instance scaled by
 one common denominator.  Because prepending never raises L, a subtree whose
-L has fallen below epsilon holds no starred cut and is skipped whole.  The
-prepend step is the only place chains and L are computed: :func:`fold` runs
-it over one given sequence, for :func:`aggregated_cut` and the greedy
-separation.
+L has fallen below epsilon holds no starred cut and is skipped whole; so is
+a subtree under a prepend that raises no column head, whose starred cuts
+all come earlier from shorter sequences.  The prepend step is the only
+place chains and L are computed: :func:`fold` runs it over one given
+sequence, for :func:`aggregated_cut` and the greedy separation.
 
 The linking oracle z -> max(epsilon, sum_j column_max_j(z)) decides how the
 family is separated: when it is submodular (:func:`diagnose` reads this off
@@ -43,11 +44,46 @@ from .core import (
     ValidationError,
     check_point,
     scale_point,
+    unscale,
 )
 from .mixing import reduce_lower_bounds, separate_mixing
 from .submodular import greedy_vertex, max_sum_oracle
 
 SEPARATION_SEQUENCE_BOUND = 2_000_000
+
+
+def _chain_sum_row(
+    inst: MixingInstance,
+    chains: Sequence[tuple[int, ...]],
+    last: int,
+    cap: int,
+) -> tuple[list[int], int]:
+    """Summed per-column chains minus ``cap / D`` on the index ``last``, as
+    the z coefficients and right-hand side over the common denominator D of
+    ``inst.scaled`` (the y coefficients are all 1)."""
+    weights = inst.scaled[1]
+    coeffs = [0] * inst.n
+    rhs = 0
+    for j, chain in enumerate(chains):
+        values = [weights[i][j] for i in chain] + [0]
+        for s, i in enumerate(chain):
+            coeffs[i] += values[s] - values[s + 1]
+        rhs += values[0]
+    coeffs[last] -= cap
+    return coeffs, rhs
+
+
+def total_cut(
+    inst: MixingInstance, z: Sequence[int], rhs: int, kind: CutKind
+) -> LinearCut:
+    """The cut ``sum_j y_j + z . z >= rhs`` of an integer row over D."""
+    scale = inst.scaled[0]
+    return LinearCut(
+        [Fraction(1)] * inst.k,
+        unscale(z, scale),
+        Fraction(rhs, scale),
+        kind,
+    )
 
 
 def _chain_sum_cut(
@@ -56,29 +92,12 @@ def _chain_sum_cut(
     last: int,
     cap: int,
 ) -> LinearCut:
-    """Summed per-column chains minus ``cap / D`` on the index ``last``,
-    computed in integers on ``inst.scaled`` (common denominator D).
-
-    Starred when every chain head attains its column maximum and the cap is
-    epsilon.
-    """
-    scale, weights, eps, _ = inst.scaled
-    coeffs = [0] * inst.n
-    rhs = 0
-    star = cap == eps
-    for j, (chain, peak) in enumerate(zip(chains, map(max, zip(*weights)))):
-        values = [weights[i][j] for i in chain] + [0]
-        for s, i in enumerate(chain):
-            coeffs[i] += values[s] - values[s + 1]
-        rhs += values[0]
-        if values[0] != peak:
-            star = False
-    coeffs[last] -= cap
-    y = [Fraction(1)] * inst.k
-    kind = CutKind.AMIX_STAR if star else CutKind.AMIX
-    return LinearCut(
-        y, [Fraction(c, scale) for c in coeffs], Fraction(rhs, scale), kind
-    )
+    """The cut of :func:`_chain_sum_row`, starred when the cap is epsilon and
+    every chain head attains its column maximum (heads never exceed the
+    maxima, so exactly when the right-hand side is their sum)."""
+    z, rhs = _chain_sum_row(inst, chains, last, cap)
+    star = cap == inst.scaled[2] and rhs == sum(inst.peaks)
+    return total_cut(inst, z, rhs, CutKind.AMIX_STAR if star else CutKind.AMIX)
 
 
 def aggregated_cut(inst: MixingInstance, theta: SequenceTheta) -> LinearCut:
@@ -195,14 +214,28 @@ def walk(
     violated and orders sequences by violation; without one it is 0.
 
     ``starred`` yields only sequences whose cut is starred (every chain head
-    at its column maximum and epsilon <= L) and skips each subtree whose L
-    fell below epsilon.  The walk keeps one frame per depth level.
+    at its column maximum and epsilon <= L), and of those only the ones in
+    which every index before the last raises some column head above the
+    maximum after it.  It skips each subtree whose L fell below epsilon, and
+    each subtree under a prepend that raises no head, except at the root.
+    Skipping the latter loses no cut a starred family keeps.  Let i raise no
+    head when prepended to Theta, and let S be any prefix put in front of
+    (i, Theta).  Then S + (i, Theta) and S + Theta have the same heads at
+    every index of S, and so the same chains apart from i.  The index i
+    joins a chain only at a tie with the head of Theta, where its
+    coefficient is 0; the last index and the right-hand side do not change.
+    L only gains i's term, so L(S + Theta) >= L(S + (i, Theta)).  Hence
+    whenever S + (i, Theta) is starred, so is S + Theta, with the identical
+    cut, and it is shorter, so it ranks earlier.  The earliest sequence of
+    each starred cut therefore lies in no skipped subtree.
+
+    The walk keeps one frame per depth level.
     """
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds before aggregating")
     scale, weights, eps, _ = inst.scaled
     k = inst.k
-    peaks = [max(row[j] for row in weights) for j in range(k)]
+    peaks = list(inst.peaks)
     top = len(ground) if max_length is None else min(max_length, len(ground))
     if top < 1:
         return
@@ -224,7 +257,7 @@ def walk(
             new_heads, new_chains, l, new_acc = _prepend(
                 i, weights[i], heads, chains, low, acc, slack[i]
             )
-            if starred and l < eps:
+            if starred and (l < eps or (theta and new_heads == heads)):
                 continue
             new_theta = (i,) + theta
             if not starred or new_heads == peaks:
@@ -239,14 +272,16 @@ def walk(
             stack.pop()
 
 
-def starred_cuts(
+def starred_rows(
     inst: MixingInstance, ground: Sequence[int], max_length: Optional[int] = None
-) -> list[LinearCut]:
-    """One starred aggregated cut per distinct chain tuple among the starred
-    sequences over ``ground``, built from the walker node of the first
+) -> list[tuple[list[int], int]]:
+    """The starred aggregated cuts over ``ground`` as integer rows ``(z,
+    rhs)`` over D (the y coefficients are all 1): one per distinct chain
+    tuple among the starred walker nodes, from the chains of the first
     sequence that :func:`sequences` meets, in the order it meets them.
 
-    A starred node has epsilon <= L, so its cap is epsilon.
+    A starred node has epsilon <= L, so its cap is epsilon, and its heads
+    are the column maxima, so every right-hand side is their sum.
     """
     first: dict[tuple[tuple[int, ...], ...], tuple[int, tuple[int, ...]]] = {}
     for theta, chains, _, _ in walk(inst, sorted(ground), max_length, starred=True):
@@ -255,9 +290,9 @@ def starred_cuts(
         if known is None or rank < known:
             first[chains] = rank
     kept = sorted((rank, chains) for chains, rank in first.items())
+    eps = inst.scaled[2]
     return [
-        _chain_sum_cut(inst, chains, theta[-1], inst.scaled[2])
-        for (_, theta), chains in kept
+        _chain_sum_row(inst, chains, theta[-1], eps) for (_, theta), chains in kept
     ]
 
 

@@ -2,14 +2,15 @@
 
 Scenario indices are 1-based on the command line and in reports; exact
 rationals are printed as integers or fractions, never decimals.  Exit codes:
-0 success (or: hull family sufficient), 1 unreadable/unparsable input,
-2 invalid input data, 3 insufficient instance (diagnose) or missing witness,
-4 a certified check failed.
+0 success (or: hull family sufficient), 1 unreadable/unparsable input or an
+unwritable output file, 2 invalid input data, 3 insufficient instance
+(diagnose) or missing witness, 4 a certified check failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,6 +33,7 @@ from .core import (
     parse_rational,
     read_text,
     serialize_instance,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -138,31 +140,47 @@ def cmd_quantile(args) -> int:
         print("error: instance has no scenario probabilities", file=sys.stderr)
         return EXIT_INVALID
     bounds = mixing.quantile_lower_bounds(inst, parse_rational(args.risk))
-    print("l = (" + ", ".join(format_rational(v) for v in bounds) + ")")
     lifted = MixingInstance(
         inst.weights, bounds, inst.epsilon, inst.probabilities
     )
     reduced, _ = mixing.reduce_lower_bounds(lifted)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize_instance(reduced))
+        write_text(args.output, serialize_instance(reduced))
+    print("l = (" + ", ".join(format_rational(v) for v in bounds) + ")")
+    if args.output:
         print(f"reduced instance written to {args.output}")
     else:
         print(serialize_instance(reduced), end="")
     return EXIT_OK
 
 
+def _parse_theta(text: str, n: int) -> SequenceTheta:
+    """A 1-based comma-separated ``--theta`` over the ground set 1..n, as a
+    0-based sequence."""
+    try:
+        indices = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"--theta must be comma-separated integers, got {text!r}"
+        ) from None
+    outside = [i for i in indices if not 1 <= i <= n]
+    if outside:
+        raise ValidationError(f"--theta indices {outside} outside 1..{n}")
+    if len(set(indices)) != len(indices):
+        raise ValidationError(f"--theta repeats an index: {text}")
+    return SequenceTheta(i - 1 for i in indices)
+
+
 def cmd_twosided(args) -> int:
     data = ts.loads_twosided(read_text(args.data))
+    theta = _parse_theta(args.theta, data.n) if args.theta else None
     inst = ts.to_mixing(data)
     diag = agg.diagnose(inst)
     print(
         f"instance: n={data.n}, k=2, eps={format_rational(data.u_a)}; "
         f"g_submodular={'yes' if diag.g_submodular else 'no'}"
     )
-    if args.theta:
-        indices = [int(t) - 1 for t in args.theta.split(",")]
-        theta = SequenceTheta(indices)
+    if theta is not None:
         primed, original = ts.generalized_cut(data, theta)
         print(f"transformed: {primed}")
         print(f"original:    {original}")
@@ -174,7 +192,9 @@ def cmd_twosided(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mixcuts",
         description="Exact cuts and hull checks for joint mixing sets "
@@ -217,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except MixcutsError as exc:

@@ -31,7 +31,8 @@ class MixcutsError(Exception):
 
 
 class ParseError(MixcutsError):
-    """Raised for malformed instance/point documents."""
+    """Raised for malformed or unreadable instance/point documents, and for
+    output files that cannot be written."""
 
     exit_code = 1
 
@@ -323,6 +324,11 @@ class MixingInstance:
         lower = tuple(l.numerator * (scale // l.denominator) for l in self.lower)
         return scale, weights, eps, lower
 
+    @cached_property
+    def peaks(self) -> tuple[int, ...]:
+        """Column maxima of the scaled weights (``scaled[1]``), computed once."""
+        return tuple(map(max, zip(*self.scaled[1])))
+
 
 @dataclass(frozen=True)
 class SequenceTheta:
@@ -394,6 +400,16 @@ def read_text(path: str) -> str:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
 
 
+def write_text(path: str, text: str) -> None:
+    """Write a text file; an unwritable path is a :class:`ParseError`, like
+    an unreadable one in :func:`read_text`."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path!r}: {exc}") from exc
+
+
 def load_instance(path_or_text: str) -> MixingInstance:
     """Load an instance from a file path, or directly from JSON text."""
     if path_or_text.lstrip().startswith("{"):
@@ -456,6 +472,12 @@ def scale_point(
         [v.numerator * (p // v.denominator) for v in y],
         [v.numerator * (p // v.denominator) for v in z],
     )
+
+
+def unscale(values: Iterable[int], scale: int) -> list[Fraction]:
+    """Integers over the denominator ``scale`` as Fractions, every zero the
+    one shared ``Fraction(0)``."""
+    return [Fraction(v, scale) if v else _ZERO for v in values]
 
 
 def complement(z: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -23,23 +23,66 @@ from .aggregated import (
     HullDiagnosis,
     count_sequences,
     diagnose,
-    linking_cut,
-    starred_cuts,
+    starred_rows,
+    total_cut,
 )
 from .core import (
+    CutKind,
     GroundSetTooLarge,
-    InternalInvariant,
     LinearCut,
     MixingInstance,
     complement,
     format_rational,
 )
 from .counterexample import certify_witness, witness
-from .mixing import mix_star_cuts
+from .mixing import mix_star_cuts, star_rows
 from .vertices import SeparatingHyperplane, membership, v_representation
 
 BASIS_ENUMERATION_WORK = 3_000
 FAMILY_SEQUENCE_BOUND = 150_000
+
+
+Row = tuple[int, tuple[int, ...], int]
+
+
+def _family_rows(inst: MixingInstance, max_length: Optional[int]) -> dict[Row, CutKind]:
+    """The hull family as distinct integer rows ``(shape, z, rhs)`` over the
+    common denominator D of ``inst.scaled``, each with its kind, in the order
+    of first occurrence: the starred mixing rows of every column, the
+    starred aggregated rows over sequences avoiding the low rows (up to
+    ``max_length`` long), and the linking row.
+
+    ``shape`` is the column j of a row ``y_j + ... >= ...`` and -1 for a row
+    ``sum_j y_j + ... >= ...``; with one column both read y_0, so both are 0.
+    Over one D two rows are equal exactly when their cuts are.
+    """
+    outside = sorted(set(range(inst.n)) - diagnose(inst).i_bar)
+    if count_sequences(len(outside), max_length) > FAMILY_SEQUENCE_BOUND:
+        raise GroundSetTooLarge(
+            f"{len(outside)} rows outside the low set need too many sequences"
+        )
+    total = -1 if inst.k > 1 else 0
+    rows = {
+        (j, z, rhs): CutKind.MIX_STAR
+        for j in range(inst.k)
+        for z, rhs in star_rows(inst, j)
+    }
+    for z, rhs in starred_rows(inst, outside, max_length):
+        rows.setdefault((total, tuple(z), rhs), CutKind.AMIX_STAR)
+    eps = inst.scaled[2]
+    if eps > 0:
+        rows.setdefault((total, (0,) * inst.n, eps), CutKind.LINKING)
+    return rows
+
+
+def _family_cuts(inst: MixingInstance, rows: dict[Row, CutKind]) -> list[LinearCut]:
+    """One cut per row of :func:`_family_rows`.  Its starred mixing rows come
+    first and are all kept, so they are the cuts of :func:`mix_star_cuts`;
+    every other row reads ``sum_j y_j``."""
+    cuts = [cut for j in range(inst.k) for cut in mix_star_cuts(inst, j)]
+    for (_, z, rhs), kind in itertools.islice(rows.items(), len(cuts), None):
+        cuts.append(total_cut(inst, z, rhs, kind))
+    return cuts
 
 
 def hull_cut_family(
@@ -47,22 +90,9 @@ def hull_cut_family(
 ) -> list[LinearCut]:
     """Starred mixing cuts for every column plus starred aggregated cuts over
     sequences avoiding the low rows (up to ``max_length`` long), plus the
-    linking constraint."""
-    outside = sorted(set(range(inst.n)) - diagnose(inst).i_bar)
-    if count_sequences(len(outside), max_length) > FAMILY_SEQUENCE_BOUND:
-        raise GroundSetTooLarge(
-            f"{len(outside)} rows outside the low set need too many sequences"
-        )
-    candidates = [cut for j in range(inst.k) for cut in mix_star_cuts(inst, j)]
-    candidates += starred_cuts(inst, outside, max_length)
-    if inst.epsilon > 0:
-        candidates.append(linking_cut(inst))
-    # Every cut's largest y coefficient is 1, so equal canonical forms are
-    # equal coefficient by coefficient; the first cut of each is kept.
-    unique: dict[tuple, LinearCut] = {}
-    for cut in candidates:
-        unique.setdefault((cut.y_coeffs, cut.z_coeffs, cut.rhs), cut)
-    return list(unique.values())
+    linking constraint, without duplicates.  The family is built and
+    deduplicated in integers; a cut is made only for each distinct row."""
+    return _family_cuts(inst, _family_rows(inst, max_length))
 
 
 class CutMatrix(NamedTuple):
@@ -71,7 +101,7 @@ class CutMatrix(NamedTuple):
 
     ``shapes[r]`` is the column j when cut r reads ``y_j + ... >= ...`` (a
     floor on one coordinate) and -1 when every y coefficient is 1 (a floor
-    on the total).  ``rows[r]`` holds the y then the z coefficients and
+    on the total; with one column both shapes are 0).  ``rows[r]`` holds the y then the z coefficients and
     ``rhs[r]`` the right-hand side, all times the common ``denominator``.
     """
 
@@ -83,30 +113,18 @@ class CutMatrix(NamedTuple):
     shapes: tuple[int, ...]
 
 
-def cut_matrix(inst: MixingInstance, cuts: Sequence[LinearCut]) -> CutMatrix:
-    """The cuts over one common denominator; raises ``InternalInvariant`` on
-    a cut of neither shape."""
-    shapes = []
-    for cut in cuts:
-        support = [j for j, a in enumerate(cut.y_coeffs) if a != 0]
-        if len(support) == 1 and cut.y_coeffs[support[0]] == 1:
-            shapes.append(support[0])
-        elif all(a == 1 for a in cut.y_coeffs):
-            shapes.append(-1)
-        else:
-            raise InternalInvariant(f"unexpected cut shape {cut.y_coeffs}")
-    entries = [cut.y_coeffs + cut.z_coeffs + (cut.rhs,) for cut in cuts]
-    scale = math.lcm(*(v.denominator for row in entries for v in row))
-    scaled = [
-        tuple(v.numerator * (scale // v.denominator) for v in row) for row in entries
-    ]
+def _cut_matrix(inst: MixingInstance, rows: dict[Row, CutKind]) -> CutMatrix:
+    """The rows of :func:`_family_rows` as one matrix over their D."""
+    scale, k = inst.scaled[0], inst.k
+    units = [tuple(scale if c == j else 0 for c in range(k)) for j in range(k)]
+    units.append((scale,) * k)  # shape -1: every y coefficient 1
     return CutMatrix(
-        inst.k,
+        k,
         inst.n,
         scale,
-        tuple(row[:-1] for row in scaled),
-        tuple(row[-1] for row in scaled),
-        tuple(shapes),
+        tuple(units[shape] + z for shape, z, _ in rows),
+        tuple(rhs for _, _, rhs in rows),
+        tuple(shape for shape, _, _ in rows),
     )
 
 
@@ -294,8 +312,9 @@ def check_sufficiency(
     failures: list[str] = []
 
     if diag.sufficient:
-        cuts = hull_cut_family(inst)
-        family = cut_matrix(inst, cuts)
+        rows = _family_rows(inst, None)
+        cuts = _family_cuts(inst, rows)
+        family = _cut_matrix(inst, rows)
         rng = random.Random(seed)
         checked = 0
         for s in range(samples):

@@ -6,8 +6,10 @@ chain at the column maximum and, together with the variable bounds, yields
 the full hull of the linking-free set.  Separation is one greedy vertex of
 each column oracle against the complemented variables, all in integers on
 the instance's and the point's integer views.  One builder writes every
-mixing cut from its chain: the enumerated chains of a column and the
-support of a violated greedy vertex alike.
+mixing cut from its chain as an integer row over the instance's common
+denominator, for the enumerated chains of a column and the support of a
+violated greedy vertex alike; a ``LinearCut`` is made only from a row that
+is returned.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .core import (
     check_point,
     parse_rational,
     scale_point,
+    unscale,
 )
 from .submodular import greedy_vertex, max_sum_oracle
 
@@ -78,27 +81,42 @@ def quantile_lower_bounds(inst: MixingInstance, risk: Fraction) -> tuple[Fractio
     return tuple(bounds)
 
 
-def _column_cut(inst: MixingInstance, j: int, chain: Sequence[int]) -> LinearCut:
+ColumnRow = tuple[tuple[int, ...], int]
+
+
+def _column_row(inst: MixingInstance, j: int, chain: Sequence[int]) -> ColumnRow:
     """Telescoped inequality of a chain of column j with nonincreasing values
-    down to lower_j, in integers on ``inst.scaled``: y_j plus each member's
-    drop to the next (the last one's to lower_j) times its z is at least the
-    head.  Starred when the head reaches the column maximum; the empty chain
-    gives y_j >= lower_j."""
-    scale, weights, _, lower = inst.scaled
+    down to lower_j, as an integer row ``(z, head)`` over D = ``inst.scaled``:
+    y_j plus each member's drop to the next (the last one's to lower_j)
+    times its z is at least the head.  The empty chain gives y_j >=
+    lower_j."""
+    _, weights, _, lower = inst.scaled
     coeffs = [0] * inst.n
     head = lower[j]
     for i in reversed(chain):
         coeffs[i] = weights[i][j] - head
         head = weights[i][j]
+    return tuple(coeffs), head
+
+
+def _row_cut(inst: MixingInstance, j: int, row: ColumnRow) -> LinearCut:
+    """The cut ``y_j + z . z >= head`` of an integer row of column j over D;
+    starred when the head reaches the column maximum."""
+    scale = inst.scaled[0]
+    z, head = row
     y = [Fraction(0)] * inst.k
     y[j] = Fraction(1)
-    star = head >= max(row[j] for row in weights)
     return LinearCut(
         y,
-        [Fraction(c, scale) for c in coeffs],
+        unscale(z, scale),
         Fraction(head, scale),
-        CutKind.MIX_STAR if star else CutKind.MIX,
+        CutKind.MIX_STAR if head >= inst.peaks[j] else CutKind.MIX,
     )
+
+
+def _column_cut(inst: MixingInstance, j: int, chain: Sequence[int]) -> LinearCut:
+    """The mixing cut of a chain of column j (see :func:`_column_row`)."""
+    return _row_cut(inst, j, _column_row(inst, j, chain))
 
 
 def separate_mixing(
@@ -145,15 +163,16 @@ def separate_mixing(
 # column (each represented by one attaining index): equal-value chain members
 # other than the last carry a zero coefficient, so only the representative
 # choice matters.  Chains are built nonincreasing and at or above lower_j, so
-# none is checked again.
+# none is checked again.  Rows are deduplicated before any cut is built.
 # ---------------------------------------------------------------------------
 
 
-def _chain_cuts(
+def _chain_rows(
     inst: MixingInstance, j: int, star_only: bool, max_chains: Optional[int] = None
-) -> list[LinearCut]:
-    """Distinct mixing cuts of the first ``max_chains`` chains of a column;
-    with ``star_only`` only chains headed at the column maximum."""
+) -> tuple[ColumnRow, ...]:
+    """Distinct integer rows of the first ``max_chains`` chains of a column,
+    in the order their first chain comes; with ``star_only`` only chains
+    headed at the column maximum."""
     _, weights, _, lower = inst.scaled
     by_value: dict[int, list[int]] = {}
     for i, row in enumerate(weights):
@@ -168,22 +187,35 @@ def _chain_cuts(
             *[[None] + g for g in groups[start + 1 :]]  # type: ignore[list-item]
         )
     )
-    # Every cut reads y_j with coefficient 1, so equal canonical forms are
-    # equal coefficient by coefficient; the first cut of each is kept.
-    unique: dict[tuple, LinearCut] = {}
-    for chain in itertools.islice(chains, max_chains):
-        cut = _column_cut(inst, j, chain)
-        unique.setdefault((cut.z_coeffs, cut.rhs), cut)
-    return list(unique.values())
+    # Over one D, equal rows are exactly equal cuts; the first of each is kept.
+    return tuple(
+        dict.fromkeys(
+            _column_row(inst, j, chain) for chain in itertools.islice(chains, max_chains)
+        )
+    )
+
+
+def star_rows(inst: MixingInstance, j: int) -> tuple[ColumnRow, ...]:
+    """The distinct starred mixing rows of column j over D, computed once per
+    instance and column and kept on the instance (the hull family reads
+    them as rows and, through :func:`mix_star_cuts`, as cuts)."""
+    memo = inst.__dict__.setdefault("_star_rows", {})
+    rows = memo.get(j)
+    if rows is None:
+        rows = memo[j] = _chain_rows(inst, j, star_only=True)
+    return rows
 
 
 def mix_star_cuts(inst: MixingInstance, j: int) -> list[LinearCut]:
     """All distinct starred mixing cuts of a column (deduplicated)."""
-    return _chain_cuts(inst, j, star_only=True)
+    return [_row_cut(inst, j, row) for row in star_rows(inst, j)]
 
 
 def all_mixing_cuts(
     inst: MixingInstance, j: int, max_chains: Optional[int] = None
 ) -> list[LinearCut]:
     """All distinct mixing cuts of a column, starred or not (deduplicated)."""
-    return _chain_cuts(inst, j, star_only=False, max_chains=max_chains)
+    return [
+        _row_cut(inst, j, row)
+        for row in _chain_rows(inst, j, star_only=False, max_chains=max_chains)
+    ]

@@ -99,25 +99,38 @@ def v_representation(inst: MixingInstance) -> VRepresentation:
             f"vertex enumeration limited to n <= {ENUMERATION_BOUND}"
         )
     n, k = inst.n, inst.k
-    eps = inst.epsilon
+    scale, weights, eps, _ = inst.scaled
+    # Everything is an integer over D until a coordinate is stored, and each
+    # distinct coordinate becomes a Fraction once.
+    fractions: dict[int, Fraction] = {}
+
+    def exact(values) -> tuple[Fraction, ...]:
+        out = []
+        for v in values:
+            f = fractions.get(v)
+            if f is None:
+                f = fractions[v] = Fraction(v, scale)
+            out.append(f)
+        return tuple(out)
+
+    floors = [(0,) * k]  # floors[mask]: the componentwise max of its rows
     points = []
     for mask in range(1 << n):
-        floor = [Fraction(0)] * k
-        for i in range(n):
-            if mask & (1 << i):
-                row = inst.weights[i]
-                for j in range(k):
-                    if row[j] > floor[j]:
-                        floor[j] = row[j]
-        z = tuple(1 if mask & (1 << i) else 0 for i in range(n))
-        deficit = eps - sum(floor, Fraction(0))
+        if mask:
+            low = mask & -mask
+            floors.append(
+                tuple(map(max, floors[mask ^ low], weights[low.bit_length() - 1]))
+            )
+        floor = floors[mask]
+        z = tuple((mask >> i) & 1 for i in range(n))
+        deficit = eps - sum(floor)
         if deficit < 0:
-            points.append((tuple(floor), z))
+            points.append((exact(floor), z))
         else:
             for d in range(k):
                 y = list(floor)
                 y[d] += deficit
-                points.append((tuple(y), z))
+                points.append((exact(y), z))
     rays = tuple(
         (
             tuple(Fraction(1 if j == d else 0) for j in range(k)),

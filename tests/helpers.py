@@ -11,7 +11,8 @@ that the library's integer code is compared against.
   the mixing separation built on it, and the ``Fraction`` greedy separation
   of the aggregated family.
 - The ``Fraction`` closure-check oracle: membership LP, projection and basis
-  enumeration as they were before the integer kernel.
+  enumeration as they were before the integer kernel, and the cut matrix of
+  any list of cuts, read off their ``Fraction`` coefficients.
 """
 
 import itertools
@@ -38,6 +39,7 @@ from mixcuts import (
     parse_rational,
     sequences,
 )
+from mixcuts.hull import CutMatrix
 from mixcuts.submodular import SetFunctionOracle
 from mixcuts.vertices import MembershipResult, SeparatingHyperplane, VRepresentation
 
@@ -199,6 +201,33 @@ def fraction_hull_cut_family(
             LinearCut([1] * inst.k, [0] * inst.n, inst.epsilon, CutKind.LINKING)
         )
     return dedup_canonical(candidates)
+
+
+def cut_matrix(inst: MixingInstance, cuts: Sequence[LinearCut]) -> CutMatrix:
+    """The cuts over the least common denominator of their coefficients;
+    raises ``InternalInvariant`` on a cut of neither shape."""
+    shapes = []
+    for cut in cuts:
+        support = [j for j, a in enumerate(cut.y_coeffs) if a != 0]
+        if len(support) == 1 and cut.y_coeffs[support[0]] == 1:
+            shapes.append(support[0])
+        elif all(a == 1 for a in cut.y_coeffs):
+            shapes.append(-1)
+        else:
+            raise InternalInvariant(f"unexpected cut shape {cut.y_coeffs}")
+    entries = [cut.y_coeffs + cut.z_coeffs + (cut.rhs,) for cut in cuts]
+    scale = math.lcm(*(v.denominator for row in entries for v in row))
+    scaled = [
+        tuple(v.numerator * (scale // v.denominator) for v in row) for row in entries
+    ]
+    return CutMatrix(
+        inst.k,
+        inst.n,
+        scale,
+        tuple(row[:-1] for row in scaled),
+        tuple(row[-1] for row in scaled),
+        tuple(shapes),
+    )
 
 
 def dominates_linking(inst: MixingInstance, theta: SequenceTheta) -> bool:

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from mixcuts import (
+    LinearCut,
     MixingInstance,
     aggregated_cut,
     all_mixing_cuts,
@@ -65,3 +66,69 @@ def test_builders_match_the_fraction_chain_loop(seed):
     for theta in sequences(range(reduced.n)):
         want = fraction_aggregated_cut(reduced, theta)
         assert fields([aggregated_cut(reduced, theta)]) == fields([want])
+
+
+def family_case(rng: random.Random) -> MixingInstance:
+    """A reduced instance with n <= 6: small values (many ties), sometimes
+    an all-zero column or fractional weights, epsilon from 0 to 100."""
+    n, k = rng.randint(1, 6), rng.randint(1, 3)
+    dens = rng.choice([(1,), (1, 2, 3)])
+    weights = [
+        [Fraction(rng.randint(0, 4), rng.choice(dens)) for _ in range(k)]
+        for _ in range(n)
+    ]
+    if rng.random() < 0.25:
+        zero = rng.randrange(k)
+        for row in weights:
+            row[zero] = Fraction(0)
+    top = max(sum(row) for row in weights)
+    eps = rng.choice(
+        [
+            Fraction(0),
+            Fraction(rng.randint(0, 8), rng.choice(dens)),
+            top,
+            top + 1,
+            Fraction(rng.randint(0, 100)),
+        ]
+    )
+    return MixingInstance(weights, None, eps)
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_hull_family_matches_the_fraction_reference(block):
+    """240 seeded instances, each at depth None, 1, 2 and 3: the walker's
+    pruning and the integer dedup keep the reference's cuts, kinds and
+    order."""
+    rng = random.Random(7100 + block)
+    for _ in range(40):
+        inst = family_case(rng)
+        for depth in (None, 1, 2, 3):
+            want = fraction_hull_cut_family(inst, depth)
+            assert fields(hull_cut_family(inst, depth)) == fields(want)
+
+
+def test_hull_family_builds_one_cut_per_member_and_hashes_no_fraction(monkeypatch):
+    built = []
+    init = LinearCut.__init__
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_hash(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    rng = random.Random(7200)
+    for _ in range(40):
+        inst = family_case(rng)
+        monkeypatch.setattr(LinearCut, "__init__", counting)
+        monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+        cuts = hull_cut_family(inst)
+        monkeypatch.undo()
+        assert list(map(id, built)) == list(map(id, cuts))  # one cut each
+        assert hashed == []
+        assert fields(cuts) == fields(fraction_hull_cut_family(inst))
+        built.clear()

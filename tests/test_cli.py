@@ -249,6 +249,19 @@ class File(str):
         (["verify", fixture_path("example1.json"), "--samples=0"], 2),
         (["verify", fixture_path("example1.json"), "--mode=validity", "--max-chains=0"], 2),
         (["verify", fixture_path("example1.json"), "--mode=validity", "--max-chains=-5"], 2),
+        (
+            [
+                "quantile",
+                fixture_path("example1_probs.json"),
+                "--risk=1/2",
+                "--output",
+                fixture_path("no-such-directory/reduced.json"),
+            ],
+            1,
+        ),
+        (["twosided", fixture_path("twosided_demo.json"), "--theta=0"], 2),
+        (["twosided", fixture_path("twosided_demo.json"), "--theta=99"], 2),
+        (["twosided", fixture_path("twosided_demo.json"), "--theta=3,-1"], 2),
     ],
 )
 def test_exit_codes(capsys, tmp_path, argv, code):
@@ -260,6 +273,42 @@ def test_exit_codes(capsys, tmp_path, argv, code):
             path.write_text(text, encoding="utf-8")
             argv = argv[:t] + [str(path)] + argv[t + 1 :]
     assert run_cli(capsys, *argv)[0] == code
+
+
+def test_unwritable_output_is_an_error_line(capsys):
+    target = fixture_path("no-such-directory/reduced.json")
+    code, out, err = run_cli(
+        capsys, "quantile", fixture_path("example1_probs.json"), "--risk=1/2",
+        "--output", target,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target!r}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "theta,message",
+    [
+        ("0", "--theta indices [0] outside 1..5"),
+        ("99", "--theta indices [99] outside 1..5"),
+        ("2,0,6", "--theta indices [0, 6] outside 1..5"),
+        ("1,1", "--theta repeats an index: 1,1"),
+        ("x", "--theta must be comma-separated integers, got 'x'"),
+    ],
+)
+def test_bad_theta_prints_nothing_and_names_1_based_indices(capsys, theta, message):
+    code, out, err = run_cli(
+        capsys, "twosided", fixture_path("twosided_demo.json"), f"--theta={theta}"
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_repeated_main_calls_print_the_same(capsys):
+    argv = ["twosided", fixture_path("twosided_demo.json"), "--theta=2,1,3"]
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first == second and first[0] == 0 and first[1]
+    argv = ["verify", fixture_path("example1.json"), "--samples=3"]
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
 
 
 def test_validity_sweep_enumerates_vertices_once(capsys, monkeypatch):

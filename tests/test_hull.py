@@ -21,12 +21,11 @@ from mixcuts.core import CutKind, DimensionMismatch, complement
 from mixcuts.hull import (
     BASIS_ENUMERATION_WORK,
     _cut_polyhedron_vertices,
-    cut_matrix,
     project_to_cut_polyhedron,
 )
 
 from conftest import random_instance, random_sufficient_instance
-from helpers import column_oracle, is_submodular, l_theta, linking_oracle
+from helpers import column_oracle, cut_matrix, is_submodular, l_theta, linking_oracle
 
 
 def test_diagnose_example1(example1):

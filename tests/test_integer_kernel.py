@@ -21,13 +21,15 @@ from mixcuts import (
 from mixcuts.exactlp import solve_feasibility, verify_farkas, verify_feasible
 from mixcuts.hull import (
     BASIS_ENUMERATION_WORK,
+    _cut_matrix,
     _cut_polyhedron_vertices,
-    cut_matrix,
+    _family_rows,
     project_to_cut_polyhedron,
 )
 
 from conftest import random_sufficient_instance
 from helpers import (
+    cut_matrix,
     fraction_cut_polyhedron_vertices,
     fraction_membership,
     fraction_projection,
@@ -158,6 +160,20 @@ def test_projection_equals_the_fraction_oracle():
             )
             got = project_to_cut_polyhedron(family, z, s % inst.k)
             assert got == fraction_projection(inst, cuts, z, s % inst.k)
+
+
+def test_family_matrix_is_the_fraction_cut_matrix_over_the_instance_denominator():
+    """``check_sufficiency`` takes its matrix from the family's integer rows;
+    it is the matrix read off the family's cuts, times a positive integer."""
+    rng = random.Random(8083)
+    for inst in closure_instances(rng, 40):
+        got = _cut_matrix(inst, _family_rows(inst, None))
+        want = cut_matrix(inst, hull_cut_family(inst))
+        factor, rest = divmod(got.denominator, want.denominator)
+        assert rest == 0 and got.denominator == inst.scaled[0]
+        assert (got.k, got.n, got.shapes) == (want.k, want.n, want.shapes)
+        assert got.rows == tuple(tuple(factor * v for v in row) for row in want.rows)
+        assert got.rhs == tuple(factor * v for v in want.rhs)
 
 
 def test_cut_polyhedron_vertices_equal_the_fraction_oracle_in_order():

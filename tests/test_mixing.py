@@ -15,11 +15,11 @@ from mixcuts import (
     reduce_lower_bounds,
     separate_mixing,
 )
-from mixcuts.hull import cut_matrix, project_to_cut_polyhedron
+from mixcuts.hull import project_to_cut_polyhedron
 from mixcuts.mixing import _column_cut
 
 from conftest import random_weights
-from helpers import column_oracle, is_submodular, mixing_cut
+from helpers import column_oracle, cut_matrix, is_submodular, mixing_cut
 
 
 def floor_point(inst, z_mask):

@@ -66,6 +66,15 @@ def random_point(rng: random.Random, inst: MixingInstance):
     return y, z
 
 
+def raises_a_head(inst: MixingInstance, theta, t: int) -> bool:
+    """Whether w[theta_t][j] > max over s > t of w[theta_s][j] for some j."""
+    later = theta[t + 1 :]
+    return any(
+        inst.weights[theta[t]][j] > max(inst.weights[i][j] for i in later)
+        for j in range(inst.k)
+    )
+
+
 CASES = [(seed, n) for n in range(1, 7) for seed in range(8 if n < 6 else 3)]
 
 
@@ -91,10 +100,13 @@ def test_walk_matches_per_sequence_path_at_every_node(seed, n):
         visited.add(theta)
     assert visited == expected
 
+    # The starred walk yields the starred sequences in which every index
+    # before the last raises some column head above the maximum after it.
     starred = {
         theta
         for theta in expected
         if fraction_aggregated_cut(inst, SequenceTheta(theta)).kind is CutKind.AMIX_STAR
+        and all(raises_a_head(inst, theta, t) for t in range(len(theta) - 1))
     }
     assert {t for t, _, _, _ in walk(inst, ground, depth, starred=True)} == starred
 
