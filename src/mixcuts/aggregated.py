@@ -196,12 +196,46 @@ def _gap(acc: int, l: int, eps: int, tail: int, base: int) -> int:
     return acc + cap * tail - base
 
 
+def _subtree_bound(
+    weights: Sequence[Sequence[int]],
+    free: Sequence[int],
+    theta: Sequence[int],
+    heads: Sequence[int],
+    slack: Sequence[int],
+) -> int:
+    """An upper bound on how far the gap of a sequence S + theta, for any
+    nonempty prefix S of unused indices, exceeds ``max(gap, acc - base)``
+    of theta itself (in :func:`_gap`'s terms); ``free`` are the indices
+    with p * (1 - z_i) > 0.
+
+    S + theta keeps the last index, so ``tail``, and its L is at most that
+    of theta and at least 0, so ``cap * tail`` is at most the larger of 0
+    and its value at theta.  Its acc adds, for each index of S, its gain
+    times p * (1 - z_i); an index with z_i >= 1 adds nothing.  In column j
+    an index gains only where it joins the chain, and the gains along the
+    chain telescope, so the unused free indices gain at most m_j - head_j
+    together, m_j the largest of their column values; each unit is weighted
+    by at most their largest p * (1 - z_i).  The bound is that weight times
+    the sum over the columns; it is 0 when no free index is left.
+    """
+    rest = [f for f in free if f not in theta]
+    if not rest:
+        return 0
+    rise = 0
+    for j, head in enumerate(heads):
+        top = max(weights[f][j] for f in rest)
+        if top > head:
+            rise += top - head
+    return rise * max(slack[f] for f in rest)
+
+
 def walk(
     inst: MixingInstance,
     ground: Sequence[int],
     max_length: Optional[int] = None,
     starred: bool = False,
     point: Optional[tuple[Sequence[Fraction], Sequence[Fraction]]] = None,
+    violated: bool = False,
 ) -> Iterator[Node]:
     """Every sequence of distinct indices from ``ground``, depth first by
     prepending, as ``(theta, chains, l, gap)``.
@@ -229,6 +263,12 @@ def walk(
     cut, and it is shorter, so it ranks earlier.  The earliest sequence of
     each starred cut therefore lies in no skipped subtree.
 
+    ``violated`` (with a point, in place of ``starred``) yields only the
+    sequences whose cut is violated at the point, and skips each subtree
+    that holds none by the bound of :func:`_subtree_bound`.  Only sequences
+    that are not violated are skipped, so the first or the most violated
+    sequence found is the one the full walk finds.
+
     The walk keeps one frame per depth level.
     """
     if not inst.lower_is_zero:
@@ -247,6 +287,7 @@ def walk(
         p, y_p, at_one = scale_point(y, z)  # at_one[i] = p * z_i
         slack = [p - v for v in at_one]  # p * (1 - z_i)
         base = scale * sum(y_p)
+    free = [i for i in ground if slack[i] > 0]
     # Frame: (theta, heads, chains, l, acc, remaining candidates).
     stack = [((), [0] * k, [()] * k, None, 0, iter(ground))]
     while stack:
@@ -260,10 +301,20 @@ def walk(
             if starred and (l < eps or (theta and new_heads == heads)):
                 continue
             new_theta = (i,) + theta
-            if not starred or new_heads == peaks:
+            descend = len(new_theta) < top
+            if violated:
+                gap = _gap(new_acc, l, eps, at_one[new_theta[-1]], base)
+                if gap > 0:
+                    yield new_theta, tuple(new_chains), l, gap
+                descend = descend and (
+                    _subtree_bound(weights, free, new_theta, new_heads, slack)
+                    + max(gap, new_acc - base)
+                    > 0
+                )
+            elif not starred or new_heads == peaks:
                 gap = _gap(new_acc, l, eps, at_one[new_theta[-1]], base)
                 yield new_theta, tuple(new_chains), l, gap
-            if len(new_theta) < top:
+            if descend:
                 stack.append(
                     (new_theta, new_heads, new_chains, l, new_acc, iter(ground))
                 )
@@ -383,10 +434,13 @@ def separate_aggregated(
     When the linking oracle z -> max(epsilon, sum_j column_max_j(z)) is
     submodular this runs one greedy separation and is exact over the whole
     family: the greedy vertex's support, latest first, is the sequence of
-    the most violated cut.  Otherwise it enumerates sequences over
-    {i : z_bar_i < 1} — sequences touching an index at 1 are dominated by a
-    subsequence avoiding it, so the verdict is still exact — and returns the
-    most violated cut found (ties: lexicographically smallest sequence).
+    the most violated cut.  Otherwise it enumerates sequences, over
+    {i : z_bar_i < 1} when the point satisfies the big-M rows and over every
+    index when it does not, and returns the most violated cut found (ties:
+    lexicographically smallest sequence).  The restriction is not exact: an
+    index at 1 in the middle of a sequence can raise L, so a sequence
+    through it can be violated when no sequence over the free indices is
+    (``tests/test_walk.py`` keeps such a point).
 
     Both branches run in integers on the instance scaled by D and the point
     scaled by p, with the walker's prepend step; a cut is built only for
@@ -416,9 +470,8 @@ def separate_aggregated(
             return None
         return _chain_sum_cut(inst, chains, theta[-1], min(eps, l))
 
-    # The restriction to indices below 1 is exact for points satisfying the
-    # big-M rows (a sequence touching an index at 1 is dominated by the
-    # subsequence without it); otherwise search the full ground set.
+    # Points satisfying the big-M rows are searched over the indices below 1
+    # only (not exact, see the docstring); others over the full ground set.
     relaxation_ok = all(
         y_p[j] * scale >= row[j] * s
         for row, s in zip(weights, slack)

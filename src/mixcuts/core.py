@@ -124,8 +124,14 @@ _ZERO = Fraction(0)
 
 
 def _coeffs(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """Like :func:`_fracs`, with every zero the one shared ``Fraction(0)``."""
-    return tuple(v if v else _ZERO for v in map(parse_rational, values))
+    """Like :func:`_fracs`, with every zero the one shared ``Fraction(0)``;
+    a value that is already a Fraction is taken as it is."""
+    out = []
+    for v in values:
+        if type(v) is not Fraction:
+            v = parse_rational(v)
+        out.append(v if v else _ZERO)
+    return tuple(out)
 
 
 class CutKind(Enum):

@@ -181,6 +181,16 @@ def certify_witness(
     the point satisfies the relaxed constraint rows, every mixing cut,
     every aggregated mixing cut, and still lies outside the hull.
 
+    The aggregated sweep walks only the subtrees of the sequence tree that
+    can hold a violated cut (``walk(..., violated=True)``): a subtree is
+    skipped when a bound on the violation of every sequence in it, from
+    the unused indices with z_i < 1, is at most 0.  No skipped sequence is
+    violated, so the first violated sequence reported is the one the walk
+    over every sequence reports.  Walking only {i : z_i < 1} would not do:
+    an index at 1 in the middle of a sequence can raise L, so the only
+    violated sequences can go through it, even where every relaxation row
+    holds (``tests/test_walk.py`` keeps such a point).
+
     Pass the point's membership verdict when it is already known; otherwise
     the membership LP is solved here.
     """
@@ -214,13 +224,14 @@ def certify_witness(
         else "ok: all mixing cuts hold"
     )
 
-    # Every sequence is checked; the report names the first violated one in
-    # shortest-first lexicographic order.
+    # The report names the first violated sequence in shortest-first
+    # lexicographic order.
     bad_agg = min(
         (
             (len(theta), theta)
-            for theta, _, _, gap in walk(inst, range(inst.n), point=point)
-            if gap > 0
+            for theta, _, _, _ in walk(
+                inst, range(inst.n), point=point, violated=True
+            )
         ),
         default=None,
     )

@@ -28,7 +28,7 @@ from .core import (
     parse_rational,
 )
 from .hull import hull_cut_family
-from .vertices import VRepresentation, v_representation
+from .vertices import VRepresentation, fractions_over, integer_vertices
 
 BAND_SEQUENCE_BOUND = 5_000
 
@@ -172,25 +172,27 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
     ``BAND_SEQUENCE_BOUND`` (it is exponential in n).
     """
     inst = to_mixing(data)
-    vrep = v_representation(inst)
-    ua = data.u_a
+    # Everything is an integer over D until a point is stored, and each
+    # distinct coordinate becomes a Fraction once.  The band width u_a is
+    # the linking threshold, so D * u_a is the scaled epsilon.
+    scale, _, band, _ = inst.scaled
+    exact = fractions_over(scale)
 
     # Work in the original indicator orientation: complement the z parts.
-    points = tuple(
-        (y, tuple(1 - zi for zi in z)) for y, z in vrep.points
-    )
-    band_ok = all(-ua <= y[0] - y[1] <= ua for y, _ in points)
+    points = [(y, tuple(1 - zi for zi in z)) for y, z in integer_vertices(inst)]
+    band_ok = all(-band <= y[0] - y[1] <= band for y, _ in points)
     if not band_ok:
         raise InternalInvariant("an extreme point violates the band")
 
-    clipped_points = list(points)
+    extreme_points = tuple((exact(y), z) for y, z in points)
+    clipped_points = list(extreme_points)
     for y, z in points:
-        gap_upper = ua - (y[0] - y[1])  # room along +e_1 to the upper plane
+        gap_upper = band - (y[0] - y[1])  # room along +e_1 to the upper plane
         if gap_upper > 0:
-            clipped_points.append(((y[0] + gap_upper, y[1]), z))
-        gap_lower = ua + (y[0] - y[1])  # room along +e_2 to the lower plane
+            clipped_points.append((exact((band + y[1], y[1])), z))
+        gap_lower = band + (y[0] - y[1])  # room along +e_2 to the lower plane
         if gap_lower > 0:
-            clipped_points.append(((y[0], y[1] + gap_lower), z))
+            clipped_points.append((exact((y[0], band + y[0])), z))
     for _, z in clipped_points:
         if any(zi not in (0, 1) for zi in z):
             raise InternalInvariant("clipping created a fractional z")
@@ -208,7 +210,7 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
         LinearCut(
             (Fraction(-1), Fraction(1)),
             [Fraction(0)] * data.n,
-            -ua,
+            -data.u_a,
             CutKind.BOUND_UPPER,
         )
     )
@@ -216,7 +218,7 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
         LinearCut(
             (Fraction(1), Fraction(-1)),
             [Fraction(0)] * data.n,
-            -ua,
+            -data.u_a,
             CutKind.BOUND_LOWER,
         )
     )
@@ -227,5 +229,5 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
         high = [Fraction(0)] * data.n
         high[i] = Fraction(-1)
         cuts.append(LinearCut((0, 0), high, -1, CutKind.BOUND_UPPER))
-    return BandedHullReport(inst, band_ok, points, clipped, tuple(cuts))
+    return BandedHullReport(inst, band_ok, extreme_points, clipped, tuple(cuts))
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     DimensionMismatch,
@@ -87,11 +87,14 @@ def _scaled(rows, scales) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def v_representation(inst: MixingInstance) -> VRepresentation:
-    """Enumerate all extreme points: per binary z either the componentwise
-    floor (when its coordinate sum already exceeds the linking threshold) or
-    one point per column absorbing the deficit; rays are the unit y
-    directions."""
+def integer_vertices(
+    inst: MixingInstance,
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every extreme point of the hull as ``(y, z)`` with y in integers over
+    the common denominator D of ``inst.scaled``: per binary z (in mask
+    order) either the componentwise floor of the active rows, when its sum
+    already exceeds the linking threshold, or one point per column absorbing
+    the deficit."""
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("vertex enumeration requires zero lower bounds")
     if inst.n > ENUMERATION_BOUND:
@@ -99,20 +102,7 @@ def v_representation(inst: MixingInstance) -> VRepresentation:
             f"vertex enumeration limited to n <= {ENUMERATION_BOUND}"
         )
     n, k = inst.n, inst.k
-    scale, weights, eps, _ = inst.scaled
-    # Everything is an integer over D until a coordinate is stored, and each
-    # distinct coordinate becomes a Fraction once.
-    fractions: dict[int, Fraction] = {}
-
-    def exact(values) -> tuple[Fraction, ...]:
-        out = []
-        for v in values:
-            f = fractions.get(v)
-            if f is None:
-                f = fractions[v] = Fraction(v, scale)
-            out.append(f)
-        return tuple(out)
-
+    _, weights, eps, _ = inst.scaled
     floors = [(0,) * k]  # floors[mask]: the componentwise max of its rows
     points = []
     for mask in range(1 << n):
@@ -125,20 +115,46 @@ def v_representation(inst: MixingInstance) -> VRepresentation:
         z = tuple((mask >> i) & 1 for i in range(n))
         deficit = eps - sum(floor)
         if deficit < 0:
-            points.append((exact(floor), z))
+            points.append((floor, z))
         else:
             for d in range(k):
                 y = list(floor)
                 y[d] += deficit
-                points.append((exact(y), z))
+                points.append((tuple(y), z))
+    return points
+
+
+def fractions_over(scale: int) -> Callable[[Iterable[int]], tuple[Fraction, ...]]:
+    """A function taking integers over the denominator ``scale`` to a tuple
+    of Fractions; it makes each distinct integer a Fraction once and keeps
+    it for the next call."""
+    cache: dict[int, Fraction] = {}
+
+    def exact(values: Iterable[int]) -> tuple[Fraction, ...]:
+        out = []
+        for v in values:
+            f = cache.get(v)
+            if f is None:
+                f = cache[v] = Fraction(v, scale)
+            out.append(f)
+        return tuple(out)
+
+    return exact
+
+
+def v_representation(inst: MixingInstance) -> VRepresentation:
+    """The extreme points of :func:`integer_vertices`, each distinct
+    coordinate made a Fraction once; rays are the unit y directions."""
+    points = integer_vertices(inst)
+    exact = fractions_over(inst.scaled[0])
     rays = tuple(
         (
-            tuple(Fraction(1 if j == d else 0) for j in range(k)),
-            tuple(0 for _ in range(n)),
+            tuple(Fraction(1 if j == d else 0) for j in range(inst.k)),
+            tuple(0 for _ in range(inst.n)),
         )
-        for d in range(k)
+        for d in range(inst.k)
     )
-    return VRepresentation(tuple(points), rays)
+    return VRepresentation(tuple((exact(y), z) for y, z in points), rays)
 
 
 @dataclass(frozen=True)

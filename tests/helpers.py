@@ -13,6 +13,8 @@ that the library's integer code is compared against.
 - The ``Fraction`` closure-check oracle: membership LP, projection and basis
   enumeration as they were before the integer kernel, and the cut matrix of
   any list of cuts, read off their ``Fraction`` coefficients.
+- The ``Fraction`` vertex list and band hull: floors, deficits, the band
+  check and the clipping in ``Fraction`` arithmetic.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from mixcuts import (
+    BandedHullReport,
     CutKind,
     DimensionMismatch,
     InternalInvariant,
@@ -32,15 +35,19 @@ from mixcuts import (
     MixingInstance,
     PolymatroidVertex,
     SequenceTheta,
+    TwoSidedData,
     complement,
     diagnose,
     greedy_vertex,
     max_sum_oracle,
     parse_rational,
     sequences,
+    to_mixing,
 )
-from mixcuts.hull import CutMatrix
+from mixcuts.aggregated import count_sequences
+from mixcuts.hull import CutMatrix, hull_cut_family
 from mixcuts.submodular import SetFunctionOracle
+from mixcuts.twosided import BAND_SEQUENCE_BOUND
 from mixcuts.vertices import MembershipResult, SeparatingHyperplane, VRepresentation
 
 BRUTE_FORCE_BOUND = 16
@@ -589,3 +596,79 @@ def fraction_solve_square(rows) -> Optional[tuple[Fraction, ...]]:
                 f = mat[r][col]
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
     return tuple(mat[r][d] for r in range(d))
+
+
+# ---------------------------------------------------------------------------
+# The Fraction reference for the vertex list and the band hull, as they were
+# before the integer vertex enumerator: every coordinate, complement, band
+# check and clipped point is a Fraction.
+# ---------------------------------------------------------------------------
+
+
+def fraction_v_representation(inst: MixingInstance) -> VRepresentation:
+    """Per binary z in mask order (z_i is bit i), the componentwise maximum
+    of the active rows, kept when its sum exceeds epsilon and otherwise
+    raised by the deficit in one column at a time; the unit y rays."""
+    n, k = inst.n, inst.k
+    points = []
+    for mask in range(1 << n):
+        z = tuple((mask >> i) & 1 for i in range(n))
+        floor = [
+            max([inst.weights[i][j] for i in range(n) if z[i]], default=Fraction(0))
+            for j in range(k)
+        ]
+        deficit = inst.epsilon - sum(floor, Fraction(0))
+        if deficit < 0:
+            points.append((tuple(floor), z))
+        else:
+            for d in range(k):
+                y = list(floor)
+                y[d] += deficit
+                points.append((tuple(y), z))
+    rays = tuple(
+        (tuple(Fraction(1 if j == d else 0) for j in range(k)), (0,) * n)
+        for d in range(k)
+    )
+    return VRepresentation(tuple(points), rays)
+
+
+def fraction_hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
+    """``twosided.hull_with_bounds`` on the ``Fraction`` vertex list:
+    complement z, check the band at every extreme point, clip along the
+    unit rays to the band planes, then append the band rows and the z bounds
+    to the library's hull family (``test_walk`` holds that family to
+    :func:`fraction_hull_cut_family`)."""
+    inst = to_mixing(data)
+    ua = data.u_a
+    points = tuple(
+        (y, tuple(1 - zi for zi in z))
+        for y, z in fraction_v_representation(inst).points
+    )
+    band_ok = all(-ua <= y[0] - y[1] <= ua for y, _ in points)
+    clipped_points = list(points)
+    for y, z in points:
+        gap_upper = ua - (y[0] - y[1])
+        if gap_upper > 0:
+            clipped_points.append(((y[0] + gap_upper, y[1]), z))
+        gap_lower = ua + (y[0] - y[1])
+        if gap_lower > 0:
+            clipped_points.append(((y[0], y[1] + gap_lower), z))
+    clipped = VRepresentation(
+        tuple(clipped_points),
+        (((Fraction(1), Fraction(1)), tuple(0 for _ in range(data.n))),),
+    )
+
+    outside = sum(1 for wi, vi in zip(data.w, data.v) if wi != 0 or vi != 0)
+    max_len = outside
+    while max_len > 1 and count_sequences(outside, max_len) > BAND_SEQUENCE_BOUND:
+        max_len -= 1
+    cuts = hull_cut_family(inst, max_len)
+    zero = [Fraction(0)] * data.n
+    cuts.append(LinearCut((Fraction(-1), Fraction(1)), zero, -ua, CutKind.BOUND_UPPER))
+    cuts.append(LinearCut((Fraction(1), Fraction(-1)), zero, -ua, CutKind.BOUND_LOWER))
+    for i in range(data.n):
+        unit = [Fraction(0)] * data.n
+        unit[i] = Fraction(1)
+        cuts.append(LinearCut((0, 0), unit, 0, CutKind.BOUND_LOWER))
+        cuts.append(LinearCut((0, 0), [-v for v in unit], -1, CutKind.BOUND_UPPER))
+    return BandedHullReport(inst, band_ok, points, clipped, tuple(cuts))

@@ -17,7 +17,7 @@ from mixcuts import (
     parse_rational,
     serialize_instance,
 )
-from mixcuts.core import InvalidSequence, loads_point, DimensionMismatch
+from mixcuts.core import _ZERO, InvalidSequence, loads_point, DimensionMismatch
 
 from helpers import canonicalize
 
@@ -109,6 +109,25 @@ def test_cut_violation_and_lhs():
     assert cut.lhs(y, z) == 16
     assert cut.violation(y, z) == 1
     assert not cut.satisfied_by(y, z)
+
+
+def test_cut_keeps_fraction_coefficients_and_shares_zero():
+    half = Fraction(1, 2)
+    cut = LinearCut((half, Fraction(0)), (0, "3/4", Fraction(0, 5)), half)
+    assert cut.y_coeffs[0] is half and cut.rhs is half
+    assert cut.y_coeffs[1] is _ZERO
+    assert cut.z_coeffs[0] is _ZERO and cut.z_coeffs[2] is _ZERO
+    assert cut.z_coeffs[1] == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("bad", [True, False, 0.5, 2.0, "1/0", "abc", "", None])
+def test_cut_rejects_non_rational_coefficients(bad):
+    with pytest.raises(ParseError):
+        LinearCut((1, bad), (0,), 1)
+    with pytest.raises(ParseError):
+        LinearCut((1,), (Fraction(1), bad), 1)
+    with pytest.raises(ParseError):
+        LinearCut((1,), (0,), bad)
 
 
 def test_load_instance_example1(example1):

@@ -12,10 +12,12 @@ from mixcuts import (
     hull_with_bounds,
     membership,
     to_mixing,
+    v_representation,
 )
 from mixcuts.twosided import loads_twosided
 
 from conftest import random_twosided
+from helpers import fraction_hull_with_bounds, fraction_v_representation
 
 
 def banded_membership(report, y, z):
@@ -128,3 +130,48 @@ def test_hull_with_bounds_degenerate_v_zero():
     }
     assert (Fraction(6), Fraction(0)) in tight
     assert (Fraction(0), Fraction(6)) in tight
+
+
+def random_band_data(rng: random.Random, n: int) -> TwoSidedData:
+    """Two-sided data with fractional entries, ties and all-zero scenarios;
+    one draw in four has v = 0 throughout."""
+    dens = rng.choice([(1,), (1, 2, 3)])
+    flat = rng.random() < 0.25
+    v = [
+        Fraction(0) if flat else Fraction(rng.randint(0, 6), rng.choice(dens))
+        for _ in range(n)
+    ]
+    w = [vi + Fraction(rng.randint(0, 5), rng.choice(dens)) for vi in v]
+    if rng.random() < 0.3:
+        i = rng.randrange(n)
+        w[i] = v[i] = Fraction(0)
+    ua = max(w) + Fraction(rng.randint(0, 4), rng.choice(dens))
+    return TwoSidedData(w, v, ua if ua else Fraction(1))
+
+
+def cut_fields(cuts):
+    return [(c.kind, c.y_coeffs, c.z_coeffs, c.rhs) for c in cuts]
+
+
+BAND_CASES = [(seed, n) for n in range(2, 9) for seed in range(16 if n < 8 else 6)]
+
+
+@pytest.mark.parametrize("seed,n", BAND_CASES)
+def test_band_hull_matches_the_fraction_reference(seed, n):
+    data = random_band_data(random.Random(100 * n + seed), n)
+    got = hull_with_bounds(data)
+    want = fraction_hull_with_bounds(data)
+    assert got.extreme_points == want.extreme_points
+    assert got.clipped.points == want.clipped.points
+    assert got.clipped.rays == want.clipped.rays
+    assert cut_fields(got.cuts) == cut_fields(want.cuts)
+    assert got.band_ok and want.band_ok
+    assert v_representation(got.instance) == fraction_v_representation(got.instance)
+
+
+def test_band_cases_cover_the_degenerate_draws():
+    draws = [random_band_data(random.Random(100 * n + seed), n) for seed, n in BAND_CASES]
+    assert len(draws) >= 100
+    assert sum(all(vi == 0 for vi in d.v) for d in draws) >= 10
+    assert sum(any(wi == vi == 0 for wi, vi in zip(d.w, d.v)) for d in draws) >= 10
+    assert sum(d.u_a.denominator > 1 or any(x.denominator > 1 for x in d.w) for d in draws) >= 10

@@ -151,6 +151,86 @@ def test_certify_reports_a_violated_cut_exactly_when_one_exists():
     assert violated and held
 
 
+def walk_point(rng: random.Random, inst: MixingInstance, kind: str):
+    """A point of one of four kinds: ``"box"`` (:func:`random_point`),
+    ``"tight"`` (y on the big-M rows, so many cuts are violated or tied),
+    ``"witness"`` (a witness of an insufficient instance, where every
+    aggregated cut holds) and ``"loose"`` (a relaxation row fails: y below a
+    big-M row or below epsilon in sum, or z outside the unit box)."""
+    if kind == "box":
+        return random_point(rng, inst)
+    if kind == "witness":
+        return witness(inst)[0]
+    y, z = random_point(rng, inst)
+    if kind == "tight":
+        y = [
+            max(inst.weights[i][j] * (1 - z[i]) for i in range(inst.n))
+            for j in range(inst.k)
+        ]
+        y[-1] += max(Fraction(0), inst.epsilon - sum(y))
+        return y, z
+    if rng.random() < 0.5:
+        for i in rng.sample(range(inst.n), min(2, inst.n)):
+            z[i] = rng.choice((Fraction(-1), Fraction(-1, 2), Fraction(3, 2)))
+    y = [v - Fraction(rng.randint(0, 6), 2) for v in y]
+    return y, z
+
+
+def relaxation_holds(inst: MixingInstance, y, z) -> bool:
+    return (
+        all(v >= 0 for v in y)
+        and all(0 <= v <= 1 for v in z)
+        and sum(y) >= inst.epsilon
+        and all(
+            y[j] >= inst.weights[i][j] * (1 - z[i])
+            for i in range(inst.n)
+            for j in range(inst.k)
+        )
+    )
+
+
+def test_violated_walk_yields_every_violated_sequence_and_no_other():
+    rng = random.Random(5151)
+    seen = {"violated": 0, "held": 0, "relaxed": 0, "loose": 0, "witness": 0}
+    for trial in range(400):
+        kind = ("box", "tight", "loose", "witness")[trial % 4]
+        n = rng.randint(3 if kind == "witness" else 1, 5)
+        if kind == "witness":
+            inst = random_insufficient_instance(rng, n, 2, rng.choice(("lw", "c1", "c2")))
+        else:
+            inst = random_case(rng, n)
+        point = walk_point(rng, inst, kind)
+        full = [node for node in walk(inst, range(n), point=point) if node[3] > 0]
+        assert list(walk(inst, range(n), point=point, violated=True)) == full
+        if all(0 <= v <= 1 for v in point[1]):  # certification needs z in the box
+            message = "ok: all aggregated cuts hold"
+            if full:
+                first = min((len(t), t) for t, *_ in full)[1]
+                cut = aggregated_cut(inst, SequenceTheta(first))
+                message = f"FAIL: aggregated cut violated for {first}: {cut}"
+            assert certify_witness(inst, point)[2] == message
+        seen["violated" if full else "held"] += 1
+        seen["relaxed" if relaxation_holds(inst, *point) else "loose"] += 1
+        seen["witness"] += kind == "witness"
+    assert min(seen.values()) >= 50, seen
+
+
+def test_certify_finds_a_violated_cut_through_an_index_at_one():
+    """An index at z_i = 1 in the middle of a sequence raises L: no sequence
+    over {i : z_i < 1} is violated at this point, which satisfies every
+    relaxation row, but the one through index 3 is."""
+    inst = MixingInstance(
+        [["4/3", 3, 2], ["1/3", "1/3", 0], [4, 0, 1], [4, "2/3", 3]], None, 4
+    )
+    y = (Fraction(11, 6), Fraction(5, 2), Fraction(1))
+    z = (Fraction(1, 2), Fraction(1, 2), Fraction(2, 3), Fraction(1))
+    assert relaxation_holds(inst, y, z)
+    assert not any(gap > 0 for *_, gap in walk(inst, [0, 1, 2], point=(y, z)))
+    messages = certify_witness(inst, (y, z))
+    assert messages[2] == reference_aggregated_message(inst, (y, z))
+    assert messages[2].startswith("FAIL: aggregated cut violated for (0, 3, 2)")
+
+
 def reference_separation(inst: MixingInstance, y, z):
     """Largest violation over every sequence of the separation ground set,
     ties broken by the lexicographically smallest sequence."""
