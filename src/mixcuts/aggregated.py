@@ -511,8 +511,9 @@ def separate(
     violation: the most violated mixing cut per column (family "mix"), then
     the linking row or the most violated aggregated cut (family "amix").
 
-    The point is checked before any family runs.  Mixing cuts are separated
-    on the instance as given, whose column oracles carry the lower bounds.
+    The point is checked before any family runs, and an empty choice of
+    families is an error, not an empty answer.  Mixing cuts are separated on
+    the instance as given, whose column passes start at the lower bounds.
     A violated linking row takes precedence over the aggregated family, which
     presumes it; otherwise the aggregated family is separated on the reduced
     instance at y - lower, and the cut found, alpha.(y - lower) + beta.z >=
@@ -522,6 +523,8 @@ def separate(
     if unknown:
         raise ValidationError(f"unknown families {sorted(unknown)}")
     y, z = check_point(inst, y_bar, z_bar)
+    if not families:
+        raise ValidationError("no cut family chosen: name mix, amix or both")
     found = []
     if "mix" in families:
         found += [(cut.violation(y, z), cut) for cut in separate_mixing(inst, y, z)]

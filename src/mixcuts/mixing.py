@@ -3,13 +3,14 @@
 The mixing inequality of a chain of scenario indices with nonincreasing
 column values telescopes their differences; the starred form starts the
 chain at the column maximum and, together with the variable bounds, yields
-the full hull of the linking-free set.  Separation is one greedy vertex of
-each column oracle against the complemented variables, all in integers on
-the instance's and the point's integer views.  One builder writes every
-mixing cut from its chain as an integer row over the instance's common
-denominator, for the enumerated chains of a column and the support of a
-violated greedy vertex alike; a ``LinearCut`` is made only from a row that
-is returned.
+the full hull of the linking-free set.  Separation sorts the complemented
+variables once and makes one running-maximum pass per column over that
+order, the closed form of the greedy vertex of the column function, all in
+integers on the instance's and the point's integer views.  One builder
+writes every mixing cut from its chain as an integer row over the
+instance's common denominator, for the enumerated chains of a column and
+the chain of a violated column pass alike; a ``LinearCut`` is made only
+from a row that is returned.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .core import (
     scale_point,
     unscale,
 )
-from .submodular import greedy_vertex, max_sum_oracle
 
 
 def reduce_lower_bounds(
@@ -126,35 +126,43 @@ def separate_mixing(
 ) -> list[LinearCut]:
     """Most violated mixing cut per column at (y_bar, z_bar), greedy-exact.
 
-    The greedy vertex pi of each column oracle z -> max(lower_j, max_i
+    The greedy vertex pi of the column function z -> max(lower_j, max_i
     w[i][j] z_i) against the complemented point gives the column's most
     violated inequality y_j >= lower_j + pi.(1 - z), written y_j + pi.z >=
     lower_j + sum(pi); a column contributes nothing exactly when its
-    coordinate satisfies all of the column's mixing inequalities.
+    coordinate satisfies all of the column's mixing inequalities.  For this
+    max function the greedy telescopes into a running maximum: over the
+    indices sorted by 1 - z descending (ties by ascending index), pi_i is
+    how far w[i][j] raises the maximum so far, which starts at lower_j.  The
+    indices that raise it, latest first, are the chain of the cut, headed at
+    the column maximum when that exceeds lower_j.
 
-    Everything runs in integers: the oracles on the instance scaled by its
-    common denominator D, the greedies against p * (1 - z) for the point's
-    common denominator p, and the test y_j >= lower_j + pi.(1 - z) times D
-    * p.  Only a violated column's cut is built, over D.
+    Everything runs in integers: the weights scaled by the instance's common
+    denominator D, one sort of p * (1 - z) for the point's common
+    denominator p shared by every column, and the test y_j >= lower_j +
+    pi.(1 - z) times D * p.  Only a violated column's cut is built, over D.
     """
     y, z = check_point(inst, y_bar, z_bar)
     p, y_p, z_p = scale_point(y, z)
     slack = [p - v for v in z_p]  # p * (1 - z_i)
+    # Slack descending, ties by ascending index: a stable sort keeps equal
+    # values in index order, also when reversed.
+    order = sorted(range(inst.n), key=slack.__getitem__, reverse=True)
     scale, weights, _, lower = inst.scaled
     cuts = []
     for j in range(inst.k):
-        oracle = max_sum_oracle(
-            [(row[j],) for row in weights], (lower[j],), 0, f"column-{j}"
-        )
-        vertex = greedy_vertex(oracle, slack)
-        pi = vertex.pi
-        bound = lower[j] * p + sum(g * s for g, s in zip(pi, slack) if g)
-        if y_p[j] * scale >= bound:
-            continue
-        # The support in greedy order, reversed, is a chain headed at the
-        # column maximum whose telescoped drops are pi.
-        chain = [i for i in reversed(vertex.permutation) if pi[i]]
-        cuts.append(_column_cut(inst, j, chain))
+        top = lower[j]
+        bound = top * p
+        chain = []
+        for i in order:
+            w = weights[i][j]
+            if w > top:
+                bound += (w - top) * slack[i]
+                top = w
+                chain.append(i)
+        if y_p[j] * scale < bound:
+            chain.reverse()  # latest first: values decreasing
+            cuts.append(_column_cut(inst, j, chain))
     return cuts
 
 

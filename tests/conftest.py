@@ -3,10 +3,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from mixcuts import MixingInstance, diagnose, load_instance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Property tests draw the same examples on every run and have no deadline,
+# so a slow or loaded machine cannot fail them.
+settings.register_profile("mixcuts", derandomize=True, deadline=None)
+settings.load_profile("mixcuts")
 
 
 @pytest.fixture(scope="session")

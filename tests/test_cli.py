@@ -109,6 +109,21 @@ def test_separate_families_flag(tmp_path, capsys):
     assert all("AMix" in line for line in out.splitlines())
 
 
+@pytest.mark.parametrize("families", ["", ","])
+def test_separate_without_a_family_is_an_error(tmp_path, capsys, families):
+    point = tmp_path / "p.json"
+    point.write_text('{"y": ["8", "8"], "z": ["0", "0", "0", "1", "1"]}')
+    code, out, err = run_cli(
+        capsys,
+        "separate",
+        fixture_path("example1.json"),
+        str(point),
+        f"--families={families}",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: no cut family chosen") and "mix, amix" in err
+
+
 def test_verify_sufficiency_example1(capsys):
     code, out, _ = run_cli(
         capsys,

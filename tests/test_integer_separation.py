@@ -8,7 +8,9 @@ oracle, greedy vertex, ``aggregated_cut`` and its violation), in kind,
 coefficients and right-hand side.  The pairs have ties in z, z at 0 and 1,
 mixed denominators in y and z, nonzero lower bounds, a column whose maximum
 lies below its lower bound, epsilon = 0 and all-zero columns, and each pair
-is also moved onto the cuts it yields, where nothing is violated.
+is also moved onto the cuts it yields, where nothing is violated.  Mixing
+separation is also compared at the sizes of the separate benchmark's greedy
+cells (n up to 64, k up to 5).
 """
 
 import random
@@ -31,9 +33,10 @@ PAIRS = 400
 Z_POOL = (0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4))
 
 
-def random_pair(rng: random.Random, trial: int):
-    """A seeded instance with lower bounds and a point (y, z) in its space."""
-    n, k = rng.randint(2, 6), rng.randint(1, 3)
+def random_pair(rng: random.Random, trial: int, size=None):
+    """A seeded instance with lower bounds and a point (y, z) in its space,
+    of the given ``(n, k)`` or of a random small size."""
+    n, k = size or (rng.randint(2, 6), rng.randint(1, 3))
     if trial % 3 == 0:
         values = [Fraction(rng.choice((0, 3, 3, 7))) for _ in range(n * k)]
     else:
@@ -113,6 +116,21 @@ def test_separate_mixing_equals_the_fraction_round_trip():
             assert separate_mixing(inst, y_on, z) == []
             on_cut += 1
     assert separated >= PAIRS // 2 and on_cut >= 100
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (16, 32, 64) for k in (2, 3, 5)])
+def test_separate_mixing_equals_the_fraction_round_trip_at_workload_sizes(n, k):
+    # The sizes of the greedy cells of the separate benchmark; z takes three
+    # values, so the slack ties throughout.
+    rng = random.Random(1000 * n + k)
+    separated = 0
+    for trial in range(12):
+        inst, y, z = random_pair(rng, trial, (n, k))
+        expected = round_trip_mixing(inst, y, z)
+        got = separate_mixing(inst, y, z)
+        assert [as_tuple(c) for c in got] == [as_tuple(c) for c in expected]
+        separated += len(expected)
+    assert separated >= 6
 
 
 def test_separate_aggregated_equals_the_fraction_greedy_branch():

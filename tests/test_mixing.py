@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mixcuts import (
     InvalidSequence,
@@ -210,6 +212,54 @@ def test_separate_mixing_verdict_matches_family_brute_force():
             for c in cuts:
                 if c.y_coeffs[j] == 1:
                     assert c.violation(y, z) == worst  # greedy attains the max
+
+
+WEIGHT_VALUES = (0, 1, Fraction(3, 2), 3, 7)
+LOWER_VALUES = (0, 1, Fraction(5, 2), 8)  # 8 lies above every weight
+Z_VALUES = (0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
+
+
+@st.composite
+def column_points(draw):
+    """Weights, lower bounds and a point (y, z) with n <= 6 and k <= 3; y_j
+    ranges from below lower_j to above the column maximum."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    value = st.sampled_from(WEIGHT_VALUES)
+    w = [[draw(value) for _ in range(k)] for _ in range(n)]
+    lower = [draw(st.sampled_from(LOWER_VALUES)) for _ in range(k)]
+    z = [draw(st.sampled_from(Z_VALUES)) for _ in range(n)]
+    y = [l + Fraction(draw(st.integers(-2, 16)), 2) for l in lower]
+    return w, lower, y, z
+
+
+@given(case=column_points())
+@example(
+    # Nonzero lower bound 4 under values 3 and 5, an all-zero column, a
+    # column whose maximum 7 lies below its lower bound 8 with y under it,
+    # ties in z, and z at 0 and at 1.
+    case=(
+        [[3, 0, 1], [5, 0, 7], [5, 0, 0], [1, 0, 3]],
+        [4, 0, 8],
+        [4, 0, Fraction(15, 2)],
+        [0, Fraction(1, 2), Fraction(1, 2), 1],
+    )
+)
+def test_separate_mixing_attains_the_most_violated_column_inequality(case):
+    w, lower, y, z = case
+    inst = MixingInstance(w, lower, 0)
+    y, z = tuple(map(Fraction, y)), tuple(map(Fraction, z))
+    found = separate_mixing(inst, y, z)
+    cuts = {next(j for j, a in enumerate(cut.y_coeffs) if a): cut for cut in found}
+    assert len(cuts) == len(found)  # at most one cut per column
+    for j in range(inst.k):
+        worst = max(
+            [inst.lower[j] - y[j]]  # the bound row y_j >= lower_j
+            + [c.violation(y, z) for c in all_mixing_cuts(inst, j)]
+        )
+        if worst > 0:
+            assert cuts[j].violation(y, z) == worst
+        else:
+            assert j not in cuts
 
 
 def test_mix_cut_validity_at_all_binary_points():
