@@ -52,6 +52,7 @@ from .vertices import (
     MembershipResult,
     VRepresentation,
     check_validity,
+    decompose,
     membership,
     v_representation,
 )

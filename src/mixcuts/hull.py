@@ -5,8 +5,9 @@ Everything here works on instances with zero lower bounds.  The diagnosis
 the linking threshold alone whether the mixing and aggregated mixing
 families describe the convex hull; :func:`check_sufficiency` certifies that
 verdict point by point.  It either confirms that sampled cut-feasible points
-lie inside the hull, by the membership LP over the explicit vertex list of
-:mod:`mixcuts.vertices`, or builds a witness point outside it.
+lie inside the hull over the explicit vertex list of :mod:`mixcuts.vertices`
+(chain certificate first, membership LP where it fails), or builds a witness
+point outside it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import (
 )
 from .counterexample import certify_witness, witness
 from .mixing import mix_star_cuts, star_rows
-from .vertices import SeparatingHyperplane, membership, v_representation
+from .vertices import SeparatingHyperplane, decompose, membership, v_representation
 
 BASIS_ENUMERATION_WORK = 3_000
 FAMILY_SEQUENCE_BOUND = 150_000
@@ -302,10 +303,13 @@ def check_sufficiency(
 
     Sufficient instances: sample points of the cut polyhedron (seeded
     projections of random box points, and its exact vertices when basis
-    enumeration is affordable) and confirm each is inside the hull by the
-    membership LP.  Insufficient instances: build the explicit witness
-    point for the failing condition and certify that it satisfies every
-    mixing and aggregated mixing cut yet lies outside the hull.
+    enumeration is affordable) and confirm each is inside the hull: by the
+    chain certificate of :func:`mixcuts.vertices.decompose` first, and by
+    the membership LP where the chain proves nothing, so a point is counted
+    outside only on the LP's verdict.  Insufficient instances: build the
+    explicit witness point for the failing condition and certify that it
+    satisfies every mixing and aggregated mixing cut yet lies outside the
+    hull, by the membership LP.
     """
     diag = diagnose(inst)
     vrep = v_representation(inst)
@@ -320,13 +324,15 @@ def check_sufficiency(
         for s in range(samples):
             z = _random_box_point(rng, inst.n)
             y, z = project_to_cut_polyhedron(family, z, s % inst.k)
-            if not membership(vrep, y, complement(z)).inside:
+            zc = complement(z)
+            if not (decompose(vrep, y, zc) or membership(vrep, y, zc)).inside:
                 failures.append(f"projected sample {s} outside hull: y={y} z={z}")
             checked += 1
         vertices = _cut_polyhedron_vertices(family, basis_work_bound)
         if vertices is not None:
             for y, z in vertices:
-                if not membership(vrep, y, complement(z)).inside:
+                zc = complement(z)
+                if not (decompose(vrep, y, zc) or membership(vrep, y, zc)).inside:
                     failures.append(f"cut-polyhedron vertex outside hull: {y} {z}")
                 checked += 1
         return SufficiencyReport(

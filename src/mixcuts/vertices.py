@@ -3,9 +3,14 @@
 Everything here works on instances with zero lower bounds, in the
 indicator-epigraph view (z_i = 1 keeps scenario i's row active; callers
 complement z for the original variables).  The extreme points are explicit,
-so membership is one feasibility LP whose certificate is re-checked before
-it is returned, and a linear cut is valid exactly when it holds at every
-extreme point and along every ray.
+so a point is certified inside by a chain certificate first: z sorted in
+descending order gives one nested chain of masks (Edmonds' greedy), and
+the convex combination over their floors and deficits is built in closed
+form (:func:`decompose`).  Where the chain proves nothing, membership is
+one feasibility LP (:func:`membership`), the only source of an "outside"
+verdict.  Every certificate is re-checked in integers before it is
+returned, and a linear cut is valid exactly when it holds at every extreme
+point and along every ray.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     DimensionMismatch,
@@ -72,11 +77,76 @@ class VRepresentation:
         common = math.lcm(*(v.denominator for row in rational for v in row))
         return common, _scaled(rational, [common] * len(rational))
 
+    @cached_property
+    def chain_index(
+        self,
+    ) -> Optional[tuple[tuple[int, ...], dict[int, Optional[_MaskEntry]]]]:
+        """``(rays, masks)`` read from :attr:`common_matrix` for
+        :func:`decompose`, or None when a ray is not a unit y direction or
+        some direction has no ray.
+
+        ``rays[d]`` is the column of the ray e_d.  ``masks`` maps each
+        binary z (as a bitmask, bit i for z_i) to a :class:`_MaskEntry`, or
+        to None when that z's points are neither one floor point nor k
+        points, point d being floor + deficit * e_d.  A z with an entry
+        that is not 0 or 1 maps nowhere.
+        """
+        den, rows = self.common_matrix
+        n, k, npts = self.n, self.k, len(self.points)
+        columns = list(zip(*rows))
+        units = {}
+        for c in range(npts, len(columns)):
+            col = columns[c]
+            ys = col[n + 1 :]
+            if any(col[:n]) or sorted(ys) != [0] * (k - 1) + [den]:
+                return None
+            units.setdefault(ys.index(den), c)
+        if len(units) < k:
+            return None
+        groups: dict[int, list[int]] = {}
+        for c in range(npts):
+            zs = columns[c][:n]
+            if all(v in (0, den) for v in zs):
+                mask = sum(1 << i for i, v in enumerate(zs) if v)
+                groups.setdefault(mask, []).append(c)
+        return tuple(units[d] for d in range(k)), {
+            mask: _mask_entry([columns[c][n + 1 :] for c in cols], cols)
+            for mask, cols in groups.items()
+        }
+
     def _rational_rows(self) -> list[list]:
         columns = self.points + self.rays
         rows = [[cz[i] for _, cz in columns] for i in range(self.n)]
         rows.append([1] * len(self.points) + [0] * len(self.rays))
         return rows + [[cy[j] for cy, _ in columns] for j in range(self.k)]
+
+
+class _MaskEntry(NamedTuple):
+    """One mask's points, over the denominator D of ``common_matrix``:
+    point d is ``floor + deficit * e_d`` at ``columns[d]``.  A single floor
+    point has deficit 0 and stands at every ``columns[d]``."""
+
+    floor: tuple[int, ...]
+    deficit: int
+    columns: tuple[int, ...]
+
+
+def _mask_entry(ys: list[tuple[int, ...]], cols: list[int]) -> Optional[_MaskEntry]:
+    """The :class:`_MaskEntry` of one mask's points (y parts ``ys`` at
+    ``cols``), or None when they are not of either form."""
+    k = len(ys[0])
+    if len(ys) == 1:
+        return _MaskEntry(ys[0], 0, (cols[0],) * k)
+    if len(ys) != k:
+        return None
+    floor = tuple(map(min, *ys))
+    deficit = ys[0][0] - floor[0]
+    for d, y in enumerate(ys):
+        point = list(floor)
+        point[d] += deficit
+        if tuple(point) != y:
+            return None
+    return _MaskEntry(floor, deficit, tuple(cols))
 
 
 def _scaled(rows, scales) -> tuple[tuple[int, ...], ...]:
@@ -233,6 +303,87 @@ def membership(
     return MembershipResult(
         False, None, None, SeparatingHyperplane(tuple(u[n + 1 :]), tuple(u[:n]), -u[n])
     )
+
+
+def decompose(
+    vrep: VRepresentation,
+    y: Sequence[Fraction],
+    z: Sequence[Fraction],
+) -> Optional[MembershipResult]:
+    """A proof that (y, z) is in conv(points) + cone(rays) by one chain, or
+    None when the chain proves nothing (the point may still be inside).
+
+    z sorted in descending order (ties by ascending index) gives the nested
+    masks S_0 = {} < S_1 < ... < S_n, S_t holding the t largest entries,
+    with weights lambda_t = z_(t) - z_(t+1) (z_(0) = 1, z_(n+1) = 0); they
+    sum to 1 and their masks average to z.  Mask S_t contributes its floor
+    and owes its deficit; the point is inside when the slack y - sum
+    lambda_t floor_t is nonnegative and covers sum lambda_t deficit_t.  The
+    deficit is filled into the columns in index order, every mask spreading
+    its points by that one fill, and what is left goes on the rays.  All of
+    this is integer over the vertex list's D and the target's own
+    denominator L, and the multipliers are re-checked against the
+    common-denominator matrix as :func:`membership` re-checks its own.
+    """
+    k, n = vrep.k, vrep.n
+    if len(y) != k or len(z) != n:
+        raise DimensionMismatch("point dimensions disagree with representation")
+    index = vrep.chain_index
+    if index is None:
+        return None
+    rays, masks = index
+    den, common = vrep.common_matrix
+    target = [Fraction(v) for v in z] + [Fraction(1)] + [Fraction(v) for v in y]
+    target_den = math.lcm(*(t.denominator for t in target))
+    target_int = [t.numerator * (target_den // t.denominator) for t in target]
+    z_int = target_int[:n]
+    order = sorted(range(n), key=lambda i: -z_int[i])
+    levels = [target_den] + [z_int[i] for i in order] + [0]
+    if any(a < b for a, b in zip(levels, levels[1:])):
+        return None  # z is outside the unit box
+
+    # Units of 1 / (L * D) from here on: slack, deficits and the fill.
+    slack = [v * den for v in target_int[n + 1 :]]
+    owed = 0
+    chain = []
+    mask = 0
+    for t, weight in enumerate(a - b for a, b in zip(levels, levels[1:])):
+        if weight:
+            entry = masks.get(mask)
+            if entry is None:
+                return None
+            chain.append((weight, entry))
+            slack = [s - weight * f for s, f in zip(slack, entry.floor)]
+            owed += weight * entry.deficit
+        if t < n:
+            mask |= 1 << order[t]
+    if any(s < 0 for s in slack) or sum(slack) < owed:
+        return None
+    fill, rest = [], owed
+    for s in slack:
+        fill.append(min(s, rest))
+        rest -= fill[-1]
+
+    # Point (t, d) carries lambda_t * fill_d / owed and ray d the rest of
+    # slack_d; with nothing owed, each mask's weight sits on its first point.
+    npts = len(vrep.points)
+    x = [0] * (npts + len(vrep.rays))
+    for weight, entry in chain:
+        if owed:
+            for c, f in zip(entry.columns, fill):
+                x[c] += weight * f * den
+        else:
+            x[entry.columns[0]] += weight * den
+    spread = owed or 1
+    for c, s, f in zip(rays, slack, fill):
+        x[c] += (s - f) * spread
+    x_den = target_den * den * spread
+    if not verify_feasible(
+        common, target_int, [target_den * v for v in x], den * x_den
+    ):
+        raise InternalInvariant("chain certificate failed verification")
+    x = [Fraction(v, x_den) if v else _ZERO for v in x]
+    return MembershipResult(True, tuple(x[:npts]), tuple(x[npts:]), None)
 
 
 def check_validity(inst: MixingInstance, cut: LinearCut, vrep=None) -> bool:
