@@ -234,7 +234,7 @@ def walk(
     ground: Sequence[int],
     max_length: Optional[int] = None,
     starred: bool = False,
-    point: Optional[tuple[Sequence[Fraction], Sequence[Fraction]]] = None,
+    point: Optional[tuple[int, Sequence[int], Sequence[int]]] = None,
     violated: bool = False,
 ) -> Iterator[Node]:
     """Every sequence of distinct indices from ``ground``, depth first by
@@ -242,10 +242,11 @@ def walk(
 
     ``chains`` and ``l`` are the per-column chains and D * L(Theta) for the
     common denominator D of ``inst.scaled``, as :func:`fold` gives them.
-    With a point (y, z), ``gap`` is the violation of
-    ``aggregated_cut(inst, theta)`` at it times D times the common
-    denominator of the point, so it is positive exactly when the cut is
-    violated and orders sequences by violation; without one it is 0.
+    A point (y, z) comes checked and scaled, as ``core.scale_point`` gives
+    it: ``(p, p * y, p * z)`` in integers.  With one, ``gap`` is the
+    violation of ``aggregated_cut(inst, theta)`` at it times D times p, so
+    it is positive exactly when the cut is violated and orders sequences by
+    violation; without one it is 0.
 
     ``starred`` yields only sequences whose cut is starred (every chain head
     at its column maximum and epsilon <= L), and of those only the ones in
@@ -283,8 +284,7 @@ def walk(
         slack = at_one = [0] * inst.n
         base = 0
     else:
-        y, z = ([Fraction(v) for v in part] for part in point)
-        p, y_p, at_one = scale_point(y, z)  # at_one[i] = p * z_i
+        p, y_p, at_one = point  # at_one[i] = p * z_i
         slack = [p - v for v in at_one]  # p * (1 - z_i)
         base = scale * sum(y_p)
     free = [i for i in ground if slack[i] > 0]
@@ -489,7 +489,7 @@ def separate_aggregated(
             f"{SEPARATION_SEQUENCE_BOUND} sequences"
         )
     best: Optional[Node] = None
-    for node in walk(inst, ground, point=(y, z)):
+    for node in walk(inst, ground, point=(p, y_p, z_p)):
         theta, _, _, gap = node
         if gap > 0 and (
             best is None or gap > best[3] or (gap == best[3] and theta < best[0])

@@ -208,7 +208,7 @@ class LinearCut:
         """Integer coefficient vector (alpha, beta, gamma) of the canonical form."""
         entries = list(self.y_coeffs) + list(self.z_coeffs) + [self.rhs]
         scale = math.lcm(*(e.denominator for e in entries))
-        ints = [int(e * scale) for e in entries]
+        ints = [e.numerator * (scale // e.denominator) for e in entries]
         g = math.gcd(*ints)
         if g == 0:
             raise AllZeroCut("cut has no nonzero coefficient and zero rhs")

@@ -20,6 +20,7 @@ from .core import (
     PreconditionFailed,
     SequenceTheta,
     complement,
+    scale_point,
 )
 from .mixing import separate_mixing
 from .vertices import MembershipResult, membership, v_representation
@@ -230,7 +231,7 @@ def certify_witness(
         (
             (len(theta), theta)
             for theta, _, _, _ in walk(
-                inst, range(inst.n), point=point, violated=True
+                inst, range(inst.n), point=scale_point(y, z), violated=True
             )
         ),
         default=None,

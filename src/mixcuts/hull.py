@@ -8,6 +8,13 @@ verdict point by point.  It either confirms that sampled cut-feasible points
 lie inside the hull over the explicit vertex list of :mod:`mixcuts.vertices`
 (chain certificate first, membership LP where it fails), or builds a witness
 point outside it.
+
+The closure branch runs in integers from the drawn or enumerated point to
+the re-checked certificate: box points are numerators over one denominator,
+projected on the family's integer matrix, complemented and handed to the
+chain certificate as one integer target; the cut polyhedron's vertices come
+from a depth-first basis enumeration that keeps each prefix fraction-free.
+A ``Fraction`` is made only for the membership LP or a failure message.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .aggregated import (
@@ -37,7 +45,13 @@ from .core import (
 )
 from .counterexample import certify_witness, witness
 from .mixing import mix_star_cuts, star_rows
-from .vertices import SeparatingHyperplane, decompose, membership, v_representation
+from .vertices import (
+    SeparatingHyperplane,
+    VRepresentation,
+    decompose,
+    membership,
+    v_representation,
+)
 
 BASIS_ENUMERATION_WORK = 3_000
 FAMILY_SEQUENCE_BOUND = 150_000
@@ -131,26 +145,25 @@ def _cut_matrix(inst: MixingInstance, rows: dict[Row, CutKind]) -> CutMatrix:
 
 def project_to_cut_polyhedron(
     family: CutMatrix,
-    z: Sequence[Fraction],
+    z: Sequence[int],
+    z_den: int,
     deficit_column: int = 0,
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Lift a z in the unit box to the cheapest y satisfying all cuts.
+) -> list[int]:
+    """Lift a z in the unit box, given as integers over ``z_den``, to the
+    cheapest y satisfying all cuts, as integers over ``family.denominator *
+    z_den``.
 
     Per-column cuts set a floor per coordinate; cuts touching all of y (the
     linking constraint and aggregated cuts) may force a higher total, and the
     shortfall is added to one designated coordinate.  The result satisfies
     every cut and is tight somewhere, which is where closure failures show.
     """
-    z = tuple(Fraction(v) for v in z)
     k = family.k
-    # Everything below is scaled by the cut matrix's denominator times the
-    # common denominator Z of z, so each cut's need is one integer.
-    z_den = math.lcm(*(v.denominator for v in z))
-    z_int = [v.numerator * (z_den // v.denominator) for v in z]
+    point = [0] * k + list(z)  # the y coefficients meet zeros
     y = [0] * k
     total_floor = 0
     for row, rhs, shape in zip(family.rows, family.rhs, family.shapes):
-        need = rhs * z_den - sum(b * v for b, v in zip(row[k:], z_int) if v)
+        need = rhs * z_den - sum(map(mul, row, point))
         if shape < 0:
             if need > total_floor:
                 total_floor = need
@@ -159,89 +172,184 @@ def project_to_cut_polyhedron(
     shortfall = total_floor - sum(y)
     if shortfall > 0:
         y[deficit_column] += shortfall
-    den = family.denominator * z_den
-    return tuple(Fraction(v, den) for v in y), z
+    return y
 
 
-def _random_box_point(rng: random.Random, n: int) -> tuple[Fraction, ...]:
-    dens = (2, 3, 4, 5)
-    return tuple(
-        Fraction(rng.randint(0, d), d) for d in (rng.choice(dens) for _ in range(n))
-    )
+_BOX_DENOMINATORS = (2, 3, 4, 5)
+_BOX_SCALE = math.lcm(*_BOX_DENOMINATORS)
+
+
+def _random_box_point(rng: random.Random, n: int) -> list[int]:
+    """A point of the unit box as integers over ``_BOX_SCALE``: per
+    coordinate a denominator d drawn from ``_BOX_DENOMINATORS``, then a
+    numerator in 0..d."""
+    z = []
+    for _ in range(n):
+        d = rng.choice(_BOX_DENOMINATORS)
+        z.append(rng.randint(0, d) * (_BOX_SCALE // d))
+    return z
 
 
 def _cut_polyhedron_vertices(
     family: CutMatrix, work_bound: int
-) -> Optional[list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]]:
-    """All vertices of the cut system by exhaustive basis enumeration, or
-    None when that would exceed the work bound.
+) -> Optional[list[tuple[tuple[int, ...], int]]]:
+    """All vertices of the cut system as ``(numerators, denominator)`` in
+    lowest terms with a positive denominator, in the order in which
+    ``itertools.combinations`` meets their first basis, or None when that
+    would exceed the work bound.
 
     The system is every cut plus the box rows 0 <= z <= 1 and y >= 0 in
     dimension d = k + n; a vertex is a feasible intersection of d of them
-    with full rank.  Each square system is solved by fraction-free
-    Gauss-Jordan elimination and checked against every row in integers.
+    with full rank.  The bases are walked depth first in lexicographic
+    order, each prefix kept fraction-free in reduced row echelon form
+    (:func:`_add_row`).  A row whose coefficients depend on the prefix ends
+    that branch, since every basis completing it is singular.  A prefix of
+    d - 1 rows leaves a line (:func:`_line`), and each last row meets it in
+    at most one point, read in lowest terms (:func:`_meet`).  A point is
+    checked against every row in integers, the row that last failed a
+    check first.
     """
     k, d = family.k, family.k + family.n
-    rows = list(zip(family.rows, family.rhs))
+    rows = [row + (rhs,) for row, rhs in zip(family.rows, family.rhs)]
     for j in range(k):
-        rows.append((_unit(d, j, 1), 0))
+        rows.append(_unit(d, j, 1) + (0,))
     for i in range(family.n):
-        rows.append((_unit(d, k + i, 1), 0))
-        rows.append((_unit(d, k + i, -1), -1))
-    if math.comb(len(rows), d) > work_bound:
+        rows.append(_unit(d, k + i, 1) + (0,))
+        rows.append(_unit(d, k + i, -1) + (-1,))
+    m = len(rows)
+    if math.comb(m, d) > work_bound:
         return None
-    vertices = []
+    vertices: list[tuple[tuple[int, ...], int]] = []
     seen = set()
-    for combo in itertools.combinations(rows, d):
-        solution = _solve_square(combo)
-        if solution is None:
-            continue
-        num, den = solution
-        if all(
-            sum(c * v for c, v in zip(coeff, num)) >= rhs * den for coeff, rhs in rows
-        ) and solution not in seen:
-            seen.add(solution)
-            point = tuple(Fraction(v, den) for v in num)
-            vertices.append((point[:k], point[k:]))
+    checks = list(rows)
+
+    def feasible(num: tuple[int, ...], den: int) -> bool:
+        for q, row in enumerate(checks):
+            if sum(map(mul, row, num)) < row[d] * den:
+                if q:
+                    checks.insert(0, checks.pop(q))
+                return False
+        return True
+
+    def extend(start: int, echelon: list[tuple[int, list[int]]]) -> None:
+        stop = m - d + len(echelon) + 1  # room is left for the other rows
+        if len(echelon) + 1 < d:
+            for i in range(start, stop):
+                grown = _add_row(echelon, rows[i], d)
+                if grown is not None:
+                    extend(i + 1, grown)
+            return
+        line = _line(echelon, d)
+        for i in range(start, stop):
+            solution = _meet(line, rows[i])
+            if solution is not None and solution not in seen and feasible(*solution):
+                seen.add(solution)
+                vertices.append(solution)
+
+    extend(0, [])
     return vertices
+
+
+def _add_row(
+    echelon: list[tuple[int, list[int]]], row: Sequence[int], d: int
+) -> Optional[list[tuple[int, list[int]]]]:
+    """The reduced row echelon form of a prefix's rows plus one more, or
+    None when the new row's first d coefficients depend on the prefix's.
+
+    ``echelon`` holds ``(pivot, row)`` pairs, each row zero in every other
+    pivot column.  The new row is reduced against them, its first nonzero
+    coefficient becomes its pivot and is cleared from the others; every row
+    changed is divided by the gcd of its entries.
+    """
+    for p, other in echelon:
+        f = row[p]
+        if f:
+            c = other[p]
+            row = [c * a - f * b for a, b in zip(row, other)]
+    pivot = next((j for j in range(d) if row[j]), None)
+    if pivot is None:
+        return None
+    row = _primitive(row)
+    f = row[pivot]
+    grown = []
+    for p, other in echelon:
+        e = other[pivot]
+        if e:
+            other = _primitive([f * a - e * b for a, b in zip(other, row)])
+        grown.append((p, other))
+    grown.append((pivot, row))
+    return grown
+
+
+def _line(
+    echelon: list[tuple[int, list[int]]], d: int
+) -> tuple[int, list[int], list[int]]:
+    """The solutions of d - 1 independent rows in reduced row echelon form,
+    as ``(scale, base, direction)``: the line x(t) = (base + t * direction)
+    / scale.
+
+    The one column q without a pivot carries t itself; the row with pivot p
+    reads c * x_p + g * t = b, so x_p = (b - g * t) / c.
+    """
+    pivots = {p for p, _ in echelon}
+    q = next(j for j in range(d) if j not in pivots)
+    scale = math.lcm(*(row[p] for p, row in echelon))
+    base, direction = [0] * d, [0] * d
+    direction[q] = scale
+    for p, row in echelon:
+        w = scale // row[p]
+        base[p] = w * row[d]
+        direction[p] = -w * row[q]
+    return scale, base, direction
+
+
+def _meet(
+    line: tuple[int, list[int], list[int]], row: Sequence[int]
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """Where a row ``a . x = a_d`` meets the line of :func:`_line`, as
+    ``(numerators, denominator)`` in lowest terms with a positive
+    denominator, or None when its coefficients depend on the line's rows
+    (a . direction = 0).
+
+    The row holds at t = N / M with M = a . direction and N = a_d * scale -
+    a . base, which is the point (M * base + N * direction) / (scale * M).
+    """
+    scale, base, direction = line
+    slope = sum(map(mul, row, direction))
+    if not slope:
+        return None
+    at = row[-1] * scale - sum(map(mul, row, base))
+    den = scale * slope
+    if den < 0:
+        den, slope, at = -den, -slope, -at
+    num = [slope * b + at * e for b, e in zip(base, direction)]
+    g = math.gcd(den, *num)
+    return tuple(v // g for v in num), den // g
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (not all zero)."""
+    g = math.gcd(*row)
+    return row if g == 1 else [v // g for v in row]
 
 
 def _unit(d: int, j: int, value: int) -> tuple[int, ...]:
     return tuple(value if i == j else 0 for i in range(d))
 
 
-def _solve_square(
-    rows: Sequence[tuple[tuple[int, ...], int]]
-) -> Optional[tuple[tuple[int, ...], int]]:
-    """The unique solution of a square integer system as (numerators,
-    denominator) in lowest terms with a positive denominator, or None when
-    the system is singular.
+def _inside(vrep: VRepresentation, target: list[int], den: int) -> bool:
+    """Whether the point with target (z, 1, y) over ``den``, z in the
+    indicator view, lies in the hull: by the chain certificate, and by the
+    membership LP where the chain proves nothing."""
+    if decompose(vrep, target, den) is not None:
+        return True
+    n = vrep.n
+    point = _fractions(target, den)
+    return membership(vrep, point[n + 1 :], point[:n]).inside
 
-    Fraction-free Gauss-Jordan: each update divides by the previous pivot,
-    which is exact, so the last pivot is the common denominator.
-    """
-    d = len(rows)
-    mat = [list(coeff) + [rhs] for coeff, rhs in rows]
-    prev = 1
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if mat[r][col] != 0), None)
-        if pivot is None:
-            return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        prow = mat[col]
-        p = prow[col]
-        for r in range(d):
-            if r != col:
-                f = mat[r][col]
-                mat[r] = [(a * p - f * b) // prev for a, b in zip(mat[r], prow)]
-        prev = p
-    if prev < 0:
-        prev = -prev
-        num = [-mat[r][d] for r in range(d)]
-    else:
-        num = [mat[r][d] for r in range(d)]
-    g = math.gcd(prev, *num)
-    return tuple(v // g for v in num), prev // g
+
+def _fractions(values: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v, den) for v in values)
 
 
 @dataclass(frozen=True)
@@ -306,10 +414,12 @@ def check_sufficiency(
     enumeration is affordable) and confirm each is inside the hull: by the
     chain certificate of :func:`mixcuts.vertices.decompose` first, and by
     the membership LP where the chain proves nothing, so a point is counted
-    outside only on the LP's verdict.  Insufficient instances: build the
-    explicit witness point for the failing condition and certify that it
-    satisfies every mixing and aggregated mixing cut yet lies outside the
-    hull, by the membership LP.
+    outside only on the LP's verdict.  Every point stays in integers from
+    its draw or its basis to the chain certificate; a ``Fraction`` is made
+    only for the LP or for a failure message.  Insufficient instances:
+    build the explicit witness point for the failing condition and certify
+    that it satisfies every mixing and aggregated mixing cut yet lies
+    outside the hull, by the membership LP.
     """
     diag = diagnose(inst)
     vrep = v_representation(inst)
@@ -320,20 +430,30 @@ def check_sufficiency(
         cuts = _family_cuts(inst, rows)
         family = _cut_matrix(inst, rows)
         rng = random.Random(seed)
+        k = inst.k
+        # A sample's y is over D * Z, so its z is scaled by D to share it.
+        scale = family.denominator
+        sample_den = scale * _BOX_SCALE
         checked = 0
         for s in range(samples):
             z = _random_box_point(rng, inst.n)
-            y, z = project_to_cut_polyhedron(family, z, s % inst.k)
-            zc = complement(z)
-            if not (decompose(vrep, y, zc) or membership(vrep, y, zc)).inside:
-                failures.append(f"projected sample {s} outside hull: y={y} z={z}")
+            y = project_to_cut_polyhedron(family, z, _BOX_SCALE, s % k)
+            target = [sample_den - scale * v for v in z] + [sample_den] + y
+            if not _inside(vrep, target, sample_den):
+                failures.append(
+                    f"projected sample {s} outside hull: "
+                    f"y={_fractions(y, sample_den)} z={_fractions(z, _BOX_SCALE)}"
+                )
             checked += 1
         vertices = _cut_polyhedron_vertices(family, basis_work_bound)
         if vertices is not None:
-            for y, z in vertices:
-                zc = complement(z)
-                if not (decompose(vrep, y, zc) or membership(vrep, y, zc)).inside:
-                    failures.append(f"cut-polyhedron vertex outside hull: {y} {z}")
+            for num, den in vertices:
+                y, z = num[:k], num[k:]
+                if not _inside(vrep, [den - v for v in z] + [den] + list(y), den):
+                    failures.append(
+                        "cut-polyhedron vertex outside hull: "
+                        f"{_fractions(y, den)} {_fractions(z, den)}"
+                    )
                 checked += 1
         return SufficiencyReport(
             diag, "closure", tuple(cuts), checked, tuple(failures), None, None,

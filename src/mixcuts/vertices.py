@@ -23,6 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     DimensionMismatch,
+    DomainError,
     GroundSetTooLarge,
     InternalInvariant,
     LinearCut,
@@ -307,11 +308,16 @@ def membership(
 
 def decompose(
     vrep: VRepresentation,
-    y: Sequence[Fraction],
-    z: Sequence[Fraction],
-) -> Optional[MembershipResult]:
-    """A proof that (y, z) is in conv(points) + cone(rays) by one chain, or
+    target: Sequence[int],
+    den: int,
+) -> Optional[tuple[list[int], int]]:
+    """A proof that a point is in conv(points) + cone(rays) by one chain, or
     None when the chain proves nothing (the point may still be inside).
+
+    The point comes as one integer target (z, 1, y) over ``den`` > 0, the
+    layout of the membership LP's rows, so ``target[n]`` is ``den``.  The
+    proof is the multipliers of the points, then of the rays, as integers
+    over one denominator: ``(x, x_den)``.
 
     z sorted in descending order (ties by ascending index) gives the nested
     masks S_0 = {} < S_1 < ... < S_n, S_t holding the t largest entries,
@@ -321,29 +327,28 @@ def decompose(
     lambda_t floor_t is nonnegative and covers sum lambda_t deficit_t.  The
     deficit is filled into the columns in index order, every mask spreading
     its points by that one fill, and what is left goes on the rays.  All of
-    this is integer over the vertex list's D and the target's own
-    denominator L, and the multipliers are re-checked against the
-    common-denominator matrix as :func:`membership` re-checks its own.
+    this is integer over the vertex list's D and ``den``, and the
+    multipliers are re-checked against the common-denominator matrix as
+    :func:`membership` re-checks its own; no ``Fraction`` is made.
     """
     k, n = vrep.k, vrep.n
-    if len(y) != k or len(z) != n:
+    if len(target) != n + 1 + k:
         raise DimensionMismatch("point dimensions disagree with representation")
+    if den <= 0 or target[n] != den:
+        raise DomainError("the target's convexity entry must be its denominator")
     index = vrep.chain_index
     if index is None:
         return None
     rays, masks = index
-    den, common = vrep.common_matrix
-    target = [Fraction(v) for v in z] + [Fraction(1)] + [Fraction(v) for v in y]
-    target_den = math.lcm(*(t.denominator for t in target))
-    target_int = [t.numerator * (target_den // t.denominator) for t in target]
-    z_int = target_int[:n]
-    order = sorted(range(n), key=lambda i: -z_int[i])
-    levels = [target_den] + [z_int[i] for i in order] + [0]
-    if any(a < b for a, b in zip(levels, levels[1:])):
+    common_den, common = vrep.common_matrix
+    z = target[:n]
+    if min(z) < 0 or max(z) > den:
         return None  # z is outside the unit box
+    order = sorted(range(n), key=z.__getitem__, reverse=True)
+    levels = [den] + [z[i] for i in order] + [0]
 
-    # Units of 1 / (L * D) from here on: slack, deficits and the fill.
-    slack = [v * den for v in target_int[n + 1 :]]
+    # Units of 1 / (den * D) from here on: slack, deficits and the fill.
+    slack = [v * common_den for v in target[n + 1 :]]
     owed = 0
     chain = []
     mask = 0
@@ -366,24 +371,23 @@ def decompose(
 
     # Point (t, d) carries lambda_t * fill_d / owed and ray d the rest of
     # slack_d; with nothing owed, each mask's weight sits on its first point.
-    npts = len(vrep.points)
-    x = [0] * (npts + len(vrep.rays))
+    # Every multiplier is kept times den, the scale of the check below.
+    x = [0] * (len(vrep.points) + len(vrep.rays))
+    unit = common_den * den
     for weight, entry in chain:
         if owed:
             for c, f in zip(entry.columns, fill):
-                x[c] += weight * f * den
+                x[c] += weight * f * unit
         else:
-            x[entry.columns[0]] += weight * den
+            x[entry.columns[0]] += weight * unit
     spread = owed or 1
     for c, s, f in zip(rays, slack, fill):
-        x[c] += (s - f) * spread
-    x_den = target_den * den * spread
-    if not verify_feasible(
-        common, target_int, [target_den * v for v in x], den * x_den
-    ):
+        x[c] += (s - f) * spread * den
+    # x / (den * x_den) are the multipliers, and x = den * (x_den * them).
+    x_den = unit * spread
+    if not verify_feasible(common, target, x, common_den * x_den):
         raise InternalInvariant("chain certificate failed verification")
-    x = [Fraction(v, x_den) if v else _ZERO for v in x]
-    return MembershipResult(True, tuple(x[:npts]), tuple(x[npts:]), None)
+    return x, den * x_den
 
 
 def check_validity(inst: MixingInstance, cut: LinearCut, vrep=None) -> bool:

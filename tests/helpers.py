@@ -10,9 +10,12 @@ that the library's integer code is compared against.
 - The ``Fraction`` column and linking oracles, polymatroid separation and
   the mixing separation built on it, and the ``Fraction`` greedy separation
   of the aggregated family.
-- The ``Fraction`` closure-check oracle: membership LP, projection and basis
-  enumeration as they were before the integer kernel, and the cut matrix of
-  any list of cuts, read off their ``Fraction`` coefficients.
+- The ``Fraction`` closure-check oracle: membership LP, box-point draws,
+  projection and basis enumeration as they were before the integer kernel,
+  and the cut matrix of any list of cuts, read off their ``Fraction``
+  coefficients.
+- ``Fraction`` front ends of the closure check's integer entries: the
+  projection, the basis vertices and the chain certificate.
 - The ``Fraction`` vertex list and band hull: floors, deficits, the band
   check and the clipping in ``Fraction`` arithmetic.
 """
@@ -45,10 +48,15 @@ from mixcuts import (
     to_mixing,
 )
 from mixcuts.aggregated import count_sequences
-from mixcuts.hull import CutMatrix, hull_cut_family
+from mixcuts.hull import CutMatrix, hull_cut_family, project_to_cut_polyhedron
 from mixcuts.submodular import SetFunctionOracle
 from mixcuts.twosided import BAND_SEQUENCE_BOUND
-from mixcuts.vertices import MembershipResult, SeparatingHyperplane, VRepresentation
+from mixcuts.vertices import (
+    MembershipResult,
+    SeparatingHyperplane,
+    VRepresentation,
+    decompose as chain_decompose,
+)
 
 BRUTE_FORCE_BOUND = 16
 
@@ -596,6 +604,65 @@ def fraction_solve_square(rows) -> Optional[tuple[Fraction, ...]]:
                 f = mat[r][col]
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
     return tuple(mat[r][d] for r in range(d))
+
+
+def fraction_box_point(rng, n: int) -> tuple[Fraction, ...]:
+    """A point of the unit box drawn as the closure check drew it in
+    ``Fraction``s: per coordinate ``rng.choice`` of a denominator d from
+    (2, 3, 4, 5), then ``rng.randint(0, d)`` for the numerator."""
+    dens = (2, 3, 4, 5)
+    return tuple(
+        Fraction(rng.randint(0, d), d) for d in (rng.choice(dens) for _ in range(n))
+    )
+
+
+# ---------------------------------------------------------------------------
+# Fraction front ends of the closure check's integer entries: each scales a
+# Fraction point to integers over the lcm of its denominators, calls the
+# library, and reads the answer back as Fractions.
+# ---------------------------------------------------------------------------
+
+
+def project(
+    family: CutMatrix, z: Sequence[Fraction], deficit_column: int = 0
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """``hull.project_to_cut_polyhedron`` at a Fraction z, as ``(y, z)``."""
+    z = tuple(Fraction(v) for v in z)
+    z_den = math.lcm(*(v.denominator for v in z))
+    scaled = [v.numerator * (z_den // v.denominator) for v in z]
+    y = project_to_cut_polyhedron(family, scaled, z_den, deficit_column)
+    return tuple(Fraction(v, family.denominator * z_den) for v in y), z
+
+
+def vertex_points(vertices, k: int):
+    """Basis vertices ``(numerators, denominator)`` as ``(y, z)`` pairs of
+    Fractions; None stays None."""
+    if vertices is None:
+        return None
+    points = [tuple(Fraction(v, den) for v in num) for num, den in vertices]
+    return [(point[:k], point[k:]) for point in points]
+
+
+def chain_result(vrep: VRepresentation, certificate) -> MembershipResult:
+    """The integer multipliers ``(x, x_den)`` of ``vertices.decompose`` as the
+    ``MembershipResult`` the LP would give."""
+    x, x_den = certificate
+    x = tuple(Fraction(v, x_den) for v in x)
+    npts = len(vrep.points)
+    return MembershipResult(True, x[:npts], x[npts:], None)
+
+
+def chain_certificate(
+    vrep: VRepresentation, y: Sequence[Fraction], z: Sequence[Fraction]
+) -> Optional[MembershipResult]:
+    """``vertices.decompose`` at a Fraction point (y, z), z in the indicator
+    view: the target (z, 1, y) over the lcm of its denominators."""
+    target = [Fraction(v) for v in z] + [Fraction(1)] + [Fraction(v) for v in y]
+    den = math.lcm(*(t.denominator for t in target))
+    certificate = chain_decompose(
+        vrep, [t.numerator * (den // t.denominator) for t in target], den
+    )
+    return None if certificate is None else chain_result(vrep, certificate)
 
 
 # ---------------------------------------------------------------------------

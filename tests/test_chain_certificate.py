@@ -3,7 +3,8 @@
 multipliers solve the point/ray system exactly; on sufficient instances it
 proves every closure check, so ``check_sufficiency`` runs no LP there; it
 gives no verdict on witness points, on vertex lists of another shape or on a
-corrupted cached matrix."""
+corrupted cached matrix.  ``decompose`` takes an integer target; the tests
+reach it at Fraction points through ``helpers.chain_certificate``."""
 
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from mixcuts import (
 from mixcuts import hull
 
 from conftest import random_insufficient_instance
+from helpers import chain_certificate, chain_result
 
 DENS = (1, 2, 3, 4)
 
@@ -86,10 +88,14 @@ def assert_certificate(vrep: VRepresentation, y, z, result) -> None:
 def test_chain_certifies_every_closure_check(monkeypatch):
     counts = {"certified": 0, "lp": 0}
 
-    def checked_decompose(vrep, y, z):
-        result = decompose(vrep, y, z)
+    def checked_decompose(vrep, target, den):
+        # The integer entry check_sufficiency calls, with each certificate
+        # read back as Fractions and checked against the LP.
+        result = decompose(vrep, target, den)
         if result is not None:
-            assert_certificate(vrep, y, z, result)
+            point = [Fraction(v, den) for v in target]
+            y, z = point[vrep.n + 1 :], point[: vrep.n]
+            assert_certificate(vrep, y, z, chain_result(vrep, result))
             counts["certified"] += 1
         return result
 
@@ -138,7 +144,7 @@ def test_chain_certificates_hold_wherever_given():
             y[rng.randrange(vrep.k)] -= Fraction(rng.randint(1, 20), rng.choice(DENS))
         elif kind == 2:
             z[rng.randrange(vrep.n)] = rng.choice((Fraction(-1, 2), Fraction(3, 2)))
-        result = decompose(vrep, y, z)
+        result = chain_certificate(vrep, y, z)
         if result is not None:
             assert_certificate(vrep, y, z, result)
         outcomes.add((kind, result is not None))
@@ -158,7 +164,7 @@ def test_witness_points_get_no_chain_certificate(example2, example3, example4):
         (y, z), _ = witness(inst)
         vrep = v_representation(inst)
         assert not membership(vrep, y, complement(z)).inside
-        assert decompose(vrep, y, complement(z)) is None
+        assert chain_certificate(vrep, y, complement(z)) is None
 
 
 @pytest.mark.parametrize("row", ["z", "convexity", "y"])
@@ -169,21 +175,21 @@ def test_corrupted_common_matrix_raises(row, delta):
     inst = MixingInstance([[3, 1], [1, 4], [2, 2]], None, Fraction(7, 2))
     vrep = v_representation(inst)
     y, z = (Fraction(7, 2), Fraction(0)), (0, 0, 0)
-    assert decompose(vrep, y, z).coefficients[vrep.points.index((y, z))] == 1
+    assert chain_certificate(vrep, y, z).coefficients[vrep.points.index((y, z))] == 1
     den, rows = vrep.common_matrix
     corrupted = [list(r) for r in rows]
     index = {"z": 0, "convexity": vrep.n, "y": vrep.n + 1}[row]
     corrupted[index][vrep.points.index((y, z))] += delta
     vrep.__dict__["common_matrix"] = (den, tuple(map(tuple, corrupted)))
     with pytest.raises(InternalInvariant):
-        decompose(vrep, y, z)
+        chain_certificate(vrep, y, z)
 
 
 def test_vertex_lists_of_another_shape_get_no_verdict():
     inst = MixingInstance([[3, 1], [1, 4], [2, 2]], None, Fraction(7, 2))
     vrep = v_representation(inst)
     y, z = (Fraction(2), Fraction(2)), (0, 0, 0)
-    assert decompose(vrep, y, z) is not None
+    assert chain_certificate(vrep, y, z) is not None
     # The empty mask's points (7/2, 0) and (1/2, 7/2) share no floor and
     # deficit: (1/2, 0) and 3 would put the second at (1/2, 3).
     points = list(vrep.points)
@@ -191,13 +197,13 @@ def test_vertex_lists_of_another_shape_get_no_verdict():
     points[second] = ((Fraction(1, 2), Fraction(7, 2)), (0, 0, 0))
     moved = VRepresentation(tuple(points), vrep.rays)
     assert membership(moved, y, z).inside
-    assert decompose(moved, y, z) is None
+    assert chain_certificate(moved, y, z) is None
     # A ray that is not a unit y direction.
     slanted = VRepresentation(
         vrep.points, (((Fraction(1), Fraction(1)), (0, 0, 0)),) + vrep.rays[1:]
     )
     assert membership(slanted, y, z).inside
-    assert decompose(slanted, y, z) is None
+    assert chain_certificate(slanted, y, z) is None
 
 
 def test_band_hull_gets_no_chain_verdict():
@@ -205,4 +211,4 @@ def test_band_hull_gets_no_chain_verdict():
     clipped = report.clipped
     for y, z in clipped.points[:: max(1, len(clipped.points) // 20)]:
         assert membership(clipped, y, z).inside
-        assert decompose(clipped, y, z) is None
+        assert chain_certificate(clipped, y, z) is None

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -74,6 +75,46 @@ def test_canonicalize_idempotent_fuzz():
         once = canonicalize(cut)
         assert canonicalize(once) == once
         assert once.canonical_key() == cut.canonical_key()
+
+
+def fraction_canonical_key(cut: LinearCut) -> tuple[int, ...]:
+    """The canonical key as first defined: each entry times the lcm of the
+    denominators as a ``Fraction``, then divided by the gcd."""
+    entries = list(cut.y_coeffs) + list(cut.z_coeffs) + [cut.rhs]
+    scale = math.lcm(*(e.denominator for e in entries))
+    ints = [int(e * scale) for e in entries]
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def test_canonical_key_equals_the_fraction_definition():
+    rng = random.Random(12346)
+    seen = {"negative": 0, "zero": 0, "large": 0}
+    for _ in range(2000):
+        k, n = rng.randint(1, 3), rng.randint(1, 5)
+
+        def entry():
+            draw = rng.random()
+            if draw < 0.25:
+                return Fraction(0)
+            if draw < 0.4:  # a large denominator: prime powers and a prime
+                den = rng.choice((2**40, 3**25, 10**9 + 7))
+                return Fraction(rng.randint(-(10**12), 10**12), den)
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+        cut = LinearCut(
+            [entry() for _ in range(k)], [entry() for _ in range(n)], entry()
+        )
+        entries = cut.y_coeffs + cut.z_coeffs + (cut.rhs,)
+        if not any(entries):
+            continue
+        assert cut.canonical_key() == fraction_canonical_key(cut)
+        seen["negative"] += any(e < 0 for e in entries)
+        seen["zero"] += any(e == 0 for e in entries)
+        seen["large"] += max(e.denominator for e in entries) > 10**6
+    assert min(seen.values()) >= 300, seen
+    with pytest.raises(AllZeroCut):
+        LinearCut([0, 0], [0, 0, 0], 0).canonical_key()
 
 
 def test_zero_cut_rejected():

@@ -21,11 +21,18 @@ from mixcuts.core import CutKind, DimensionMismatch, complement
 from mixcuts.hull import (
     BASIS_ENUMERATION_WORK,
     _cut_polyhedron_vertices,
-    project_to_cut_polyhedron,
 )
 
 from conftest import random_instance, random_sufficient_instance
-from helpers import column_oracle, cut_matrix, is_submodular, l_theta, linking_oracle
+from helpers import (
+    column_oracle,
+    cut_matrix,
+    is_submodular,
+    l_theta,
+    linking_oracle,
+    project,
+    vertex_points,
+)
 
 
 def test_diagnose_example1(example1):
@@ -224,7 +231,9 @@ def test_insufficient_instances_have_closure_vertices_outside():
 
         inst = random_insufficient_instance(rng, 3, 2, case)
         cuts = hull_cut_family(inst)
-        vertices = _cut_polyhedron_vertices(cut_matrix(inst, cuts), 2_000_000)
+        vertices = vertex_points(
+            _cut_polyhedron_vertices(cut_matrix(inst, cuts), 2_000_000), inst.k
+        )
         assert vertices is not None
         vrep = v_representation(inst)
         outside = [
@@ -330,7 +339,9 @@ def test_cut_polyhedron_vertices_all_inside():
     rng = random.Random(33)
     inst = random_sufficient_instance(rng, 3, 2)
     cuts = hull_cut_family(inst)
-    vertices = _cut_polyhedron_vertices(cut_matrix(inst, cuts), 40_000)
+    vertices = vertex_points(
+        _cut_polyhedron_vertices(cut_matrix(inst, cuts), 40_000), inst.k
+    )
     assert vertices  # small case: enumeration must run and find vertices
     vrep = v_representation(inst)
     for y, z in vertices:
@@ -342,6 +353,6 @@ def test_projection_points_satisfy_all_cuts(example1):
     cuts = hull_cut_family(example1)
     for s in range(30):
         z = tuple(Fraction(rng.randint(0, 4), 4) for _ in range(5))
-        y, z = project_to_cut_polyhedron(cut_matrix(example1, cuts), z, s % 2)
+        y, z = project(cut_matrix(example1, cuts), z, s % 2)
         for cut in cuts:
             assert cut.satisfied_by(y, z)

@@ -1,11 +1,14 @@
 """The closure check in integers against its Fraction oracle: membership on
-the vertex list's cached matrices, projection and basis enumeration on the
-cut family's integer matrix, cut validity on the common-denominator matrix,
-and the integer certificate checks, which must reject a tampered certificate
-or a corrupted cached row."""
+the vertex list's cached matrices, the box-point sampler, projection and
+depth-first basis enumeration on the cut family's integer matrix, cut
+validity on the common-denominator matrix, and the integer certificate
+checks, which must reject a tampered certificate or a corrupted cached
+row."""
 
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,28 +16,36 @@ from mixcuts import (
     InternalInvariant,
     LinearCut,
     MixingInstance,
+    check_sufficiency,
     check_validity,
+    complement,
     hull_cut_family,
     membership,
     v_representation,
 )
+from mixcuts import hull
 from mixcuts.exactlp import solve_feasibility, verify_farkas, verify_feasible
 from mixcuts.hull import (
     BASIS_ENUMERATION_WORK,
+    _BOX_SCALE,
     _cut_matrix,
     _cut_polyhedron_vertices,
     _family_rows,
+    _random_box_point,
     project_to_cut_polyhedron,
 )
 
-from conftest import random_sufficient_instance
+from conftest import random_insufficient_instance, random_sufficient_instance
 from helpers import (
     cut_matrix,
+    fraction_box_point,
     fraction_cut_polyhedron_vertices,
     fraction_membership,
     fraction_projection,
     fraction_solve_feasibility,
+    project,
     scale_rows,
+    vertex_points,
 )
 
 DENS = (1, 2, 3, 4, 5, 6)
@@ -158,8 +169,28 @@ def test_projection_equals_the_fraction_oracle():
                 Fraction(rng.randint(0, d), d)
                 for d in (rng.choice(DENS) for _ in range(inst.n))
             )
-            got = project_to_cut_polyhedron(family, z, s % inst.k)
+            got = project(family, z, s % inst.k)
             assert got == fraction_projection(inst, cuts, z, s % inst.k)
+
+
+def test_integer_samples_equal_the_fraction_draws_and_projection():
+    """Twin rng streams: the integer sampler draws the points the Fraction
+    sampler draws, in the same order of rng calls, and the integer
+    projection on the family's own matrix lifts them to the reference's y."""
+    rng = random.Random(8084)
+    for seed, inst in enumerate(closure_instances(rng, 40, max_n=5)):
+        cuts = hull_cut_family(inst)
+        family = _cut_matrix(inst, _family_rows(inst, None))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        den = family.denominator * _BOX_SCALE
+        for s in range(12):
+            z = _random_box_point(ours, inst.n)
+            want_z = fraction_box_point(theirs, inst.n)
+            assert tuple(Fraction(v, _BOX_SCALE) for v in z) == want_z
+            y = project_to_cut_polyhedron(family, z, _BOX_SCALE, s % inst.k)
+            want_y, _ = fraction_projection(inst, cuts, want_z, s % inst.k)
+            assert tuple(Fraction(v, den) for v in y) == want_y
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_family_matrix_is_the_fraction_cut_matrix_over_the_instance_denominator():
@@ -181,11 +212,102 @@ def test_cut_polyhedron_vertices_equal_the_fraction_oracle_in_order():
     compared = 0
     for inst in closure_instances(rng, 30, max_n=3):
         cuts = hull_cut_family(inst)
-        got = _cut_polyhedron_vertices(cut_matrix(inst, cuts), BASIS_ENUMERATION_WORK)
+        got = vertex_points(
+            _cut_polyhedron_vertices(cut_matrix(inst, cuts), BASIS_ENUMERATION_WORK),
+            inst.k,
+        )
         want = fraction_cut_polyhedron_vertices(inst, cuts, BASIS_ENUMERATION_WORK)
         assert got == want
         compared += got is not None
     assert compared >= 10
+
+
+def test_closure_failures_read_as_the_fraction_reference_writes_them(monkeypatch):
+    """On insufficient instances passed off as sufficient, every sample and
+    vertex the LP puts outside the hull is reported, in order, with the
+    text the Fraction sampler, projection and membership LP give."""
+    rng = random.Random(8086)
+    failed = 0
+    for case in ("lw", "c2"):
+        inst = random_insufficient_instance(rng, 3, 2, case)
+        claimed = SimpleNamespace(sufficient=True, i_bar=hull.diagnose(inst).i_bar)
+        monkeypatch.setattr(hull, "diagnose", lambda _: claimed)
+        report = check_sufficiency(inst, samples=12, seed=7, basis_work_bound=10**6)
+        monkeypatch.undo()
+        cuts = hull_cut_family(inst)
+        vrep = v_representation(inst)
+        draws = random.Random(7)
+        want = []
+        for s in range(12):
+            y, z = fraction_projection(inst, cuts, fraction_box_point(draws, 3), s % 2)
+            if not fraction_membership(vrep, y, complement(z)).inside:
+                want.append(f"projected sample {s} outside hull: y={y} z={z}")
+        family = _cut_matrix(inst, _family_rows(inst, None))
+        for y, z in vertex_points(_cut_polyhedron_vertices(family, 10**6), 2):
+            if not fraction_membership(vrep, y, complement(z)).inside:
+                want.append(f"cut-polyhedron vertex outside hull: {y} {z}")
+        assert report.failures == tuple(want) and not report.ok
+        failed += len(want)
+    assert failed >= 4
+
+
+def lowest_terms(vertices):
+    """Fraction vertices ``(y, z)`` as ``(numerators, denominator)`` in
+    lowest terms with a positive denominator."""
+    out = []
+    for y, z in vertices:
+        den = math.lcm(*(v.denominator for v in y + z))
+        out.append((tuple(v.numerator * (den // v.denominator) for v in y + z), den))
+    return out
+
+
+def enumeration_cases(rng):
+    """``(label, inst, cuts, work bound)``: hull families with some cuts
+    repeated at random places, with one z column zeroed in every cut, and
+    cuts at k = 3 and at n = 4 under a bound above the default."""
+    for _ in range(8):
+        inst = random_sufficient_instance(rng, rng.randint(2, 3), rng.randint(1, 2))
+        cuts = hull_cut_family(inst)
+        for cut in rng.sample(cuts, min(3, len(cuts))):
+            cuts.insert(rng.randrange(len(cuts) + 1), cut)
+        yield "duplicates", inst, cuts, BASIS_ENUMERATION_WORK
+    for _ in range(8):
+        inst = random_sufficient_instance(rng, rng.randint(2, 3), rng.randint(1, 2))
+        i = rng.randrange(inst.n)
+        cuts = [
+            LinearCut(
+                cut.y_coeffs,
+                [0 if t == i else b for t, b in enumerate(cut.z_coeffs)],
+                cut.rhs,
+                cut.kind,
+            )
+            for cut in hull_cut_family(inst)
+        ]
+        yield "zero column", inst, cuts, BASIS_ENUMERATION_WORK
+    # The Fraction oracle solves every basis, so the larger cells keep only
+    # the first few cuts of their family.
+    for n in (1, 2, 3):
+        inst = random_sufficient_instance(rng, n, 3)
+        yield "k = 3", inst, hull_cut_family(inst)[:5], 10_000
+    for k, count in ((1, 6), (2, 3)):
+        inst = random_sufficient_instance(rng, 4, k, rng.random() < 0.5)
+        yield "n = 4", inst, hull_cut_family(inst)[:count], 10_000
+
+
+def test_depth_first_basis_enumeration_equals_the_fraction_oracle():
+    """The same vertices in the same order, each in lowest terms: a
+    dependent prefix is pruned on its coefficients alone, and every leaf is
+    read in lowest terms, or duplicates and vertices would differ."""
+    rng = random.Random(8085)
+    compared = set()
+    for label, inst, cuts, bound in enumeration_cases(rng):
+        got = _cut_polyhedron_vertices(cut_matrix(inst, cuts), bound)
+        want = fraction_cut_polyhedron_vertices(inst, cuts, bound)
+        assert (got is None) == (want is None), label
+        if got is not None:
+            assert got == lowest_terms(want), label
+            compared.add(label)
+    assert compared == {"duplicates", "zero column", "k = 3", "n = 4"}
 
 
 def example_certificates(inst, y, z):

@@ -17,11 +17,10 @@ from mixcuts import (
     reduce_lower_bounds,
     separate_mixing,
 )
-from mixcuts.hull import project_to_cut_polyhedron
 from mixcuts.mixing import _column_cut
 
 from conftest import random_weights
-from helpers import column_oracle, cut_matrix, is_submodular, mixing_cut
+from helpers import column_oracle, cut_matrix, is_submodular, mixing_cut, project
 
 
 def floor_point(inst, z_mask):
@@ -332,6 +331,6 @@ def test_subchain_cuts_implied_by_star_family(example1):
     full = [c for j in range(2) for c in all_mixing_cuts(example1, j)]
     for s in range(40):
         z = tuple(Fraction(rng.randint(0, 4), 4) for _ in range(5))
-        y, z = project_to_cut_polyhedron(cut_matrix(example1, star), z, s % 2)
+        y, z = project(cut_matrix(example1, star), z, s % 2)
         for cut in full:
             assert cut.satisfied_by(y, z)

@@ -28,6 +28,7 @@ from mixcuts import (
     witness,
 )
 from mixcuts.aggregated import walk
+from mixcuts.core import scale_point
 
 from conftest import random_insufficient_instance
 from helpers import (
@@ -89,7 +90,7 @@ def test_walk_matches_per_sequence_path_at_every_node(seed, n):
     depth = rng.choice([None, 1, 2, len(ground)])
     expected = {theta.indices for theta in sequences(ground, depth)}
     visited = set()
-    for theta, chains, l, gap in walk(inst, ground, depth, point=(y, z)):
+    for theta, chains, l, gap in walk(inst, ground, depth, point=scale_point(y, z)):
         seq = SequenceTheta(theta)
         assert chains == decompose(inst, seq)
         assert l == scale * l_theta(inst, seq)
@@ -200,8 +201,9 @@ def test_violated_walk_yields_every_violated_sequence_and_no_other():
         else:
             inst = random_case(rng, n)
         point = walk_point(rng, inst, kind)
-        full = [node for node in walk(inst, range(n), point=point) if node[3] > 0]
-        assert list(walk(inst, range(n), point=point, violated=True)) == full
+        scaled = scale_point(*point)
+        full = [node for node in walk(inst, range(n), point=scaled) if node[3] > 0]
+        assert list(walk(inst, range(n), point=scaled, violated=True)) == full
         if all(0 <= v <= 1 for v in point[1]):  # certification needs z in the box
             message = "ok: all aggregated cuts hold"
             if full:
@@ -225,7 +227,9 @@ def test_certify_finds_a_violated_cut_through_an_index_at_one():
     y = (Fraction(11, 6), Fraction(5, 2), Fraction(1))
     z = (Fraction(1, 2), Fraction(1, 2), Fraction(2, 3), Fraction(1))
     assert relaxation_holds(inst, y, z)
-    assert not any(gap > 0 for *_, gap in walk(inst, [0, 1, 2], point=(y, z)))
+    assert not any(
+        gap > 0 for *_, gap in walk(inst, [0, 1, 2], point=scale_point(y, z))
+    )
     messages = certify_witness(inst, (y, z))
     assert messages[2] == reference_aggregated_message(inst, (y, z))
     assert messages[2].startswith("FAIL: aggregated cut violated for (0, 3, 2)")
