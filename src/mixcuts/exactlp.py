@@ -153,10 +153,18 @@ def verify_feasible(
     den: int,
 ) -> bool:
     """Whether x / den is nonnegative and solves Ax = b (den > 0)."""
-    if den <= 0 or any(v < 0 for v in x) or any(len(r) != len(x) for r in a_rows):
+    if den <= 0:
         return False
-    # Zero entries add nothing, and a basic solution has at most len(b) others.
-    support = [(j, v) for j, v in enumerate(x) if v]
+    # One pass over x checks the signs and collects the support: zero
+    # entries add nothing, and a basic solution has at most len(b) others.
+    support = []
+    for j, v in enumerate(x):
+        if v:
+            if v < 0:
+                return False
+            support.append((j, v))
+    if any(len(r) != len(x) for r in a_rows):
+        return False
     return all(
         sum(row[j] * v for j, v in support) == rhs * den
         for row, rhs in zip(a_rows, b)

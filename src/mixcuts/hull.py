@@ -365,10 +365,6 @@ class SufficiencyReport:
     witness_plane: Optional[SeparatingHyperplane] = None
     ok: bool = True
 
-    @property
-    def cut_count(self) -> int:
-        return len(self.cuts)
-
     def to_json(self) -> str:
         doc = {
             "sufficient": self.diagnosis.sufficient,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .aggregated import aggregated_cut, count_sequences, diagnose, fold
 from .core import (
@@ -28,7 +28,7 @@ from .core import (
     parse_rational,
 )
 from .hull import hull_cut_family
-from .vertices import VRepresentation, fractions_over, integer_vertices
+from .vertices import VRepresentation, v_representation
 
 BAND_SEQUENCE_BOUND = 5_000
 
@@ -151,6 +151,24 @@ def generalized_cut(
     return primed, original
 
 
+def fractions_over(scale: int) -> Callable[[Iterable[int]], tuple[Fraction, ...]]:
+    """A function taking integers over the denominator ``scale`` to a tuple
+    of Fractions; it makes each distinct integer a Fraction once and keeps
+    it for the next call."""
+    cache: dict[int, Fraction] = {}
+
+    def exact(values: Iterable[int]) -> tuple[Fraction, ...]:
+        out = []
+        for v in values:
+            f = cache.get(v)
+            if f is None:
+                f = cache[v] = Fraction(v, scale)
+            out.append(f)
+        return tuple(out)
+
+    return exact
+
+
 @dataclass(frozen=True)
 class BandedHullReport:
     instance: MixingInstance
@@ -172,33 +190,34 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
     ``BAND_SEQUENCE_BOUND`` (it is exponential in n).
     """
     inst = to_mixing(data)
-    # Everything is an integer over D until a point is stored, and each
-    # distinct coordinate becomes a Fraction once.  The band width u_a is
-    # the linking threshold, so D * u_a is the scaled epsilon.
+    # Everything is an integer over D, and each distinct coordinate of an
+    # extreme point becomes a Fraction once.  The band width u_a is the
+    # linking threshold, so D * u_a is the scaled epsilon.
     scale, _, band, _ = inst.scaled
-    exact = fractions_over(scale)
 
     # Work in the original indicator orientation: complement the z parts.
-    points = [(y, tuple(1 - zi for zi in z)) for y, z in integer_vertices(inst)]
+    points = [
+        (y, tuple(1 - zi for zi in z)) for y, z in v_representation(inst).points
+    ]
     band_ok = all(-band <= y[0] - y[1] <= band for y, _ in points)
     if not band_ok:
         raise InternalInvariant("an extreme point violates the band")
 
+    exact = fractions_over(scale)
     extreme_points = tuple((exact(y), z) for y, z in points)
-    clipped_points = list(extreme_points)
+    clipped_points = list(points)
     for y, z in points:
         gap_upper = band - (y[0] - y[1])  # room along +e_1 to the upper plane
         if gap_upper > 0:
-            clipped_points.append((exact((band + y[1], y[1])), z))
+            clipped_points.append(((band + y[1], y[1]), z))
         gap_lower = band + (y[0] - y[1])  # room along +e_2 to the lower plane
         if gap_lower > 0:
-            clipped_points.append((exact((y[0], band + y[0])), z))
+            clipped_points.append(((y[0], band + y[0]), z))
     for _, z in clipped_points:
         if any(zi not in (0, 1) for zi in z):
             raise InternalInvariant("clipping created a fractional z")
     clipped = VRepresentation(
-        tuple(clipped_points),
-        (((Fraction(1), Fraction(1)), tuple(0 for _ in range(data.n))),),
+        scale, tuple(clipped_points), (((scale, scale), (0,) * data.n),)
     )
 
     outside = sum(1 for wi, vi in zip(data.w, data.v) if wi != 0 or vi != 0)

@@ -2,15 +2,17 @@
 
 Everything here works on instances with zero lower bounds, in the
 indicator-epigraph view (z_i = 1 keeps scenario i's row active; callers
-complement z for the original variables).  The extreme points are explicit,
-so a point is certified inside by a chain certificate first: z sorted in
-descending order gives one nested chain of masks (Edmonds' greedy), and
-the convex combination over their floors and deficits is built in closed
-form (:func:`decompose`).  Where the chain proves nothing, membership is
-one feasibility LP (:func:`membership`), the only source of an "outside"
-verdict.  Every certificate is re-checked in integers before it is
-returned, and a linear cut is valid exactly when it holds at every extreme
-point and along every ray.
+complement z for the original variables).  The extreme points are explicit
+and listed in integers over one denominator, each binary z's floor and
+deficit recorded as they are enumerated, so a point is certified inside by
+a chain certificate first: z sorted in descending order gives one nested
+chain of masks (Edmonds' greedy), and the convex combination over their
+floors and deficits is built in closed form (:func:`decompose`).  Where
+the chain proves nothing, membership is one feasibility LP
+(:func:`membership`), the only source of an "outside" verdict.  Every
+certificate is re-checked in integers before it is returned, and a linear
+cut is valid exactly when it holds at every extreme point and along every
+ray.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     DimensionMismatch,
@@ -41,16 +43,27 @@ _ZERO = Fraction(0)
 class VRepresentation:
     """Extreme points and rays of the hull in the indicator-epigraph view
     (z_i = 1 means scenario i is active; callers complement for the
-    original variables).
+    original variables), each ``(y, z)`` with y in integers over the one
+    denominator ``den`` > 0 and z in integers.
 
     The membership LP's constraint matrix has one column per point, then one
     per ray, and the rows: n z rows, the convexity row, k y rows.  It is
-    built in integers once per vertex list, in two scalings (see
+    cached in integers once per vertex list, in two scalings (see
     :attr:`lp_matrix` and :attr:`common_matrix`).
+
+    ``masks`` is the enumerator's record for :func:`decompose`: for each
+    binary z (as a bitmask, bit i for z_i), ``(floor, deficit, columns)``
+    with point d being ``floor + deficit * e_d`` (y over ``den``) at
+    ``columns[d]``; a single floor point has deficit 0 and stands at every
+    ``columns[d]``.  The ray of y direction d stands at column
+    ``len(points) + d``.  A list built by hand has no record and gets no
+    chain verdict.
     """
 
-    points: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
-    rays: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
+    den: int
+    points: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    rays: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    masks: Optional[tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]] = None
 
     @property
     def k(self) -> int:
@@ -62,110 +75,37 @@ class VRepresentation:
 
     @cached_property
     def lp_matrix(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """``(rows, scales)``: each row of the constraint matrix times
-        ``scales[i]``, the lcm of that row's own denominators (1 for the
-        0/1 z rows and the convexity row)."""
-        rational = self._rational_rows()
-        scales = tuple(math.lcm(*(v.denominator for v in row)) for row in rational)
-        return _scaled(rational, scales), scales
+        """``(rows, scales)``: each row of :attr:`common_matrix` divided by
+        g, the gcd of ``den`` and its entries, so ``scales[i]`` = den / g is
+        the lcm of that row's own denominators (1 for the 0/1 z rows and
+        the convexity row)."""
+        den, common = self.common_matrix
+        rows, scales = [], []
+        for row in common:
+            g = math.gcd(den, *row)
+            rows.append(row if g == 1 else tuple(v // g for v in row))
+            scales.append(den // g)
+        return tuple(rows), tuple(scales)
 
     @cached_property
     def common_matrix(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(D, rows)``: the constraint matrix times one common denominator
-        D of every coordinate.  The certificates are checked against it, so
-        it is built from the coordinates, not from :attr:`lp_matrix`."""
-        rational = self._rational_rows()
-        common = math.lcm(*(v.denominator for row in rational for v in row))
-        return common, _scaled(rational, [common] * len(rational))
-
-    @cached_property
-    def chain_index(
-        self,
-    ) -> Optional[tuple[tuple[int, ...], dict[int, Optional[_MaskEntry]]]]:
-        """``(rays, masks)`` read from :attr:`common_matrix` for
-        :func:`decompose`, or None when a ray is not a unit y direction or
-        some direction has no ray.
-
-        ``rays[d]`` is the column of the ray e_d.  ``masks`` maps each
-        binary z (as a bitmask, bit i for z_i) to a :class:`_MaskEntry`, or
-        to None when that z's points are neither one floor point nor k
-        points, point d being floor + deficit * e_d.  A z with an entry
-        that is not 0 or 1 maps nowhere.
-        """
-        den, rows = self.common_matrix
-        n, k, npts = self.n, self.k, len(self.points)
-        columns = list(zip(*rows))
-        units = {}
-        for c in range(npts, len(columns)):
-            col = columns[c]
-            ys = col[n + 1 :]
-            if any(col[:n]) or sorted(ys) != [0] * (k - 1) + [den]:
-                return None
-            units.setdefault(ys.index(den), c)
-        if len(units) < k:
-            return None
-        groups: dict[int, list[int]] = {}
-        for c in range(npts):
-            zs = columns[c][:n]
-            if all(v in (0, den) for v in zs):
-                mask = sum(1 << i for i, v in enumerate(zs) if v)
-                groups.setdefault(mask, []).append(c)
-        return tuple(units[d] for d in range(k)), {
-            mask: _mask_entry([columns[c][n + 1 :] for c in cols], cols)
-            for mask, cols in groups.items()
-        }
-
-    def _rational_rows(self) -> list[list]:
+        """``(den, rows)``: the constraint matrix times ``den``, the points'
+        and rays' own integers.  The certificates are checked against it."""
+        den = self.den
         columns = self.points + self.rays
-        rows = [[cz[i] for _, cz in columns] for i in range(self.n)]
-        rows.append([1] * len(self.points) + [0] * len(self.rays))
-        return rows + [[cy[j] for cy, _ in columns] for j in range(self.k)]
+        rows = [tuple(v * den for v in row) for row in zip(*(z for _, z in columns))]
+        rows.append((den,) * len(self.points) + (0,) * len(self.rays))
+        rows += zip(*(y for y, _ in columns))
+        return den, tuple(rows)
 
 
-class _MaskEntry(NamedTuple):
-    """One mask's points, over the denominator D of ``common_matrix``:
-    point d is ``floor + deficit * e_d`` at ``columns[d]``.  A single floor
-    point has deficit 0 and stands at every ``columns[d]``."""
-
-    floor: tuple[int, ...]
-    deficit: int
-    columns: tuple[int, ...]
-
-
-def _mask_entry(ys: list[tuple[int, ...]], cols: list[int]) -> Optional[_MaskEntry]:
-    """The :class:`_MaskEntry` of one mask's points (y parts ``ys`` at
-    ``cols``), or None when they are not of either form."""
-    k = len(ys[0])
-    if len(ys) == 1:
-        return _MaskEntry(ys[0], 0, (cols[0],) * k)
-    if len(ys) != k:
-        return None
-    floor = tuple(map(min, *ys))
-    deficit = ys[0][0] - floor[0]
-    for d, y in enumerate(ys):
-        point = list(floor)
-        point[d] += deficit
-        if tuple(point) != y:
-            return None
-    return _MaskEntry(floor, deficit, tuple(cols))
-
-
-def _scaled(rows, scales) -> tuple[tuple[int, ...], ...]:
-    """Each rational row times its scale, a multiple of its denominators."""
-    return tuple(
-        tuple(v.numerator * (scale // v.denominator) for v in row)
-        for row, scale in zip(rows, scales)
-    )
-
-
-def integer_vertices(
-    inst: MixingInstance,
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every extreme point of the hull as ``(y, z)`` with y in integers over
-    the common denominator D of ``inst.scaled``: per binary z (in mask
-    order) either the componentwise floor of the active rows, when its sum
-    already exceeds the linking threshold, or one point per column absorbing
-    the deficit."""
+def v_representation(inst: MixingInstance) -> VRepresentation:
+    """Every extreme point of the hull, y over the common denominator D of
+    ``inst.scaled``: per binary z (in mask order) either the componentwise
+    floor of the active rows, when its sum already exceeds the linking
+    threshold, or one point per column absorbing the deficit; the rays are
+    the unit y directions.  Each z's floor, deficit and columns are
+    recorded as they are enumerated."""
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("vertex enumeration requires zero lower bounds")
     if inst.n > ENUMERATION_BOUND:
@@ -173,9 +113,10 @@ def integer_vertices(
             f"vertex enumeration limited to n <= {ENUMERATION_BOUND}"
         )
     n, k = inst.n, inst.k
-    _, weights, eps, _ = inst.scaled
+    den, weights, eps, _ = inst.scaled
     floors = [(0,) * k]  # floors[mask]: the componentwise max of its rows
     points = []
+    masks = []
     for mask in range(1 << n):
         if mask:
             low = mask & -mask
@@ -185,47 +126,20 @@ def integer_vertices(
         floor = floors[mask]
         z = tuple((mask >> i) & 1 for i in range(n))
         deficit = eps - sum(floor)
+        start = len(points)
         if deficit < 0:
             points.append((floor, z))
+            masks.append((floor, 0, (start,) * k))
         else:
             for d in range(k):
                 y = list(floor)
                 y[d] += deficit
                 points.append((tuple(y), z))
-    return points
-
-
-def fractions_over(scale: int) -> Callable[[Iterable[int]], tuple[Fraction, ...]]:
-    """A function taking integers over the denominator ``scale`` to a tuple
-    of Fractions; it makes each distinct integer a Fraction once and keeps
-    it for the next call."""
-    cache: dict[int, Fraction] = {}
-
-    def exact(values: Iterable[int]) -> tuple[Fraction, ...]:
-        out = []
-        for v in values:
-            f = cache.get(v)
-            if f is None:
-                f = cache[v] = Fraction(v, scale)
-            out.append(f)
-        return tuple(out)
-
-    return exact
-
-
-def v_representation(inst: MixingInstance) -> VRepresentation:
-    """The extreme points of :func:`integer_vertices`, each distinct
-    coordinate made a Fraction once; rays are the unit y directions."""
-    points = integer_vertices(inst)
-    exact = fractions_over(inst.scaled[0])
+            masks.append((floor, deficit, tuple(range(start, start + k))))
     rays = tuple(
-        (
-            tuple(Fraction(1 if j == d else 0) for j in range(inst.k)),
-            tuple(0 for _ in range(inst.n)),
-        )
-        for d in range(inst.k)
+        (tuple(den if j == d else 0 for j in range(k)), (0,) * n) for d in range(k)
     )
-    return VRepresentation(tuple((exact(y), z) for y, z in points), rays)
+    return VRepresentation(den, tuple(points), rays, tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -323,23 +237,23 @@ def decompose(
     masks S_0 = {} < S_1 < ... < S_n, S_t holding the t largest entries,
     with weights lambda_t = z_(t) - z_(t+1) (z_(0) = 1, z_(n+1) = 0); they
     sum to 1 and their masks average to z.  Mask S_t contributes its floor
-    and owes its deficit; the point is inside when the slack y - sum
-    lambda_t floor_t is nonnegative and covers sum lambda_t deficit_t.  The
-    deficit is filled into the columns in index order, every mask spreading
-    its points by that one fill, and what is left goes on the rays.  All of
-    this is integer over the vertex list's D and ``den``, and the
-    multipliers are re-checked against the common-denominator matrix as
-    :func:`membership` re-checks its own; no ``Fraction`` is made.
+    and owes its deficit, as :attr:`VRepresentation.masks` records them (a
+    list without that record gets None); the point is inside when the slack
+    y - sum lambda_t floor_t is nonnegative and covers sum lambda_t
+    deficit_t.  The deficit is filled into the columns in index order, every
+    mask spreading its points by that one fill, and what is left goes on
+    the rays.  All of this is integer over the vertex list's D and ``den``,
+    and the multipliers are re-checked against the common-denominator
+    matrix as :func:`membership` re-checks its own; no ``Fraction`` is made.
     """
     k, n = vrep.k, vrep.n
     if len(target) != n + 1 + k:
         raise DimensionMismatch("point dimensions disagree with representation")
     if den <= 0 or target[n] != den:
         raise DomainError("the target's convexity entry must be its denominator")
-    index = vrep.chain_index
-    if index is None:
+    masks = vrep.masks
+    if masks is None:
         return None
-    rays, masks = index
     common_den, common = vrep.common_matrix
     z = target[:n]
     if min(z) < 0 or max(z) > den:
@@ -354,12 +268,10 @@ def decompose(
     mask = 0
     for t, weight in enumerate(a - b for a, b in zip(levels, levels[1:])):
         if weight:
-            entry = masks.get(mask)
-            if entry is None:
-                return None
-            chain.append((weight, entry))
-            slack = [s - weight * f for s, f in zip(slack, entry.floor)]
-            owed += weight * entry.deficit
+            floor, deficit, columns = masks[mask]
+            chain.append((weight, columns))
+            slack = [s - weight * f for s, f in zip(slack, floor)]
+            owed += weight * deficit
         if t < n:
             mask |= 1 << order[t]
     if any(s < 0 for s in slack) or sum(slack) < owed:
@@ -372,17 +284,18 @@ def decompose(
     # Point (t, d) carries lambda_t * fill_d / owed and ray d the rest of
     # slack_d; with nothing owed, each mask's weight sits on its first point.
     # Every multiplier is kept times den, the scale of the check below.
-    x = [0] * (len(vrep.points) + len(vrep.rays))
+    npts = len(vrep.points)
+    x = [0] * (npts + len(vrep.rays))
     unit = common_den * den
-    for weight, entry in chain:
+    for weight, columns in chain:
         if owed:
-            for c, f in zip(entry.columns, fill):
+            for c, f in zip(columns, fill):
                 x[c] += weight * f * unit
         else:
-            x[entry.columns[0]] += weight * unit
+            x[columns[0]] += weight * unit
     spread = owed or 1
-    for c, s, f in zip(rays, slack, fill):
-        x[c] += (s - f) * spread * den
+    for d, (s, f) in enumerate(zip(slack, fill)):
+        x[npts + d] += (s - f) * spread * den
     # x / (den * x_den) are the multipliers, and x = den * (x_den * them).
     x_den = unit * spread
     if not verify_feasible(common, target, x, common_den * x_den):

@@ -17,13 +17,14 @@ that the library's integer code is compared against.
 - ``Fraction`` front ends of the closure check's integer entries: the
   projection, the basis vertices and the chain certificate.
 - The ``Fraction`` vertex list and band hull: floors, deficits, the band
-  check and the clipping in ``Fraction`` arithmetic.
+  check and the clipping in ``Fraction`` arithmetic; a vertex list's points
+  read as ``Fraction``s, and a vertex list built by hand from them.
 """
 
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from mixcuts import (
     BandedHullReport,
@@ -516,10 +517,7 @@ def fraction_membership(
     """The membership LP built in Fractions, solved and checked by the oracle."""
     n = vrep.n
     npts = len(vrep.points)
-    columns = vrep.points + vrep.rays
-    a_rows = [[Fraction(cz[i]) for _, cz in columns] for i in range(n)]
-    a_rows.append([Fraction(1)] * npts + [Fraction(0)] * len(vrep.rays))
-    a_rows += [[Fraction(cy[j]) for cy, _ in columns] for j in range(vrep.k)]
+    a_rows = fraction_rows(fraction_vertices(vrep))
     b = [Fraction(v) for v in z] + [Fraction(1)] + [Fraction(v) for v in y]
     feasible, x, u = fraction_solve_feasibility(a_rows, b)
     if feasible:
@@ -672,7 +670,47 @@ def chain_certificate(
 # ---------------------------------------------------------------------------
 
 
-def fraction_v_representation(inst: MixingInstance) -> VRepresentation:
+class FractionVertices(NamedTuple):
+    """A vertex list's points and rays as ``(y, z)`` pairs, y in Fractions."""
+
+    points: tuple
+    rays: tuple
+
+
+def fraction_vertices(vrep: VRepresentation) -> FractionVertices:
+    """The points and rays of a vertex list with y read as Fractions over its
+    denominator: the one way the tests read a vertex list's coordinates."""
+
+    def read(columns):
+        return tuple((tuple(Fraction(v, vrep.den) for v in y), z) for y, z in columns)
+
+    return FractionVertices(read(vrep.points), read(vrep.rays))
+
+
+def vertex_list(points, rays) -> VRepresentation:
+    """A vertex list built by hand from ``(y, z)`` pairs with y in Fractions:
+    y over the lcm of every denominator, and no enumerator record, so
+    ``decompose`` gives it no verdict."""
+    columns = [(tuple(map(Fraction, y)), tuple(z)) for y, z in (*points, *rays)]
+    den = math.lcm(*(v.denominator for y, _ in columns for v in y))
+    ints = tuple(
+        (tuple(v.numerator * (den // v.denominator) for v in y), z) for y, z in columns
+    )
+    return VRepresentation(den, ints[: len(points)], ints[len(points) :])
+
+
+def fraction_rows(vertices: FractionVertices) -> list[list[Fraction]]:
+    """The membership LP's constraint rows in Fractions, one column per
+    point, then one per ray: n z rows, the convexity row, k y rows."""
+    points, rays = vertices
+    columns = points + rays
+    n, k = len(points[0][1]), len(points[0][0])
+    rows = [[Fraction(cz[i]) for _, cz in columns] for i in range(n)]
+    rows.append([Fraction(1)] * len(points) + [Fraction(0)] * len(rays))
+    return rows + [[Fraction(cy[j]) for cy, _ in columns] for j in range(k)]
+
+
+def fraction_v_representation(inst: MixingInstance) -> FractionVertices:
     """Per binary z in mask order (z_i is bit i), the componentwise maximum
     of the active rows, kept when its sum exceeds epsilon and otherwise
     raised by the deficit in one column at a time; the unit y rays."""
@@ -696,15 +734,15 @@ def fraction_v_representation(inst: MixingInstance) -> VRepresentation:
         (tuple(Fraction(1 if j == d else 0) for j in range(k)), (0,) * n)
         for d in range(k)
     )
-    return VRepresentation(tuple(points), rays)
+    return FractionVertices(tuple(points), rays)
 
 
 def fraction_hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
     """``twosided.hull_with_bounds`` on the ``Fraction`` vertex list:
     complement z, check the band at every extreme point, clip along the
-    unit rays to the band planes, then append the band rows and the z bounds
-    to the library's hull family (``test_walk`` holds that family to
-    :func:`fraction_hull_cut_family`)."""
+    unit rays to the band planes (``clipped`` is a :class:`FractionVertices`),
+    then append the band rows and the z bounds to the library's hull family
+    (``test_walk`` holds that family to :func:`fraction_hull_cut_family`)."""
     inst = to_mixing(data)
     ua = data.u_a
     points = tuple(
@@ -720,7 +758,7 @@ def fraction_hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
         gap_lower = ua + (y[0] - y[1])
         if gap_lower > 0:
             clipped_points.append(((y[0], y[1] + gap_lower), z))
-    clipped = VRepresentation(
+    clipped = FractionVertices(
         tuple(clipped_points),
         (((Fraction(1), Fraction(1)), tuple(0 for _ in range(data.n))),),
     )

@@ -20,7 +20,13 @@ from mixcuts.core import complement
 from mixcuts.hull import diagnose, v_representation
 
 from conftest import random_weights
-from helpers import decompose, dominates_linking, l_theta, mixing_cut
+from helpers import (
+    decompose,
+    dominates_linking,
+    fraction_vertices,
+    l_theta,
+    mixing_cut,
+)
 
 THETA_213 = SequenceTheta((1, 0, 2))  # paper's {2 -> 1 -> 3}
 
@@ -221,7 +227,7 @@ def test_separate_aggregated_example1(example1):
 
 def test_separate_aggregated_vertex_gives_nothing(example1):
     vrep = v_representation(example1)
-    y, z = vrep.points[5]
+    y, z = fraction_vertices(vrep).points[5]
     assert separate_aggregated(example1, y, complement(z)) is None
 
 

@@ -29,7 +29,7 @@ from mixcuts import (
 from mixcuts import hull
 
 from conftest import random_insufficient_instance
-from helpers import chain_certificate, chain_result
+from helpers import chain_certificate, chain_result, fraction_vertices, vertex_list
 
 DENS = (1, 2, 3, 4)
 
@@ -78,7 +78,8 @@ def assert_certificate(vrep: VRepresentation, y, z, result) -> None:
     assert len(coeffs) == len(vrep.points) and len(ray_coeffs) == len(vrep.rays)
     assert all(c >= 0 for c in coeffs + ray_coeffs)
     assert sum(coeffs) == 1
-    columns = list(zip(coeffs, vrep.points)) + list(zip(ray_coeffs, vrep.rays))
+    points, rays = fraction_vertices(vrep)
+    columns = list(zip(coeffs, points)) + list(zip(ray_coeffs, rays))
     for j in range(vrep.k):
         assert sum(c * py[j] for c, (py, _) in columns) == y[j]
     for i in range(vrep.n):
@@ -131,7 +132,8 @@ def test_chain_certificates_hold_wherever_given():
     outcomes = set()
     for index in range(200):
         vrep = v_representation(chain_instance(rng, index))
-        picks = rng.sample(vrep.points, min(len(vrep.points), rng.randint(1, 3)))
+        points = fraction_vertices(vrep).points
+        picks = rng.sample(points, min(len(points), rng.randint(1, 3)))
         weights = [Fraction(rng.randint(1, 4), rng.choice(DENS)) for _ in picks]
         total = sum(weights)
         y = [sum(w * py[j] for w, (py, _) in zip(weights, picks)) / total
@@ -175,11 +177,12 @@ def test_corrupted_common_matrix_raises(row, delta):
     inst = MixingInstance([[3, 1], [1, 4], [2, 2]], None, Fraction(7, 2))
     vrep = v_representation(inst)
     y, z = (Fraction(7, 2), Fraction(0)), (0, 0, 0)
-    assert chain_certificate(vrep, y, z).coefficients[vrep.points.index((y, z))] == 1
+    column = fraction_vertices(vrep).points.index((y, z))
+    assert chain_certificate(vrep, y, z).coefficients[column] == 1
     den, rows = vrep.common_matrix
     corrupted = [list(r) for r in rows]
     index = {"z": 0, "convexity": vrep.n, "y": vrep.n + 1}[row]
-    corrupted[index][vrep.points.index((y, z))] += delta
+    corrupted[index][column] += delta
     vrep.__dict__["common_matrix"] = (den, tuple(map(tuple, corrupted)))
     with pytest.raises(InternalInvariant):
         chain_certificate(vrep, y, z)
@@ -192,15 +195,16 @@ def test_vertex_lists_of_another_shape_get_no_verdict():
     assert chain_certificate(vrep, y, z) is not None
     # The empty mask's points (7/2, 0) and (1/2, 7/2) share no floor and
     # deficit: (1/2, 0) and 3 would put the second at (1/2, 3).
-    points = list(vrep.points)
-    second = points.index(((Fraction(0), Fraction(7, 2)), (0, 0, 0)))
-    points[second] = ((Fraction(1, 2), Fraction(7, 2)), (0, 0, 0))
-    moved = VRepresentation(tuple(points), vrep.rays)
+    points, rays = fraction_vertices(vrep)
+    shifted = list(points)
+    second = shifted.index(((Fraction(0), Fraction(7, 2)), (0, 0, 0)))
+    shifted[second] = ((Fraction(1, 2), Fraction(7, 2)), (0, 0, 0))
+    moved = vertex_list(shifted, rays)
     assert membership(moved, y, z).inside
     assert chain_certificate(moved, y, z) is None
     # A ray that is not a unit y direction.
-    slanted = VRepresentation(
-        vrep.points, (((Fraction(1), Fraction(1)), (0, 0, 0)),) + vrep.rays[1:]
+    slanted = vertex_list(
+        points, (((Fraction(1), Fraction(1)), (0, 0, 0)),) + rays[1:]
     )
     assert membership(slanted, y, z).inside
     assert chain_certificate(slanted, y, z) is None
@@ -209,6 +213,7 @@ def test_vertex_lists_of_another_shape_get_no_verdict():
 def test_band_hull_gets_no_chain_verdict():
     report = hull_with_bounds(TwoSidedData((8, 6, 13, 1, 4), (3, 4, 2, 1, 1), 13))
     clipped = report.clipped
-    for y, z in clipped.points[:: max(1, len(clipped.points) // 20)]:
+    points = fraction_vertices(clipped).points
+    for y, z in points[:: max(1, len(points) // 20)]:
         assert membership(clipped, y, z).inside
         assert chain_certificate(clipped, y, z) is None

@@ -27,6 +27,7 @@ from conftest import random_instance, random_sufficient_instance
 from helpers import (
     column_oracle,
     cut_matrix,
+    fraction_vertices,
     is_submodular,
     l_theta,
     linking_oracle,
@@ -154,7 +155,7 @@ def test_weak_independence_identity(example1):
     rng = random.Random(21)
     vrep = v_representation(example1)
     by_z = {}
-    for y, z in vrep.points:
+    for y, z in fraction_vertices(vrep).points:
         by_z.setdefault(z, []).append(y)
     g = linking_oracle(example1)
     oracles = [column_oracle(example1, j) for j in range(2)]
@@ -174,20 +175,21 @@ def test_weak_independence_identity(example1):
 
 def test_v_representation_examples(example1):
     vrep = v_representation(example1)
-    by_z = {z: y for y, z in vrep.points if sum(y) > example1.epsilon}
+    points = fraction_vertices(vrep).points
+    by_z = {z: y for y, z in points if sum(y) > example1.epsilon}
     assert by_z[(0, 1, 1, 0, 0)] == (13, 4)
-    zero_points = [(y, z) for y, z in vrep.points if z == (0,) * 5]
+    zero_points = [(y, z) for y, z in points if z == (0,) * 5]
     assert len(zero_points) == 2
     assert {tuple(y) for y, _ in zero_points} == {
         (Fraction(7), Fraction(0)),
         (Fraction(0), Fraction(7)),
     }
-    s_count = sum(1 for y, z in vrep.points if sum(y) > example1.epsilon)
+    s_count = sum(1 for y, z in points if sum(y) > example1.epsilon)
     assert len(vrep.points) == s_count + 2 * (32 - s_count)
     assert len(vrep.rays) == 2
     # every point either floors above the threshold or sits exactly on it
     floors = {}
-    for y, z in vrep.points:
+    for y, z in points:
         floors.setdefault(z, []).append(y)
     for z, ys in floors.items():
         mask = sum(1 << i for i, zi in enumerate(z) if zi)
@@ -214,7 +216,7 @@ def test_duplicate_rows_tolerated():
     fam = hull_cut_family(inst)
     assert len({c.canonical_key() for c in fam}) == len(fam)
     for cut in fam:
-        for y, z in vrep.points:
+        for y, z in fraction_vertices(vrep).points:
             assert cut.lhs(y, tuple(1 - zi for zi in z)) >= cut.rhs
     report = check_sufficiency(inst, samples=20)
     assert report.ok
@@ -256,12 +258,13 @@ def test_v_representation_guards():
 
 def test_membership_certificates(example1):
     vrep = v_representation(example1)
-    y, z = vrep.points[11]
+    points = fraction_vertices(vrep).points
+    y, z = points[11]
     res = membership(vrep, y, z)
     assert res.inside
     assert sum(res.coefficients) == 1
     # average of two vertices is inside
-    (y1, z1), (y2, z2) = vrep.points[0], vrep.points[30]
+    (y1, z1), (y2, z2) = points[0], points[30]
     mid_y = tuple((a + b) / 2 for a, b in zip(y1, y2))
     mid_z = tuple(Fraction(a + b, 2) for a, b in zip(z1, z2))
     assert membership(vrep, mid_y, mid_z).inside

@@ -42,7 +42,9 @@ from helpers import (
     fraction_cut_polyhedron_vertices,
     fraction_membership,
     fraction_projection,
+    fraction_rows,
     fraction_solve_feasibility,
+    fraction_vertices,
     project,
     scale_rows,
     vertex_points,
@@ -82,10 +84,11 @@ def kernel_target(rng: random.Random, vrep):
     coordinate made negative, or z moved outside the unit box."""
     k, n = vrep.k, vrep.n
     kind = rng.randrange(5)
+    points = fraction_vertices(vrep).points
     if kind == 0:
-        y, z = rng.choice(vrep.points)
+        y, z = rng.choice(points)
         return tuple(y), tuple(Fraction(v) for v in z), kind
-    picks = rng.sample(vrep.points, min(len(vrep.points), rng.randint(1, 3)))
+    picks = rng.sample(points, min(len(points), rng.randint(1, 3)))
     weights = [Fraction(rng.randint(1, 4), rng.choice(DENS)) for _ in picks]
     total = sum(weights)
     y = [sum(w * p[0][j] for w, p in zip(weights, picks)) / total for j in range(k)]
@@ -150,6 +153,31 @@ def test_membership_equals_the_fraction_oracle_in_every_field():
             outside += not got.inside
     assert inside + outside == 300
     assert inside >= 60 and outside >= 60 and zero_eps and zero_column
+
+
+def test_cached_matrices_equal_the_scaled_fraction_rows():
+    """``lp_matrix`` is each Fraction row times the lcm of its own
+    denominators, and ``common_matrix`` is every row times their common lcm
+    and one positive integer, the instance's D over that lcm; D is larger
+    where no coordinate needs all of its factors."""
+    rng = random.Random(8086)
+    below = 0
+    for _ in range(200):
+        inst = kernel_instance(rng)
+        vrep = v_representation(inst)
+        rows = fraction_rows(fraction_vertices(vrep))
+        scales = tuple(math.lcm(*(v.denominator for v in row)) for row in rows)
+        scaled = tuple(tuple(int(v * s) for v in row) for row, s in zip(rows, scales))
+        assert vrep.lp_matrix == (scaled, scales)
+        common = math.lcm(*scales)
+        den, matrix = vrep.common_matrix
+        factor, rest = divmod(den, common)
+        assert den == inst.scaled[0] and rest == 0 and factor >= 1
+        assert matrix == tuple(
+            tuple(int(v * common) * factor for v in row) for row in rows
+        )
+        below += common < den
+    assert below
 
 
 def closure_instances(rng, count, max_n=4):
@@ -334,7 +362,7 @@ def example_certificates(inst, y, z):
 
 def test_tampered_x_fails_the_integer_check():
     inst = MixingInstance([[3, 1], [1, 4], [2, 2]], None, Fraction(7, 2))
-    points = v_representation(inst).points
+    points = fraction_vertices(v_representation(inst)).points
     (y1, z1), (y2, z2) = points[2], points[-1]
     y = ((y1[0] + 2 * y2[0]) / 3 + Fraction(1, 5), (y1[1] + 2 * y2[1]) / 3)
     z = tuple(Fraction(a + 2 * b, 3) for a, b in zip(z1, z2))
@@ -377,7 +405,7 @@ def test_corrupted_cached_lp_row_raises(delta):
     inst = MixingInstance([[3, 1], [1, 4], [2, 2]], None, Fraction(7, 2))
     vrep = v_representation(inst)
     y, z = (Fraction(7, 2), Fraction(0)), (0, 0, 0)
-    column = vrep.points.index((y, z))
+    column = fraction_vertices(vrep).points.index((y, z))
     assert membership(vrep, y, z).inside
     rows, scales = vrep.lp_matrix
     corrupted = [list(row) for row in rows]
@@ -393,6 +421,7 @@ def test_check_validity_equals_evaluation_at_every_point():
     for _ in range(40):
         inst = kernel_instance(rng)
         vrep = v_representation(inst)
+        points = fraction_vertices(vrep).points
         for _ in range(5):
             cut = LinearCut(
                 [Fraction(rng.randint(0, 4), rng.choice(DENS)) for _ in range(inst.k)],
@@ -400,7 +429,7 @@ def test_check_validity_equals_evaluation_at_every_point():
                 Fraction(rng.randint(0, 30), rng.choice(DENS)),
             )
             want = all(
-                cut.lhs(y, tuple(1 - v for v in z)) >= cut.rhs for y, z in vrep.points
+                cut.lhs(y, tuple(1 - v for v in z)) >= cut.rhs for y, z in points
             )
             assert check_validity(inst, cut, vrep) == want, (inst, cut)
             verdicts.add(want)

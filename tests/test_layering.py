@@ -1,8 +1,9 @@
 """The package's modules form a chain: no import cycle, and no import of
 another module of the package inside a function or class body, where it
 would hide a cycle until the line runs.  No module keeps a module-level
-import it never uses (the package's ``__init__`` only re-exports), and the
-LP kernel with its certificate checks imports nothing from ``fractions``."""
+import it never uses (the package's ``__init__`` only re-exports), the
+LP kernel with its certificate checks imports nothing from ``fractions``,
+and no module reads the name ``float`` or holds a float literal."""
 
 import ast
 from pathlib import Path
@@ -108,6 +109,29 @@ def test_fractions_import_detector():
 
 def test_lp_kernel_is_integer_only():
     assert imports_from(parse("exactlp"), "fractions") == []
+
+
+def float_uses(tree: ast.Module) -> list[int]:
+    """Lines that read the name ``float`` or hold a float literal."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "float")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+    )
+
+
+def test_float_detector():
+    source = (
+        "x = 0.5\ny = float(x)\nz = 1\nw = '0.5'\nv = 1e3\n"
+        "def f(a: float) -> int:\n    return 2\n"
+    )
+    assert float_uses(ast.parse(source)) == [1, 2, 5, 6]
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_no_float_in_the_library(stem):
+    assert float_uses(parse(stem)) == []
 
 
 def test_import_graph_is_acyclic():

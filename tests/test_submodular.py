@@ -11,7 +11,6 @@ from mixcuts import (
     membership,
 )
 from mixcuts.submodular import SetFunctionOracle
-from mixcuts.vertices import VRepresentation
 
 from conftest import random_sufficient_instance
 from helpers import (
@@ -19,6 +18,7 @@ from helpers import (
     is_submodular,
     linking_oracle,
     separate_polymatroid,
+    vertex_list,
     weighted_combination,
 )
 
@@ -173,9 +173,7 @@ def test_separation_decision_matches_epigraph_hull():
             )
             for mask in range(1 << n)
         )
-        vrep = VRepresentation(
-            points, (((Fraction(1),), tuple(0 for _ in range(n))),)
-        )
+        vrep = vertex_list(points, (((Fraction(1),), tuple(0 for _ in range(n))),))
         for _ in range(8):
             z = [Fraction(rng.randint(0, 3), 3) for _ in range(n)]
             y = Fraction(rng.randint(0, 30), 2)
