@@ -60,7 +60,7 @@ FAMILY_SEQUENCE_BOUND = 150_000
 Row = tuple[int, tuple[int, ...], int]
 
 
-def _family_rows(inst: MixingInstance, max_length: Optional[int]) -> dict[Row, CutKind]:
+def family_rows(inst: MixingInstance, max_length: Optional[int]) -> dict[Row, CutKind]:
     """The hull family as distinct integer rows ``(shape, z, rhs)`` over the
     common denominator D of ``inst.scaled``, each with its kind, in the order
     of first occurrence: the starred mixing rows of every column, the
@@ -91,7 +91,7 @@ def _family_rows(inst: MixingInstance, max_length: Optional[int]) -> dict[Row, C
 
 
 def _family_cuts(inst: MixingInstance, rows: dict[Row, CutKind]) -> list[LinearCut]:
-    """One cut per row of :func:`_family_rows`.  Its starred mixing rows come
+    """One cut per row of :func:`family_rows`.  Its starred mixing rows come
     first and are all kept, so they are the cuts of :func:`mix_star_cuts`;
     every other row reads ``sum_j y_j``."""
     cuts = [cut for j in range(inst.k) for cut in mix_star_cuts(inst, j)]
@@ -107,7 +107,7 @@ def hull_cut_family(
     sequences avoiding the low rows (up to ``max_length`` long), plus the
     linking constraint, without duplicates.  The family is built and
     deduplicated in integers; a cut is made only for each distinct row."""
-    return _family_cuts(inst, _family_rows(inst, max_length))
+    return _family_cuts(inst, family_rows(inst, max_length))
 
 
 class CutMatrix(NamedTuple):
@@ -129,7 +129,7 @@ class CutMatrix(NamedTuple):
 
 
 def _cut_matrix(inst: MixingInstance, rows: dict[Row, CutKind]) -> CutMatrix:
-    """The rows of :func:`_family_rows` as one matrix over their D."""
+    """The rows of :func:`family_rows` as one matrix over their D."""
     scale, k = inst.scaled[0], inst.k
     units = [tuple(scale if c == j else 0 for c in range(k)) for j in range(k)]
     units.append((scale,) * k)  # shape -1: every y coefficient 1
@@ -422,7 +422,7 @@ def check_sufficiency(
     failures: list[str] = []
 
     if diag.sufficient:
-        rows = _family_rows(inst, None)
+        rows = family_rows(inst, None)
         cuts = _family_cuts(inst, rows)
         family = _cut_matrix(inst, rows)
         rng = random.Random(seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -27,7 +28,7 @@ from .core import (
     SequenceTheta,
     parse_rational,
 )
-from .hull import hull_cut_family
+from .hull import Row, family_rows, hull_cut_family
 from .vertices import VRepresentation, v_representation
 
 BAND_SEQUENCE_BOUND = 5_000
@@ -98,8 +99,19 @@ def to_mixing(data: TwoSidedData) -> MixingInstance:
 
     The derived facts (the low-row set is exactly the all-zero scenarios,
     the pairwise minimum constant is at least u_a, the linking oracle is
-    submodular) are re-checked and must hold for admissible data.
+    submodular) are re-checked and must hold for admissible data.  The
+    instance depends on the data alone, so it is built and checked once and
+    kept on the data, the way ``diagnose`` keeps its verdict on an instance:
+    a second call returns the same object.
     """
+    cached = data.__dict__.get("_mixing")
+    if cached is None:
+        cached = data.__dict__["_mixing"] = _mixing(data)
+    return cached
+
+
+def _mixing(data: TwoSidedData) -> MixingInstance:
+    """The body of :func:`to_mixing`."""
     rows = [[wi, vi + data.u_a] for wi, vi in zip(data.w, data.v)]
     inst = MixingInstance(rows, None, data.u_a)
     diag = diagnose(inst)
@@ -171,11 +183,80 @@ def fractions_over(scale: int) -> Callable[[Iterable[int]], tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class BandedHullReport:
+    """The band-clipped hull of two-sided data, kept in integers.
+
+    ``hull`` is the hull's vertex list as :func:`v_representation` gives it:
+    y over the denominator D of ``instance.scaled``, z in the indicator view
+    (z_i = 1 keeps scenario i's row active).  The certified description is
+    the hull family, kept as its distinct integer rows (``family_rows``,
+    sequences up to ``max_length`` long), plus the two band rows and the 2n
+    z bounds; :attr:`cut_count` counts it.  What a caller may read beyond
+    the counts is built on first read, in the original orientation
+    (z_i = 1 relaxes scenario i): :attr:`extreme_points` in Fractions, the
+    :attr:`clipped` vertex list and the :attr:`cuts`.
+    """
+
     instance: MixingInstance
     band_ok: bool
-    extreme_points: tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]
-    clipped: VRepresentation
-    cuts: tuple[LinearCut, ...]
+    hull: VRepresentation
+    family_rows: tuple[Row, ...]
+    max_length: int
+
+    @property
+    def cut_count(self) -> int:
+        return len(self.family_rows) + 2 + 2 * self.instance.n
+
+    @cached_property
+    def _points(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The extreme points, y over D, with the z parts complemented."""
+        return tuple((y, tuple(1 - zi for zi in z)) for y, z in self.hull.points)
+
+    @cached_property
+    def extreme_points(self) -> tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]:
+        """The extreme points with y in Fractions; each distinct coordinate
+        becomes a Fraction once."""
+        exact = fractions_over(self.hull.den)
+        return tuple((exact(y), z) for y, z in self._points)
+
+    @cached_property
+    def clipped(self) -> VRepresentation:
+        """The extreme points plus, for each, the points where a unit ray
+        leaving it meets a band plane, as an integer vertex list over D with
+        the one ray (1, 1) and no enumerator record."""
+        scale, band = self.hull.den, self.instance.scaled[2]
+        points = self._points
+        clipped_points = list(points)
+        for y, z in points:
+            gap_upper = band - (y[0] - y[1])  # room along +e_1 to the upper plane
+            if gap_upper > 0:
+                clipped_points.append(((band + y[1], y[1]), z))
+            gap_lower = band + (y[0] - y[1])  # room along +e_2 to the lower plane
+            if gap_lower > 0:
+                clipped_points.append(((y[0], band + y[0]), z))
+        for _, z in clipped_points:
+            if any(zi not in (0, 1) for zi in z):
+                raise InternalInvariant("clipping created a fractional z")
+        ray = ((scale, scale), (0,) * self.instance.n)
+        return VRepresentation(scale, tuple(clipped_points), (ray,))
+
+    @cached_property
+    def cuts(self) -> tuple[LinearCut, ...]:
+        """The description as cuts: the hull family (one cut per row of
+        ``family_rows``), the band u_a >= y_1 - y_2 >= -u_a and the z
+        bounds."""
+        n, ua = self.instance.n, self.instance.epsilon
+        cuts = hull_cut_family(self.instance, self.max_length)
+        zero = [Fraction(0)] * n
+        cuts.append(LinearCut((Fraction(-1), Fraction(1)), zero, -ua, CutKind.BOUND_UPPER))
+        cuts.append(LinearCut((Fraction(1), Fraction(-1)), zero, -ua, CutKind.BOUND_LOWER))
+        for i in range(n):
+            low = [Fraction(0)] * n
+            low[i] = Fraction(1)
+            cuts.append(LinearCut((0, 0), low, 0, CutKind.BOUND_LOWER))
+            high = [Fraction(0)] * n
+            high[i] = Fraction(-1)
+            cuts.append(LinearCut((0, 0), high, -1, CutKind.BOUND_UPPER))
+        return tuple(cuts)
 
 
 def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
@@ -188,65 +269,25 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
     the aggregated part of the family is enumerated up to the longest
     sequence length whose sequence count stays within
     ``BAND_SEQUENCE_BOUND`` (it is exponential in n).
+
+    The band check and the family run in integers over D.  The report keeps
+    the vertex list and the family's distinct rows and builds the clipped
+    list, the ``Fraction`` extreme points and the ``LinearCut``s only when
+    they are read, so a caller that counts them (``mixcuts twosided``)
+    builds none of them.
     """
     inst = to_mixing(data)
-    # Everything is an integer over D, and each distinct coordinate of an
-    # extreme point becomes a Fraction once.  The band width u_a is the
-    # linking threshold, so D * u_a is the scaled epsilon.
-    scale, _, band, _ = inst.scaled
-
-    # Work in the original indicator orientation: complement the z parts.
-    points = [
-        (y, tuple(1 - zi for zi in z)) for y, z in v_representation(inst).points
-    ]
-    band_ok = all(-band <= y[0] - y[1] <= band for y, _ in points)
+    # The band width u_a is the linking threshold, so D * u_a is the scaled
+    # epsilon.
+    band = inst.scaled[2]
+    hull = v_representation(inst)
+    band_ok = all(-band <= y[0] - y[1] <= band for y, _ in hull.points)
     if not band_ok:
         raise InternalInvariant("an extreme point violates the band")
-
-    exact = fractions_over(scale)
-    extreme_points = tuple((exact(y), z) for y, z in points)
-    clipped_points = list(points)
-    for y, z in points:
-        gap_upper = band - (y[0] - y[1])  # room along +e_1 to the upper plane
-        if gap_upper > 0:
-            clipped_points.append(((band + y[1], y[1]), z))
-        gap_lower = band + (y[0] - y[1])  # room along +e_2 to the lower plane
-        if gap_lower > 0:
-            clipped_points.append(((y[0], band + y[0]), z))
-    for _, z in clipped_points:
-        if any(zi not in (0, 1) for zi in z):
-            raise InternalInvariant("clipping created a fractional z")
-    clipped = VRepresentation(
-        scale, tuple(clipped_points), (((scale, scale), (0,) * data.n),)
-    )
 
     outside = sum(1 for wi, vi in zip(data.w, data.v) if wi != 0 or vi != 0)
     max_len = outside
     while max_len > 1 and count_sequences(outside, max_len) > BAND_SEQUENCE_BOUND:
         max_len -= 1
-    cuts = hull_cut_family(inst, max_len)
-    cuts.append(
-        LinearCut(
-            (Fraction(-1), Fraction(1)),
-            [Fraction(0)] * data.n,
-            -data.u_a,
-            CutKind.BOUND_UPPER,
-        )
-    )
-    cuts.append(
-        LinearCut(
-            (Fraction(1), Fraction(-1)),
-            [Fraction(0)] * data.n,
-            -data.u_a,
-            CutKind.BOUND_LOWER,
-        )
-    )
-    for i in range(data.n):
-        low = [Fraction(0)] * data.n
-        low[i] = Fraction(1)
-        cuts.append(LinearCut((0, 0), low, 0, CutKind.BOUND_LOWER))
-        high = [Fraction(0)] * data.n
-        high[i] = Fraction(-1)
-        cuts.append(LinearCut((0, 0), high, -1, CutKind.BOUND_UPPER))
-    return BandedHullReport(inst, band_ok, extreme_points, clipped, tuple(cuts))
-
+    rows = tuple(family_rows(inst, max_len))
+    return BandedHullReport(inst, band_ok, hull, rows, max_len)

@@ -8,8 +8,9 @@ deficit recorded as they are enumerated, so a point is certified inside by
 a chain certificate first: z sorted in descending order gives one nested
 chain of masks (Edmonds' greedy), and the convex combination over their
 floors and deficits is built in closed form (:func:`decompose`).  Where
-the chain proves nothing, membership is one feasibility LP
-(:func:`membership`), the only source of an "outside" verdict.  Every
+the chain proves nothing, membership is one feasibility LP on the
+target's face of the hull (:func:`membership`), the only source of an
+"outside" verdict.  Every
 certificate is re-checked in integers before it is returned, and a linear
 cut is valid exactly when it holds at every extreme point and along every
 ray.
@@ -169,37 +170,60 @@ def membership(
     """Exact test for (y, z) in conv(points) + cone(rays), with certificate.
 
     Solves the feasibility LP "convex combination of points plus nonnegative
-    ray multiples equals the target" by the integer simplex on the vertex
-    list's row-scaled matrix; only the right-hand side is built here.  An
-    infeasible outcome converts the Farkas vector into a strictly separating
-    hyperplane.  Both certificates are re-checked in integers against the
-    common-denominator matrix before returning.
+    ray multiples equals the target" by the integer simplex on the target's
+    face of the hull.  Every column's z is nonnegative, so where the target
+    has z_i = 0 a solution puts no weight on a column with z_i > 0: those
+    columns and the rows z_i = 0 are dropped before the LP, and the rest of
+    the vertex list's row-scaled matrix is solved as it stands; only the
+    right-hand side is built here.  A feasible x is scattered back with
+    zeros on the dropped columns.  An infeasible outcome gives a Farkas
+    vector on the kept rows, which is lifted to the dropped rows: row i
+    gets the multiplier -max(0, u.A_j) over the dropped columns j with
+    z_ij > 0, so u.A <= 0 holds on every column, and u.b is unchanged
+    because b_i = 0; the lifted vector is a strictly separating hyperplane.
+    On the list of :func:`v_representation` the lift is always 0 (a point
+    whose z has more rows active lies, in y, in the region of the point
+    without them); on a list built by hand, such as the band-clipped hull,
+    it can be positive.  Both certificates are re-checked in integers
+    against the full common-denominator matrix before returning.
     """
     k, n = vrep.k, vrep.n
     if len(y) != k or len(z) != n:
         raise DimensionMismatch("point dimensions disagree with representation")
     npts = len(vrep.points)
     target = [Fraction(v) for v in z] + [Fraction(1)] + [Fraction(v) for v in y]
+    den, common = vrep.common_matrix
+    # The face: rows where the target's z is 0, and the columns they keep.
+    dropped = [i for i in range(n) if not target[i]]
+    kept_rows = [r for r in range(len(common)) if r >= n or target[r]]
+    if dropped:
+        hits = map(any, zip(*(common[i] for i in dropped)))
+        columns = [j for j, hit in enumerate(hits) if not hit]
+    else:
+        columns = range(len(common[0]))
     # Each LP row is scaled by the lcm of its own and its rhs's denominators.
     rows, row_scales = vrep.lp_matrix
     a_rows = []
     b = []
     scales = []
-    for row, row_scale, t in zip(rows, row_scales, target):
+    for r in kept_rows:
+        t, row_scale = target[r], row_scales[r]
         scale = math.lcm(row_scale, t.denominator)
         factor = scale // row_scale
-        a_rows.append(row if factor == 1 else [v * factor for v in row])
+        row = rows[r]
+        a_rows.append([row[j] * factor for j in columns])
         b.append(t.numerator * (scale // t.denominator))
         scales.append(scale)
     result = solve_feasibility(a_rows, b)
 
     # The target over one common denominator L, for the checks.
-    den, common = vrep.common_matrix
     target_den = math.lcm(*(t.denominator for t in target))
     target_int = [t.numerator * (target_den // t.denominator) for t in target]
     if result.feasible:
         # (common / den) x = target_int / target_den, in integers.
-        x = result.x
+        x = [0] * len(common[0])
+        for j, v in zip(columns, result.x):
+            x[j] = v
         if not verify_feasible(
             common, target_int, [target_den * v for v in x], den * result.den
         ):
@@ -208,13 +232,24 @@ def membership(
         return MembershipResult(True, x[:npts], x[npts:], None)
 
     # The LP's Farkas vector, mapped back through the row scales, proves the
-    # unscaled system infeasible: u.A <= 0 on every column and u.b > 0 say
-    # exactly that phi <= bound on every point, phi does not grow along a
-    # ray, and phi(target) > bound.
-    u = [scale * v for scale, v in zip(scales, result.farkas)]
+    # face system infeasible: u.A <= 0 on every kept column and u.b > 0.
+    # Times den it is an integer vector on the rows of ``common`` with the
+    # same plane, so each dropped row's multiplier is an integer there.
+    u = [0] * len(common)
+    for r, scale, v in zip(kept_rows, scales, result.farkas):
+        u[r] = scale * v
+    lift = [0] * len(common[0])
+    for r in kept_rows:
+        if u[r]:
+            lift = [s + u[r] * v for s, v in zip(lift, common[r])]
+    u = [v * den for v in u]
+    for i in dropped:
+        u[i] = -max([0] + [s for s, v in zip(lift, common[i]) if v])
+    # Lifted this way, u.A <= 0 on every column, u.b > 0, and phi <= bound
+    # on every point, phi does not grow along a ray, and phi(target) > bound.
     if not verify_farkas(common, target_int, u):
         raise InternalInvariant("separating hyperplane failed verification")
-    u = [Fraction(v, result.den) for v in u]
+    u = [Fraction(v, den * result.den) for v in u]
     return MembershipResult(
         False, None, None, SeparatingHyperplane(tuple(u[n + 1 :]), tuple(u[:n]), -u[n])
     )

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from mixcuts import MixingInstance, diagnose, load_instance
+from mixcuts import MixingInstance, TwoSidedData, diagnose, load_instance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -186,3 +186,20 @@ def random_twosided(rng: random.Random, n: int):
     if ua == 0:
         ua = Fraction(1)
     return TwoSidedData(w, v, ua)
+
+
+def random_band_data(rng: random.Random, n: int) -> TwoSidedData:
+    """Two-sided data with fractional entries, ties and all-zero scenarios;
+    one draw in four has v = 0 throughout."""
+    dens = rng.choice([(1,), (1, 2, 3)])
+    flat = rng.random() < 0.25
+    v = [
+        Fraction(0) if flat else Fraction(rng.randint(0, 6), rng.choice(dens))
+        for _ in range(n)
+    ]
+    w = [vi + Fraction(rng.randint(0, 5), rng.choice(dens)) for vi in v]
+    if rng.random() < 0.3:
+        i = rng.randrange(n)
+        w[i] = v[i] = Fraction(0)
+    ua = max(w) + Fraction(rng.randint(0, 4), rng.choice(dens))
+    return TwoSidedData(w, v, ua if ua else Fraction(1))

@@ -10,7 +10,8 @@ that the library's integer code is compared against.
 - The ``Fraction`` column and linking oracles, polymatroid separation and
   the mixing separation built on it, and the ``Fraction`` greedy separation
   of the aggregated family.
-- The ``Fraction`` closure-check oracle: membership LP, box-point draws,
+- The ``Fraction`` closure-check oracle: membership LP (on the target's
+  face, as the library solves it, and over every column), box-point draws,
   projection and basis enumeration as they were before the integer kernel,
   and the cut matrix of any list of cuts, read off their ``Fraction``
   coefficients.
@@ -27,7 +28,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from mixcuts import (
-    BandedHullReport,
     CutKind,
     DimensionMismatch,
     InternalInvariant,
@@ -514,7 +514,54 @@ def fraction_verify_farkas(a_rows, b, u) -> bool:
 def fraction_membership(
     vrep: VRepresentation, y: Sequence[Fraction], z: Sequence[Fraction]
 ) -> MembershipResult:
-    """The membership LP built in Fractions, solved and checked by the oracle."""
+    """The membership LP built in Fractions on the target's face, solved and
+    checked by the oracle, as ``vertices.membership`` solves it: the rows
+    where the target's z is 0 and the columns with a nonzero z there are
+    dropped, each kept row is scaled by the lcm of its full row's
+    denominators, a feasible x gets zeros on the dropped columns, and a
+    Farkas vector gets -max(0, u.A_j) over the dropped columns j with a
+    nonzero entry in each dropped row.  Both certificates are checked
+    against the full system."""
+    n = vrep.n
+    npts = len(vrep.points)
+    a_rows = fraction_rows(fraction_vertices(vrep))
+    b = [Fraction(v) for v in z] + [Fraction(1)] + [Fraction(v) for v in y]
+    ncols = len(a_rows[0])
+    dropped = [i for i in range(n) if b[i] == 0]
+    kept = [r for r in range(len(a_rows)) if r not in dropped]
+    columns = [j for j in range(ncols) if all(a_rows[i][j] == 0 for i in dropped)]
+    scales = [math.lcm(*(v.denominator for v in a_rows[r])) for r in kept]
+    face = [[a_rows[r][j] * s for j in columns] for r, s in zip(kept, scales)]
+    feasible, x, u = fraction_solve_feasibility(
+        face, [b[r] * s for r, s in zip(kept, scales)]
+    )
+    if feasible:
+        full_x = [Fraction(0)] * ncols
+        for j, v in zip(columns, x):
+            full_x[j] = v
+        if not fraction_verify_feasible(a_rows, b, full_x):
+            raise InternalInvariant("oracle membership certificate failed")
+        return MembershipResult(True, tuple(full_x[:npts]), tuple(full_x[npts:]), None)
+    full_u = [Fraction(0)] * len(a_rows)
+    for r, s, v in zip(kept, scales, u):
+        full_u[r] = s * v
+    for i in dropped:
+        full_u[i] = -max(
+            [Fraction(0)]
+            + [
+                sum((full_u[r] * a_rows[r][j] for r in kept), Fraction(0))
+                for j in range(ncols)
+                if a_rows[i][j]
+            ]
+        )
+    return farkas_result(a_rows, b, full_u, n)
+
+
+def full_fraction_membership(
+    vrep: VRepresentation, y: Sequence[Fraction], z: Sequence[Fraction]
+) -> MembershipResult:
+    """The membership LP built in Fractions over every column of the vertex
+    list, solved and checked by the oracle."""
     n = vrep.n
     npts = len(vrep.points)
     a_rows = fraction_rows(fraction_vertices(vrep))
@@ -524,6 +571,11 @@ def fraction_membership(
         if not fraction_verify_feasible(a_rows, b, x):
             raise InternalInvariant("oracle membership certificate failed")
         return MembershipResult(True, x[:npts], x[npts:], None)
+    return farkas_result(a_rows, b, u, n)
+
+
+def farkas_result(a_rows, b, u, n: int) -> MembershipResult:
+    """The "outside" answer of a Farkas vector u of the full system, checked."""
     if not fraction_verify_farkas(a_rows, b, u):
         raise InternalInvariant("oracle separating hyperplane failed")
     plane = SeparatingHyperplane(tuple(u[n + 1 :]), tuple(u[:n]), -u[n])
@@ -737,7 +789,17 @@ def fraction_v_representation(inst: MixingInstance) -> FractionVertices:
     return FractionVertices(tuple(points), rays)
 
 
-def fraction_hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
+class FractionBandedHull(NamedTuple):
+    """The band hull as the Fraction reference builds it."""
+
+    instance: MixingInstance
+    band_ok: bool
+    extreme_points: tuple
+    clipped: FractionVertices
+    cuts: tuple
+
+
+def fraction_hull_with_bounds(data: TwoSidedData) -> FractionBandedHull:
     """``twosided.hull_with_bounds`` on the ``Fraction`` vertex list:
     complement z, check the band at every extreme point, clip along the
     unit rays to the band planes (``clipped`` is a :class:`FractionVertices`),
@@ -776,4 +838,4 @@ def fraction_hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
         unit[i] = Fraction(1)
         cuts.append(LinearCut((0, 0), unit, 0, CutKind.BOUND_LOWER))
         cuts.append(LinearCut((0, 0), [-v for v in unit], -1, CutKind.BOUND_UPPER))
-    return BandedHullReport(inst, band_ok, points, clipped, tuple(cuts))
+    return FractionBandedHull(inst, band_ok, points, clipped, tuple(cuts))

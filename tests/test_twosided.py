@@ -1,22 +1,30 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mixcuts import (
     ConditionViolated,
+    LinearCut,
     SequenceTheta,
     TwoSidedData,
     diagnose,
+    format_rational,
     generalized_cut,
     hull_with_bounds,
     membership,
     to_mixing,
     v_representation,
 )
+from mixcuts import twosided
+from mixcuts.cli import main
 from mixcuts.twosided import loads_twosided
 
-from conftest import random_twosided
+from conftest import fixture_path, random_band_data, random_twosided
 from helpers import (
     fraction_hull_with_bounds,
     fraction_v_representation,
@@ -136,23 +144,6 @@ def test_hull_with_bounds_degenerate_v_zero():
     assert (Fraction(0), Fraction(6)) in tight
 
 
-def random_band_data(rng: random.Random, n: int) -> TwoSidedData:
-    """Two-sided data with fractional entries, ties and all-zero scenarios;
-    one draw in four has v = 0 throughout."""
-    dens = rng.choice([(1,), (1, 2, 3)])
-    flat = rng.random() < 0.25
-    v = [
-        Fraction(0) if flat else Fraction(rng.randint(0, 6), rng.choice(dens))
-        for _ in range(n)
-    ]
-    w = [vi + Fraction(rng.randint(0, 5), rng.choice(dens)) for vi in v]
-    if rng.random() < 0.3:
-        i = rng.randrange(n)
-        w[i] = v[i] = Fraction(0)
-    ua = max(w) + Fraction(rng.randint(0, 4), rng.choice(dens))
-    return TwoSidedData(w, v, ua if ua else Fraction(1))
-
-
 def cut_fields(cuts):
     return [(c.kind, c.y_coeffs, c.z_coeffs, c.rhs) for c in cuts]
 
@@ -181,3 +172,85 @@ def test_band_cases_cover_the_degenerate_draws():
     assert sum(all(vi == 0 for vi in d.v) for d in draws) >= 10
     assert sum(any(wi == vi == 0 for wi, vi in zip(d.w, d.v)) for d in draws) >= 10
     assert sum(d.u_a.denominator > 1 or any(x.denominator > 1 for x in d.w) for d in draws) >= 10
+
+
+def run_twosided(path) -> tuple[int, list[str]]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["twosided", str(path)])
+    return code, out.getvalue().splitlines()
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Count the calls of ``owner.name`` from here on; the list grows by one
+    per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_twosided_command_counts_the_band_hull_without_building_cuts(
+    monkeypatch, tmp_path
+):
+    """``mixcuts twosided`` prints the counts of the description from the
+    report's integer data: it constructs no LinearCut, and converts the data
+    to a mixing instance once."""
+    golden = Path(__file__).resolve().parent / "golden" / "twosided_demo.twosided.txt"
+    expected_demo = golden.read_text(encoding="utf-8").splitlines()[1:]
+    cases = [(fixture_path("twosided_demo.json"), expected_demo)]
+    for n in range(5, 9):
+        for seed in range(3):
+            data = random_band_data(random.Random(7000 + 10 * n + seed), n)
+            path = tmp_path / f"band-{n}-{seed}.json"
+            doc = {
+                "w": [format_rational(v) for v in data.w],
+                "v": [format_rational(v) for v in data.v],
+                "u_a": format_rational(data.u_a),
+            }
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            want = fraction_hull_with_bounds(data)
+            expected = [
+                f"instance: n={n}, k=2, eps={format_rational(data.u_a)}; "
+                "g_submodular=yes",
+                "band_ok=yes",
+                f"extreme_points={len(want.extreme_points)}",
+                f"cuts={len(want.cuts)}",
+            ]
+            cases.append((path, expected))
+    for path, expected in cases:
+        with monkeypatch.context() as patch:
+            built = count_calls(patch, LinearCut, "__init__")
+            converted = count_calls(patch, twosided, "_mixing")
+            code, lines = run_twosided(path)
+        assert code == 0
+        assert lines == expected, path
+        assert not built, f"{len(built)} LinearCuts built for {path}"
+        assert len(converted) == 1
+
+
+def test_band_report_reads_its_cuts_and_points_after_the_fact():
+    """The lazy fields are built on first read, once, and agree with the
+    counts the command prints."""
+    report = hull_with_bounds(DEMO)
+    assert not {"cuts", "extreme_points", "clipped"} & set(report.__dict__)
+    assert len(report.cuts) == report.cut_count == 61
+    assert report.cuts is report.cuts
+    assert len(report.extreme_points) == len(report.hull.points) == 33
+    assert [z for _, z in report.extreme_points] == [
+        tuple(1 - zi for zi in z) for _, z in report.hull.points
+    ]
+    # The family part of the cuts is one cut per integer row.
+    assert len(report.cuts) - 2 - 2 * DEMO.n == len(report.family_rows)
+
+
+def test_to_mixing_keeps_the_instance_on_the_data():
+    data = TwoSidedData((8, 6, 13, 1, 4), (3, 4, 2, 1, 1), 13)
+    assert to_mixing(data) is to_mixing(data)
+    assert hull_with_bounds(data).instance is to_mixing(data)
+    assert data == DEMO
