@@ -123,11 +123,12 @@ def sequences(
             yield SequenceTheta(perm)
 
 
-def count_sequences(ground: int, max_length: Optional[int] = None) -> int:
-    top = ground if max_length is None else min(max_length, ground)
+def count_sequences(ground: int) -> int:
+    """The number of nonempty sequences of distinct indices from a ground
+    set of this size."""
     total = 0
     term = 1
-    for length in range(1, top + 1):
+    for length in range(1, ground + 1):
         term *= ground - length + 1
         total += term
     return total
@@ -232,13 +233,14 @@ def _subtree_bound(
 def walk(
     inst: MixingInstance,
     ground: Sequence[int],
-    max_length: Optional[int] = None,
     starred: bool = False,
     point: Optional[tuple[int, Sequence[int], Sequence[int]]] = None,
     violated: bool = False,
 ) -> Iterator[Node]:
-    """Every sequence of distinct indices from ``ground``, depth first by
-    prepending, as ``(theta, chains, l, gap)``.
+    """Every sequence of distinct indices from ``ground``, of every length
+    up to ``len(ground)``, depth first by prepending, as ``(theta, chains,
+    l, gap)``.  The walk has no depth cap: a caller bounds its work by the
+    size of ``ground`` before it starts (``count_sequences``).
 
     ``chains`` and ``l`` are the per-column chains and D * L(Theta) for the
     common denominator D of ``inst.scaled``, as :func:`fold` gives them.
@@ -277,9 +279,6 @@ def walk(
     scale, weights, eps, _ = inst.scaled
     k = inst.k
     peaks = list(inst.peaks)
-    top = len(ground) if max_length is None else min(max_length, len(ground))
-    if top < 1:
-        return
     if point is None:
         slack = at_one = [0] * inst.n
         base = 0
@@ -301,7 +300,7 @@ def walk(
             if starred and (l < eps or (theta and new_heads == heads)):
                 continue
             new_theta = (i,) + theta
-            descend = len(new_theta) < top
+            descend = len(new_theta) < len(ground)
             if violated:
                 gap = _gap(new_acc, l, eps, at_one[new_theta[-1]], base)
                 if gap > 0:
@@ -324,18 +323,19 @@ def walk(
 
 
 def starred_rows(
-    inst: MixingInstance, ground: Sequence[int], max_length: Optional[int] = None
+    inst: MixingInstance, ground: Sequence[int]
 ) -> list[tuple[list[int], int]]:
     """The starred aggregated cuts over ``ground`` as integer rows ``(z,
     rhs)`` over D (the y coefficients are all 1): one per distinct chain
-    tuple among the starred walker nodes, from the chains of the first
-    sequence that :func:`sequences` meets, in the order it meets them.
+    tuple among the starred walker nodes, over sequences of every length,
+    from the chains of the first sequence that :func:`sequences` meets, in
+    the order it meets them.
 
     A starred node has epsilon <= L, so its cap is epsilon, and its heads
     are the column maxima, so every right-hand side is their sum.
     """
     first: dict[tuple[tuple[int, ...], ...], tuple[int, tuple[int, ...]]] = {}
-    for theta, chains, _, _ in walk(inst, sorted(ground), max_length, starred=True):
+    for theta, chains, _, _ in walk(inst, sorted(ground), starred=True):
         rank = (len(theta), theta)
         known = first.get(chains)
         if known is None or rank < known:

@@ -56,15 +56,12 @@ def find_minimal_U(inst: MixingInstance) -> tuple[int, ...]:
             return False
         return sum(_column_peaks(inst, subset), Fraction(0)) > eps
 
-    changed = True
-    while changed:
-        changed = False
-        for i in list(u):
-            trial = [v for v in u if v != i]
-            if exceeds(trial):
-                u = trial
-                changed = True
-                break
+    # One ascending pass: the peak sum only grows with the subset, so an
+    # index kept against a superset of the final U stays kept.
+    for i in list(u):
+        trial = [v for v in u if v != i]
+        if exceeds(trial):
+            u = trial
     for i in u:  # minimality audit: every single deletion must fail
         if exceeds([v for v in u if v != i]):
             raise PreconditionFailed(f"deletion of {i} should have been taken")

@@ -60,21 +60,26 @@ FAMILY_SEQUENCE_BOUND = 150_000
 Row = tuple[int, tuple[int, ...], int]
 
 
-def family_rows(inst: MixingInstance, max_length: Optional[int]) -> dict[Row, CutKind]:
+def family_rows(inst: MixingInstance) -> dict[Row, CutKind]:
     """The hull family as distinct integer rows ``(shape, z, rhs)`` over the
     common denominator D of ``inst.scaled``, each with its kind, in the order
     of first occurrence: the starred mixing rows of every column, the
-    starred aggregated rows over sequences avoiding the low rows (up to
-    ``max_length`` long), and the linking row.
+    starred aggregated rows over sequences of every length avoiding the low
+    rows, and the linking row.
 
     ``shape`` is the column j of a row ``y_j + ... >= ...`` and -1 for a row
     ``sum_j y_j + ... >= ...``; with one column both read y_0, so both are 0.
     Over one D two rows are equal exactly when their cuts are.
+
+    Raises ``GroundSetTooLarge`` before the walk when the rows outside the
+    low set have more than ``FAMILY_SEQUENCE_BOUND`` sequences.
     """
     outside = sorted(set(range(inst.n)) - diagnose(inst).i_bar)
-    if count_sequences(len(outside), max_length) > FAMILY_SEQUENCE_BOUND:
+    count = count_sequences(len(outside))
+    if count > FAMILY_SEQUENCE_BOUND:
         raise GroundSetTooLarge(
-            f"{len(outside)} rows outside the low set need too many sequences"
+            f"{len(outside)} rows outside the low set have {count} sequences, "
+            f"more than FAMILY_SEQUENCE_BOUND = {FAMILY_SEQUENCE_BOUND}"
         )
     total = -1 if inst.k > 1 else 0
     rows = {
@@ -82,7 +87,7 @@ def family_rows(inst: MixingInstance, max_length: Optional[int]) -> dict[Row, Cu
         for j in range(inst.k)
         for z, rhs in star_rows(inst, j)
     }
-    for z, rhs in starred_rows(inst, outside, max_length):
+    for z, rhs in starred_rows(inst, outside):
         rows.setdefault((total, tuple(z), rhs), CutKind.AMIX_STAR)
     eps = inst.scaled[2]
     if eps > 0:
@@ -100,14 +105,12 @@ def _family_cuts(inst: MixingInstance, rows: dict[Row, CutKind]) -> list[LinearC
     return cuts
 
 
-def hull_cut_family(
-    inst: MixingInstance, max_length: Optional[int] = None
-) -> list[LinearCut]:
+def hull_cut_family(inst: MixingInstance) -> list[LinearCut]:
     """Starred mixing cuts for every column plus starred aggregated cuts over
-    sequences avoiding the low rows (up to ``max_length`` long), plus the
-    linking constraint, without duplicates.  The family is built and
-    deduplicated in integers; a cut is made only for each distinct row."""
-    return _family_cuts(inst, family_rows(inst, max_length))
+    sequences avoiding the low rows, plus the linking constraint, without
+    duplicates.  The family is built and deduplicated in integers; a cut is
+    made only for each distinct row."""
+    return _family_cuts(inst, family_rows(inst))
 
 
 class CutMatrix(NamedTuple):
@@ -422,7 +425,7 @@ def check_sufficiency(
     failures: list[str] = []
 
     if diag.sufficient:
-        rows = family_rows(inst, None)
+        rows = family_rows(inst)
         cuts = _family_cuts(inst, rows)
         family = _cut_matrix(inst, rows)
         rng = random.Random(seed)

@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
-from .aggregated import aggregated_cut, count_sequences, diagnose, fold
+from .aggregated import aggregated_cut, diagnose, fold
 from .core import (
     ConditionViolated,
     CutKind,
@@ -27,11 +27,10 @@ from .core import (
     RationalLike,
     SequenceTheta,
     parse_rational,
+    unscale,
 )
 from .hull import Row, family_rows, hull_cut_family
 from .vertices import VRepresentation, v_representation
-
-BAND_SEQUENCE_BOUND = 5_000
 
 
 @dataclass(frozen=True)
@@ -163,24 +162,6 @@ def generalized_cut(
     return primed, original
 
 
-def fractions_over(scale: int) -> Callable[[Iterable[int]], tuple[Fraction, ...]]:
-    """A function taking integers over the denominator ``scale`` to a tuple
-    of Fractions; it makes each distinct integer a Fraction once and keeps
-    it for the next call."""
-    cache: dict[int, Fraction] = {}
-
-    def exact(values: Iterable[int]) -> tuple[Fraction, ...]:
-        out = []
-        for v in values:
-            f = cache.get(v)
-            if f is None:
-                f = cache[v] = Fraction(v, scale)
-            out.append(f)
-        return tuple(out)
-
-    return exact
-
-
 @dataclass(frozen=True)
 class BandedHullReport:
     """The band-clipped hull of two-sided data, kept in integers.
@@ -188,19 +169,19 @@ class BandedHullReport:
     ``hull`` is the hull's vertex list as :func:`v_representation` gives it:
     y over the denominator D of ``instance.scaled``, z in the indicator view
     (z_i = 1 keeps scenario i's row active).  The certified description is
-    the hull family, kept as its distinct integer rows (``family_rows``,
-    sequences up to ``max_length`` long), plus the two band rows and the 2n
-    z bounds; :attr:`cut_count` counts it.  What a caller may read beyond
-    the counts is built on first read, in the original orientation
-    (z_i = 1 relaxes scenario i): :attr:`extreme_points` in Fractions, the
-    :attr:`clipped` vertex list and the :attr:`cuts`.
+    the whole hull family, kept as the distinct integer rows that
+    :func:`family_rows` gives (``family_rows``: sequences of every length),
+    plus the two band rows and the 2n z bounds; :attr:`cut_count` counts
+    it.  What a caller may read beyond the counts
+    is built on first read, in the original orientation (z_i = 1 relaxes
+    scenario i): :attr:`extreme_points` in Fractions, the :attr:`clipped`
+    vertex list and the :attr:`cuts`.
     """
 
     instance: MixingInstance
     band_ok: bool
     hull: VRepresentation
     family_rows: tuple[Row, ...]
-    max_length: int
 
     @property
     def cut_count(self) -> int:
@@ -213,10 +194,9 @@ class BandedHullReport:
 
     @cached_property
     def extreme_points(self) -> tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]:
-        """The extreme points with y in Fractions; each distinct coordinate
-        becomes a Fraction once."""
-        exact = fractions_over(self.hull.den)
-        return tuple((exact(y), z) for y, z in self._points)
+        """The extreme points with y in Fractions."""
+        den = self.hull.den
+        return tuple((tuple(unscale(y, den)), z) for y, z in self._points)
 
     @cached_property
     def clipped(self) -> VRepresentation:
@@ -245,7 +225,7 @@ class BandedHullReport:
         ``family_rows``), the band u_a >= y_1 - y_2 >= -u_a and the z
         bounds."""
         n, ua = self.instance.n, self.instance.epsilon
-        cuts = hull_cut_family(self.instance, self.max_length)
+        cuts = hull_cut_family(self.instance)
         zero = [Fraction(0)] * n
         cuts.append(LinearCut((Fraction(-1), Fraction(1)), zero, -ua, CutKind.BOUND_UPPER))
         cuts.append(LinearCut((Fraction(1), Fraction(-1)), zero, -ua, CutKind.BOUND_LOWER))
@@ -265,10 +245,11 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
     Every extreme point already satisfies the band (asserted exhaustively);
     clipping therefore only adds points where a unit ray leaving an extreme
     point meets a band plane, whose z parts stay integral.  The certified
-    description is the linking-set family plus the band and the z bounds;
-    the aggregated part of the family is enumerated up to the longest
-    sequence length whose sequence count stays within
-    ``BAND_SEQUENCE_BOUND`` (it is exponential in n).
+    description is the full linking-set family of :func:`family_rows`, plus
+    the band and the z bounds.  The family is exponential in the number of
+    non-zero scenarios, so data with more sequences over them than
+    ``hull.FAMILY_SEQUENCE_BOUND`` is refused with ``GroundSetTooLarge``
+    before the hull is built.
 
     The band check and the family run in integers over D.  The report keeps
     the vertex list and the family's distinct rows and builds the clipped
@@ -277,6 +258,7 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
     builds none of them.
     """
     inst = to_mixing(data)
+    rows = tuple(family_rows(inst))
     # The band width u_a is the linking threshold, so D * u_a is the scaled
     # epsilon.
     band = inst.scaled[2]
@@ -284,10 +266,4 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
     band_ok = all(-band <= y[0] - y[1] <= band for y, _ in hull.points)
     if not band_ok:
         raise InternalInvariant("an extreme point violates the band")
-
-    outside = sum(1 for wi, vi in zip(data.w, data.v) if wi != 0 or vi != 0)
-    max_len = outside
-    while max_len > 1 and count_sequences(outside, max_len) > BAND_SEQUENCE_BOUND:
-        max_len -= 1
-    rows = tuple(family_rows(inst, max_len))
-    return BandedHullReport(inst, band_ok, hull, rows, max_len)
+    return BandedHullReport(inst, band_ok, hull, rows)

@@ -48,10 +48,8 @@ from mixcuts import (
     sequences,
     to_mixing,
 )
-from mixcuts.aggregated import count_sequences
 from mixcuts.hull import CutMatrix, hull_cut_family, project_to_cut_polyhedron
 from mixcuts.submodular import SetFunctionOracle
-from mixcuts.twosided import BAND_SEQUENCE_BOUND
 from mixcuts.vertices import (
     MembershipResult,
     SeparatingHyperplane,
@@ -200,15 +198,13 @@ def fraction_chain_cuts(
     return dedup_canonical(cuts)
 
 
-def fraction_hull_cut_family(
-    inst: MixingInstance, max_length: Optional[int] = None
-) -> list[LinearCut]:
+def fraction_hull_cut_family(inst: MixingInstance) -> list[LinearCut]:
     """Starred mixing cuts of every column, the starred aggregated cuts over
     sequences avoiding the low rows in :func:`sequences` order, and the
     linking row when epsilon > 0, deduplicated on canonical forms."""
     outside = sorted(set(range(inst.n)) - diagnose(inst).i_bar)
     candidates = [c for j in range(inst.k) for c in fraction_chain_cuts(inst, j, True)]
-    for theta in sequences(outside, max_length):
+    for theta in sequences(outside):
         cut = fraction_aggregated_cut(inst, theta)
         if cut.kind is CutKind.AMIX_STAR:
             candidates.append(cut)
@@ -825,11 +821,7 @@ def fraction_hull_with_bounds(data: TwoSidedData) -> FractionBandedHull:
         (((Fraction(1), Fraction(1)), tuple(0 for _ in range(data.n))),),
     )
 
-    outside = sum(1 for wi, vi in zip(data.w, data.v) if wi != 0 or vi != 0)
-    max_len = outside
-    while max_len > 1 and count_sequences(outside, max_len) > BAND_SEQUENCE_BOUND:
-        max_len -= 1
-    cuts = hull_cut_family(inst, max_len)
+    cuts = hull_cut_family(inst)
     zero = [Fraction(0)] * data.n
     cuts.append(LinearCut((Fraction(-1), Fraction(1)), zero, -ua, CutKind.BOUND_UPPER))
     cuts.append(LinearCut((Fraction(1), Fraction(-1)), zero, -ua, CutKind.BOUND_LOWER))

@@ -310,5 +310,5 @@ def test_separate_aggregated_greedy_matches_enumeration():
 
 def test_count_sequences():
     assert count_sequences(3) == 3 + 6 + 6
-    assert count_sequences(5, 2) == 5 + 20
+    assert count_sequences(5) == 5 + 20 + 60 + 120 + 120
     assert sum(1 for _ in sequences(range(4))) == count_sequences(4)

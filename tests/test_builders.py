@@ -60,9 +60,8 @@ def test_builders_match_the_fraction_chain_loop(seed):
             assert fields(all_mixing_cuts(inst, j, max_chains)) == fields(want)
 
     reduced, _ = reduce_lower_bounds(inst)
-    for depth in (None, 2):
-        want = fraction_hull_cut_family(reduced, depth)
-        assert fields(hull_cut_family(reduced, depth)) == fields(want)
+    want = fraction_hull_cut_family(reduced)
+    assert fields(hull_cut_family(reduced)) == fields(want)
     for theta in sequences(range(reduced.n)):
         want = fraction_aggregated_cut(reduced, theta)
         assert fields([aggregated_cut(reduced, theta)]) == fields([want])
@@ -96,15 +95,13 @@ def family_case(rng: random.Random) -> MixingInstance:
 
 @pytest.mark.parametrize("block", range(6))
 def test_hull_family_matches_the_fraction_reference(block):
-    """240 seeded instances, each at depth None, 1, 2 and 3: the walker's
-    pruning and the integer dedup keep the reference's cuts, kinds and
-    order."""
+    """240 seeded instances: the walker's pruning and the integer dedup
+    keep the reference's cuts, kinds and order."""
     rng = random.Random(7100 + block)
     for _ in range(40):
         inst = family_case(rng)
-        for depth in (None, 1, 2, 3):
-            want = fraction_hull_cut_family(inst, depth)
-            assert fields(hull_cut_family(inst, depth)) == fields(want)
+        want = fraction_hull_cut_family(inst)
+        assert fields(hull_cut_family(inst)) == fields(want)
 
 
 def test_hull_family_builds_one_cut_per_member_and_hashes_no_fraction(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 import mixcuts
 from mixcuts.cli import main
+from mixcuts.hull import FAMILY_SEQUENCE_BOUND
 
 from conftest import fixture_path
 
@@ -210,6 +211,20 @@ def test_twosided_band_report(capsys):
     code, out, _ = run_cli(capsys, "twosided", fixture_path("twosided_demo.json"))
     assert code == 0
     assert "band_ok=yes" in out
+
+
+def test_twosided_refuses_a_family_above_its_sequence_bound(tmp_path, capsys):
+    """Nine non-zero scenarios have 986,409 sequences, more than the hull
+    family's bound: the command exits 2 and the error names the bound,
+    instead of printing the counts of a shortened family."""
+    data = tmp_path / "nine.json"
+    data.write_text(
+        json.dumps({"w": [str(i) for i in range(1, 10)], "v": ["0"] * 9, "u_a": "9"})
+    )
+    code, _, err = run_cli(capsys, "twosided", str(data))
+    assert code == 2
+    assert "986409 sequences" in err
+    assert f"FAMILY_SEQUENCE_BOUND = {FAMILY_SEQUENCE_BOUND}" in err
 
 
 LIFTED_EXAMPLE1 = json.dumps(

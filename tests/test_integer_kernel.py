@@ -208,7 +208,7 @@ def test_integer_samples_equal_the_fraction_draws_and_projection():
     rng = random.Random(8084)
     for seed, inst in enumerate(closure_instances(rng, 40, max_n=5)):
         cuts = hull_cut_family(inst)
-        family = _cut_matrix(inst, family_rows(inst, None))
+        family = _cut_matrix(inst, family_rows(inst))
         ours, theirs = random.Random(seed), random.Random(seed)
         den = family.denominator * _BOX_SCALE
         for s in range(12):
@@ -226,7 +226,7 @@ def test_family_matrix_is_the_fraction_cut_matrix_over_the_instance_denominator(
     it is the matrix read off the family's cuts, times a positive integer."""
     rng = random.Random(8083)
     for inst in closure_instances(rng, 40):
-        got = _cut_matrix(inst, family_rows(inst, None))
+        got = _cut_matrix(inst, family_rows(inst))
         want = cut_matrix(inst, hull_cut_family(inst))
         factor, rest = divmod(got.denominator, want.denominator)
         assert rest == 0 and got.denominator == inst.scaled[0]
@@ -270,7 +270,7 @@ def test_closure_failures_read_as_the_fraction_reference_writes_them(monkeypatch
             y, z = fraction_projection(inst, cuts, fraction_box_point(draws, 3), s % 2)
             if not fraction_membership(vrep, y, complement(z)).inside:
                 want.append(f"projected sample {s} outside hull: y={y} z={z}")
-        family = _cut_matrix(inst, family_rows(inst, None))
+        family = _cut_matrix(inst, family_rows(inst))
         for y, z in vertex_points(_cut_polyhedron_vertices(family, 10**6), 2):
             if not fraction_membership(vrep, y, complement(z)).inside:
                 want.append(f"cut-polyhedron vertex outside hull: {y} {z}")

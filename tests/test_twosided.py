@@ -9,6 +9,7 @@ import pytest
 
 from mixcuts import (
     ConditionViolated,
+    CutKind,
     LinearCut,
     SequenceTheta,
     TwoSidedData,
@@ -17,15 +18,19 @@ from mixcuts import (
     generalized_cut,
     hull_with_bounds,
     membership,
+    sequences,
     to_mixing,
     v_representation,
 )
 from mixcuts import twosided
 from mixcuts.cli import main
+from mixcuts.hull import family_rows
+from mixcuts.mixing import mix_star_cuts
 from mixcuts.twosided import loads_twosided
 
 from conftest import fixture_path, random_band_data, random_twosided
 from helpers import (
+    fraction_aggregated_cut,
     fraction_hull_with_bounds,
     fraction_v_representation,
     fraction_vertices,
@@ -164,6 +169,68 @@ def test_band_hull_matches_the_fraction_reference(seed, n):
     assert got.band_ok and want.band_ok
     vrep = fraction_vertices(v_representation(got.instance))
     assert vrep == fraction_v_representation(got.instance)
+
+
+def rank(vectors) -> int:
+    """The rank of a list of Fraction vectors, by exact elimination."""
+    rows = [list(v) for v in vectors]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+# Eight non-zero scenarios, drawn the way the benchmark draws two-sided data.
+# A cap of 5,000 sequences once kept only the sequences of length 4 or less
+# here, and so only 153 of the family's 175 rows.
+EIGHT = TwoSidedData((9, 8, 4, 5, 12, 8, 8, 5), (6, 6, 0, 4, 8, 7, 6, 4), 12)
+
+
+def test_band_hull_keeps_every_facet_of_long_sequences():
+    """The band hull's family is the whole hull family, and the rows that
+    only sequences longer than 4 give are facets of the clipped hull: valid
+    at every clipped point and ray, and tight at k + n affinely independent
+    ones of a full-dimensional hull."""
+    report = hull_with_bounds(EIGHT)
+    inst = to_mixing(EIGHT)
+    assert report.family_rows == tuple(family_rows(inst))
+    assert len(report.family_rows) == 175
+
+    outside = [i for i in range(EIGHT.n) if EIGHT.w[i] or EIGHT.v[i]]
+    assert len(outside) == 8
+    short = {cut.canonical_key() for j in range(inst.k) for cut in mix_star_cuts(inst, j)}
+    for theta in sequences(outside, max_length=4):
+        cut = fraction_aggregated_cut(inst, theta)
+        if cut.kind is CutKind.AMIX_STAR:
+            short.add(cut.canonical_key())
+    family = report.cuts[: len(report.family_rows)]
+    long_only = [
+        cut
+        for cut in family
+        if cut.kind is not CutKind.LINKING and cut.canonical_key() not in short
+    ]
+    assert len(long_only) == 175 - 153
+
+    clipped = fraction_vertices(report.clipped)
+    homogeneous = [(Fraction(1), *y, *z) for y, z in clipped.points] + [
+        (Fraction(0), *y, *z) for y, z in clipped.rays
+    ]
+    dim = inst.k + inst.n
+    assert rank(homogeneous) == dim + 1  # the clipped hull is full-dimensional
+    for cut in long_only:
+        slack = [cut.lhs(y, z) - cut.rhs for y, z in clipped.points]
+        along = [cut.lhs(y, z) for y, z in clipped.rays]
+        assert min(slack) == 0 and min(along) >= 0, cut
+        tight = [h for h, s in zip(homogeneous, slack + along) if s == 0]
+        assert rank(tight) == dim, cut
 
 
 def test_band_cases_cover_the_degenerate_draws():

@@ -5,8 +5,7 @@ The references evaluate every sequence afresh: ``decompose``, ``l_theta``
 and ``fraction_aggregated_cut`` from their definitions, and the hull family
 by the per-sequence loop with deduplication on canonical forms.  Instances
 are seeded and small (n <= 6) and cover tied values, all-zero columns,
-fractional weights, epsilon = 0, epsilon at or above every row sum, and
-depth limits.
+fractional weights, epsilon = 0, and epsilon at or above every row sum.
 """
 
 import math
@@ -87,10 +86,9 @@ def test_walk_matches_per_sequence_path_at_every_node(seed, n):
     y, z = random_point(rng, inst)
     p = math.lcm(*(v.denominator for v in y + z))
     ground = sorted(rng.sample(range(n), rng.randint(1, n)))
-    depth = rng.choice([None, 1, 2, len(ground)])
-    expected = {theta.indices for theta in sequences(ground, depth)}
+    expected = {theta.indices for theta in sequences(ground)}
     visited = set()
-    for theta, chains, l, gap in walk(inst, ground, depth, point=scale_point(y, z)):
+    for theta, chains, l, gap in walk(inst, ground, point=scale_point(y, z)):
         seq = SequenceTheta(theta)
         assert chains == decompose(inst, seq)
         assert l == scale * l_theta(inst, seq)
@@ -109,19 +107,18 @@ def test_walk_matches_per_sequence_path_at_every_node(seed, n):
         if fraction_aggregated_cut(inst, SequenceTheta(theta)).kind is CutKind.AMIX_STAR
         and all(raises_a_head(inst, theta, t) for t in range(len(theta) - 1))
     }
-    assert {t for t, _, _, _ in walk(inst, ground, depth, starred=True)} == starred
+    assert {t for t, _, _, _ in walk(inst, ground, starred=True)} == starred
 
 
 @pytest.mark.parametrize("seed,n", CASES)
 def test_starred_family_identical_in_content_and_order(seed, n):
     rng = random.Random(2000 * n + seed)
     inst = random_case(rng, n)
-    for depth in (None, 1, 2):
-        got = hull_cut_family(inst, depth)
-        want = fraction_hull_cut_family(inst, depth)
-        assert [(c.kind, c.y_coeffs, c.z_coeffs, c.rhs) for c in got] == [
-            (c.kind, c.y_coeffs, c.z_coeffs, c.rhs) for c in want
-        ]
+    got = hull_cut_family(inst)
+    want = fraction_hull_cut_family(inst)
+    assert [(c.kind, c.y_coeffs, c.z_coeffs, c.rhs) for c in got] == [
+        (c.kind, c.y_coeffs, c.z_coeffs, c.rhs) for c in want
+    ]
 
 
 def reference_aggregated_message(inst: MixingInstance, point) -> str:
