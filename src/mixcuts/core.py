@@ -226,10 +226,13 @@ class LinearCut:
 
     def __str__(self) -> str:
         ints = self.canonical_key()
-        k = self.k
-        alpha = " ".join(str(v) for v in ints[:k])
-        beta = " ".join(str(v) for v in ints[k : k + self.n])
-        return f"{alpha} | {beta} | >= {ints[-1]} | {self.kind.value}"
+        return cut_text(ints[: self.k], ints[self.k : -1], ints[-1], self.kind)
+
+
+def cut_text(y: Sequence[int], z: Sequence[int], rhs: int, kind: CutKind) -> str:
+    """A cut's canonical integers as ``str(LinearCut)`` prints them."""
+    ys, zs = " ".join(map(str, y)), " ".join(map(str, z))
+    return f"{ys} | {zs} | >= {rhs} | {kind.value}"
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ denominator, so a row the pivot leaves alone is not rewritten.
 
 Both outcomes carry an integer certificate: a feasible result is x / den with
 x >= 0 and Ax = b, an infeasible one is u with u.A <= 0 in every column and
-u.b > 0.  :func:`verify_feasible` and :func:`verify_farkas` check a
-certificate against any integer system, which need not be the one solved.
+u.b > 0.  :func:`verify_feasible` (on the support of x) and
+:func:`verify_farkas` check a certificate against any integer system,
+which need not be the one solved.
 Nothing here uses ``Fraction``.
 """
 
@@ -149,21 +150,16 @@ def solve_feasibility(
 def verify_feasible(
     a_rows: Sequence[Sequence[int]],
     b: Sequence[int],
-    x: Sequence[int],
+    support: Sequence[tuple[int, int]],
     den: int,
 ) -> bool:
-    """Whether x / den is nonnegative and solves Ax = b (den > 0)."""
+    """Whether x / den is nonnegative and solves Ax = b (den > 0), where x
+    is given by its support: ``(column, multiplier)`` pairs, each multiplier
+    positive and each column present in every row; x is 0 elsewhere."""
     if den <= 0:
         return False
-    # One pass over x checks the signs and collects the support: zero
-    # entries add nothing, and a basic solution has at most len(b) others.
-    support = []
-    for j, v in enumerate(x):
-        if v:
-            if v < 0:
-                return False
-            support.append((j, v))
-    if any(len(r) != len(x) for r in a_rows):
+    width = min(map(len, a_rows), default=0)
+    if any(v <= 0 or not 0 <= j < width for j, v in support):
         return False
     return all(
         sum(row[j] * v for j, v in support) == rhs * den

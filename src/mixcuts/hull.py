@@ -11,22 +11,26 @@ point outside it.
 
 The closure branch runs in integers from the drawn or enumerated point to
 the re-checked certificate: box points are numerators over one denominator,
-projected on the family's integer matrix, complemented and handed to the
-chain certificate as one integer target; the cut polyhedron's vertices come
-from a depth-first basis enumeration that keeps each prefix fraction-free.
-A ``Fraction`` is made only for the membership LP or a failure message.
+projected on the family's integer matrix (each cut reading only its nonzero
+z terms), complemented and handed to the chain certificate as one integer
+target; the cut polyhedron's vertices come from an integer
+double-description pass on its homogenised cone, gcd-reduced rays with
+bitmask zero sets and the combinatorial adjacency test, once the number of
+bases shows they are few enough.  A ``Fraction`` is made only for the
+membership LP or a failure message; the report prints the family's cuts
+from its integer rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .aggregated import (
     HullDiagnosis,
@@ -41,6 +45,7 @@ from .core import (
     LinearCut,
     MixingInstance,
     complement,
+    cut_text,
     format_rational,
 )
 from .counterexample import certify_witness, witness
@@ -53,6 +58,9 @@ from .vertices import (
     v_representation,
 )
 
+# The closure check lists the cut polyhedron's vertices only when its
+# system has at most this many bases: every vertex solves one, so the count
+# bounds the vertices before the double description starts.
 BASIS_ENUMERATION_WORK = 3_000
 FAMILY_SEQUENCE_BOUND = 150_000
 
@@ -95,12 +103,14 @@ def family_rows(inst: MixingInstance) -> dict[Row, CutKind]:
     return rows
 
 
-def _family_cuts(inst: MixingInstance, rows: dict[Row, CutKind]) -> list[LinearCut]:
-    """One cut per row of :func:`family_rows`.  Its starred mixing rows come
-    first and are all kept, so they are the cuts of :func:`mix_star_cuts`;
-    every other row reads ``sum_j y_j``."""
+def _family_cuts(
+    inst: MixingInstance, rows: Sequence[tuple[Row, CutKind]]
+) -> list[LinearCut]:
+    """One cut per item of :func:`family_rows`.  Its starred mixing rows
+    come first and are all kept, so they are the cuts of
+    :func:`mix_star_cuts`; every other row reads ``sum_j y_j``."""
     cuts = [cut for j in range(inst.k) for cut in mix_star_cuts(inst, j)]
-    for (_, z, rhs), kind in itertools.islice(rows.items(), len(cuts), None):
+    for (_, z, rhs), kind in rows[len(cuts) :]:
         cuts.append(total_cut(inst, z, rhs, kind))
     return cuts
 
@@ -110,17 +120,21 @@ def hull_cut_family(inst: MixingInstance) -> list[LinearCut]:
     sequences avoiding the low rows, plus the linking constraint, without
     duplicates.  The family is built and deduplicated in integers; a cut is
     made only for each distinct row."""
-    return _family_cuts(inst, family_rows(inst))
+    return _family_cuts(inst, tuple(family_rows(inst).items()))
 
 
-class CutMatrix(NamedTuple):
+@dataclass(frozen=True)
+class CutMatrix:
     """A cut family ``y_coeffs . y + z_coeffs . z >= rhs`` as one integer
     matrix over a common denominator, each cut tagged with its shape.
 
     ``shapes[r]`` is the column j when cut r reads ``y_j + ... >= ...`` (a
     floor on one coordinate) and -1 when every y coefficient is 1 (a floor
-    on the total; with one column both shapes are 0).  ``rows[r]`` holds the y then the z coefficients and
-    ``rhs[r]`` the right-hand side, all times the common ``denominator``.
+    on the total; with one column both shapes are 0).  ``rows[r]`` holds the
+    y then the z coefficients and ``rhs[r]`` the right-hand side, all times
+    the common ``denominator``.  ``z_terms[r]`` lists cut r's nonzero z
+    coefficients as ``(i, coefficient)`` pairs, read off ``rows`` once when
+    the matrix is built.
     """
 
     k: int
@@ -129,6 +143,16 @@ class CutMatrix(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
     shapes: tuple[int, ...]
+    z_terms: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        k = self.k
+        terms = tuple(
+            tuple((i, c) for i, c in enumerate(row[k:]) if c) for row in self.rows
+        )
+        object.__setattr__(self, "z_terms", terms)
 
 
 def _cut_matrix(inst: MixingInstance, rows: dict[Row, CutKind]) -> CutMatrix:
@@ -160,13 +184,14 @@ def project_to_cut_polyhedron(
     linking constraint and aggregated cuts) may force a higher total, and the
     shortfall is added to one designated coordinate.  The result satisfies
     every cut and is tight somewhere, which is where closure failures show.
+    Each cut reads only its nonzero z terms (:attr:`CutMatrix.z_terms`).
     """
-    k = family.k
-    point = [0] * k + list(z)  # the y coefficients meet zeros
-    y = [0] * k
+    y = [0] * family.k
     total_floor = 0
-    for row, rhs, shape in zip(family.rows, family.rhs, family.shapes):
-        need = rhs * z_den - sum(map(mul, row, point))
+    for terms, rhs, shape in zip(family.z_terms, family.rhs, family.shapes):
+        need = rhs * z_den
+        for i, c in terms:
+            need -= c * z[i]
         if shape < 0:
             if need > total_floor:
                 total_floor = need
@@ -197,147 +222,64 @@ def _cut_polyhedron_vertices(
     family: CutMatrix, work_bound: int
 ) -> Optional[list[tuple[tuple[int, ...], int]]]:
     """All vertices of the cut system as ``(numerators, denominator)`` in
-    lowest terms with a positive denominator, in the order in which
-    ``itertools.combinations`` meets their first basis, or None when that
-    would exceed the work bound.
+    lowest terms with a positive denominator, in ascending order of those
+    tuples, or None when the system has more than ``work_bound`` bases.
 
     The system is every cut plus the box rows 0 <= z <= 1 and y >= 0 in
-    dimension d = k + n; a vertex is a feasible intersection of d of them
-    with full rank.  The bases are walked depth first in lexicographic
-    order, each prefix kept fraction-free in reduced row echelon form
-    (:func:`_add_row`).  A row whose coefficients depend on the prefix ends
-    that branch, since every basis completing it is singular.  A prefix of
-    d - 1 rows leaves a line (:func:`_line`), and each last row meets it in
-    at most one point, read in lowest terms (:func:`_meet`).  A point is
-    checked against every row in integers, the row that last failed a
-    check first.
+    dimension d = k + n.  Every vertex solves a basis, d of the system's m
+    rows, so C(m, d) bounds the vertex count before any work starts.  The
+    vertices come from the double-description method (Motzkin et al. 1953)
+    on the homogenised cone {(x, t) >= 0 : A x >= b t}.  It starts from the
+    orthant's unit rays and adds the rows z <= t, then the cuts, one at a
+    time: the rays a row holds on stay, and every pair of a ray it holds
+    strictly on and one it cuts off that is adjacent gives the ray where
+    their segment meets the row's hyperplane.  Each ray is kept in integers
+    divided by the gcd of its entries, with its zero set (the bounds and
+    rows it is tight on) as an int bitmask.  Two rays are adjacent when no
+    other ray's zero set holds all of their common zeros (Fukuda and Prodon
+    1996).  The final rays with t > 0 are the vertices, read off as
+    ``(x, t)``.
     """
-    k, d = family.k, family.k + family.n
-    rows = [row + (rhs,) for row, rhs in zip(family.rows, family.rhs)]
-    for j in range(k):
-        rows.append(_unit(d, j, 1) + (0,))
-    for i in range(family.n):
-        rows.append(_unit(d, k + i, 1) + (0,))
-        rows.append(_unit(d, k + i, -1) + (-1,))
-    m = len(rows)
-    if math.comb(m, d) > work_bound:
+    k, n = family.k, family.n
+    d = k + n
+    if math.comb(len(family.rows) + k + 2 * n, d) > work_bound:
         return None
-    vertices: list[tuple[tuple[int, ...], int]] = []
-    seen = set()
-    checks = list(rows)
-
-    def feasible(num: tuple[int, ...], den: int) -> bool:
-        for q, row in enumerate(checks):
-            if sum(map(mul, row, num)) < row[d] * den:
-                if q:
-                    checks.insert(0, checks.pop(q))
-                return False
-        return True
-
-    def extend(start: int, echelon: list[tuple[int, list[int]]]) -> None:
-        stop = m - d + len(echelon) + 1  # room is left for the other rows
-        if len(echelon) + 1 < d:
-            for i in range(start, stop):
-                grown = _add_row(echelon, rows[i], d)
-                if grown is not None:
-                    extend(i + 1, grown)
-            return
-        line = _line(echelon, d)
-        for i in range(start, stop):
-            solution = _meet(line, rows[i])
-            if solution is not None and solution not in seen and feasible(*solution):
-                seen.add(solution)
-                vertices.append(solution)
-
-    extend(0, [])
-    return vertices
-
-
-def _add_row(
-    echelon: list[tuple[int, list[int]]], row: Sequence[int], d: int
-) -> Optional[list[tuple[int, list[int]]]]:
-    """The reduced row echelon form of a prefix's rows plus one more, or
-    None when the new row's first d coefficients depend on the prefix's.
-
-    ``echelon`` holds ``(pivot, row)`` pairs, each row zero in every other
-    pivot column.  The new row is reduced against them, its first nonzero
-    coefficient becomes its pivot and is cleared from the others; every row
-    changed is divided by the gcd of its entries.
-    """
-    for p, other in echelon:
-        f = row[p]
-        if f:
-            c = other[p]
-            row = [c * a - f * b for a, b in zip(row, other)]
-    pivot = next((j for j in range(d) if row[j]), None)
-    if pivot is None:
-        return None
-    row = _primitive(row)
-    f = row[pivot]
-    grown = []
-    for p, other in echelon:
-        e = other[pivot]
-        if e:
-            other = _primitive([f * a - e * b for a, b in zip(other, row)])
-        grown.append((p, other))
-    grown.append((pivot, row))
-    return grown
-
-
-def _line(
-    echelon: list[tuple[int, list[int]]], d: int
-) -> tuple[int, list[int], list[int]]:
-    """The solutions of d - 1 independent rows in reduced row echelon form,
-    as ``(scale, base, direction)``: the line x(t) = (base + t * direction)
-    / scale.
-
-    The one column q without a pivot carries t itself; the row with pivot p
-    reads c * x_p + g * t = b, so x_p = (b - g * t) / c.
-    """
-    pivots = {p for p, _ in echelon}
-    q = next(j for j in range(d) if j not in pivots)
-    scale = math.lcm(*(row[p] for p, row in echelon))
-    base, direction = [0] * d, [0] * d
-    direction[q] = scale
-    for p, row in echelon:
-        w = scale // row[p]
-        base[p] = w * row[d]
-        direction[p] = -w * row[q]
-    return scale, base, direction
-
-
-def _meet(
-    line: tuple[int, list[int], list[int]], row: Sequence[int]
-) -> Optional[tuple[tuple[int, ...], int]]:
-    """Where a row ``a . x = a_d`` meets the line of :func:`_line`, as
-    ``(numerators, denominator)`` in lowest terms with a positive
-    denominator, or None when its coefficients depend on the line's rows
-    (a . direction = 0).
-
-    The row holds at t = N / M with M = a . direction and N = a_d * scale -
-    a . base, which is the point (M * base + N * direction) / (scale * M).
-    """
-    scale, base, direction = line
-    slope = sum(map(mul, row, direction))
-    if not slope:
-        return None
-    at = row[-1] * scale - sum(map(mul, row, base))
-    den = scale * slope
-    if den < 0:
-        den, slope, at = -den, -slope, -at
-    num = [slope * b + at * e for b, e in zip(base, direction)]
-    g = math.gcd(den, *num)
-    return tuple(v // g for v in num), den // g
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries (not all zero)."""
-    g = math.gcd(*row)
-    return row if g == 1 else [v // g for v in row]
-
-
-def _unit(d: int, j: int, value: int) -> tuple[int, ...]:
-    return tuple(value if i == j else 0 for i in range(d))
+    # Bits 0..d are the bounds on the coordinates of (y, z, t); each row
+    # added takes the next bit.
+    rows = [tuple(-(c == k + i) for c in range(d)) + (1,) for i in range(n)]
+    rows += [row + (-rhs,) for row, rhs in zip(family.rows, family.rhs)]
+    rays = [tuple(int(c == j) for c in range(d + 1)) for j in range(d + 1)]
+    zeros = [((1 << d + 1) - 1) ^ (1 << j) for j in range(d + 1)]
+    # The rows tight on a 2-face of the cone have rank d - 1.
+    least = d - 1
+    for bit, row in enumerate(rows, d + 1):
+        tight = 1 << bit
+        values = [sum(map(mul, row, ray)) for ray in rays]
+        minus = [r for r, v in enumerate(values) if v < 0]
+        plus = [r for r, v in enumerate(values) if v > 0] if minus else []
+        met, met_zeros = [], []
+        for p in plus:
+            zp, vp, ray_p = zeros[p], values[p], rays[p]
+            for q in minus:
+                zq = zeros[q]
+                common = zp & zq
+                if common.bit_count() < least:
+                    continue
+                # Distinct extreme rays have distinct zero sets, so only p
+                # and q have zero sets equal to theirs.
+                for other in zeros:
+                    if other & common == common and other != zp and other != zq:
+                        break
+                else:
+                    vq = values[q]
+                    ray = [vp * b - vq * a for a, b in zip(ray_p, rays[q])]
+                    g = math.gcd(*ray)
+                    met.append(tuple(v // g for v in ray))
+                    met_zeros.append(common | tight)
+        kept = [r for r, v in enumerate(values) if v >= 0]
+        rays = [rays[r] for r in kept] + met
+        zeros = [zeros[r] | (0 if values[r] else tight) for r in kept] + met_zeros
+    return sorted((ray[:d], ray[d]) for ray in rays if ray[d])
 
 
 def _inside(vrep: VRepresentation, target: list[int], den: int) -> bool:
@@ -357,9 +299,18 @@ def _fractions(values: Sequence[int], den: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class SufficiencyReport:
+    """The outcome of :func:`check_sufficiency`.
+
+    The closure branch keeps the hull family as the distinct integer rows
+    of :func:`family_rows` with their kinds (``family_rows``, over the
+    denominator D of ``instance.scaled``); :meth:`to_json` prints each row
+    divided by the gcd of its entries, which is the cut's canonical form,
+    and :attr:`cuts` is built on first read.  The witness branch keeps no
+    rows.
+    """
+
     diagnosis: HullDiagnosis
     branch: str  # "closure" or "witness"
-    cuts: tuple[LinearCut, ...]
     samples_checked: int
     failures: tuple[str, ...]
     witness: Optional[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]
@@ -367,6 +318,30 @@ class SufficiencyReport:
     witness_assertions: tuple[str, ...] = field(default_factory=tuple)
     witness_plane: Optional[SeparatingHyperplane] = None
     ok: bool = True
+    instance: Optional[MixingInstance] = None
+    family_rows: tuple[tuple[Row, CutKind], ...] = ()
+
+    @cached_property
+    def cuts(self) -> tuple[LinearCut, ...]:
+        """One cut per row of ``family_rows``: the hull family of
+        :func:`hull_cut_family`, or nothing on the witness branch."""
+        if not self.family_rows:
+            return ()
+        return tuple(_family_cuts(self.instance, self.family_rows))
+
+    def _cut_texts(self) -> list[str]:
+        """``str(cut)`` of every cut of :attr:`cuts`, read off the integer
+        rows: the y coefficients are D on the row's column, or on every
+        column for a row of shape -1."""
+        if not self.family_rows:
+            return []
+        k, scale = self.instance.k, self.instance.scaled[0]
+        texts = []
+        for (shape, z, rhs), kind in self.family_rows:
+            g = math.gcd(scale, rhs, *z)
+            y = [scale // g if shape in (j, -1) else 0 for j in range(k)]
+            texts.append(cut_text(y, [v // g for v in z], rhs // g, kind))
+        return texts
 
     def to_json(self) -> str:
         doc = {
@@ -378,7 +353,7 @@ class SufficiencyReport:
             if self.diagnosis.l_w_eps is None
             else format_rational(self.diagnosis.l_w_eps),
             "branch": self.branch,
-            "cuts": [str(c) for c in self.cuts],
+            "cuts": self._cut_texts(),
             "samples_checked": self.samples_checked,
             "failures": list(self.failures),
             "ok": self.ok,
@@ -409,13 +384,16 @@ def check_sufficiency(
     """Certify the diagnosis empirically.
 
     Sufficient instances: sample points of the cut polyhedron (seeded
-    projections of random box points, and its exact vertices when basis
-    enumeration is affordable) and confirm each is inside the hull: by the
-    chain certificate of :func:`mixcuts.vertices.decompose` first, and by
-    the membership LP where the chain proves nothing, so a point is counted
-    outside only on the LP's verdict.  Every point stays in integers from
-    its draw or its basis to the chain certificate; a ``Fraction`` is made
-    only for the LP or for a failure message.  Insufficient instances:
+    projections of random box points, and every vertex when its system has
+    at most ``basis_work_bound`` bases, listed by the double description of
+    :func:`_cut_polyhedron_vertices`) and confirm each is inside the hull:
+    by the chain certificate of :func:`mixcuts.vertices.decompose` first,
+    and by the membership LP where the chain proves nothing, so a point is
+    counted outside only on the LP's verdict.  Every point stays in
+    integers from its draw or its ray to the chain certificate; a
+    ``Fraction`` is made only for the LP or for a failure message, and the
+    report's cuts only when :attr:`SufficiencyReport.cuts` is read.
+    Insufficient instances:
     build the explicit witness point for the failing condition and certify
     that it satisfies every mixing and aggregated mixing cut yet lies
     outside the hull, by the membership LP.
@@ -426,7 +404,6 @@ def check_sufficiency(
 
     if diag.sufficient:
         rows = family_rows(inst)
-        cuts = _family_cuts(inst, rows)
         family = _cut_matrix(inst, rows)
         rng = random.Random(seed)
         k = inst.k
@@ -455,8 +432,8 @@ def check_sufficiency(
                     )
                 checked += 1
         return SufficiencyReport(
-            diag, "closure", tuple(cuts), checked, tuple(failures), None, None,
-            tuple(), None, not failures,
+            diag, "closure", checked, tuple(failures), None, None, tuple(), None,
+            not failures, inst, tuple(rows.items()),
         )
 
     point, case = witness(inst, diag)
@@ -464,6 +441,6 @@ def check_sufficiency(
     assertions = certify_witness(inst, point, verdict=verdict)
     ok = all(msg.startswith("ok") for msg in assertions)
     return SufficiencyReport(
-        diag, "witness", tuple(), 0, tuple(failures), point, case,
-        tuple(assertions), verdict.hyperplane, ok,
+        diag, "witness", 0, tuple(failures), point, case, tuple(assertions),
+        verdict.hyperplane, ok,
     )

@@ -221,15 +221,16 @@ def membership(
     target_int = [t.numerator * (target_den // t.denominator) for t in target]
     if result.feasible:
         # (common / den) x = target_int / target_den, in integers.
-        x = [0] * len(common[0])
-        for j, v in zip(columns, result.x):
-            x[j] = v
+        support = [(j, v) for j, v in zip(columns, result.x) if v]
         if not verify_feasible(
-            common, target_int, [target_den * v for v in x], den * result.den
+            common, target_int, [(j, target_den * v) for j, v in support],
+            den * result.den,
         ):
             raise InternalInvariant("membership certificate failed verification")
-        x = tuple(Fraction(v, result.den) if v else _ZERO for v in x)
-        return MembershipResult(True, x[:npts], x[npts:], None)
+        x = [_ZERO] * len(common[0])
+        for j, v in support:
+            x[j] = Fraction(v, result.den)
+        return MembershipResult(True, tuple(x[:npts]), tuple(x[npts:]), None)
 
     # The LP's Farkas vector, mapped back through the row scales, proves the
     # face system infeasible: u.A <= 0 on every kept column and u.b > 0.
@@ -259,14 +260,17 @@ def decompose(
     vrep: VRepresentation,
     target: Sequence[int],
     den: int,
-) -> Optional[tuple[list[int], int]]:
+) -> Optional[tuple[list[tuple[int, int]], int]]:
     """A proof that a point is in conv(points) + cone(rays) by one chain, or
     None when the chain proves nothing (the point may still be inside).
 
     The point comes as one integer target (z, 1, y) over ``den`` > 0, the
     layout of the membership LP's rows, so ``target[n]`` is ``den``.  The
-    proof is the multipliers of the points, then of the rays, as integers
-    over one denominator: ``(x, x_den)``.
+    proof is the support of the multipliers as integers over one
+    denominator: ``(support, x_den)``, with ``support`` the ``(column,
+    numerator)`` pairs of the nonzero ones, column c < len(points) for
+    point c and len(points) + d for the ray of y direction d.  Every other
+    multiplier is 0.
 
     z sorted in descending order (ties by ascending index) gives the nested
     masks S_0 = {} < S_1 < ... < S_n, S_t holding the t largest entries,
@@ -277,9 +281,11 @@ def decompose(
     y - sum lambda_t floor_t is nonnegative and covers sum lambda_t
     deficit_t.  The deficit is filled into the columns in index order, every
     mask spreading its points by that one fill, and what is left goes on
-    the rays.  All of this is integer over the vertex list's D and ``den``,
-    and the multipliers are re-checked against the common-denominator
-    matrix as :func:`membership` re-checks its own; no ``Fraction`` is made.
+    the rays.  All of this is integer over the vertex list's D and ``den``.
+    The support, at most one column per point of the chain's masks and
+    per ray, is re-checked against the common-denominator matrix by the
+    checker :func:`membership` uses for its own (only the support's
+    columns are read); no ``Fraction`` is made.
     """
     k, n = vrep.k, vrep.n
     if len(target) != n + 1 + k:
@@ -317,25 +323,26 @@ def decompose(
         rest -= fill[-1]
 
     # Point (t, d) carries lambda_t * fill_d / owed and ray d the rest of
-    # slack_d; with nothing owed, each mask's weight sits on its first point.
-    # Every multiplier is kept times den, the scale of the check below.
+    # slack_d; with nothing owed, or a mask with one point, the mask's
+    # weight sits on its first column.  Every multiplier is kept times den,
+    # the scale of the check below, and only the nonzero ones are listed.
     npts = len(vrep.points)
-    x = [0] * (npts + len(vrep.rays))
     unit = common_den * den
-    for weight, columns in chain:
-        if owed:
-            for c, f in zip(columns, fill):
-                x[c] += weight * f * unit
-        else:
-            x[columns[0]] += weight * unit
     spread = owed or 1
+    support = []
+    for weight, columns in chain:
+        if owed and columns[0] != columns[-1]:
+            support += [(c, weight * f * unit) for c, f in zip(columns, fill) if f]
+        else:
+            support.append((columns[0], weight * spread * unit))
     for d, (s, f) in enumerate(zip(slack, fill)):
-        x[npts + d] += (s - f) * spread * den
-    # x / (den * x_den) are the multipliers, and x = den * (x_den * them).
+        if s > f:
+            support.append((npts + d, (s - f) * spread * den))
+    # The multipliers are (v / (den * x_den)), v = den * (x_den * them).
     x_den = unit * spread
-    if not verify_feasible(common, target, x, common_den * x_den):
+    if not verify_feasible(common, target, support, common_den * x_den):
         raise InternalInvariant("chain certificate failed verification")
-    return x, den * x_den
+    return support, den * x_den
 
 
 def check_validity(inst: MixingInstance, cut: LinearCut, vrep=None) -> bool:

@@ -407,6 +407,12 @@ def fraction_greedy_aggregated(
 # ---------------------------------------------------------------------------
 
 
+def support(x: Sequence[int]) -> list[tuple[int, int]]:
+    """The nonzero entries of a dense x as ``(column, value)`` pairs, the
+    form ``exactlp.verify_feasible`` reads."""
+    return [(j, v) for j, v in enumerate(x) if v]
+
+
 def scale_rows(
     a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> tuple[list[list[int]], list[int], list[int]]:
@@ -623,12 +629,12 @@ def fraction_cut_polyhedron_vertices(
     seen = set()
     for combo in itertools.combinations(rows, d):
         solution = fraction_solve_square(combo)
-        if solution is None:
+        if solution is None or solution in seen:
             continue
         if all(
             sum((c * v for c, v in zip(coeff, solution)), Fraction(0)) >= rhs
             for coeff, rhs in rows
-        ) and solution not in seen:
+        ):
             seen.add(solution)
             vertices.append((solution[: inst.k], solution[inst.k :]))
     return vertices
@@ -690,12 +696,17 @@ def vertex_points(vertices, k: int):
 
 
 def chain_result(vrep: VRepresentation, certificate) -> MembershipResult:
-    """The integer multipliers ``(x, x_den)`` of ``vertices.decompose`` as the
-    ``MembershipResult`` the LP would give."""
-    x, x_den = certificate
-    x = tuple(Fraction(v, x_den) for v in x)
+    """The integer multipliers ``(support, x_den)`` of ``vertices.decompose``
+    as the ``MembershipResult`` the LP would give; a column the support
+    lists twice is rejected."""
+    support, x_den = certificate
+    x = [Fraction(0)] * (len(vrep.points) + len(vrep.rays))
+    for j, v in support:
+        if x[j]:
+            raise InternalInvariant(f"column {j} listed twice")
+        x[j] = Fraction(v, x_den)
     npts = len(vrep.points)
-    return MembershipResult(True, x[:npts], x[npts:], None)
+    return MembershipResult(True, tuple(x[:npts]), tuple(x[npts:]), None)
 
 
 def chain_certificate(

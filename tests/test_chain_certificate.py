@@ -153,6 +153,32 @@ def test_chain_certificates_hold_wherever_given():
     assert {(0, True), (1, False), (2, False)} <= outcomes
 
 
+def test_chain_never_certifies_a_point_the_lp_puts_outside():
+    """Seeded points with z ties, zeros and ones, and y around the hull's
+    lower boundary: wherever the chain gives a certificate, the LP agrees
+    the point is inside."""
+    rng = random.Random(15004)
+    levels = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3))
+    outcomes = {"certified": 0, "inside by the LP only": 0, "outside": 0}
+    for index in range(150):
+        inst = chain_instance(rng, index)
+        vrep = v_representation(inst)
+        top = max([w for row in inst.weights for w in row] + [inst.epsilon, 1])
+        pool = rng.sample(levels, rng.randint(1, 3))  # few values: ties
+        for _ in range(6):
+            z = tuple(rng.choice(pool) for _ in range(inst.n))
+            y = tuple(top * Fraction(rng.randint(0, 8), 8) for _ in range(inst.k))
+            certificate = chain_certificate(vrep, y, z)
+            inside = membership(vrep, y, z).inside
+            assert inside or certificate is None, (inst, y, z)
+            if certificate is not None:
+                assert_certificate(vrep, y, z, certificate)
+                outcomes["certified"] += 1
+            else:
+                outcomes["inside by the LP only" if inside else "outside"] += 1
+    assert outcomes["certified"] >= 300 and outcomes["outside"] >= 400, outcomes
+
+
 def witness_instances():
     rng = random.Random(15003)
     for case in ("lw", "c1", "c2"):

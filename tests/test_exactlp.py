@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from mixcuts.exactlp import solve_feasibility, verify_farkas, verify_feasible
 
-from helpers import fraction_verify_feasible, scale_rows
+from helpers import fraction_verify_feasible, scale_rows, support
 
 
 def solve_scaled(a_rows, b):
@@ -68,7 +68,7 @@ def test_constructed_feasible_systems():
         b = [sum(row[j] * x_star[j] for j in range(ncols)) for row in a]
         rows, rhs, res = solve_scaled(a, b)
         assert res.feasible
-        assert verify_feasible(rows, rhs, res.x, res.den)
+        assert verify_feasible(rows, rhs, support(res.x), res.den)
         x = [Fraction(v, res.den) for v in res.x]
         assert fraction_verify_feasible(a, b, x)
 
@@ -86,7 +86,7 @@ def test_random_systems_certified_and_cross_checked():
         rows, rhs, res = solve_scaled(a, b)
         if res.feasible:
             feasible_seen += 1
-            assert verify_feasible(rows, rhs, res.x, res.den)
+            assert verify_feasible(rows, rhs, support(res.x), res.den)
         else:
             infeasible_seen += 1
             assert verify_farkas(rows, rhs, res.farkas)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -13,11 +14,14 @@ from mixcuts import (
     check_sufficiency,
     diagnose,
     hull_cut_family,
+    load_instance,
     membership,
+    reduce_lower_bounds,
     sequences,
     v_representation,
 )
-from mixcuts.core import CutKind, DimensionMismatch, complement
+from mixcuts.cli import main
+from mixcuts.core import CutKind, DimensionMismatch, complement, serialize_instance
 from mixcuts.hull import (
     BASIS_ENUMERATION_WORK,
     _cut_polyhedron_vertices,
@@ -304,6 +308,35 @@ def test_check_sufficiency_example1(example1):
     assert published <= set(report.cuts)
     again = check_sufficiency(example1, samples=25)
     assert report.to_json() == again.to_json()
+
+
+def test_closure_report_prints_the_hull_family_cuts(capsys):
+    """The report's "cuts" strings, read off the family's integer rows, are
+    the strings of the cuts of ``hull_cut_family`` in order, and
+    ``report.cuts`` are those cuts: at k = 1, where both row shapes read
+    y_0, and through ``mixcuts verify`` on lifted lower bounds."""
+    rng = random.Random(61)
+    lifted = single = 0
+    for index in range(210):
+        n, k = rng.randint(2, 5), 1 if index % 3 == 0 else rng.randint(2, 3)
+        inst = random_sufficient_instance(rng, n, k, index % 5 == 4)
+        if index % 4 == 1:
+            lower = [Fraction(rng.randint(1, 4), rng.choice((1, 2))) for _ in range(k)]
+            weights = [[w + l for w, l in zip(row, lower)] for row in inst.weights]
+            doc = serialize_instance(MixingInstance(weights, lower, inst.epsilon))
+            assert main(["verify", doc, "--mode=sufficiency", "--samples=1"]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("note: lower bounds")
+            printed = json.loads(out[out.index("{") :])["cuts"]
+            inst = reduce_lower_bounds(load_instance(doc))[0]
+            lifted += 1
+        else:
+            report = check_sufficiency(inst, samples=1)
+            printed = json.loads(report.to_json())["cuts"]
+            assert report.cuts == tuple(hull_cut_family(inst))
+        assert printed == [str(cut) for cut in hull_cut_family(inst)], inst
+        single += k == 1
+    assert lifted >= 50 and single >= 70
 
 
 def test_closure_checks_each_sample_and_every_cut_polyhedron_vertex():

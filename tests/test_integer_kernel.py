@@ -1,9 +1,9 @@
 """The closure check in integers against its Fraction oracle: membership on
 the vertex list's cached matrices, the box-point sampler, projection and
-depth-first basis enumeration on the cut family's integer matrix, cut
-validity on the common-denominator matrix, and the integer certificate
-checks, which must reject a tampered certificate or a corrupted cached
-row."""
+the double-description vertex list on the cut family's integer matrix
+(against the oracle's basis enumeration), cut validity on the
+common-denominator matrix, and the integer certificate checks, which must
+reject a tampered certificate or support or a corrupted cached row."""
 
 import math
 import random
@@ -23,7 +23,7 @@ from mixcuts import (
     membership,
     v_representation,
 )
-from mixcuts import hull
+from mixcuts import hull, vertices
 from mixcuts.exactlp import solve_feasibility, verify_farkas, verify_feasible
 from mixcuts.hull import (
     BASIS_ENUMERATION_WORK,
@@ -37,6 +37,7 @@ from mixcuts.hull import (
 
 from conftest import random_insufficient_instance, random_sufficient_instance
 from helpers import (
+    chain_certificate,
     cut_matrix,
     fraction_box_point,
     fraction_cut_polyhedron_vertices,
@@ -47,16 +48,19 @@ from helpers import (
     fraction_vertices,
     project,
     scale_rows,
+    support,
     vertex_points,
 )
 
 DENS = (1, 2, 3, 4, 5, 6)
 
 
-def kernel_instance(rng: random.Random) -> MixingInstance:
-    """n <= 4, k <= 3, mixed denominators; some with a column of zeros, some
-    with value ties or duplicate rows, some with epsilon = 0."""
-    n, k = rng.randint(1, 4), rng.randint(1, 3)
+def kernel_instance(rng: random.Random, n=None, k=None) -> MixingInstance:
+    """n <= 4, k <= 3 (drawn unless given), mixed denominators; some with a
+    column of zeros, some with value ties or duplicate rows, some with
+    epsilon = 0."""
+    if n is None:
+        n, k = rng.randint(1, 4), rng.randint(1, 3)
     values = [Fraction(rng.randint(0, 12), rng.choice(DENS)) for _ in range(4)]
     shape = rng.randrange(4)
     rows = []
@@ -236,6 +240,8 @@ def test_family_matrix_is_the_fraction_cut_matrix_over_the_instance_denominator(
 
 
 def test_cut_polyhedron_vertices_equal_the_fraction_oracle_in_order():
+    """The oracle's vertices, sorted into the library's order (ascending
+    lowest-terms ``(numerators, denominator)``), under the same work gate."""
     rng = random.Random(8082)
     compared = 0
     for inst in closure_instances(rng, 30, max_n=3):
@@ -245,7 +251,7 @@ def test_cut_polyhedron_vertices_equal_the_fraction_oracle_in_order():
             inst.k,
         )
         want = fraction_cut_polyhedron_vertices(inst, cuts, BASIS_ENUMERATION_WORK)
-        assert got == want
+        assert got == in_library_order(want, inst.k)
         compared += got is not None
     assert compared >= 10
 
@@ -289,6 +295,14 @@ def lowest_terms(vertices):
     return out
 
 
+def in_library_order(vertices, k):
+    """Fraction vertices sorted into the order ``_cut_polyhedron_vertices``
+    documents, read back as ``(y, z)``; None stays None."""
+    if vertices is None:
+        return None
+    return vertex_points(sorted(lowest_terms(vertices)), k)
+
+
 def enumeration_cases(rng):
     """``(label, inst, cuts, work bound)``: hull families with some cuts
     repeated at random places, with one z column zeroed in every cut, and
@@ -323,9 +337,10 @@ def enumeration_cases(rng):
 
 
 def test_depth_first_basis_enumeration_equals_the_fraction_oracle():
-    """The same vertices in the same order, each in lowest terms: a
-    dependent prefix is pruned on its coefficients alone, and every leaf is
-    read in lowest terms, or duplicates and vertices would differ."""
+    """The vertices the oracle's basis enumeration finds, each in lowest
+    terms, in the library's order, on repeated cuts, a zero z column and
+    k = 3 or n = 4: every ray is read in lowest terms, or duplicates and
+    vertices would differ."""
     rng = random.Random(8085)
     compared = set()
     for label, inst, cuts, bound in enumeration_cases(rng):
@@ -333,9 +348,86 @@ def test_depth_first_basis_enumeration_equals_the_fraction_oracle():
         want = fraction_cut_polyhedron_vertices(inst, cuts, bound)
         assert (got is None) == (want is None), label
         if got is not None:
-            assert got == lowest_terms(want), label
+            assert got == sorted(lowest_terms(want)), label
             compared.add(label)
     assert compared == {"duplicates", "zero column", "k = 3", "n = 4"}
+
+
+# The Fraction oracle solves every basis at about 0.1 ms each, so each
+# differential case drops random cuts until its system has at most this many.
+ORACLE_BASES = 240
+
+
+def differential_instance(rng: random.Random, index: int):
+    """``(label, inst)`` with n <= 4 and k <= 3, by ``index``: sufficient
+    (some with a low row), insufficient by each condition, kernel draws
+    (zero weights, ties, duplicate rows, a zero column), epsilon = 0, and
+    epsilon at or above every row sum.  One in sixteen has any size; the
+    others keep n + k <= 4, where more of a hull family fits the oracle,
+    and an insufficient one takes the least size its condition allows."""
+    kind, large = index % 6, index % 16 == 0
+    while True:
+        n, k = rng.randint(1, 4), rng.randint(1, 3)
+        if large or n + k <= 4:
+            break
+    if kind == 0:
+        n = max(n, 2)
+        return "sufficient", random_sufficient_instance(rng, n, k, n == 3)
+    if kind == 1:
+        case = ("lw", "c1", "c2")[index // 6 % 3]
+        n = 3 if case == "c2" else 2
+        return case, random_insufficient_instance(rng, n, 2, case)
+    inst = kernel_instance(rng, n, k)
+    if kind == 2:
+        return "kernel", inst
+    weights = [list(row) for row in inst.weights]
+    if kind == 3:
+        return "epsilon = 0", MixingInstance(weights, None, 0)
+    top = max(sum(row) for row in weights) + Fraction(rng.randint(0, 3), 2)
+    return "epsilon >= row sums", MixingInstance(weights, None, top)
+
+
+def differential_cases(rng: random.Random, count: int):
+    """``(label, inst, cuts, bound)``: the hull family of each differential
+    instance, cut down at random to at most ``ORACLE_BASES`` bases or to one
+    cut, and its number of bases.  Every other one then repeats one or two
+    of the kept cuts at random places (counted in the bound): the zero sets
+    of repeated rows grow without their rank, where only the combinatorial
+    adjacency test keeps a non-adjacent pair apart."""
+    for index in range(count):
+        label, inst = differential_instance(rng, index)
+        cuts = hull_cut_family(inst)
+        repeats = index % 2 * rng.randint(1, 2)
+        box, d = inst.k + 2 * inst.n, inst.k + inst.n
+        while len(cuts) > 1 and math.comb(len(cuts) + repeats + box, d) > ORACLE_BASES:
+            cuts.pop(rng.randrange(len(cuts)))
+        for _ in range(repeats):
+            cuts.insert(rng.randrange(len(cuts) + 1), rng.choice(cuts))
+        if repeats:
+            label += ", repeated cuts"
+        yield label, inst, cuts, math.comb(len(cuts) + box, d)
+
+
+def test_double_description_equals_the_fraction_oracle():
+    """Every vertex of the oracle's basis enumeration and no other, each
+    once, in lowest terms and in ascending ``(numerators, denominator)``
+    order, on 312 systems: an adjacency test that let a non-adjacent pair
+    through, or a ray left unreduced, would change the list."""
+    rng = random.Random(8087)
+    labels = set()
+    vertices = cut_rows = 0
+    for label, inst, cuts, bound in differential_cases(rng, 312):
+        got = _cut_polyhedron_vertices(cut_matrix(inst, cuts), bound)
+        want = fraction_cut_polyhedron_vertices(inst, cuts, bound)
+        assert got == sorted(set(lowest_terms(want))), (label, inst, cuts)
+        assert len(set(got)) == len(got)
+        labels.add(label.split(",")[0])
+        vertices += len(got)
+        cut_rows += len(cuts)
+    assert labels == {
+        "sufficient", "lw", "c1", "c2", "kernel", "epsilon = 0", "epsilon >= row sums"
+    }
+    assert vertices >= 1500 and cut_rows >= 1000
 
 
 def example_certificates(inst, y, z):
@@ -369,12 +461,44 @@ def test_tampered_x_fails_the_integer_check():
     common, den, target_den, rhs, result, _ = example_certificates(inst, y, z)
     assert result.feasible
     x = [target_den * v for v in result.x]
-    assert verify_feasible(common, rhs, x, den * result.den)
+    assert verify_feasible(common, rhs, support(x), den * result.den)
     for j in range(len(x)):
         for step in (1, -1):
             tampered = list(x)
             tampered[j] += step
-            assert not verify_feasible(common, rhs, tampered, den * result.den)
+            # a zero entry left in the support is rejected as well
+            for entries in (support(tampered), list(enumerate(tampered))):
+                assert not verify_feasible(common, rhs, entries, den * result.den)
+
+
+TAMPERS = {
+    # the sums over the support no longer hold
+    "entry + 1": lambda rows, support: [(support[0][0], support[0][1] + 1)]
+    + support[1:],
+    # the sums still hold, only the sign check rejects it
+    "negative entry": lambda rows, support: support + [(support[0][0], -1)]
+    + [(support[0][0], 1)],
+    "column past the rows": lambda rows, support: support + [(len(rows[0]), 1)],
+}
+
+
+@pytest.mark.parametrize("entry", ["decompose", "membership"])
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+def test_tampered_support_raises(monkeypatch, entry, tamper):
+    """Both certificates reach the checker as a support; a tampered one
+    fails it, and the entry point raises."""
+    inst = MixingInstance([[3, 1], [1, 4], [2, 2]], None, Fraction(7, 2))
+    vrep = v_representation(inst)
+    y, z = (Fraction(2), Fraction(2)), (0, 0, 0)
+    check = chain_certificate if entry == "decompose" else membership
+    assert check(vrep, y, z).inside
+
+    def tampered(rows, rhs, support, den):
+        return verify_feasible(rows, rhs, TAMPERS[tamper](rows, list(support)), den)
+
+    monkeypatch.setattr(vertices, "verify_feasible", tampered)
+    with pytest.raises(InternalInvariant):
+        check(vrep, y, z)
 
 
 def test_tampered_farkas_vector_fails_the_integer_check():
