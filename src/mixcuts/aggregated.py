@@ -13,12 +13,14 @@ Chains, column heads and L(Theta) are all suffix quantities, so
 new first index joins the chain of every column whose head it reaches, and
 its own term, the sum of columnwise minima against the old heads, can only
 lower L.  Each node costs O(k) integer operations on the instance scaled by
-one common denominator.  Because prepending never raises L, a subtree whose
-L has fallen below epsilon holds no starred cut and is skipped whole; so is
-a subtree under a prepend that raises no column head, whose starred cuts
-all come earlier from shorter sequences.  The prepend step is the only
-place chains and L are computed: :func:`fold` runs it over one given
-sequence, for :func:`aggregated_cut` and the greedy separation.
+one common denominator.  The prepend step :func:`_prepend` computes chains
+and L for the walk, and :func:`fold` runs it over one given sequence, for
+:func:`aggregated_cut` and the greedy separation.  The starred family has
+its own depth-first loop (:func:`starred_rows`): because prepending never
+raises L, a subtree whose L has fallen below epsilon holds no starred cut
+and is skipped whole, and below the root only an index that raises some
+column head is prepended.  An index's coefficient is its gain when it is
+prepended, so that loop builds each row as it walks and keeps no chains.
 
 The linking oracle z -> max(epsilon, sum_j column_max_j(z)) decides how the
 family is separated: when it is submodular (:func:`diagnose` reads this off
@@ -233,7 +235,6 @@ def _subtree_bound(
 def walk(
     inst: MixingInstance,
     ground: Sequence[int],
-    starred: bool = False,
     point: Optional[tuple[int, Sequence[int], Sequence[int]]] = None,
     violated: bool = False,
 ) -> Iterator[Node]:
@@ -250,27 +251,12 @@ def walk(
     it is positive exactly when the cut is violated and orders sequences by
     violation; without one it is 0.
 
-    ``starred`` yields only sequences whose cut is starred (every chain head
-    at its column maximum and epsilon <= L), and of those only the ones in
-    which every index before the last raises some column head above the
-    maximum after it.  It skips each subtree whose L fell below epsilon, and
-    each subtree under a prepend that raises no head, except at the root.
-    Skipping the latter loses no cut a starred family keeps.  Let i raise no
-    head when prepended to Theta, and let S be any prefix put in front of
-    (i, Theta).  Then S + (i, Theta) and S + Theta have the same heads at
-    every index of S, and so the same chains apart from i.  The index i
-    joins a chain only at a tie with the head of Theta, where its
-    coefficient is 0; the last index and the right-hand side do not change.
-    L only gains i's term, so L(S + Theta) >= L(S + (i, Theta)).  Hence
-    whenever S + (i, Theta) is starred, so is S + Theta, with the identical
-    cut, and it is shorter, so it ranks earlier.  The earliest sequence of
-    each starred cut therefore lies in no skipped subtree.
-
-    ``violated`` (with a point, in place of ``starred``) yields only the
-    sequences whose cut is violated at the point, and skips each subtree
-    that holds none by the bound of :func:`_subtree_bound`.  Only sequences
-    that are not violated are skipped, so the first or the most violated
-    sequence found is the one the full walk finds.
+    ``violated`` (with a point) yields only the sequences whose cut is
+    violated at the point, and skips each subtree that holds none by the
+    bound of :func:`_subtree_bound`.  Only sequences that are not violated
+    are skipped, so the first or the most violated sequence found is the
+    one the full walk finds.  The starred family has its own loop,
+    :func:`_starred_nodes`.
 
     The walk keeps one frame per depth level.
     """
@@ -278,7 +264,6 @@ def walk(
         raise LowerBoundsNotReduced("reduce lower bounds before aggregating")
     scale, weights, eps, _ = inst.scaled
     k = inst.k
-    peaks = list(inst.peaks)
     if point is None:
         slack = at_one = [0] * inst.n
         base = 0
@@ -297,22 +282,17 @@ def walk(
             new_heads, new_chains, l, new_acc = _prepend(
                 i, weights[i], heads, chains, low, acc, slack[i]
             )
-            if starred and (l < eps or (theta and new_heads == heads)):
-                continue
             new_theta = (i,) + theta
             descend = len(new_theta) < len(ground)
+            gap = _gap(new_acc, l, eps, at_one[new_theta[-1]], base)
+            if gap > 0 or not violated:
+                yield new_theta, tuple(new_chains), l, gap
             if violated:
-                gap = _gap(new_acc, l, eps, at_one[new_theta[-1]], base)
-                if gap > 0:
-                    yield new_theta, tuple(new_chains), l, gap
                 descend = descend and (
                     _subtree_bound(weights, free, new_theta, new_heads, slack)
                     + max(gap, new_acc - base)
                     > 0
                 )
-            elif not starred or new_heads == peaks:
-                gap = _gap(new_acc, l, eps, at_one[new_theta[-1]], base)
-                yield new_theta, tuple(new_chains), l, gap
             if descend:
                 stack.append(
                     (new_theta, new_heads, new_chains, l, new_acc, iter(ground))
@@ -322,29 +302,108 @@ def walk(
             stack.pop()
 
 
+def _starred_nodes(
+    inst: MixingInstance, ground: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The sequences that :func:`starred_rows` ranks, as ``(theta, z)``
+    with z their cuts' z coefficients over D: every starred sequence over
+    ``ground`` in which each index before the last raises some column head
+    above the maximum after it, depth first by prepending.  An index
+    already in the sequence never exceeds a head, so it is never a
+    candidate below the root.  An index's coefficient is its gain, fixed
+    when it is prepended, and the last index also owes epsilon.
+    """
+    _, weights, eps, _ = inst.scaled
+    k = inst.k
+    peaks = list(inst.peaks)
+    # above[j][h]: the ground positions, as bits, whose column-j value is
+    # more than h, for every head h column j can have.  The candidates
+    # below a node are the OR of above[j][head_j] over the columns.
+    above = [
+        {
+            h: sum(1 << p for p, i in enumerate(ground) if weights[i][j] > h)
+            for h in {0, *(weights[i][j] for i in ground)}
+        }
+        for j in range(k)
+    ]
+    coeffs = [0] * inst.n
+    seq: list[int] = []  # the sequence, last index first
+    # Frame: [heads, L, candidate positions left]; the root's L is None.
+    stack = [[[0] * k, None, (1 << len(ground)) - 1]]
+    while stack:
+        frame = stack[-1]
+        heads, low, candidates = frame
+        if not candidates:
+            stack.pop()
+            if seq:
+                coeffs[seq.pop()] = 0
+            continue
+        bit = candidates & -candidates
+        frame[2] = candidates ^ bit
+        i = ground[bit.bit_length() - 1]
+        gain = 0  # coefficient of i: what it adds to the heads
+        term = 0  # sum_j min(w_ij, head_j): i's own term of L
+        new_heads = heads[:]
+        for j, v in enumerate(weights[i]):
+            h = heads[j]
+            if v >= h:
+                gain += v - h
+                term += h
+                new_heads[j] = v
+            else:
+                term += v
+        if low is None:
+            l, gain = gain, gain - eps  # the last index: its row sum, owes epsilon
+        else:
+            l = term if term < low else low
+        if l < eps:
+            continue
+        coeffs[i] = gain
+        seq.append(i)
+        if new_heads == peaks:
+            yield tuple(reversed(seq)), tuple(coeffs)
+        below = 0
+        for j, h in enumerate(new_heads):
+            below |= above[j][h]
+        if below and len(seq) < len(ground):  # no sequence outgrows the ground
+            stack.append([new_heads, l, below])
+        else:
+            coeffs[seq.pop()] = 0
+
+
 def starred_rows(
     inst: MixingInstance, ground: Sequence[int]
-) -> list[tuple[list[int], int]]:
-    """The starred aggregated cuts over ``ground`` as integer rows ``(z,
-    rhs)`` over D (the y coefficients are all 1): one per distinct chain
-    tuple among the starred walker nodes, over sequences of every length,
-    from the chains of the first sequence that :func:`sequences` meets, in
-    the order it meets them.
+) -> list[tuple[tuple[int, ...], int]]:
+    """The starred aggregated cuts over ``ground`` as distinct integer rows
+    ``(z, rhs)`` over D (the y coefficients are all 1), over sequences of
+    every length.  Each row is ranked by the first sequence that
+    :func:`sequences` meets with it (shorter first, then lexicographic),
+    and the rows come in that order.
 
-    A starred node has epsilon <= L, so its cap is epsilon, and its heads
-    are the column maxima, so every right-hand side is their sum.
+    A starred cut has epsilon <= L, so its cap is epsilon, and its heads
+    are the column maxima, so every right-hand side is their sum.  The
+    sequences are those :func:`_starred_nodes` visits: it skips each
+    subtree whose L fell below epsilon, since prepending never raises L,
+    and each subtree under a prepend that raises no head, except at the
+    root.  Skipping the latter loses no row that comes first.  Let i raise
+    no head when prepended to Theta, and let S be any prefix put in front
+    of (i, Theta).  Then S + (i, Theta) and S + Theta have the same heads
+    at every index of S, and so the same chains apart from i.  The index i
+    joins a chain only at a tie with the head of Theta, where its
+    coefficient is 0; the last index and the right-hand side do not
+    change.  L only gains i's term, so L(S + Theta) >= L(S + (i, Theta)).
+    Hence whenever S + (i, Theta) is starred, so is S + Theta, with the
+    identical row, and it is shorter, so it ranks earlier.  The earliest
+    sequence of each starred row therefore lies in no skipped subtree.
     """
-    first: dict[tuple[tuple[int, ...], ...], tuple[int, tuple[int, ...]]] = {}
-    for theta, chains, _, _ in walk(inst, sorted(ground), starred=True):
+    first: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    for theta, z in _starred_nodes(inst, sorted(ground)):
         rank = (len(theta), theta)
-        known = first.get(chains)
+        known = first.get(z)
         if known is None or rank < known:
-            first[chains] = rank
-    kept = sorted((rank, chains) for chains, rank in first.items())
-    eps = inst.scaled[2]
-    return [
-        _chain_sum_row(inst, chains, theta[-1], eps) for (_, theta), chains in kept
-    ]
+            first[z] = rank
+    rhs = sum(inst.peaks)
+    return [(z, rhs) for z in sorted(first, key=first.__getitem__)]
 
 
 def linking_cut(inst: MixingInstance) -> LinearCut:

@@ -187,7 +187,7 @@ def cmd_twosided(args) -> int:
     else:
         report = ts.hull_with_bounds(data)
         print(f"band_ok={'yes' if report.band_ok else 'no'}")
-        print(f"extreme_points={len(report.hull.points)}")
+        print(f"extreme_points={report.point_count}")
         print(f"cuts={report.cut_count}")
     return EXIT_OK
 

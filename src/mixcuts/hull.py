@@ -96,7 +96,7 @@ def family_rows(inst: MixingInstance) -> dict[Row, CutKind]:
         for z, rhs in star_rows(inst, j)
     }
     for z, rhs in starred_rows(inst, outside):
-        rows.setdefault((total, tuple(z), rhs), CutKind.AMIX_STAR)
+        rows.setdefault((total, z, rhs), CutKind.AMIX_STAR)
     eps = inst.scaled[2]
     if eps > 0:
         rows.setdefault((total, (0,) * inst.n, eps), CutKind.LINKING)

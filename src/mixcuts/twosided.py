@@ -30,7 +30,7 @@ from .core import (
     unscale,
 )
 from .hull import Row, family_rows, hull_cut_family
-from .vertices import VRepresentation, v_representation
+from .vertices import VRepresentation, mask_floors, v_representation
 
 
 @dataclass(frozen=True)
@@ -166,22 +166,29 @@ def generalized_cut(
 class BandedHullReport:
     """The band-clipped hull of two-sided data, kept in integers.
 
-    ``hull`` is the hull's vertex list as :func:`v_representation` gives it:
-    y over the denominator D of ``instance.scaled``, z in the indicator view
-    (z_i = 1 keeps scenario i's row active).  The certified description is
-    the whole hull family, kept as the distinct integer rows that
-    :func:`family_rows` gives (``family_rows``: sequences of every length),
-    plus the two band rows and the 2n z bounds; :attr:`cut_count` counts
-    it.  What a caller may read beyond the counts
-    is built on first read, in the original orientation (z_i = 1 relaxes
-    scenario i): :attr:`extreme_points` in Fractions, the :attr:`clipped`
-    vertex list and the :attr:`cuts`.
+    The certified description is the whole hull family, kept as the
+    distinct integer rows that :func:`family_rows` gives (``family_rows``:
+    sequences of every length), plus the two band rows and the 2n z bounds;
+    :attr:`cut_count` counts it.  ``point_count`` counts the hull's extreme
+    points, read off its per-mask floors (:func:`mask_floors`) without
+    building them.  What a caller may read beyond the counts is built on
+    first read: the vertex list :attr:`hull`, as :func:`v_representation`
+    gives it (y over the denominator D of ``instance.scaled``, z in the
+    indicator view: z_i = 1 keeps scenario i's row active), and, in the
+    original orientation (z_i = 1 relaxes scenario i), the
+    :attr:`extreme_points` in Fractions, the :attr:`clipped` vertex list
+    and the :attr:`cuts`.
     """
 
     instance: MixingInstance
     band_ok: bool
-    hull: VRepresentation
+    point_count: int
     family_rows: tuple[Row, ...]
+
+    @cached_property
+    def hull(self) -> VRepresentation:
+        """The hull's vertex list."""
+        return v_representation(self.instance)
 
     @property
     def cut_count(self) -> int:
@@ -249,21 +256,35 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
     the band and the z bounds.  The family is exponential in the number of
     non-zero scenarios, so data with more sequences over them than
     ``hull.FAMILY_SEQUENCE_BOUND`` is refused with ``GroundSetTooLarge``
-    before the hull is built.
+    before the hull is looked at.
 
-    The band check and the family run in integers over D.  The report keeps
-    the vertex list and the family's distinct rows and builds the clipped
-    list, the ``Fraction`` extreme points and the ``LinearCut``s only when
-    they are read, so a caller that counts them (``mixcuts twosided``)
-    builds none of them.
+    The band check and the family run in integers over D.  The extreme
+    points are counted and checked from the per-mask floors of
+    :func:`mask_floors`, the enumeration :func:`v_representation` builds
+    its points from: a floor whose sum exceeds the threshold is one point,
+    and any other floor f is the two points f + deficit * e_d, whose
+    |y_1 - y_2| is at most |f_1 - f_2| + deficit.  The report keeps the
+    count and the family's distinct rows and builds the vertex list, the
+    clipped list, the ``Fraction`` extreme points and the ``LinearCut``s
+    only when they are read, so a caller that counts them (``mixcuts
+    twosided``) builds none of them.
     """
     inst = to_mixing(data)
     rows = tuple(family_rows(inst))
     # The band width u_a is the linking threshold, so D * u_a is the scaled
     # epsilon.
     band = inst.scaled[2]
-    hull = v_representation(inst)
-    band_ok = all(-band <= y[0] - y[1] <= band for y, _ in hull.points)
+    count = 0
+    widest = 0  # the largest |y_1 - y_2| over the extreme points
+    for f1, f2 in mask_floors(inst):
+        deficit = band - f1 - f2
+        if deficit < 0:
+            count += 1
+            widest = max(widest, abs(f1 - f2))
+        else:
+            count += 2
+            widest = max(widest, abs(f1 - f2) + deficit)
+    band_ok = widest <= band
     if not band_ok:
         raise InternalInvariant("an extreme point violates the band")
-    return BandedHullReport(inst, band_ok, hull, rows)
+    return BandedHullReport(inst, band_ok, count, rows)

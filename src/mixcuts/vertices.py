@@ -100,32 +100,45 @@ class VRepresentation:
         return den, tuple(rows)
 
 
-def v_representation(inst: MixingInstance) -> VRepresentation:
-    """Every extreme point of the hull, y over the common denominator D of
-    ``inst.scaled``: per binary z (in mask order) either the componentwise
-    floor of the active rows, when its sum already exceeds the linking
-    threshold, or one point per column absorbing the deficit; the rays are
-    the unit y directions.  Each z's floor, deficit and columns are
-    recorded as they are enumerated."""
+def mask_floors(inst: MixingInstance) -> list[tuple[int, ...]]:
+    """Per binary z, as a bitmask in mask order (bit i for z_i), the floor
+    of the hull's points at that z: the componentwise max of the active
+    rows, y over the common denominator D of ``inst.scaled``.  The list
+    doubles once per row: the masks with bit i set, after those without it,
+    are the masks below 2^i with row i folded into their floors.  The
+    hull's points at z are the floor alone, when its sum exceeds the
+    linking threshold, or one point per column absorbing the deficit
+    (:func:`v_representation`)."""
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("vertex enumeration requires zero lower bounds")
     if inst.n > ENUMERATION_BOUND:
         raise GroundSetTooLarge(
             f"vertex enumeration limited to n <= {ENUMERATION_BOUND}"
         )
+    floors = [(0,) * inst.k]
+    for row in inst.scaled[1]:
+        floors += [tuple(map(max, floor, row)) for floor in floors]
+    return floors
+
+
+def v_representation(inst: MixingInstance) -> VRepresentation:
+    """Every extreme point of the hull, y over the common denominator D of
+    ``inst.scaled``: per binary z (in mask order) either the componentwise
+    floor of the active rows (:func:`mask_floors`), when its sum already
+    exceeds the linking threshold, or one point per column absorbing the
+    deficit; the rays are the unit y directions.  The z list doubles the
+    way the floors do, each new z one already listed with bit i set, and
+    each z's floor, deficit and columns are recorded as they are
+    enumerated."""
+    floors = mask_floors(inst)
     n, k = inst.n, inst.k
-    den, weights, eps, _ = inst.scaled
-    floors = [(0,) * k]  # floors[mask]: the componentwise max of its rows
+    den, _, eps, _ = inst.scaled
+    zs = [(0,) * n]
+    for i in range(n):
+        zs += [z[:i] + (1,) + z[i + 1 :] for z in zs]
     points = []
     masks = []
-    for mask in range(1 << n):
-        if mask:
-            low = mask & -mask
-            floors.append(
-                tuple(map(max, floors[mask ^ low], weights[low.bit_length() - 1]))
-            )
-        floor = floors[mask]
-        z = tuple((mask >> i) & 1 for i in range(n))
+    for floor, z in zip(floors, zs):
         deficit = eps - sum(floor)
         start = len(points)
         if deficit < 0:

@@ -13,6 +13,7 @@ from mixcuts import (
     LinearCut,
     SequenceTheta,
     TwoSidedData,
+    VRepresentation,
     diagnose,
     format_rational,
     generalized_cut,
@@ -266,8 +267,8 @@ def test_twosided_command_counts_the_band_hull_without_building_cuts(
     monkeypatch, tmp_path
 ):
     """``mixcuts twosided`` prints the counts of the description from the
-    report's integer data: it constructs no LinearCut, and converts the data
-    to a mixing instance once."""
+    report's integer data: it constructs no LinearCut and no vertex list,
+    and converts the data to a mixing instance once."""
     golden = Path(__file__).resolve().parent / "golden" / "twosided_demo.twosided.txt"
     expected_demo = golden.read_text(encoding="utf-8").splitlines()[1:]
     cases = [(fixture_path("twosided_demo.json"), expected_demo)]
@@ -293,11 +294,13 @@ def test_twosided_command_counts_the_band_hull_without_building_cuts(
     for path, expected in cases:
         with monkeypatch.context() as patch:
             built = count_calls(patch, LinearCut, "__init__")
+            listed = count_calls(patch, VRepresentation, "__init__")
             converted = count_calls(patch, twosided, "_mixing")
             code, lines = run_twosided(path)
         assert code == 0
         assert lines == expected, path
         assert not built, f"{len(built)} LinearCuts built for {path}"
+        assert not listed, f"{len(listed)} vertex lists built for {path}"
         assert len(converted) == 1
 
 
@@ -305,10 +308,13 @@ def test_band_report_reads_its_cuts_and_points_after_the_fact():
     """The lazy fields are built on first read, once, and agree with the
     counts the command prints."""
     report = hull_with_bounds(DEMO)
-    assert not {"cuts", "extreme_points", "clipped"} & set(report.__dict__)
+    assert not {"hull", "cuts", "extreme_points", "clipped"} & set(report.__dict__)
     assert len(report.cuts) == report.cut_count == 61
     assert report.cuts is report.cuts
-    assert len(report.extreme_points) == len(report.hull.points) == 33
+    assert "hull" not in report.__dict__
+    assert report.hull == v_representation(report.instance)
+    assert report.hull is report.hull
+    assert len(report.extreme_points) == len(report.hull.points) == report.point_count == 33
     assert [z for _, z in report.extreme_points] == [
         tuple(1 - zi for zi in z) for _, z in report.hull.points
     ]

@@ -26,7 +26,7 @@ from mixcuts import (
     sequences,
     witness,
 )
-from mixcuts.aggregated import walk
+from mixcuts.aggregated import _starred_nodes, starred_rows, walk
 from mixcuts.core import scale_point
 
 from conftest import random_insufficient_instance
@@ -99,15 +99,21 @@ def test_walk_matches_per_sequence_path_at_every_node(seed, n):
         visited.add(theta)
     assert visited == expected
 
-    # The starred walk yields the starred sequences in which every index
-    # before the last raises some column head above the maximum after it.
+    # The starred loop yields the starred sequences in which every index
+    # before the last raises some column head above the maximum after it,
+    # each once, with its cut's z coefficients over D.
     starred = {
         theta
         for theta in expected
         if fraction_aggregated_cut(inst, SequenceTheta(theta)).kind is CutKind.AMIX_STAR
         and all(raises_a_head(inst, theta, t) for t in range(len(theta) - 1))
     }
-    assert {t for t, _, _, _ in walk(inst, ground, starred=True)} == starred
+    nodes = list(_starred_nodes(inst, ground))
+    assert {theta for theta, _ in nodes} == starred
+    assert len(nodes) == len(starred)
+    for theta, z in nodes:
+        want = fraction_aggregated_cut(inst, SequenceTheta(theta))
+        assert z == tuple(scale * c for c in want.z_coeffs)
 
 
 @pytest.mark.parametrize("seed,n", CASES)
@@ -119,6 +125,58 @@ def test_starred_family_identical_in_content_and_order(seed, n):
     assert [(c.kind, c.y_coeffs, c.z_coeffs, c.rhs) for c in got] == [
         (c.kind, c.y_coeffs, c.z_coeffs, c.rhs) for c in want
     ]
+
+
+def reference_starred_rows(inst: MixingInstance, ground) -> tuple[list, int]:
+    """The starred aggregated cuts over ``ground`` as rows ``(z, rhs)`` over
+    D, each sequence evaluated afresh in the order of ``sequences`` (shorter
+    first, then lexicographic): each distinct row at its first sequence;
+    and the number of starred sequences.  A sequence is starred only when
+    it reaches every column maximum and epsilon is at most L, which is at
+    most its last index's row sum; the cut is built only when both hold."""
+    scale = inst.scaled[0]
+    columns = list(zip(*inst.weights))
+    rows = {}
+    starred = 0
+    for theta in sequences(sorted(ground)):
+        if sum(inst.weights[theta.last]) < inst.epsilon or any(
+            max(col[i] for i in theta.indices) < max(col) for col in columns
+        ):
+            continue  # L below epsilon or a head below its maximum: not starred
+        cut = fraction_aggregated_cut(inst, theta)
+        if cut.kind is CutKind.AMIX_STAR:
+            starred += 1
+            rows.setdefault((tuple(scale * c for c in cut.z_coeffs), scale * cut.rhs), None)
+    return list(rows), starred
+
+
+def test_starred_rows_equal_the_per_sequence_reference():
+    """2,000 draws with n <= 7 and k <= 3 over a ground of at most 5 rows
+    (the reference evaluates every sequence in Fractions): ties, zero
+    columns and rows, fractional weights, epsilon = 0 and epsilon at or
+    above every row sum.  Content and order must both match."""
+    rng = random.Random(2222)
+    seen = dict.fromkeys(
+        ("rows", "none", "repeated", "zero row", "eps 0", "eps top", "fractional"), 0
+    )
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        inst = random_case(rng, n)
+        weights = [list(row) for row in inst.weights]
+        if rng.random() < 0.2:
+            weights[rng.randrange(n)] = [Fraction(0)] * inst.k
+            inst = MixingInstance(weights, None, inst.epsilon)
+        size = 5 if rng.random() < 0.04 else rng.choice((1, 2, 2, 3, 3, 3, 3, 4, 4))
+        ground = rng.sample(range(n), min(n, size))
+        want, starred = reference_starred_rows(inst, ground)
+        assert starred_rows(inst, ground) == want
+        seen["rows" if want else "none"] += 1
+        seen["repeated"] += starred > len(want)  # a row of several sequences
+        seen["zero row"] += any(not any(row) for row in weights)
+        seen["eps 0"] += inst.epsilon == 0
+        seen["eps top"] += inst.epsilon >= max(sum(row) for row in weights)
+        seen["fractional"] += any(v.denominator > 1 for row in weights for v in row)
+    assert min(seen.values()) >= 100, seen
 
 
 def reference_aggregated_message(inst: MixingInstance, point) -> str:
