@@ -8,19 +8,21 @@ positions t, total of columnwise minima between the value at t and the best
 value appearing later in the sequence (the final position contributes its
 full row sum).
 
-Chains, column heads and L(Theta) are all suffix quantities, so
-:func:`walk` enumerates sequences depth first by *prepending* indices: the
-new first index joins the chain of every column whose head it reaches, and
-its own term, the sum of columnwise minima against the old heads, can only
-lower L.  Each node costs O(k) integer operations on the instance scaled by
-one common denominator.  The prepend step :func:`_prepend` computes chains
-and L for the walk, and :func:`fold` runs it over one given sequence, for
-:func:`aggregated_cut` and the greedy separation.  The starred family has
-its own depth-first loop (:func:`starred_rows`): because prepending never
-raises L, a subtree whose L has fallen below epsilon holds no starred cut
-and is skipped whole, and below the root only an index that raises some
-column head is prepended.  An index's coefficient is its gain when it is
-prepended, so that loop builds each row as it walks and keeps no chains.
+Column heads and L(Theta) are suffix quantities, so every aggregated row is
+built by *prepending* indices, one step, :func:`_prepend`: the new first
+index raises the head of every column it reaches, and its coefficient in
+the cut is its gain, the total it adds to the heads (the per-column chains
+telescope to it), while its own term, the sum of columnwise minima against
+the old heads, can only lower L.  The right-hand side is the sum of the
+heads.  Each step costs O(k) integer operations on the instance scaled by
+one common denominator.  :func:`fold` runs the step over one given
+sequence, for :func:`aggregated_cut` and both branches of separation;
+:func:`walk` enumerates sequences depth first on it, keeping per node only
+its heads, L and the point's running sum.  The starred family has its own
+depth-first loop (:func:`starred_rows`) on the same step: because
+prepending never raises L, a subtree whose L has fallen below epsilon holds
+no starred cut and is skipped whole, and below the root only an index that
+raises some column head is prepended.
 
 The linking oracle z -> max(epsilon, sum_j column_max_j(z)) decides how the
 family is separated: when it is submodular (:func:`diagnose` reads this off
@@ -54,27 +56,6 @@ from .submodular import greedy_vertex, max_sum_oracle
 SEPARATION_SEQUENCE_BOUND = 2_000_000
 
 
-def _chain_sum_row(
-    inst: MixingInstance,
-    chains: Sequence[tuple[int, ...]],
-    last: int,
-    cap: int,
-) -> tuple[list[int], int]:
-    """Summed per-column chains minus ``cap / D`` on the index ``last``, as
-    the z coefficients and right-hand side over the common denominator D of
-    ``inst.scaled`` (the y coefficients are all 1)."""
-    weights = inst.scaled[1]
-    coeffs = [0] * inst.n
-    rhs = 0
-    for j, chain in enumerate(chains):
-        values = [weights[i][j] for i in chain] + [0]
-        for s, i in enumerate(chain):
-            coeffs[i] += values[s] - values[s + 1]
-        rhs += values[0]
-    coeffs[last] -= cap
-    return coeffs, rhs
-
-
 def total_cut(
     inst: MixingInstance, z: Sequence[int], rhs: int, kind: CutKind
 ) -> LinearCut:
@@ -89,15 +70,15 @@ def total_cut(
 
 
 def _chain_sum_cut(
-    inst: MixingInstance,
-    chains: Sequence[tuple[int, ...]],
-    last: int,
-    cap: int,
+    inst: MixingInstance, z: Sequence[int], rhs: int, last: int, cap: int
 ) -> LinearCut:
-    """The cut of :func:`_chain_sum_row`, starred when the cap is epsilon and
-    every chain head attains its column maximum (heads never exceed the
-    maxima, so exactly when the right-hand side is their sum)."""
-    z, rhs = _chain_sum_row(inst, chains, last, cap)
+    """The cut ``sum_j y_j + z . z >= rhs`` of a sequence's integer row over
+    D, as :func:`fold` gives it, with ``cap / D`` taken off the coefficient
+    of its last index.  Starred when the cap is epsilon and every column
+    head attains its column maximum (heads never exceed the maxima, so
+    exactly when the right-hand side is their sum)."""
+    z = list(z)
+    z[last] -= cap
     star = cap == inst.scaled[2] and rhs == sum(inst.peaks)
     return total_cut(inst, z, rhs, CutKind.AMIX_STAR if star else CutKind.AMIX)
 
@@ -111,8 +92,8 @@ def aggregated_cut(inst: MixingInstance, theta: SequenceTheta) -> LinearCut:
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds before aggregating")
     theta.validate_for(inst.n)
-    _, chains, l, _ = fold(inst, theta.indices)
-    return _chain_sum_cut(inst, chains, theta.last, min(inst.scaled[2], l))
+    heads, z, l = fold(inst, theta.indices)
+    return _chain_sum_cut(inst, z, sum(heads), theta.last, min(inst.scaled[2], l))
 
 
 def sequences(
@@ -136,65 +117,52 @@ def count_sequences(ground: int) -> int:
     return total
 
 
-Node = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int, int]
-
-
 def _prepend(
-    i: int,
-    row: Sequence[int],
-    heads: Sequence[int],
-    chains: Sequence[tuple[int, ...]],
-    low: Optional[int],
-    acc: int,
-    slack: int,
-) -> tuple[list[int], list[tuple[int, ...]], int, int]:
-    """Prepend index ``i``, whose scaled row is ``row``, to a sequence.
+    row: Sequence[int], heads: Sequence[int], low: Optional[int]
+) -> tuple[list[int], int, int]:
+    """Prepend an index, whose scaled row is ``row``, to a sequence given by
+    its column heads and its scaled L (None for the empty sequence).
 
-    The sequence is given by its column heads and chains, its scaled L
-    (None for the empty sequence) and ``acc``, the sum over its indices of
-    coefficient times p * (1 - z_i); ``slack`` is p * (1 - z_i) of the new
-    index.  Returns the new heads, chains, L and acc.
+    Returns the new heads, the index's gain (what it adds to the heads,
+    which is its coefficient in the sequence's cut before the cap) and the
+    new L.
     """
-    gain = 0  # coefficient of i: what it adds to the heads
-    term = 0  # sum_j min(w_ij, head_j): i's own term of L
+    gain = 0
+    term = 0  # sum_j min(w_ij, head_j): the index's own term of L
     new_heads = list(heads)
-    new_chains = list(chains)
     for j, v in enumerate(row):
         h = heads[j]
         if v >= h:
             gain += v - h
             term += h
             new_heads[j] = v
-            new_chains[j] = (i,) + chains[j]
         else:
             term += v
     if low is None:
-        l = gain  # a single index contributes its full row sum
-    else:
-        l = term if term < low else low
-    return new_heads, new_chains, l, acc + gain * slack
+        return new_heads, gain, gain  # a single index: L is its full row sum
+    return new_heads, gain, term if term < low else low
 
 
 def fold(
-    inst: MixingInstance,
-    theta: Sequence[int],
-    slack: Optional[Sequence[int]] = None,
-) -> tuple[list[int], list[tuple[int, ...]], int, int]:
-    """The heads, chains, scaled L and acc of a nonempty sequence, as
+    inst: MixingInstance, theta: Sequence[int]
+) -> tuple[list[int], list[int], int]:
+    """The heads, gains and scaled L of a nonempty sequence, as
     :func:`_prepend` builds them from its indices, last index first, on
-    ``inst.scaled``; ``slack`` gives p * (1 - z_i) per index (0 without
-    one)."""
+    ``inst.scaled``: ``z[i]`` is index i's gain (0 off the sequence), and
+    ``(z, sum(heads))`` is the sequence's cut row before the cap."""
     weights = inst.scaled[1]
-    node = [0] * inst.k, [()] * inst.k, None, 0
+    heads = [0] * inst.k
+    z = [0] * inst.n
+    l = None
     for i in reversed(theta):
-        node = _prepend(i, weights[i], *node, 0 if slack is None else slack[i])
-    return node  # type: ignore[return-value]
+        heads, z[i], l = _prepend(weights[i], heads, l)
+    return heads, z, l  # type: ignore[return-value]
 
 
 def _gap(acc: int, l: int, eps: int, tail: int, base: int) -> int:
-    """Scaled violation of a sequence's cut: ``acc`` and L as kept by
-    :func:`_prepend`, ``tail`` = p * z of its last index and ``base`` = D *
-    p * sum(y)."""
+    """Scaled violation of a sequence's cut: ``acc`` is the sum over its
+    indices of gain times p * (1 - z_i), ``l`` its scaled L, ``tail`` = p *
+    z of its last index and ``base`` = D * p * sum(y)."""
     cap = eps if eps < l else l
     return acc + cap * tail - base
 
@@ -237,14 +205,15 @@ def walk(
     ground: Sequence[int],
     point: Optional[tuple[int, Sequence[int], Sequence[int]]] = None,
     violated: bool = False,
-) -> Iterator[Node]:
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Every sequence of distinct indices from ``ground``, of every length
-    up to ``len(ground)``, depth first by prepending, as ``(theta, chains,
-    l, gap)``.  The walk has no depth cap: a caller bounds its work by the
+    up to ``len(ground)``, depth first by prepending, as ``(theta, l,
+    gap)``.  The walk has no depth cap: a caller bounds its work by the
     size of ``ground`` before it starts (``count_sequences``).
 
-    ``chains`` and ``l`` are the per-column chains and D * L(Theta) for the
-    common denominator D of ``inst.scaled``, as :func:`fold` gives them.
+    ``l`` is D * L(Theta) for the common denominator D of ``inst.scaled``,
+    as :func:`fold` gives it; each node keeps only its heads, L and acc
+    (:func:`_gap`), and :func:`fold` rebuilds the row of a sequence kept.
     A point (y, z) comes checked and scaled, as ``core.scale_point`` gives
     it: ``(p, p * y, p * z)`` in integers.  With one, ``gap`` is the
     violation of ``aggregated_cut(inst, theta)`` at it times D times p, so
@@ -272,21 +241,20 @@ def walk(
         slack = [p - v for v in at_one]  # p * (1 - z_i)
         base = scale * sum(y_p)
     free = [i for i in ground if slack[i] > 0]
-    # Frame: (theta, heads, chains, l, acc, remaining candidates).
-    stack = [((), [0] * k, [()] * k, None, 0, iter(ground))]
+    # Frame: (theta, heads, l, acc, remaining candidates).
+    stack = [((), [0] * k, None, 0, iter(ground))]
     while stack:
-        theta, heads, chains, low, acc, candidates = stack[-1]
+        theta, heads, low, acc, candidates = stack[-1]
         for i in candidates:
             if i in theta:
                 continue
-            new_heads, new_chains, l, new_acc = _prepend(
-                i, weights[i], heads, chains, low, acc, slack[i]
-            )
+            new_heads, gain, l = _prepend(weights[i], heads, low)
+            new_acc = acc + gain * slack[i]
             new_theta = (i,) + theta
             descend = len(new_theta) < len(ground)
             gap = _gap(new_acc, l, eps, at_one[new_theta[-1]], base)
             if gap > 0 or not violated:
-                yield new_theta, tuple(new_chains), l, gap
+                yield new_theta, l, gap
             if violated:
                 descend = descend and (
                     _subtree_bound(weights, free, new_theta, new_heads, slack)
@@ -294,9 +262,7 @@ def walk(
                     > 0
                 )
             if descend:
-                stack.append(
-                    (new_theta, new_heads, new_chains, l, new_acc, iter(ground))
-                )
+                stack.append((new_theta, new_heads, l, new_acc, iter(ground)))
                 break
         else:
             stack.pop()
@@ -310,8 +276,8 @@ def _starred_nodes(
     ``ground`` in which each index before the last raises some column head
     above the maximum after it, depth first by prepending.  An index
     already in the sequence never exceeds a head, so it is never a
-    candidate below the root.  An index's coefficient is its gain, fixed
-    when it is prepended, and the last index also owes epsilon.
+    candidate below the root.  An index's coefficient is the gain
+    :func:`_prepend` gives it, and the last index also owes epsilon.
     """
     _, weights, eps, _ = inst.scaled
     k = inst.k
@@ -341,21 +307,9 @@ def _starred_nodes(
         bit = candidates & -candidates
         frame[2] = candidates ^ bit
         i = ground[bit.bit_length() - 1]
-        gain = 0  # coefficient of i: what it adds to the heads
-        term = 0  # sum_j min(w_ij, head_j): i's own term of L
-        new_heads = heads[:]
-        for j, v in enumerate(weights[i]):
-            h = heads[j]
-            if v >= h:
-                gain += v - h
-                term += h
-                new_heads[j] = v
-            else:
-                term += v
+        new_heads, gain, l = _prepend(weights[i], heads, low)
         if low is None:
-            l, gain = gain, gain - eps  # the last index: its row sum, owes epsilon
-        else:
-            l = term if term < low else low
+            gain -= eps  # the last index owes epsilon
         if l < eps:
             continue
         coeffs[i] = gain
@@ -388,10 +342,10 @@ def starred_rows(
     root.  Skipping the latter loses no row that comes first.  Let i raise
     no head when prepended to Theta, and let S be any prefix put in front
     of (i, Theta).  Then S + (i, Theta) and S + Theta have the same heads
-    at every index of S, and so the same chains apart from i.  The index i
-    joins a chain only at a tie with the head of Theta, where its
-    coefficient is 0; the last index and the right-hand side do not
-    change.  L only gains i's term, so L(S + Theta) >= L(S + (i, Theta)).
+    at every index of S, so every index of S has the same gain in both.
+    The gain of i is 0, and the last index and the right-hand side, the
+    sum of the final heads, do not change.  L only gains i's term, so
+    L(S + Theta) >= L(S + (i, Theta)).
     Hence whenever S + (i, Theta) is starred, so is S + Theta, with the
     identical row, and it is shorter, so it ranks earlier.  The earliest
     sequence of each starred row therefore lies in no skipped subtree.
@@ -502,8 +456,8 @@ def separate_aggregated(
     (``tests/test_walk.py`` keeps such a point).
 
     Both branches run in integers on the instance scaled by D and the point
-    scaled by p, with the walker's prepend step; a cut is built only for
-    the sequence returned.
+    scaled by p, with the prepend step; the sequence returned is folded
+    once (:func:`fold`) for its row, and only its cut is built.
     """
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds first")
@@ -524,10 +478,11 @@ def separate_aggregated(
         theta = [i for i in reversed(vertex.permutation) if vertex.pi[i]]
         if not theta:
             return None  # only the linking constraint itself, already satisfied
-        _, chains, l, acc = fold(inst, theta, slack)
+        heads, gains, l = fold(inst, theta)
+        acc = sum(gains[i] * slack[i] for i in theta)
         if _gap(acc, l, eps, z_p[theta[-1]], scale * y_total) <= 0:
             return None
-        return _chain_sum_cut(inst, chains, theta[-1], min(eps, l))
+        return _chain_sum_cut(inst, gains, sum(heads), theta[-1], min(eps, l))
 
     # Points satisfying the big-M rows are searched over the indices below 1
     # only (not exact, see the docstring); others over the full ground set.
@@ -547,17 +502,15 @@ def separate_aggregated(
             f"{len(ground)} free indices need more than "
             f"{SEPARATION_SEQUENCE_BOUND} sequences"
         )
-    best: Optional[Node] = None
-    for node in walk(inst, ground, point=(p, y_p, z_p)):
-        theta, _, _, gap = node
-        if gap > 0 and (
-            best is None or gap > best[3] or (gap == best[3] and theta < best[0])
-        ):
-            best = node
+    best: Optional[tuple[int, ...]] = None
+    best_gap = 0
+    for theta, _, gap in walk(inst, ground, point=(p, y_p, z_p)):
+        if gap > best_gap or (gap == best_gap and best is not None and theta < best):
+            best, best_gap = theta, gap
     if best is None:
         return None
-    theta, chains, l, _ = best
-    return _chain_sum_cut(inst, chains, theta[-1], min(eps, l))
+    heads, gains, l = fold(inst, best)
+    return _chain_sum_cut(inst, gains, sum(heads), best[-1], min(eps, l))
 
 
 def separate(

@@ -227,7 +227,7 @@ def certify_witness(
     bad_agg = min(
         (
             (len(theta), theta)
-            for theta, _, _, _ in walk(
+            for theta, _, _ in walk(
                 inst, range(inst.n), point=scale_point(y, z), violated=True
             )
         ),

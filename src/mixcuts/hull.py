@@ -27,7 +27,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -103,24 +102,18 @@ def family_rows(inst: MixingInstance) -> dict[Row, CutKind]:
     return rows
 
 
-def _family_cuts(
-    inst: MixingInstance, rows: Sequence[tuple[Row, CutKind]]
-) -> list[LinearCut]:
-    """One cut per item of :func:`family_rows`.  Its starred mixing rows
-    come first and are all kept, so they are the cuts of
-    :func:`mix_star_cuts`; every other row reads ``sum_j y_j``."""
+def hull_cut_family(inst: MixingInstance) -> list[LinearCut]:
+    """Starred mixing cuts for every column plus starred aggregated cuts over
+    sequences avoiding the low rows, plus the linking constraint, without
+    duplicates.  The family is built and deduplicated in integers
+    (:func:`family_rows`); a cut is made only for each distinct row.  Its
+    starred mixing rows come first and are all kept, so they are the cuts
+    of :func:`mix_star_cuts`; every other row reads ``sum_j y_j``."""
+    rows = tuple(family_rows(inst).items())
     cuts = [cut for j in range(inst.k) for cut in mix_star_cuts(inst, j)]
     for (_, z, rhs), kind in rows[len(cuts) :]:
         cuts.append(total_cut(inst, z, rhs, kind))
     return cuts
-
-
-def hull_cut_family(inst: MixingInstance) -> list[LinearCut]:
-    """Starred mixing cuts for every column plus starred aggregated cuts over
-    sequences avoiding the low rows, plus the linking constraint, without
-    duplicates.  The family is built and deduplicated in integers; a cut is
-    made only for each distinct row."""
-    return _family_cuts(inst, tuple(family_rows(inst).items()))
 
 
 @dataclass(frozen=True)
@@ -304,9 +297,9 @@ class SufficiencyReport:
     The closure branch keeps the hull family as the distinct integer rows
     of :func:`family_rows` with their kinds (``family_rows``, over the
     denominator D of ``instance.scaled``); :meth:`to_json` prints each row
-    divided by the gcd of its entries, which is the cut's canonical form,
-    and :attr:`cuts` is built on first read.  The witness branch keeps no
-    rows.
+    divided by the gcd of its entries, which is the cut's canonical form
+    (the cut of the same row in :func:`hull_cut_family`).  The witness
+    branch keeps no rows.
     """
 
     diagnosis: HullDiagnosis
@@ -321,18 +314,10 @@ class SufficiencyReport:
     instance: Optional[MixingInstance] = None
     family_rows: tuple[tuple[Row, CutKind], ...] = ()
 
-    @cached_property
-    def cuts(self) -> tuple[LinearCut, ...]:
-        """One cut per row of ``family_rows``: the hull family of
-        :func:`hull_cut_family`, or nothing on the witness branch."""
-        if not self.family_rows:
-            return ()
-        return tuple(_family_cuts(self.instance, self.family_rows))
-
     def _cut_texts(self) -> list[str]:
-        """``str(cut)`` of every cut of :attr:`cuts`, read off the integer
-        rows: the y coefficients are D on the row's column, or on every
-        column for a row of shape -1."""
+        """``str(cut)`` of the cut of every row of ``family_rows``, read
+        off the integer rows: the y coefficients are D on the row's column,
+        or on every column for a row of shape -1."""
         if not self.family_rows:
             return []
         k, scale = self.instance.k, self.instance.scaled[0]
@@ -391,9 +376,8 @@ def check_sufficiency(
     and by the membership LP where the chain proves nothing, so a point is
     counted outside only on the LP's verdict.  Every point stays in
     integers from its draw or its ray to the chain certificate; a
-    ``Fraction`` is made only for the LP or for a failure message, and the
-    report's cuts only when :attr:`SufficiencyReport.cuts` is read.
-    Insufficient instances:
+    ``Fraction`` is made only for the LP or for a failure message, and no
+    ``LinearCut`` is made.  Insufficient instances:
     build the explicit witness point for the failing condition and certify
     that it satisfies every mixing and aggregated mixing cut yet lies
     outside the hull, by the membership LP.

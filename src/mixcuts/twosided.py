@@ -30,7 +30,7 @@ from .core import (
     unscale,
 )
 from .hull import Row, family_rows, hull_cut_family
-from .vertices import VRepresentation, mask_floors, v_representation
+from .vertices import mask_floors
 
 
 @dataclass(frozen=True)
@@ -132,25 +132,25 @@ def generalized_cut(
     """The aggregated cut of the transformed instance, plus its form in the
     original variables (y_c, y_a).
 
-    The original form is 2*y_c + (w-chain) + (v-chain) >= w-head + v-head
-    with both chains telescoping to zero; it equals the transformed cut under
-    the substitution identity y_1 + y_2 = 2*y_c + u_a, which is verified
+    The original form is 2*y_c + (w gains) + (v gains) >= w-head + v-head:
+    the row that :func:`fold` builds for the sequence on the plain instance
+    with columns w and v, whose coefficients are the gains of the w and v
+    chains; it is not capped.  It equals the transformed cut under the
+    substitution identity y_1 + y_2 = 2*y_c + u_a, which is verified
     coefficientwise here.
     """
     inst = to_mixing(data)
     theta.validate_for(data.n)
     primed = aggregated_cut(inst, theta)
 
-    coeffs = [Fraction(0)] * data.n
-    series = (data.w, data.v)
-    rhs = Fraction(0)
-    for j, chain in enumerate(fold(inst, theta.indices)[1]):
-        vals = [series[j][i] for i in chain] + [Fraction(0)]
-        for s, i in enumerate(chain):
-            coeffs[i] += vals[s] - vals[s + 1]
-        rhs += vals[0]
+    plain = MixingInstance(list(zip(data.w, data.v)))
+    heads, z, _ = fold(plain, theta.indices)
+    scale = plain.scaled[0]
     original = LinearCut(
-        (Fraction(2), Fraction(0)), coeffs, rhs, primed.kind
+        (Fraction(2), Fraction(0)),
+        unscale(z, scale),
+        Fraction(sum(heads), scale),
+        primed.kind,
     )
 
     # Substitution audit: identical z coefficients, right-hand sides offset
@@ -169,15 +169,10 @@ class BandedHullReport:
     The certified description is the whole hull family, kept as the
     distinct integer rows that :func:`family_rows` gives (``family_rows``:
     sequences of every length), plus the two band rows and the 2n z bounds;
-    :attr:`cut_count` counts it.  ``point_count`` counts the hull's extreme
-    points, read off its per-mask floors (:func:`mask_floors`) without
-    building them.  What a caller may read beyond the counts is built on
-    first read: the vertex list :attr:`hull`, as :func:`v_representation`
-    gives it (y over the denominator D of ``instance.scaled``, z in the
-    indicator view: z_i = 1 keeps scenario i's row active), and, in the
-    original orientation (z_i = 1 relaxes scenario i), the
-    :attr:`extreme_points` in Fractions, the :attr:`clipped` vertex list
-    and the :attr:`cuts`.
+    :attr:`cut_count` counts it, and :attr:`cuts` builds it as
+    ``LinearCut``s on first read.  ``point_count`` counts the hull's
+    extreme points, read off its per-mask floors (:func:`mask_floors`)
+    without building them.
     """
 
     instance: MixingInstance
@@ -185,46 +180,9 @@ class BandedHullReport:
     point_count: int
     family_rows: tuple[Row, ...]
 
-    @cached_property
-    def hull(self) -> VRepresentation:
-        """The hull's vertex list."""
-        return v_representation(self.instance)
-
     @property
     def cut_count(self) -> int:
         return len(self.family_rows) + 2 + 2 * self.instance.n
-
-    @cached_property
-    def _points(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """The extreme points, y over D, with the z parts complemented."""
-        return tuple((y, tuple(1 - zi for zi in z)) for y, z in self.hull.points)
-
-    @cached_property
-    def extreme_points(self) -> tuple[tuple[tuple[Fraction, ...], tuple[int, ...]], ...]:
-        """The extreme points with y in Fractions."""
-        den = self.hull.den
-        return tuple((tuple(unscale(y, den)), z) for y, z in self._points)
-
-    @cached_property
-    def clipped(self) -> VRepresentation:
-        """The extreme points plus, for each, the points where a unit ray
-        leaving it meets a band plane, as an integer vertex list over D with
-        the one ray (1, 1) and no enumerator record."""
-        scale, band = self.hull.den, self.instance.scaled[2]
-        points = self._points
-        clipped_points = list(points)
-        for y, z in points:
-            gap_upper = band - (y[0] - y[1])  # room along +e_1 to the upper plane
-            if gap_upper > 0:
-                clipped_points.append(((band + y[1], y[1]), z))
-            gap_lower = band + (y[0] - y[1])  # room along +e_2 to the lower plane
-            if gap_lower > 0:
-                clipped_points.append(((y[0], band + y[0]), z))
-        for _, z in clipped_points:
-            if any(zi not in (0, 1) for zi in z):
-                raise InternalInvariant("clipping created a fractional z")
-        ray = ((scale, scale), (0,) * self.instance.n)
-        return VRepresentation(scale, tuple(clipped_points), (ray,))
 
     @cached_property
     def cuts(self) -> tuple[LinearCut, ...]:
@@ -249,9 +207,12 @@ class BandedHullReport:
 def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
     """Intersect the linking-set hull with the band u_a >= y_1 - y_2 >= -u_a.
 
-    Every extreme point already satisfies the band (asserted exhaustively);
+    Every extreme point already satisfies the band (checked at every one);
     clipping therefore only adds points where a unit ray leaving an extreme
-    point meets a band plane, whose z parts stay integral.  The certified
+    point meets a band plane, whose z parts stay integral, and the library
+    builds none of them (the tests build the clipped list from a
+    ``Fraction`` reference of the vertex list to certify the description
+    against it).  The certified
     description is the full linking-set family of :func:`family_rows`, plus
     the band and the z bounds.  The family is exponential in the number of
     non-zero scenarios, so data with more sequences over them than
@@ -260,12 +221,11 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
 
     The band check and the family run in integers over D.  The extreme
     points are counted and checked from the per-mask floors of
-    :func:`mask_floors`, the enumeration :func:`v_representation` builds
-    its points from: a floor whose sum exceeds the threshold is one point,
+    :func:`mask_floors`, the enumeration ``vertices.v_representation``
+    builds its points from: a floor whose sum exceeds the threshold is one point,
     and any other floor f is the two points f + deficit * e_d, whose
     |y_1 - y_2| is at most |f_1 - f_2| + deficit.  The report keeps the
-    count and the family's distinct rows and builds the vertex list, the
-    clipped list, the ``Fraction`` extreme points and the ``LinearCut``s
+    count and the family's distinct rows, and builds the ``LinearCut``s
     only when they are read, so a caller that counts them (``mixcuts
     twosided``) builds none of them.
     """

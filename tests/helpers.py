@@ -4,9 +4,9 @@ that the library's integer code is compared against.
 - Canonical cuts, the brute-force submodularity check, weighted oracle
   combinations and the linking-dominance test of one sequence.
 - The cut builders as the paper defines them: per-column suffix-maxima
-  chains, L(Theta), the mixing cut of one chain, the aggregated cut of one
-  sequence, and the chain loop of the mixing and hull families with
-  deduplication on canonical forms.
+  chains and their telescoped sum, L(Theta), the mixing cut of one chain,
+  the aggregated cut of one sequence, and the chain loop of the mixing and
+  hull families with deduplication on canonical forms.
 - The ``Fraction`` column and linking oracles, polymatroid separation and
   the mixing separation built on it, and the ``Fraction`` greedy separation
   of the aggregated family.
@@ -102,6 +102,24 @@ def decompose(inst: MixingInstance, theta: SequenceTheta) -> tuple[tuple[int, ..
                 suffix_max = col[i]
         per_column.append(tuple(reversed(kept)))
     return tuple(per_column)
+
+
+def telescope(
+    chains: Sequence[Sequence[int]], columns: Sequence[Sequence[Fraction]], n: int
+) -> tuple[list[Fraction], Fraction]:
+    """Each column's chain telescoped on that column's values, summed over
+    the columns: index i's coefficient is, over every chain through it, its
+    value minus the next value in the chain (0 after the last), and the
+    right-hand side is the sum of the chain heads' values.  ``columns[j][i]``
+    is index i's value in column j."""
+    coeffs = [Fraction(0)] * n
+    rhs = Fraction(0)
+    for chain, col in zip(chains, columns):
+        values = [Fraction(col[i]) for i in chain] + [Fraction(0)]
+        for s, i in enumerate(chain):
+            coeffs[i] += values[s] - values[s + 1]
+        rhs += values[0]
+    return coeffs, rhs
 
 
 def l_theta(inst: MixingInstance, theta: SequenceTheta) -> Fraction:

@@ -38,7 +38,12 @@ from conftest import (
     random_twosided,
     random_weights,
 )
-from helpers import column_oracle, is_submodular, linking_oracle
+from helpers import (
+    column_oracle,
+    fraction_hull_with_bounds,
+    is_submodular,
+    linking_oracle,
+)
 
 PAPER_AMIX_CUTS = [
     LinearCut((1, 1), (1, 1, 8, 0, 0), 17),
@@ -253,7 +258,9 @@ def test_criterion_8_twosided_pipeline():
         assert original.y_coeffs == (2, 0) and primed.y_coeffs == (1, 1)
         report = hull_with_bounds(data)
         assert report.band_ok
-        for y, z in report.extreme_points:
+        ref = fraction_hull_with_bounds(data)
+        assert report.point_count == len(ref.extreme_points)
+        for y, z in ref.extreme_points:
             assert -data.u_a <= y[0] - y[1] <= data.u_a
     print(
         "\nPASS criterion 8: 100 two-sided instances: submodular linking "

@@ -23,22 +23,37 @@ from conftest import random_weights
 from helpers import (
     decompose,
     dominates_linking,
+    fraction_aggregated_cut,
     fraction_vertices,
     l_theta,
     mixing_cut,
+    telescope,
 )
 
 THETA_213 = SequenceTheta((1, 0, 2))  # paper's {2 -> 1 -> 3}
 
 
+def gain_reference(inst, theta):
+    """The row of a sequence by the chain definition, over D: the chains of
+    ``decompose`` telescoped and summed, and D * L(Theta)."""
+    scale = inst.scaled[0]
+    columns = [inst.column(j) for j in range(inst.k)]
+    z, rhs = telescope(decompose(inst, theta), columns, inst.n)
+    return [scale * c for c in z], scale * rhs, scale * l_theta(inst, theta)
+
+
 def test_decompose_example1(example1):
     assert decompose(example1, THETA_213) == ((2,), (1, 0, 2))
-    assert fold(example1, THETA_213.indices)[1] == [(2,), (1, 0, 2)]
+    # Index 2 heads both chains; 1 and 0 gain 4 - 3 and 3 - 2 in column 1.
+    assert fold(example1, THETA_213.indices) == ([13, 4], [1, 1, 15, 0, 0], 9)
+    assert gain_reference(example1, THETA_213) == ([1, 1, 15, 0, 0], 17, 9)
 
 
 def test_decompose_singleton(example1):
     assert decompose(example1, SequenceTheta((3,))) == ((3,), (3,))
-    assert fold(example1, (3,))[1] == [(3,), (3,)]
+    # A single index gains its whole row, and L is its row sum.
+    row = list(example1.weights[3])
+    assert fold(example1, (3,)) == (row, [0, 0, 0, sum(row), 0], sum(row))
 
 
 def definitional_subsequence(inst, theta, j):
@@ -51,21 +66,66 @@ def definitional_subsequence(inst, theta, j):
     return tuple(out)
 
 
+def gain_case(rng):
+    """A reduced instance and one sequence over it, with what it covers:
+    small values (many ties), sometimes fractional weights, an all-zero row
+    or column, and epsilon drawn from 0, a random value, every row sum and
+    beyond."""
+    n, k = rng.randint(1, 8), rng.randint(1, 3)
+    dens = rng.choice([(1,), (1, 2, 3)])
+    weights = random_weights(rng, n, k, lo=0, hi=rng.choice((2, 6)), dens=dens)
+    if rng.random() < 0.25:
+        weights[rng.randrange(n)] = [Fraction(0)] * k
+    if rng.random() < 0.25:
+        zero = rng.randrange(k)
+        for row in weights:
+            row[zero] = Fraction(0)
+    top = max(sum(row) for row in weights)
+    eps = rng.choice([Fraction(0), Fraction(rng.randint(1, 8), rng.choice(dens)), top, top + 1])
+    inst = MixingInstance(weights, None, eps)
+    theta = SequenceTheta(rng.sample(range(n), rng.randint(1, n)))
+    columns = [[row[j] for row in weights] for j in range(k)]
+    values = [w for row in weights for w in row]
+    covers = {
+        "tie": any(
+            inst.weights[a][j] == inst.weights[b][j] > 0
+            for a, b in zip(theta.indices, theta.indices[1:])
+            for j in range(k)
+        ),
+        "zero row": any(not any(weights[i]) for i in theta.indices),
+        "zero column": any(not any(col) for col in columns),
+        "eps 0": eps == 0,
+        "eps above every row sum": eps >= top and any(values),
+        "fractional": any(w.denominator > 1 for w in values),
+    }
+    return inst, theta, covers
+
+
 def test_decompose_matches_definition_randomly():
+    """fold's gains are the telescoped chains of the definition, its L is
+    l_theta, and the capped row is the reference aggregated cut."""
     rng = random.Random(52)
-    for _ in range(30):
-        n, k = rng.randint(2, 8), rng.randint(1, 3)
-        inst = MixingInstance(random_weights(rng, n, k, lo=0, hi=6), None, 0)
-        size = rng.randint(1, n)
-        theta = SequenceTheta(rng.sample(range(n), size))
+    seen = dict.fromkeys(
+        ("tie", "zero row", "zero column", "eps 0", "eps above every row sum", "fractional"), 0
+    )
+    for _ in range(2000):
+        inst, theta, covers = gain_case(rng)
         decomp = decompose(inst, theta)
-        assert list(decomp) == fold(inst, theta.indices)[1]
-        for j in range(k):
+        heads, z, l = fold(inst, theta.indices)
+        assert gain_reference(inst, theta) == (z, sum(heads), l)
+        scale = inst.scaled[0]
+        assert heads == [scale * max(inst.column(j)[i] for i in theta.indices) for j in range(inst.k)]
+        got, want = aggregated_cut(inst, theta), fraction_aggregated_cut(inst, theta)
+        assert (got.kind, got.z_coeffs, got.rhs) == (want.kind, want.z_coeffs, want.rhs)
+        for j in range(inst.k):
             assert decomp[j] == definitional_subsequence(inst, theta, j)
             # the last element always closes the chain, values nonincreasing
             assert decomp[j][-1] == theta.last
             vals = [inst.weights[i][j] for i in decomp[j]]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
+        for key, hit in covers.items():
+            seen[key] += hit
+    assert min(seen.values()) >= 100, seen
 
 
 def test_l_theta_examples(example1):

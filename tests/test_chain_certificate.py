@@ -29,7 +29,13 @@ from mixcuts import (
 from mixcuts import hull
 
 from conftest import random_insufficient_instance
-from helpers import chain_certificate, chain_result, fraction_vertices, vertex_list
+from helpers import (
+    chain_certificate,
+    chain_result,
+    fraction_hull_with_bounds,
+    fraction_vertices,
+    vertex_list,
+)
 
 DENS = (1, 2, 3, 4)
 
@@ -237,8 +243,9 @@ def test_vertex_lists_of_another_shape_get_no_verdict():
 
 
 def test_band_hull_gets_no_chain_verdict():
-    report = hull_with_bounds(TwoSidedData((8, 6, 13, 1, 4), (3, 4, 2, 1, 1), 13))
-    clipped = report.clipped
+    data = TwoSidedData((8, 6, 13, 1, 4), (3, 4, 2, 1, 1), 13)
+    assert hull_with_bounds(data).band_ok
+    clipped = vertex_list(*fraction_hull_with_bounds(data).clipped)
     points = fraction_vertices(clipped).points
     for y, z in points[:: max(1, len(points) // 20)]:
         assert membership(clipped, y, z).inside

@@ -25,6 +25,7 @@ from mixcuts import (
 
 from conftest import random_band_data, random_insufficient_instance
 from helpers import (
+    fraction_hull_with_bounds,
     fraction_membership,
     fraction_vertices,
     full_fraction_membership,
@@ -86,10 +87,9 @@ def witness_points(rng: random.Random):
             yield case, inst, tuple(y), complement(z)
 
 
-def clipped_point(rng: random.Random, report):
-    """A point near the band-clipped hull, z in its orientation: the
-    midpoint of two of its points, y lowered a little."""
-    vrep = report.clipped
+def clipped_point(rng: random.Random, vrep):
+    """A point near the band-clipped hull ``vrep``, z in its orientation:
+    the midpoint of two of its points, y lowered a little."""
     (y1, z1), (y2, z2) = rng.choice(vrep.points), rng.choice(vrep.points)
     z = tuple(Fraction(a + b, 2) for a, b in zip(z1, z2))
     y = tuple(
@@ -185,8 +185,10 @@ def test_face_membership_lifts_the_plane_on_other_vertex_lists():
     rng = random.Random(1819)
     seen = counter()
     for _ in range(120):
-        report = hull_with_bounds(random_band_data(rng, rng.randint(2, 6)))
-        check_against_full_lp(report.clipped, *clipped_point(rng, report), seen)
+        data = random_band_data(rng, rng.randint(2, 6))
+        assert hull_with_bounds(data).band_ok
+        clipped = vertex_list(*fraction_hull_with_bounds(data).clipped)
+        check_against_full_lp(clipped, *clipped_point(rng, clipped), seen)
     for _ in range(150):
         check_against_full_lp(*hand_built(rng), seen)
     assert seen["inside"] >= 30 and seen["outside"] >= 100, seen

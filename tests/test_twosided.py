@@ -31,16 +31,14 @@ from mixcuts.twosided import loads_twosided
 
 from conftest import fixture_path, random_band_data, random_twosided
 from helpers import (
+    decompose,
     fraction_aggregated_cut,
     fraction_hull_with_bounds,
     fraction_v_representation,
     fraction_vertices,
+    telescope,
+    vertex_list,
 )
-
-
-def banded_membership(report, y, z):
-    """Membership in the band-clipped hull (original indicator orientation)."""
-    return membership(report.clipped, y, z)
 
 
 DEMO = TwoSidedData(
@@ -118,34 +116,70 @@ def test_generalized_equals_aggregated_after_substitution():
         assert primed.rhs - original.rhs == data.u_a
 
 
+def test_generalized_original_form_is_the_telescoped_w_and_v_chains():
+    """The original form is 2*y_c plus the sequence's w and v chains, each
+    telescoped on its own values, in Fractions.  The chains come from their
+    definition (``decompose`` on the transformed instance, whose second
+    column v + u_a orders the indices as v does)."""
+    rng = random.Random(8080)
+    seen = dict.fromkeys(("fractional", "zero scenario", "flat v", "long"), 0)
+    for _ in range(320):
+        n = rng.randint(1, 8)
+        data = random_band_data(rng, n)
+        theta = SequenceTheta(rng.sample(range(n), rng.randint(1, min(4, n))))
+        primed, original = generalized_cut(data, theta)
+        inst = to_mixing(data)
+        z, rhs = telescope(decompose(inst, theta), (data.w, data.v), n)
+        assert original.y_coeffs == (2, 0)
+        assert original.z_coeffs == tuple(z)
+        assert original.rhs == rhs
+        assert original.kind is primed.kind
+        want = fraction_aggregated_cut(inst, theta)
+        assert (primed.kind, primed.z_coeffs, primed.rhs) == (want.kind, want.z_coeffs, want.rhs)
+        seen["fractional"] += any(x.denominator > 1 for x in data.w + data.v)
+        seen["zero scenario"] += any(not data.w[i] and not data.v[i] for i in theta.indices)
+        seen["flat v"] += not any(data.v)
+        seen["long"] += len(theta) == 4
+    assert min(seen.values()) >= 40, seen
+
+
 def test_hull_with_bounds_band_and_membership():
     report = hull_with_bounds(DEMO)
     assert report.band_ok
+    ref = fraction_hull_with_bounds(DEMO)
+    points = ref.extreme_points
+    assert report.point_count == len(points)
     ua = DEMO.u_a
-    for y, z in report.extreme_points:
+    for y, z in points:
         assert -ua <= y[0] - y[1] <= ua
         assert all(zi in (0, 1) for zi in z)
+    # Every clipped point and the ray satisfy the report's description.
+    for y, z in ref.clipped.points:
+        assert all(cut.lhs(y, z) >= cut.rhs for cut in report.cuts), (y, z)
+    for y, z in ref.clipped.rays:
+        assert all(cut.lhs(y, z) - cut.lhs((0, 0), z) >= 0 for cut in report.cuts)
     # a couple of cut-and-band feasible points are inside the clipped hull
+    clipped = vertex_list(*ref.clipped)
     rng = random.Random(3)
     for _ in range(5):
-        a, b = rng.sample(range(len(report.extreme_points)), 2)
-        (y1, z1), (y2, z2) = report.extreme_points[a], report.extreme_points[b]
+        a, b = rng.sample(range(len(points)), 2)
+        (y1, z1), (y2, z2) = points[a], points[b]
         y = tuple((u + v) / 2 for u, v in zip(y1, y2))
         z = tuple(Fraction(u + v, 2) for u, v in zip(z1, z2))
-        assert banded_membership(report, y, z).inside
+        assert membership(clipped, y, z).inside
         # pushing along the shared ray stays inside
         lifted = (y[0] + 3, y[1] + 3)
-        assert banded_membership(report, lifted, z).inside
+        assert membership(clipped, lifted, z).inside
         # far outside the band is rejected
-        assert not banded_membership(report, (y[0] + 5 * ua, y[1]), z).inside
+        assert not membership(clipped, (y[0] + 5 * ua, y[1]), z).inside
 
 
 def test_hull_with_bounds_degenerate_v_zero():
     data = TwoSidedData((5, 3), (0, 0), 6)
     report = hull_with_bounds(data)
-    tight = {
-        tuple(y) for y, z in fraction_vertices(report.clipped).points if z == (1, 1)
-    }
+    ref = fraction_hull_with_bounds(data)
+    assert report.band_ok and report.point_count == len(ref.extreme_points)
+    tight = {tuple(y) for y, z in ref.clipped.points if z == (1, 1)}
     assert (Fraction(6), Fraction(0)) in tight
     assert (Fraction(0), Fraction(6)) in tight
 
@@ -162,11 +196,9 @@ def test_band_hull_matches_the_fraction_reference(seed, n):
     data = random_band_data(random.Random(100 * n + seed), n)
     got = hull_with_bounds(data)
     want = fraction_hull_with_bounds(data)
-    assert got.extreme_points == want.extreme_points
-    clipped = fraction_vertices(got.clipped)
-    assert clipped.points == want.clipped.points
-    assert clipped.rays == want.clipped.rays
+    assert got.point_count == len(want.extreme_points)
     assert cut_fields(got.cuts) == cut_fields(want.cuts)
+    assert got.cut_count == len(want.cuts)
     assert got.band_ok and want.band_ok
     vrep = fraction_vertices(v_representation(got.instance))
     assert vrep == fraction_v_representation(got.instance)
@@ -220,7 +252,7 @@ def test_band_hull_keeps_every_facet_of_long_sequences():
     ]
     assert len(long_only) == 175 - 153
 
-    clipped = fraction_vertices(report.clipped)
+    clipped = fraction_hull_with_bounds(EIGHT).clipped
     homogeneous = [(Fraction(1), *y, *z) for y, z in clipped.points] + [
         (Fraction(0), *y, *z) for y, z in clipped.rays
     ]
@@ -305,19 +337,13 @@ def test_twosided_command_counts_the_band_hull_without_building_cuts(
 
 
 def test_band_report_reads_its_cuts_and_points_after_the_fact():
-    """The lazy fields are built on first read, once, and agree with the
-    counts the command prints."""
+    """The cuts are built on first read, once, and agree with the counts
+    the command prints; the point count is the hull's vertex count."""
     report = hull_with_bounds(DEMO)
-    assert not {"hull", "cuts", "extreme_points", "clipped"} & set(report.__dict__)
+    assert "cuts" not in report.__dict__
     assert len(report.cuts) == report.cut_count == 61
     assert report.cuts is report.cuts
-    assert "hull" not in report.__dict__
-    assert report.hull == v_representation(report.instance)
-    assert report.hull is report.hull
-    assert len(report.extreme_points) == len(report.hull.points) == report.point_count == 33
-    assert [z for _, z in report.extreme_points] == [
-        tuple(1 - zi for zi in z) for _, z in report.hull.points
-    ]
+    assert len(v_representation(report.instance).points) == report.point_count == 33
     # The family part of the cuts is one cut per integer row.
     assert len(report.cuts) - 2 - 2 * DEMO.n == len(report.family_rows)
 

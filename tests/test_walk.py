@@ -26,7 +26,7 @@ from mixcuts import (
     sequences,
     witness,
 )
-from mixcuts.aggregated import _starred_nodes, starred_rows, walk
+from mixcuts.aggregated import _starred_nodes, fold, starred_rows, walk
 from mixcuts.core import scale_point
 
 from conftest import random_insufficient_instance
@@ -35,6 +35,7 @@ from helpers import (
     fraction_aggregated_cut,
     fraction_hull_cut_family,
     l_theta,
+    telescope,
 )
 
 
@@ -88,10 +89,15 @@ def test_walk_matches_per_sequence_path_at_every_node(seed, n):
     ground = sorted(rng.sample(range(n), rng.randint(1, n)))
     expected = {theta.indices for theta in sequences(ground)}
     visited = set()
-    for theta, chains, l, gap in walk(inst, ground, point=scale_point(y, z)):
+    columns = [inst.column(j) for j in range(inst.k)]
+    for theta, l, gap in walk(inst, ground, point=scale_point(y, z)):
         seq = SequenceTheta(theta)
-        assert chains == decompose(inst, seq)
-        assert l == scale * l_theta(inst, seq)
+        # The gains are the telescoped chains of the definition.
+        heads, gains, folded_l = fold(inst, theta)
+        want_z, want_rhs = telescope(decompose(inst, seq), columns, n)
+        assert gains == [scale * c for c in want_z]
+        assert sum(heads) == scale * want_rhs
+        assert l == folded_l == scale * l_theta(inst, seq)
         want = fraction_aggregated_cut(inst, seq)
         assert gap == scale * p * want.violation(y, z)
         got = aggregated_cut(inst, seq)
@@ -257,7 +263,7 @@ def test_violated_walk_yields_every_violated_sequence_and_no_other():
             inst = random_case(rng, n)
         point = walk_point(rng, inst, kind)
         scaled = scale_point(*point)
-        full = [node for node in walk(inst, range(n), point=scaled) if node[3] > 0]
+        full = [node for node in walk(inst, range(n), point=scaled) if node[2] > 0]
         assert list(walk(inst, range(n), point=scaled, violated=True)) == full
         if all(0 <= v <= 1 for v in point[1]):  # certification needs z in the box
             message = "ok: all aggregated cuts hold"
