@@ -203,7 +203,7 @@ def _subtree_bound(
 def walk(
     inst: MixingInstance,
     ground: Sequence[int],
-    point: Optional[tuple[int, Sequence[int], Sequence[int]]] = None,
+    point: tuple[int, Sequence[int], Sequence[int]],
     violated: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Every sequence of distinct indices from ``ground``, of every length
@@ -214,15 +214,15 @@ def walk(
     ``l`` is D * L(Theta) for the common denominator D of ``inst.scaled``,
     as :func:`fold` gives it; each node keeps only its heads, L and acc
     (:func:`_gap`), and :func:`fold` rebuilds the row of a sequence kept.
-    A point (y, z) comes checked and scaled, as ``core.scale_point`` gives
-    it: ``(p, p * y, p * z)`` in integers.  With one, ``gap`` is the
-    violation of ``aggregated_cut(inst, theta)`` at it times D times p, so
-    it is positive exactly when the cut is violated and orders sequences by
-    violation; without one it is 0.
+    The point (y, z) comes checked and scaled, as ``core.scale_point`` gives
+    it: ``(p, p * y, p * z)`` in integers.  ``gap`` is the violation of
+    ``aggregated_cut(inst, theta)`` at it times D times p, so it is
+    positive exactly when the cut is violated and orders sequences by
+    violation.
 
-    ``violated`` (with a point) yields only the sequences whose cut is
-    violated at the point, and skips each subtree that holds none by the
-    bound of :func:`_subtree_bound`.  Only sequences that are not violated
+    ``violated`` yields only the sequences whose cut is violated at the
+    point, and skips each subtree that holds none by the bound of
+    :func:`_subtree_bound`.  Only sequences that are not violated
     are skipped, so the first or the most violated sequence found is the
     one the full walk finds.  The starred family has its own loop,
     :func:`_starred_nodes`.
@@ -233,13 +233,9 @@ def walk(
         raise LowerBoundsNotReduced("reduce lower bounds before aggregating")
     scale, weights, eps, _ = inst.scaled
     k = inst.k
-    if point is None:
-        slack = at_one = [0] * inst.n
-        base = 0
-    else:
-        p, y_p, at_one = point  # at_one[i] = p * z_i
-        slack = [p - v for v in at_one]  # p * (1 - z_i)
-        base = scale * sum(y_p)
+    p, y_p, at_one = point  # at_one[i] = p * z_i
+    slack = [p - v for v in at_one]  # p * (1 - z_i)
+    base = scale * sum(y_p)
     free = [i for i in ground if slack[i] > 0]
     # Frame: (theta, heads, l, acc, remaining candidates).
     stack = [((), [0] * k, None, 0, iter(ground))]
@@ -437,6 +433,26 @@ def _diagnosis(inst: MixingInstance) -> HullDiagnosis:
     return HullDiagnosis(i_bar, c1_ok, c2_ok, negligible, l_w_eps, g_submodular)
 
 
+def relaxation_holds(
+    inst: MixingInstance, point: tuple[int, Sequence[int], Sequence[int]]
+) -> bool:
+    """Whether a point, scaled as ``core.scale_point`` gives it, satisfies
+    the relaxation rows, in integers on ``inst.scaled``: z in the unit box,
+    the linking row sum(y) >= epsilon and every big-M row y_j >= w_ij (1 -
+    z_i).  With z in the box the big-M rows also give y >= 0."""
+    p, y, z = point
+    scale, weights, eps, _ = inst.scaled
+    return (
+        all(0 <= v <= p for v in z)
+        and sum(y) * scale >= eps * p
+        and all(
+            y[j] * scale >= v * (p - s)
+            for row, s in zip(weights, z)
+            for j, v in enumerate(row)
+        )
+    )
+
+
 def separate_aggregated(
     inst: MixingInstance,
     y_bar: Sequence[Fraction],
@@ -486,12 +502,7 @@ def separate_aggregated(
 
     # Points satisfying the big-M rows are searched over the indices below 1
     # only (not exact, see the docstring); others over the full ground set.
-    relaxation_ok = all(
-        y_p[j] * scale >= row[j] * s
-        for row, s in zip(weights, slack)
-        for j in range(inst.k)
-    )
-    if relaxation_ok:
+    if relaxation_holds(inst, (p, y_p, z_p)):
         ground = [i for i, s in enumerate(slack) if s > 0]
     else:
         ground = list(range(inst.n))

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import aggregated as agg
-from . import counterexample as cx
 from . import hull
 from . import mixing
 from . import twosided as ts
@@ -94,24 +93,21 @@ def cmd_verify(args) -> int:
             raise ValidationError(f"{option} must be at least 1, got {value}")
     reduced = _reduced_instance(args.instance)
 
-    if args.mode == "sufficiency":
+    if args.mode == "witness" and agg.diagnose(reduced).sufficient:
+        print("instance is sufficient; no witness point exists")
+        return EXIT_INSUFFICIENT
+    if args.mode != "validity":
         report = hull.check_sufficiency(reduced, samples=args.samples, seed=args.seed)
-        print(report.to_json())
+        if args.mode == "sufficiency":
+            print(report.to_json())
+        else:
+            y, z = report.witness
+            print(f"case: {report.witness_case}")
+            print("y = (" + ", ".join(format_rational(v) for v in y) + ")")
+            print("z = (" + ", ".join(format_rational(v) for v in z) + ")")
+            for msg in report.witness_assertions:
+                print(msg)
         return EXIT_OK if report.ok else EXIT_CHECK_FAILED
-
-    if args.mode == "witness":
-        diag = agg.diagnose(reduced)
-        if diag.sufficient:
-            print("instance is sufficient; no witness point exists")
-            return EXIT_INSUFFICIENT
-        (y, z), case = cx.witness(reduced, diag)
-        print(f"case: {case}")
-        print("y = (" + ", ".join(format_rational(v) for v in y) + ")")
-        print("z = (" + ", ".join(format_rational(v) for v in z) + ")")
-        messages = cx.certify_witness(reduced, (y, z))
-        for msg in messages:
-            print(msg)
-        return EXIT_OK if all(m.startswith("ok") for m in messages) else EXIT_CHECK_FAILED
 
     # validity mode: sweep generated families against the vertex list
     vrep = vertices.v_representation(reduced)

@@ -201,9 +201,6 @@ class LinearCut:
         """Positive iff the point violates the cut."""
         return self.rhs - self.lhs(y, z)
 
-    def satisfied_by(self, y: Sequence[Fraction], z: Sequence[Fraction]) -> bool:
-        return self.lhs(y, z) >= self.rhs
-
     def canonical_key(self) -> tuple[int, ...]:
         """Integer coefficient vector (alpha, beta, gamma) of the canonical form."""
         entries = list(self.y_coeffs) + list(self.z_coeffs) + [self.rhs]
@@ -299,15 +296,6 @@ class MixingInstance:
     @property
     def k(self) -> int:
         return len(self.weights[0])
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.weights)
-
-    def column_max(self, j: int) -> Fraction:
-        return max(self.column(j))
-
-    def row_sum(self, i: int) -> Fraction:
-        return sum(self.weights[i], Fraction(0))
 
     @property
     def lower_is_zero(self) -> bool:

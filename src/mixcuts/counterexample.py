@@ -2,17 +2,27 @@
 
 When the sufficiency conditions fail there is a fractional point that
 satisfies every mixing and aggregated mixing inequality yet lies outside the
-convex hull.  The three constructors below build that point for the three
-failure cases; :func:`certify_witness` replays the full argument
-executably (cut sweeps plus the exact membership LP).
+convex hull.  In each of the three failure cases the point puts equal
+fractional weight on a set U of rows, and one builder, :func:`_point`,
+makes it from U and the total of y, in integers on ``inst.scaled``; the
+three constructors check their case and name U and that total.
+:func:`certify_witness` replays the full argument executably (cut sweeps
+plus the exact membership LP).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .aggregated import HullDiagnosis, aggregated_cut, diagnose, walk
+from .aggregated import (
+    HullDiagnosis,
+    aggregated_cut,
+    diagnose,
+    relaxation_holds,
+    walk,
+)
 from .core import (
     GroundSetTooLarge,
     LowerBoundsNotReduced,
@@ -35,10 +45,27 @@ def _require_reduced(inst: MixingInstance) -> None:
         raise LowerBoundsNotReduced("witness constructions require zero lower bounds")
 
 
-def _column_peaks(inst: MixingInstance, subset: Sequence[int]) -> list[Fraction]:
-    return [
-        max(inst.weights[i][j] for i in subset) for j in range(inst.k)
-    ]
+def _times(value: Fraction, scale: int) -> int:
+    """``value * scale`` for a value whose denominator divides ``scale``."""
+    return value.numerator * (scale // value.denominator)
+
+
+def _peaks(weights: Sequence[Sequence[int]], subset: Sequence[int]) -> list[int]:
+    """The column maxima of the scaled weights over the subset's rows."""
+    return list(map(max, zip(*(weights[i] for i in subset))))
+
+
+def _point(inst: MixingInstance, u: Sequence[int], total: int) -> Point:
+    """The witness on the rows U: z_i = 1/|U| on U and 1 elsewhere, and y
+    at (|U|-1)/|U| of the column peaks over U, its last column topped up so
+    that sum(y) is ``total / (|U| * D)``, D the denominator of
+    ``inst.scaled``.  Only the point returned is made of Fractions."""
+    scale, weights, _, _ = inst.scaled
+    size = len(u)
+    y = [(size - 1) * peak for peak in _peaks(weights, u)]
+    y[-1] += total - sum(y)
+    z = tuple(Fraction(1, size) if i in u else Fraction(1) for i in range(inst.n))
+    return tuple(Fraction(v, size * scale) for v in y), z
 
 
 def find_minimal_U(inst: MixingInstance) -> tuple[int, ...]:
@@ -48,13 +75,11 @@ def find_minimal_U(inst: MixingInstance) -> tuple[int, ...]:
     diag = diagnose(inst)
     if diag.c2_ok:
         raise PreconditionFailed("peak condition holds; no violating subset exists")
+    _, weights, eps, _ = inst.scaled
     u = sorted(diag.i_bar)
-    eps = inst.epsilon
 
     def exceeds(subset: list[int]) -> bool:
-        if not subset:
-            return False
-        return sum(_column_peaks(inst, subset), Fraction(0)) > eps
+        return bool(subset) and sum(_peaks(weights, subset)) > eps
 
     # One ascending pass: the peak sum only grows with the subset, so an
     # index kept against a superset of the final U stays kept.
@@ -69,104 +94,79 @@ def find_minimal_U(inst: MixingInstance) -> tuple[int, ...]:
 
 
 def witness_c2(inst: MixingInstance, u: Sequence[int]) -> Point:
-    """Point for a violated peak-sum condition: equal fractional weight
-    1/|U| on U, ones elsewhere; y sits at (|U|-1)/|U| of the column peaks
-    with the last coordinate absorbing the deficit so sum(y) equals the
-    linking threshold exactly."""
+    """Point for a violated peak-sum condition: :func:`_point` on U with
+    sum(y) equal to the linking threshold exactly."""
     _require_reduced(inst)
     u = sorted(set(u))
     if len(u) < 2:
         raise PreconditionFailed("violating subset must have at least two rows")
-    peaks = _column_peaks(inst, u)
-    if sum(peaks, Fraction(0)) <= inst.epsilon:
+    _, weights, eps, _ = inst.scaled
+    if sum(_peaks(weights, u)) <= eps:
         raise PreconditionFailed("subset does not violate the peak-sum condition")
-    size = len(u)
-    frac = Fraction(size - 1, size)
-    z = tuple(
-        Fraction(1, size) if i in u else Fraction(1) for i in range(inst.n)
-    )
-    y = [frac * peaks[j] for j in range(inst.k)]
-    y[-1] += inst.epsilon - sum(y, Fraction(0))
-    return tuple(y), z
+    return _point(inst, u, len(u) * eps)
 
 
 def witness_c1(inst: MixingInstance, p: int, q: int) -> Point:
     """Point for a violated dominance condition at rows p (outside the low
-    set) and q (inside, beating p somewhere): half weight on p and q, ones
-    elsewhere."""
+    set) and q (inside, beating p somewhere): :func:`_point` on {p, q} with
+    sum(y) = (epsilon + rowsum(p)) / 2."""
     _require_reduced(inst)
     diag = diagnose(inst)
     if p in diag.i_bar or q not in diag.i_bar:
         raise PreconditionFailed("need p outside and q inside the low-row set")
-    if all(inst.weights[q][j] <= inst.weights[p][j] for j in range(inst.k)):
+    _, weights, eps, _ = inst.scaled
+    if all(a <= b for a, b in zip(weights[q], weights[p])):
         raise PreconditionFailed(f"row {q} never beats row {p}")
-    pair_max = [max(inst.weights[p][j], inst.weights[q][j]) for j in range(inst.k)]
-    z = tuple(
-        Fraction(1, 2) if i in (p, q) else Fraction(1) for i in range(inst.n)
-    )
-    y = [Fraction(1, 2) * v for v in pair_max]
-    y[-1] += Fraction(1, 2) * (
-        inst.epsilon + inst.row_sum(p) - sum(pair_max, Fraction(0))
-    )
-    return tuple(y), z
+    return _point(inst, (p, q), eps + sum(weights[p]))
 
 
 def witness_lw(inst: MixingInstance, p: int, q: int) -> Point:
     """Point for a linking threshold above the pairwise minimum constant,
-    built from the attaining pair outside the low-row set."""
+    built from the attaining pair outside the low-row set: :func:`_point`
+    on {p, q} with sum(y) = (rowsum(p) + rowsum(q)) / 2, which is half the
+    sum of the pair's columnwise maxima and minima.
+
+    It cannot be certified when the pair's columnwise minima are 0 in every
+    column but the last.  Then y = (w_p + w_q) / 2, and the point is the
+    midpoint of the two hull points with y = w_p, z_p = 0 and y = w_q,
+    z_q = 0 (every other z at 1), so it lies inside the hull.
+    """
     _require_reduced(inst)
     diag = diagnose(inst)
     if p == q or p in diag.i_bar or q in diag.i_bar:
         raise PreconditionFailed("need two distinct rows outside the low-row set")
-    pair_min = sum(
-        (min(inst.weights[p][j], inst.weights[q][j]) for j in range(inst.k)),
-        Fraction(0),
-    )
-    if not (diag.l_w_eps is not None and pair_min == diag.l_w_eps < inst.epsilon):
+    scale, weights, eps, _ = inst.scaled
+    pair_min = sum(map(min, weights[p], weights[q]))
+    if diag.l_w_eps is None or not (pair_min == _times(diag.l_w_eps, scale) < eps):
         raise PreconditionFailed("pair does not attain a constant below epsilon")
-    pair_max = [max(inst.weights[p][j], inst.weights[q][j]) for j in range(inst.k)]
-    z = tuple(
-        Fraction(1, 2) if i in (p, q) else Fraction(1) for i in range(inst.n)
-    )
-    y = [Fraction(1, 2) * v for v in pair_max]
-    y[-1] += Fraction(1, 2) * pair_min
-    return tuple(y), z
+    return _point(inst, (p, q), sum(weights[p]) + sum(weights[q]))
 
 
 def witness(
     inst: MixingInstance, diag: Optional[HullDiagnosis] = None
 ) -> tuple[Point, str]:
     """Build the witness for whichever condition fails, with a deterministic
-    choice of subset/pair (smallest in lexicographic order)."""
+    choice of subset/pair (smallest in lexicographic order); the attaining
+    pair of the pair-minimum case is the first whose minimum is the
+    diagnosis's ``l_w_eps``."""
     if diag is None:
         diag = diagnose(inst)
     if diag.sufficient:
         raise PreconditionFailed("instance is sufficient; no witness exists")
     if not diag.c2_ok:
         return witness_c2(inst, find_minimal_U(inst)), "peak-sum"
+    scale, weights, _, _ = inst.scaled
+    outside = [i for i in range(inst.n) if i not in diag.i_bar]
     if not diag.c1_ok:
-        outside = sorted(set(range(inst.n)) - diag.i_bar)
-        inside = sorted(diag.i_bar)
         for p in outside:
-            for q in inside:
-                if any(
-                    inst.weights[q][j] > inst.weights[p][j] for j in range(inst.k)
-                ):
+            for q in sorted(diag.i_bar):
+                if any(a > b for a, b in zip(weights[q], weights[p])):
                     return witness_c1(inst, p, q), "dominance"
         raise PreconditionFailed("no violating pair found")  # pragma: no cover
-    outside = sorted(set(range(inst.n)) - diag.i_bar)
-    for p_i in range(len(outside)):
-        for q_i in range(p_i + 1, len(outside)):
-            p, q = outside[p_i], outside[q_i]
-            pair_min = sum(
-                (
-                    min(inst.weights[p][j], inst.weights[q][j])
-                    for j in range(inst.k)
-                ),
-                Fraction(0),
-            )
-            if pair_min == diag.l_w_eps:
-                return witness_lw(inst, p, q), "pair-minimum"
+    l_w_eps = _times(diag.l_w_eps, scale)
+    for p, q in itertools.combinations(outside, 2):
+        if sum(map(min, weights[p], weights[q])) == l_w_eps:
+            return witness_lw(inst, p, q), "pair-minimum"
     raise PreconditionFailed("no attaining pair found")  # pragma: no cover
 
 
@@ -197,21 +197,12 @@ def certify_witness(
             f"exhaustive certification limited to n <= {CERTIFY_BOUND}"
         )
     y, z = point
-    messages = []
-
-    relax_ok = (
-        all(v >= 0 for v in y)
-        and all(0 <= v <= 1 for v in z)
-        and sum(y, Fraction(0)) >= inst.epsilon
-        and all(
-            y[j] >= inst.weights[i][j] * (1 - z[i])
-            for i in range(inst.n)
-            for j in range(inst.k)
-        )
-    )
-    messages.append(
-        "ok: relaxation rows hold" if relax_ok else "FAIL: relaxation row violated"
-    )
+    scaled = scale_point(y, z)
+    messages = [
+        "ok: relaxation rows hold"
+        if relaxation_holds(inst, scaled)
+        else "FAIL: relaxation row violated"
+    ]
 
     # Greedy separation is exact per column: it returns nothing exactly when
     # every mixing cut, starred or not, holds at a point of the unit box.
@@ -227,9 +218,7 @@ def certify_witness(
     bad_agg = min(
         (
             (len(theta), theta)
-            for theta, _, _ in walk(
-                inst, range(inst.n), point=scale_point(y, z), violated=True
-            )
+            for theta, _, _ in walk(inst, range(inst.n), scaled, violated=True)
         ),
         default=None,
     )

@@ -7,6 +7,8 @@ from hypothesis import settings
 
 from mixcuts import MixingInstance, TwoSidedData, diagnose, load_instance
 
+from helpers import row_sum
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # Property tests draw the same examples on every run and have no deadline,
@@ -75,7 +77,7 @@ def pair_minimum(inst: MixingInstance) -> Fraction:
             )
             if best is None or total < best:
                 best = total
-    return best if best is not None else inst.row_sum(0)
+    return best if best is not None else row_sum(inst, 0)
 
 
 def random_sufficient_instance(
@@ -93,7 +95,7 @@ def random_sufficient_instance(
             crafted = [m * Fraction(1, 3) for m in mins]
             low_sum = sum(crafted, Fraction(0))
             outside = MixingInstance(base, None, 0)
-            rowmin = min(outside.row_sum(i) for i in range(n - 1))
+            rowmin = min(row_sum(outside, i) for i in range(n - 1))
             pm = pair_minimum(outside) if n - 1 >= 2 else rowmin
             hi = min(pm, rowmin)
             if not low_sum < hi:
@@ -108,7 +110,7 @@ def random_sufficient_instance(
             continue
         w = random_weights(rng, n, k, lo=1, hi=12)
         inst0 = MixingInstance(w, None, 0)
-        rowmin = min(inst0.row_sum(i) for i in range(n))
+        rowmin = min(row_sum(inst0, i) for i in range(n))
         pm = pair_minimum(inst0) if n >= 2 else rowmin
         cap = min(pm, rowmin)
         eps = cap * Fraction(rng.randint(0, 4), 4)
@@ -128,7 +130,7 @@ def random_insufficient_instance(
         if case == "lw":
             w = random_weights(rng, n, k, lo=1, hi=12)
             inst0 = MixingInstance(w, None, 0)
-            rowmin = min(inst0.row_sum(i) for i in range(n))
+            rowmin = min(row_sum(inst0, i) for i in range(n))
             pm = pair_minimum(inst0)
             if not pm < rowmin:
                 continue
@@ -144,7 +146,7 @@ def random_insufficient_instance(
                 raise ValueError("dominance failures need k >= 2")
             w = random_weights(rng, n - 1, k, lo=3, hi=12)
             inst0 = MixingInstance(w, None, 0)
-            eps = min(inst0.row_sum(i) for i in range(n - 1)) - Fraction(1)
+            eps = min(row_sum(inst0, i) for i in range(n - 1)) - Fraction(1)
             col = rng.randrange(k)
             peak = min(row[col] for row in w) + Fraction(1)
             low = [Fraction(1)] * k
@@ -169,7 +171,7 @@ def random_insufficient_instance(
             if sum(row1[j] if row1[j] > row2[j] else row2[j] for j in range(k)) <= eps:
                 continue
             inst0 = MixingInstance(w, None, 0)
-            if min(inst0.row_sum(i) for i in range(n - 2)) <= eps:
+            if min(row_sum(inst0, i) for i in range(n - 2)) <= eps:
                 continue
             inst = MixingInstance(w + [row1, row2], None, eps)
             d = diagnose(inst)

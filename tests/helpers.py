@@ -20,6 +20,9 @@ that the library's integer code is compared against.
 - The ``Fraction`` vertex list and band hull: floors, deficits, the band
   check and the clipping in ``Fraction`` arithmetic; a vertex list's points
   read as ``Fraction``s, and a vertex list built by hand from them.
+- The ``Fraction`` witness points: the three closed forms and their
+  dispatch, each written out on its own.
+- An instance's column and row sum, which the library no longer offers.
 """
 
 import itertools
@@ -85,6 +88,16 @@ def canonicalize(cut: LinearCut) -> LinearCut:
 # ---------------------------------------------------------------------------
 
 
+def column(inst: MixingInstance, j: int) -> tuple[Fraction, ...]:
+    """Column j of the instance's weights: every row's value in it."""
+    return tuple(row[j] for row in inst.weights)
+
+
+def row_sum(inst: MixingInstance, i: int) -> Fraction:
+    """The sum of row i of the instance's weights."""
+    return sum(inst.weights[i], Fraction(0))
+
+
 def decompose(inst: MixingInstance, theta: SequenceTheta) -> tuple[tuple[int, ...], ...]:
     """Per-column suffix-maxima subsequences of a sequence, by one
     right-to-left scan per column: an index stays if its column value is >=
@@ -92,7 +105,7 @@ def decompose(inst: MixingInstance, theta: SequenceTheta) -> tuple[tuple[int, ..
     theta.validate_for(inst.n)
     per_column = []
     for j in range(inst.k):
-        col = inst.column(j)
+        col = column(inst, j)
         suffix_max = Fraction(0)
         kept: list[int] = []
         for i in reversed(theta.indices):
@@ -128,7 +141,7 @@ def l_theta(inst: MixingInstance, theta: SequenceTheta) -> Fraction:
     has nothing after it and contributes its full row sum."""
     theta.validate_for(inst.n)
     idx = theta.indices
-    best = inst.row_sum(idx[-1])
+    best = row_sum(inst, idx[-1])
     suffix_max = list(inst.weights[idx[-1]])
     for t in range(len(idx) - 2, -1, -1):
         row = inst.weights[idx[t]]
@@ -149,7 +162,7 @@ def mixing_cut(inst: MixingInstance, j: int, chain: Sequence[int]) -> LinearCut:
         raise InvalidSequence(f"column {j} out of range")
     if any(not 0 <= i < inst.n for i in chain):
         raise InvalidSequence(f"chain {chain} exceeds ground set")
-    col = inst.column(j)
+    col = column(inst, j)
     values = [col[i] for i in chain] + [inst.lower[j]]
     if any(a < b for a, b in zip(values, values[1:])):
         raise InvalidSequence(f"column {j} values not nonincreasing: {values}")
@@ -158,7 +171,7 @@ def mixing_cut(inst: MixingInstance, j: int, chain: Sequence[int]) -> LinearCut:
         coeffs[i] += values[s] - values[s + 1]
     y = [Fraction(0)] * inst.k
     y[j] = Fraction(1)
-    kind = CutKind.MIX_STAR if values[0] == inst.column_max(j) else CutKind.MIX
+    kind = CutKind.MIX_STAR if values[0] == max(column(inst, j)) else CutKind.MIX
     return LinearCut(y, coeffs, values[0], kind)
 
 
@@ -201,7 +214,7 @@ def fraction_chain_cuts(
     by each index in turn from the largest value down (only the largest with
     ``star_only``), the tail patterns in ``itertools.product`` order; the
     first ``max_chains`` chains, deduplicated on canonical forms."""
-    col = inst.column(j)
+    col = column(inst, j)
     values = sorted({w for w in col if w >= inst.lower[j]}, reverse=True)
     groups = [[i for i, w in enumerate(col) if w == v] for v in values]
     cuts = []
@@ -271,7 +284,7 @@ def dominates_linking(inst: MixingInstance, theta: SequenceTheta) -> bool:
 def column_oracle(inst: MixingInstance, j: int) -> SetFunctionOracle:
     """Oracle z -> max(lower_j, max_i w[i][j] z_i) over indicator bitmasks."""
     return max_sum_oracle(
-        [(w,) for w in inst.column(j)], (inst.lower[j],), Fraction(0), f"column-{j}"
+        [(w,) for w in column(inst, j)], (inst.lower[j],), Fraction(0), f"column-{j}"
     )
 
 
@@ -860,3 +873,89 @@ def fraction_hull_with_bounds(data: TwoSidedData) -> FractionBandedHull:
         cuts.append(LinearCut((0, 0), unit, 0, CutKind.BOUND_LOWER))
         cuts.append(LinearCut((0, 0), [-v for v in unit], -1, CutKind.BOUND_UPPER))
     return FractionBandedHull(inst, band_ok, points, clipped, tuple(cuts))
+
+
+# ---------------------------------------------------------------------------
+# The Fraction reference for the witness points: the three closed forms, each
+# written out on its own in Fractions, and the dispatch that works out the
+# pair minima itself.  Nothing here shares code with the library's builder.
+# ---------------------------------------------------------------------------
+
+WitnessPoint = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+
+
+def fraction_column_peaks(inst: MixingInstance, subset: Sequence[int]) -> list[Fraction]:
+    return [max(inst.weights[i][j] for i in subset) for j in range(inst.k)]
+
+
+def fraction_minimal_U(inst: MixingInstance) -> tuple[int, ...]:
+    """Greedy deletion over the low rows, ascending, keeping the peak sum
+    above epsilon."""
+    u = sorted(diagnose(inst).i_bar)
+
+    def exceeds(subset: list[int]) -> bool:
+        return bool(subset) and sum(fraction_column_peaks(inst, subset)) > inst.epsilon
+
+    for i in list(u):
+        trial = [v for v in u if v != i]
+        if exceeds(trial):
+            u = trial
+    return tuple(u)
+
+
+def fraction_witness_c2(inst: MixingInstance, u: Sequence[int]) -> WitnessPoint:
+    """Weight 1/|U| on U; y at (|U|-1)/|U| of the peaks, the last
+    coordinate absorbing the deficit so that sum(y) = epsilon."""
+    u = sorted(set(u))
+    size = len(u)
+    z = tuple(Fraction(1, size) if i in u else Fraction(1) for i in range(inst.n))
+    y = [Fraction(size - 1, size) * v for v in fraction_column_peaks(inst, u)]
+    y[-1] += inst.epsilon - sum(y, Fraction(0))
+    return tuple(y), z
+
+
+def fraction_witness_c1(inst: MixingInstance, p: int, q: int) -> WitnessPoint:
+    """Half weight on p and q; y at half the pair's maxima, the last
+    coordinate raised by half of epsilon + rowsum(p) - sum of the maxima."""
+    pair_max = fraction_column_peaks(inst, (p, q))
+    z = tuple(Fraction(1, 2) if i in (p, q) else Fraction(1) for i in range(inst.n))
+    y = [v / 2 for v in pair_max]
+    y[-1] += (inst.epsilon + row_sum(inst, p) - sum(pair_max, Fraction(0))) / 2
+    return tuple(y), z
+
+
+def fraction_witness_lw(inst: MixingInstance, p: int, q: int) -> WitnessPoint:
+    """Half weight on p and q; y at half the pair's maxima, the last
+    coordinate raised by half the sum of the pair's minima."""
+    pair_max = fraction_column_peaks(inst, (p, q))
+    pair_min = sum(
+        (min(inst.weights[p][j], inst.weights[q][j]) for j in range(inst.k)),
+        Fraction(0),
+    )
+    z = tuple(Fraction(1, 2) if i in (p, q) else Fraction(1) for i in range(inst.n))
+    y = [v / 2 for v in pair_max]
+    y[-1] += pair_min / 2
+    return tuple(y), z
+
+
+def fraction_witness(inst: MixingInstance) -> tuple[WitnessPoint, str]:
+    """The witness of the first failing condition (peak-sum, dominance,
+    pair-minimum), with the lexicographically first subset or pair."""
+    diag = diagnose(inst)
+    assert not diag.sufficient
+    if not diag.c2_ok:
+        return fraction_witness_c2(inst, fraction_minimal_U(inst)), "peak-sum"
+    outside = sorted(set(range(inst.n)) - diag.i_bar)
+    if not diag.c1_ok:
+        for p in outside:
+            for q in sorted(diag.i_bar):
+                if any(inst.weights[q][j] > inst.weights[p][j] for j in range(inst.k)):
+                    return fraction_witness_c1(inst, p, q), "dominance"
+    for p, q in itertools.combinations(outside, 2):
+        pair_min = sum(
+            (min(inst.weights[p][j], inst.weights[q][j]) for j in range(inst.k)),
+            Fraction(0),
+        )
+        if pair_min == diag.l_w_eps:
+            return fraction_witness_lw(inst, p, q), "pair-minimum"
+    raise AssertionError("no attaining pair")

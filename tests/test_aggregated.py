@@ -21,12 +21,14 @@ from mixcuts.hull import diagnose, v_representation
 
 from conftest import random_weights
 from helpers import (
+    column,
     decompose,
     dominates_linking,
     fraction_aggregated_cut,
     fraction_vertices,
     l_theta,
     mixing_cut,
+    row_sum,
     telescope,
 )
 
@@ -37,7 +39,7 @@ def gain_reference(inst, theta):
     """The row of a sequence by the chain definition, over D: the chains of
     ``decompose`` telescoped and summed, and D * L(Theta)."""
     scale = inst.scaled[0]
-    columns = [inst.column(j) for j in range(inst.k)]
+    columns = [column(inst, j) for j in range(inst.k)]
     z, rhs = telescope(decompose(inst, theta), columns, inst.n)
     return [scale * c for c in z], scale * rhs, scale * l_theta(inst, theta)
 
@@ -114,7 +116,7 @@ def test_decompose_matches_definition_randomly():
         heads, z, l = fold(inst, theta.indices)
         assert gain_reference(inst, theta) == (z, sum(heads), l)
         scale = inst.scaled[0]
-        assert heads == [scale * max(inst.column(j)[i] for i in theta.indices) for j in range(inst.k)]
+        assert heads == [scale * max(column(inst, j)[i] for i in theta.indices) for j in range(inst.k)]
         got, want = aggregated_cut(inst, theta), fraction_aggregated_cut(inst, theta)
         assert (got.kind, got.z_coeffs, got.rhs) == (want.kind, want.z_coeffs, want.rhs)
         for j in range(inst.k):
@@ -131,7 +133,7 @@ def test_decompose_matches_definition_randomly():
 def test_l_theta_examples(example1):
     assert l_theta(example1, THETA_213) == 9
     assert l_theta(example1, SequenceTheta((1, 2))) == 8
-    assert l_theta(example1, SequenceTheta((2,))) == example1.row_sum(2) == 15
+    assert l_theta(example1, SequenceTheta((2,))) == row_sum(example1, 2) == 15
     # example1 has integer weights, so its scaled L is L itself
     assert [fold(example1, t)[2] for t in ((1, 0, 2), (1, 2), (2,))] == [9, 8, 15]
 
@@ -212,7 +214,7 @@ def test_l_theta_bounds_and_deletion_relations():
     inst = MixingInstance(random_weights(rng, 6, 2, lo=0, hi=9), None, 5)
     for theta in sequences(range(6), max_length=4):
         idx = theta.indices
-        assert l_theta(inst, theta) <= inst.row_sum(idx[-1])
+        assert l_theta(inst, theta) <= row_sum(inst, idx[-1])
         for p in range(len(idx) - 1):
             sub = idx[:p] + idx[p + 1 :]
             for t, i in enumerate(idx):
@@ -258,11 +260,11 @@ def test_sequence_restriction_soundness():
             y[0] += deficit
         free = [i for i in range(n) if z[i] < 1]
         restricted_ok = all(
-            aggregated_cut(inst, theta).satisfied_by(y, z)
+            aggregated_cut(inst, theta).violation(y, z) <= 0
             for theta in sequences(free)
         ) if free else True
         all_ok = all(
-            aggregated_cut(inst, theta).satisfied_by(y, z)
+            aggregated_cut(inst, theta).violation(y, z) <= 0
             for theta in sequences(range(n))
         )
         assert not restricted_ok or all_ok

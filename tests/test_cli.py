@@ -7,7 +7,7 @@ import mixcuts
 from mixcuts.cli import main
 from mixcuts.hull import FAMILY_SEQUENCE_BOUND
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def run_cli(capsys, *args):
@@ -160,6 +160,38 @@ def test_verify_witness_on_sufficient_instance(capsys):
         capsys, "verify", fixture_path("example1.json"), "--mode=witness"
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_verify_witness_prints_the_sufficiency_report(capsys, name):
+    """``verify --mode witness`` prints the case, point and assertions of
+    the witness report that ``--mode sufficiency`` prints as JSON, with the
+    same exit code; a sufficient instance exits 3, and input that is no
+    instance fails the same way in both modes."""
+    code, out, err = run_cli(
+        capsys, "verify", fixture_path(name), "--mode=sufficiency", "--samples=1"
+    )
+    w_code, w_out, w_err = run_cli(
+        capsys, "verify", fixture_path(name), "--mode=witness"
+    )
+    if code == 1:
+        assert (w_code, w_out, w_err) == (code, out, err)
+        return
+    notes = [line for line in out.splitlines() if line.startswith("note:")]
+    report = json.loads(out[out.index("{") :])
+    if report["sufficient"]:
+        assert w_code == 3
+        refusal = "instance is sufficient; no witness point exists"
+        assert w_out.splitlines() == notes + [refusal]
+        return
+    witness = report["witness"]
+    assert w_code == code == (0 if report["ok"] else 4)
+    assert w_out.splitlines() == notes + [
+        f"case: {witness['case']}",
+        "y = (" + ", ".join(witness["y"]) + ")",
+        "z = (" + ", ".join(witness["z"]) + ")",
+        *witness["assertions"],
+    ]
 
 
 def test_verify_validity(capsys):

@@ -1,9 +1,11 @@
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
 from mixcuts import (
+    MixingInstance,
     PreconditionFailed,
     certify_witness,
     diagnose,
@@ -15,6 +17,7 @@ from mixcuts import (
 )
 
 from conftest import random_insufficient_instance
+from helpers import fraction_witness, row_sum
 
 
 def test_find_minimal_u_example4(example4):
@@ -59,7 +62,7 @@ def test_witness_c1_example3(example3):
     assert z == (1, 1, Fraction(1, 2), Fraction(1, 2), 1)
     assert y == (Fraction(13, 2), Fraction(9, 2))
     # the total strictly exceeds the linking threshold
-    assert sum(y) == Fraction(example3.epsilon + example3.row_sum(2), 2)
+    assert sum(y) == Fraction(example3.epsilon + row_sum(example3, 2), 2)
     assert sum(y) > example3.epsilon
 
 
@@ -67,7 +70,7 @@ def test_witness_lw_example2(example2):
     y, z = witness_lw(example2, 1, 2)
     assert z == (1, Fraction(1, 2), Fraction(1, 2), 1, 1)
     assert y == (Fraction(13, 2), 6)
-    assert sum(y) == Fraction(example2.row_sum(1) + example2.row_sum(2), 2)
+    assert sum(y) == Fraction(row_sum(example2, 1) + row_sum(example2, 2), 2)
     assert sum(y) == Fraction(25, 2)
 
 
@@ -120,3 +123,38 @@ def test_witnesses_outside_on_random_instances():
             point, got_case = witness(inst)
             messages = certify_witness(inst, point)
             assert all(m.startswith("ok") for m in messages), (case, messages)
+
+
+WEIGHT_POOL = (0, 0, Fraction(1, 2), 1, 1, 2, 3, Fraction(7, 3))
+
+
+def test_witness_matches_the_fraction_reference():
+    """On seeded draws with zero weights, ties, k = 1 and fractional
+    epsilon, every insufficient instance gets the reference's point and
+    case; every draw with k = 1 is sufficient (an outside row beats epsilon
+    alone, so no condition can fail) and gets no witness."""
+    rng = random.Random(24)
+    cases = collections.Counter()
+    drawn = collections.Counter()
+    for _ in range(1500):
+        n, k = rng.randint(2, 6), rng.randint(1, 3)
+        weights = [[rng.choice(WEIGHT_POOL) for _ in range(k)] for _ in range(n)]
+        top = max(1, int(max(sum(row) for row in weights)))
+        eps = Fraction(rng.randint(0, 3 * top), rng.choice((1, 2, 3)))
+        inst = MixingInstance(weights, None, eps)
+        if k == 1:
+            drawn["k=1"] += 1
+            with pytest.raises(PreconditionFailed):
+                witness(inst)
+            continue
+        if diagnose(inst).sufficient:
+            continue
+        got = witness(inst)
+        assert got == fraction_witness(inst), inst
+        cases[got[1]] += 1
+        drawn["zero weight"] += any(v == 0 for row in weights for v in row)
+        drawn["fractional epsilon"] += eps.denominator > 1
+        drawn["tie"] += any(len(set(col)) < n for col in zip(*weights))
+    assert sum(cases.values()) >= 300
+    assert min(cases[c] for c in ("peak-sum", "dominance", "pair-minimum")) >= 50
+    assert min(drawn.values()) >= 50, drawn

@@ -395,4 +395,4 @@ def test_projection_points_satisfy_all_cuts(example1):
         z = tuple(Fraction(rng.randint(0, 4), 4) for _ in range(5))
         y, z = project(cut_matrix(example1, cuts), z, s % 2)
         for cut in cuts:
-            assert cut.satisfied_by(y, z)
+            assert cut.violation(y, z) <= 0

@@ -27,7 +27,7 @@ from mixcuts import (
     separate_mixing,
 )
 
-from helpers import fraction_greedy_aggregated, round_trip_mixing
+from helpers import column, fraction_greedy_aggregated, round_trip_mixing
 
 PAIRS = 400
 Z_POOL = (0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4))
@@ -87,7 +87,7 @@ def test_pairs_cover_every_case():
     seen = set()
     for trial in range(PAIRS):
         inst, y, z = random_pair(rng, trial)
-        cols = [inst.column(j) for j in range(inst.k)]
+        cols = [column(inst, j) for j in range(inst.k)]
         seen |= {"lower" for l in inst.lower if l}
         seen |= {"below" for c, l in zip(cols, inst.lower) if max(c) < l}
         seen |= {"zero-column" for c in cols if not any(c)}

@@ -154,48 +154,73 @@ def test_import_graph_is_acyclic():
         visit(stem, [])
 
 
+def names_read(node: ast.AST) -> set[str]:
+    """Every name the node reads, as a plain name or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
 def unreferenced_definitions(trees: dict[str, ast.Module]) -> list[str]:
-    """Public top-level functions and classes that no library module reads
-    outside their own definition; ``__init__`` re-exports, which is no use."""
-    used: dict[tuple[str, int], set[str]] = {}
-    for stem, tree in trees.items():
-        if stem == "__init__":
-            continue
-        for statement in tree.body:
-            used[(stem, id(statement))] = {
-                node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(statement)
-                if isinstance(node, (ast.Name, ast.Attribute))
-            }
-    unused = []
+    """Public top-level functions and classes, and public methods and
+    properties of those classes, that no library module reads outside their
+    own definition; ``__init__`` re-exports, which is no use.  A member
+    counts as read wherever its name is, as the other definitions do: by
+    any module, by its class's other members, but not by itself."""
+    # Where names are read: every top-level statement, and every member of
+    # a class on its own, so that a member's siblings read it.
+    places: dict[int, set[str]] = {}
+    # Each public definition with the places that are its own.
+    definitions: list[tuple[str, str, set[int]]] = []
     for stem, tree in trees.items():
         for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            if stem != "__init__":
+                places[id(node)] = names_read(node)
+                for member in members:
+                    places[id(member)] = names_read(member)
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if node.name.startswith("_"):
-                continue
-            if not any(
-                node.name in names
-                for place, names in used.items()
-                if place != (stem, id(node))
-            ):
-                unused.append(f"{stem}.{node.name}")
-    return unused
+            if not node.name.startswith("_"):
+                owned = {id(node)} | {id(member) for member in members}
+                definitions.append((f"{stem}.{node.name}", node.name, owned))
+            for member in members:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                if not member.name.startswith("_"):
+                    label = f"{stem}.{node.name}.{member.name}"
+                    definitions.append((label, member.name, {id(node), id(member)}))
+    return [
+        label
+        for label, name, owned in definitions
+        if not any(name in names for place, names in places.items() if place not in owned)
+    ]
 
 
 def test_unreferenced_definition_detector():
     trees = {
-        "__init__": ast.parse("from .a import f, g, h, K\n"),
+        "__init__": ast.parse("from .a import f, g, h, K, J\n"),
         "a": ast.parse(
             "def f():\n    return f()\n"
             "def g():\n    pass\n"
             "def h():\n    return g\n"
             "class K:\n    def m(self):\n        return K\n"
             "def _p():\n    pass\n"
+            "class J:\n"
+            "    def used(self):\n        return self.sibling()\n"
+            "    def sibling(self):\n        return 1\n"
+            "    def alone(self):\n        return self.alone()\n"
+            "    @property\n    def size(self):\n        return 0\n"
+            "    def _private(self):\n        pass\n"
+            "    def __len__(self):\n        return 0\n"
         ),
-        "b": ast.parse("from . import a\nx = a.h\n"),
+        "b": ast.parse("from . import a\nx = a.h\ny = a.J().used()\n"),
     }
-    assert unreferenced_definitions(trees) == ["a.f", "a.K"]
+    assert unreferenced_definitions(trees) == [
+        "a.f", "a.K", "a.K.m", "a.J.alone", "a.J.size"
+    ]
 
 
 def test_every_public_definition_is_used_by_the_library():

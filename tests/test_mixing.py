@@ -20,7 +20,14 @@ from mixcuts import (
 from mixcuts.mixing import _column_cut
 
 from conftest import random_weights
-from helpers import column_oracle, cut_matrix, is_submodular, mixing_cut, project
+from helpers import (
+    column,
+    column_oracle,
+    cut_matrix,
+    is_submodular,
+    mixing_cut,
+    project,
+)
 
 
 def floor_point(inst, z_mask):
@@ -275,7 +282,7 @@ def test_mix_cut_validity_at_all_binary_points():
             )
             y = floor_point(inst, mask)
             for cut in cuts:
-                assert cut.satisfied_by(y, z)
+                assert cut.violation(y, z) <= 0
 
 
 def test_every_greedy_vertex_is_a_star_cut_and_back(example1):
@@ -298,7 +305,7 @@ def test_every_greedy_vertex_is_a_star_cut_and_back(example1):
             assert cut.canonical_key() in family
     # direction 2: every maximal chain arises from some permutation
     for j in range(example1.k):
-        col = example1.column(j)
+        col = column(example1, j)
         f = column_oracle(example1, j)
         by_value = {}
         for i, wv in enumerate(col):
@@ -333,4 +340,4 @@ def test_subchain_cuts_implied_by_star_family(example1):
         z = tuple(Fraction(rng.randint(0, 4), 4) for _ in range(5))
         y, z = project(cut_matrix(example1, star), z, s % 2)
         for cut in full:
-            assert cut.satisfied_by(y, z)
+            assert cut.violation(y, z) <= 0

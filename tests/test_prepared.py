@@ -21,7 +21,7 @@ from mixcuts import aggregated
 from mixcuts.cli import main
 
 from conftest import fixture_path
-from helpers import column_oracle, linking_oracle
+from helpers import column_oracle, linking_oracle, row_sum
 
 VALUES = (0, Fraction(1, 2), 1, 2, 3)  # few values, so ties are common
 
@@ -108,7 +108,7 @@ def fraction_diagnosis(inst):
     as (i_bar, c1, c2, negligible, l_w_eps, g_submodular) with None for an
     empty pair set."""
     eps, n, k, w = inst.epsilon, inst.n, inst.k, inst.weights
-    i_bar = frozenset(i for i in range(n) if inst.row_sum(i) <= eps)
+    i_bar = frozenset(i for i in range(n) if row_sum(inst, i) <= eps)
     outside = [i for i in range(n) if i not in i_bar]
     if i_bar:
         peaks = [max(w[i][j] for i in i_bar) for j in range(k)]
@@ -119,7 +119,7 @@ def fraction_diagnosis(inst):
     if not outside:
         l_w = math.inf
     elif len(outside) == 1:
-        l_w = inst.row_sum(outside[0])
+        l_w = row_sum(inst, outside[0])
     else:
         l_w = min(
             sum((min(w[p][j], w[q][j]) for j in range(k)), Fraction(0))

@@ -23,7 +23,7 @@ from mixcuts import (
     separate_mixing,
 )
 
-from helpers import round_trip_mixing
+from helpers import column, round_trip_mixing
 
 PAIRS = 240
 Z_VALUES = tuple(Fraction(v, 6) for v in (0, 0, 1, 2, 3, 4, 6, 6))
@@ -61,7 +61,7 @@ def test_pairs_cover_every_case():
     seen = set()
     for trial in range(PAIRS):
         inst, y, z = random_pair(rng, trial)
-        cols = [inst.column(j) for j in range(inst.k)]
+        cols = [column(inst, j) for j in range(inst.k)]
         seen |= {"lower" for l in inst.lower if l}
         seen |= {"below" for c, l in zip(cols, inst.lower) if max(c) < l}
         seen |= {"zero-column" for c in cols if not any(c)}

@@ -31,6 +31,7 @@ from mixcuts.twosided import loads_twosided
 
 from conftest import fixture_path, random_band_data, random_twosided
 from helpers import (
+    column,
     decompose,
     fraction_aggregated_cut,
     fraction_hull_with_bounds,
@@ -49,8 +50,8 @@ DEMO = TwoSidedData(
 def test_to_mixing_columns():
     inst = to_mixing(DEMO)
     assert inst.k == 2
-    assert inst.column(0) == (8, 6, 13, 1, 4)
-    assert inst.column(1) == (16, 17, 15, 14, 14)
+    assert column(inst, 0) == (8, 6, 13, 1, 4)
+    assert column(inst, 1) == (16, 17, 15, 14, 14)
     assert inst.epsilon == 13
     assert diagnose(inst).g_submodular
 
