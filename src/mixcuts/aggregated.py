@@ -33,6 +33,7 @@ cut, and the mixing and aggregated families describe the hull.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -40,20 +41,18 @@ from typing import Iterator, Optional, Sequence
 from .core import (
     CutKind,
     EpsilonViolated,
-    GroundSetTooLarge,
     LinearCut,
     LowerBoundsNotReduced,
     MixingInstance,
     SequenceTheta,
     ValidationError,
     check_point,
+    check_work,
     scale_point,
     unscale,
 )
 from .mixing import reduce_lower_bounds, separate_mixing
 from .submodular import greedy_vertex, max_sum_oracle
-
-SEPARATION_SEQUENCE_BOUND = 2_000_000
 
 
 def total_cut(
@@ -96,12 +95,9 @@ def aggregated_cut(inst: MixingInstance, theta: SequenceTheta) -> LinearCut:
     return _chain_sum_cut(inst, z, sum(heads), theta.last, min(inst.scaled[2], l))
 
 
-def sequences(
-    indices: Sequence[int], max_length: Optional[int] = None
-) -> Iterator[SequenceTheta]:
+def sequences(indices: Sequence[int]) -> Iterator[SequenceTheta]:
     """All ordered sequences of distinct indices, shortest first."""
-    top = len(indices) if max_length is None else min(max_length, len(indices))
-    for length in range(1, top + 1):
+    for length in range(1, len(indices) + 1):
         for perm in itertools.permutations(indices, length):
             yield SequenceTheta(perm)
 
@@ -109,12 +105,7 @@ def sequences(
 def count_sequences(ground: int) -> int:
     """The number of nonempty sequences of distinct indices from a ground
     set of this size."""
-    total = 0
-    term = 1
-    for length in range(1, ground + 1):
-        term *= ground - length + 1
-        total += term
-    return total
+    return sum(math.perm(ground, length) for length in range(1, ground + 1))
 
 
 def _prepend(
@@ -208,8 +199,8 @@ def walk(
 ) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Every sequence of distinct indices from ``ground``, of every length
     up to ``len(ground)``, depth first by prepending, as ``(theta, l,
-    gap)``.  The walk has no depth cap: a caller bounds its work by the
-    size of ``ground`` before it starts (``count_sequences``).
+    gap)``.  The walk has no depth cap: a caller counts its sequences
+    (``count_sequences``) against the work budget before it starts.
 
     ``l`` is D * L(Theta) for the common denominator D of ``inst.scaled``,
     as :func:`fold` gives it; each node keeps only its heads, L and acc
@@ -508,11 +499,7 @@ def separate_aggregated(
         ground = list(range(inst.n))
     if not ground:
         return None
-    if count_sequences(len(ground)) > SEPARATION_SEQUENCE_BOUND:
-        raise GroundSetTooLarge(
-            f"{len(ground)} free indices need more than "
-            f"{SEPARATION_SEQUENCE_BOUND} sequences"
-        )
+    check_work(count_sequences(len(ground)), f"sequences of {len(ground)} indices")
     best: Optional[tuple[int, ...]] = None
     best_gap = 0
     for theta, _, gap in walk(inst, ground, point=(p, y_p, z_p)):

@@ -26,6 +26,7 @@ from .core import (
     MixingInstance,
     SequenceTheta,
     ValidationError,
+    check_work,
     format_rational,
     load_instance,
     loads_point,
@@ -87,10 +88,8 @@ def cmd_separate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    counts = {"--samples": args.samples, "--max-chains": args.max_chains}
-    for option, value in counts.items():
-        if value < 1:
-            raise ValidationError(f"{option} must be at least 1, got {value}")
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     reduced = _reduced_instance(args.instance)
 
     if args.mode == "witness" and agg.diagnose(reduced).sufficient:
@@ -109,18 +108,23 @@ def cmd_verify(args) -> int:
                 print(msg)
         return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
-    # validity mode: sweep generated families against the vertex list
+    # validity mode: every mixing and aggregated cut at every column of the
+    # vertex list, or exit 2 before either is built.  Counted from n and k:
+    # at most 2^n - 1 chains per column, and k points per mask plus k rays.
+    n, k = reduced.n, reduced.k
+    cuts = k * ((1 << n) - 1) + agg.count_sequences(n)
+    columns = k * ((1 << n) + 1)
+    check_work(cuts * columns, f"cut checks ({cuts} cuts, {columns} columns at most)")
     vrep = vertices.v_representation(reduced)
     checked = 0
     bad = 0
-    for j in range(reduced.k):
-        for cut in mixing.all_mixing_cuts(reduced, j, max_chains=args.max_chains):
+    for j in range(k):
+        for cut in mixing.all_mixing_cuts(reduced, j):
             checked += 1
             if not vertices.check_validity(reduced, cut, vrep):
                 bad += 1
                 print(f"INVALID {cut}")
-    max_len = reduced.n if reduced.n <= 5 else 3
-    for theta in agg.sequences(range(reduced.n), max_length=max_len):
+    for theta in agg.sequences(range(n)):
         cut = agg.aggregated_cut(reduced, theta)
         checked += 1
         if not vertices.check_validity(reduced, cut, vrep):
@@ -215,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=20240)
-    p.add_argument("--max-chains", type=int, default=500, dest="max_chains")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("quantile", help="probability quantile lower bounds")

@@ -53,6 +53,20 @@ class GroundSetTooLarge(MixcutsError):
     """Raised when an exhaustive operation is asked to enumerate too much."""
 
 
+# The one limit on exponential work: every path that lists sequences,
+# chains, masks or cut checks counts them from its inputs first.
+WORK_BUDGET = 2_000_000
+
+
+def check_work(count: int, what: str) -> None:
+    """Refuse up front a path that would do ``count`` units of ``what``
+    (a plural noun phrase), when that is more than ``WORK_BUDGET``."""
+    if count > WORK_BUDGET:
+        raise GroundSetTooLarge(
+            f"{count} {what}, more than WORK_BUDGET = {WORK_BUDGET}"
+        )
+
+
 class DomainError(MixcutsError):
     """Raised when a fractional point lies outside its required box."""
 

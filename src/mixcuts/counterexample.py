@@ -19,23 +19,22 @@ from typing import Optional, Sequence
 from .aggregated import (
     HullDiagnosis,
     aggregated_cut,
+    count_sequences,
     diagnose,
     relaxation_holds,
     walk,
 )
 from .core import (
-    GroundSetTooLarge,
     LowerBoundsNotReduced,
     MixingInstance,
     PreconditionFailed,
     SequenceTheta,
+    check_work,
     complement,
     scale_point,
 )
 from .mixing import separate_mixing
 from .vertices import MembershipResult, membership, v_representation
-
-CERTIFY_BOUND = 7
 
 Point = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
@@ -170,6 +169,13 @@ def witness(
     raise PreconditionFailed("no attaining pair found")  # pragma: no cover
 
 
+def check_certify_work(inst: MixingInstance) -> None:
+    """Refuse up front a certification whose aggregated sweep could visit
+    every sequence of the n indices, when they are more than the work
+    budget."""
+    check_work(count_sequences(inst.n), f"sequences of {inst.n} indices to certify")
+
+
 def certify_witness(
     inst: MixingInstance,
     point: Point,
@@ -192,10 +198,7 @@ def certify_witness(
     Pass the point's membership verdict when it is already known; otherwise
     the membership LP is solved here.
     """
-    if inst.n > CERTIFY_BOUND:
-        raise GroundSetTooLarge(
-            f"exhaustive certification limited to n <= {CERTIFY_BOUND}"
-        )
+    check_certify_work(inst)
     y, z = point
     scaled = scale_point(y, z)
     messages = [

@@ -40,14 +40,14 @@ from .aggregated import (
 )
 from .core import (
     CutKind,
-    GroundSetTooLarge,
     LinearCut,
     MixingInstance,
+    check_work,
     complement,
     cut_text,
     format_rational,
 )
-from .counterexample import certify_witness, witness
+from .counterexample import certify_witness, check_certify_work, witness
 from .mixing import mix_star_cuts, star_rows
 from .vertices import (
     SeparatingHyperplane,
@@ -61,7 +61,6 @@ from .vertices import (
 # system has at most this many bases: every vertex solves one, so the count
 # bounds the vertices before the double description starts.
 BASIS_ENUMERATION_WORK = 3_000
-FAMILY_SEQUENCE_BOUND = 150_000
 
 
 Row = tuple[int, tuple[int, ...], int]
@@ -78,16 +77,14 @@ def family_rows(inst: MixingInstance) -> dict[Row, CutKind]:
     ``sum_j y_j + ... >= ...``; with one column both read y_0, so both are 0.
     Over one D two rows are equal exactly when their cuts are.
 
-    Raises ``GroundSetTooLarge`` before the walk when the rows outside the
-    low set have more than ``FAMILY_SEQUENCE_BOUND`` sequences.
+    The sequences of the rows outside the low set are counted against the
+    work budget before the walk.
     """
     outside = sorted(set(range(inst.n)) - diagnose(inst).i_bar)
-    count = count_sequences(len(outside))
-    if count > FAMILY_SEQUENCE_BOUND:
-        raise GroundSetTooLarge(
-            f"{len(outside)} rows outside the low set have {count} sequences, "
-            f"more than FAMILY_SEQUENCE_BOUND = {FAMILY_SEQUENCE_BOUND}"
-        )
+    check_work(
+        count_sequences(len(outside)),
+        f"sequences of the {len(outside)} rows outside the low set",
+    )
     total = -1 if inst.k > 1 else 0
     rows = {
         (j, z, rhs): CutKind.MIX_STAR
@@ -383,10 +380,10 @@ def check_sufficiency(
     outside the hull, by the membership LP.
     """
     diag = diagnose(inst)
-    vrep = v_representation(inst)
     failures: list[str] = []
 
     if diag.sufficient:
+        vrep = v_representation(inst)
         rows = family_rows(inst)
         family = _cut_matrix(inst, rows)
         rng = random.Random(seed)
@@ -420,8 +417,9 @@ def check_sufficiency(
             not failures, inst, tuple(rows.items()),
         )
 
+    check_certify_work(inst)  # before the vertex list and the LP
     point, case = witness(inst, diag)
-    verdict = membership(vrep, point[0], complement(point[1]))
+    verdict = membership(v_representation(inst), point[0], complement(point[1]))
     assertions = certify_witness(inst, point, verdict=verdict)
     ok = all(msg.startswith("ok") for msg in assertions)
     return SufficiencyReport(

@@ -16,8 +16,9 @@ from a row that is returned.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     CutKind,
@@ -25,6 +26,7 @@ from .core import (
     MixingInstance,
     RiskOutOfRange,
     check_point,
+    check_work,
     parse_rational,
     scale_point,
     unscale,
@@ -175,18 +177,24 @@ def separate_mixing(
 # ---------------------------------------------------------------------------
 
 
-def _chain_rows(
-    inst: MixingInstance, j: int, star_only: bool, max_chains: Optional[int] = None
-) -> tuple[ColumnRow, ...]:
-    """Distinct integer rows of the first ``max_chains`` chains of a column,
-    in the order their first chain comes; with ``star_only`` only chains
-    headed at the column maximum."""
+def _chain_rows(inst: MixingInstance, j: int, star_only: bool) -> tuple[ColumnRow, ...]:
+    """Distinct integer rows of the chains of a column, in the order their
+    first chain comes; with ``star_only`` only chains headed at the column
+    maximum.  The chains are counted against the work budget before the
+    first is built."""
     _, weights, _, lower = inst.scaled
     by_value: dict[int, list[int]] = {}
     for i, row in enumerate(weights):
         if row[j] >= lower[j]:
             by_value.setdefault(row[j], []).append(i)
     groups = [by_value[v] for v in sorted(by_value, reverse=True)]
+    # A chain takes one index from its head's group and at most one from
+    # each later group: sum_s |g_s| * prod_{t > s} (1 + |g_t|) chains, which
+    # telescopes to prod_t (1 + |g_t|) - 1; starred, s = 0 only.
+    tail = math.prod(1 + len(g) for g in groups[1:])
+    first = len(groups[0]) if groups else 0
+    count = first * tail if star_only else (1 + first) * tail - 1
+    check_work(count, f"{'starred chains' if star_only else 'chains'} of column {j}")
     chains = (
         (head,) + tuple(i for i in pattern if i is not None)
         for start, head_group in enumerate(groups[:1] if star_only else groups)
@@ -196,11 +204,7 @@ def _chain_rows(
         )
     )
     # Over one D, equal rows are exactly equal cuts; the first of each is kept.
-    return tuple(
-        dict.fromkeys(
-            _column_row(inst, j, chain) for chain in itertools.islice(chains, max_chains)
-        )
-    )
+    return tuple(dict.fromkeys(_column_row(inst, j, chain) for chain in chains))
 
 
 def star_rows(inst: MixingInstance, j: int) -> tuple[ColumnRow, ...]:
@@ -219,11 +223,6 @@ def mix_star_cuts(inst: MixingInstance, j: int) -> list[LinearCut]:
     return [_row_cut(inst, j, row) for row in star_rows(inst, j)]
 
 
-def all_mixing_cuts(
-    inst: MixingInstance, j: int, max_chains: Optional[int] = None
-) -> list[LinearCut]:
+def all_mixing_cuts(inst: MixingInstance, j: int) -> list[LinearCut]:
     """All distinct mixing cuts of a column, starred or not (deduplicated)."""
-    return [
-        _row_cut(inst, j, row)
-        for row in _chain_rows(inst, j, star_only=False, max_chains=max_chains)
-    ]
+    return [_row_cut(inst, j, row) for row in _chain_rows(inst, j, star_only=False)]

@@ -216,8 +216,8 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
     description is the full linking-set family of :func:`family_rows`, plus
     the band and the z bounds.  The family is exponential in the number of
     non-zero scenarios, so data with more sequences over them than
-    ``hull.FAMILY_SEQUENCE_BOUND`` is refused with ``GroundSetTooLarge``
-    before the hull is looked at.
+    ``core.WORK_BUDGET`` is refused with ``GroundSetTooLarge`` before the
+    hull is looked at.
 
     The band check and the family run in integers over D.  The extreme
     points are counted and checked from the per-mask floors of

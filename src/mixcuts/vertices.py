@@ -27,15 +27,13 @@ from typing import Optional, Sequence
 from .core import (
     DimensionMismatch,
     DomainError,
-    GroundSetTooLarge,
     InternalInvariant,
     LinearCut,
     LowerBoundsNotReduced,
     MixingInstance,
+    check_work,
 )
 from .exactlp import solve_feasibility, verify_farkas, verify_feasible
-
-ENUMERATION_BOUND = 20
 
 _ZERO = Fraction(0)
 
@@ -108,13 +106,11 @@ def mask_floors(inst: MixingInstance) -> list[tuple[int, ...]]:
     are the masks below 2^i with row i folded into their floors.  The
     hull's points at z are the floor alone, when its sum exceeds the
     linking threshold, or one point per column absorbing the deficit
-    (:func:`v_representation`)."""
+    (:func:`v_representation`).  The 2^n masks are counted against the
+    work budget before the list starts."""
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("vertex enumeration requires zero lower bounds")
-    if inst.n > ENUMERATION_BOUND:
-        raise GroundSetTooLarge(
-            f"vertex enumeration limited to n <= {ENUMERATION_BOUND}"
-        )
+    check_work(1 << inst.n, f"masks of {inst.n} rows")
     floors = [(0,) * inst.k]
     for row in inst.scaled[1]:
         floors += [tuple(map(max, floor, row)) for floor in floors]

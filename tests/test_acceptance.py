@@ -177,9 +177,9 @@ def test_criterion_5_validity_exhaustive():
         vrep = v_representation(inst)
         cuts = []
         for j in range(k):
-            cuts.extend(all_mixing_cuts(inst, j, max_chains=30))
+            cuts.extend(all_mixing_cuts(inst, j)[:30])
         max_len = 3 if n <= 6 else 2
-        thetas = list(sequences(range(n), max_length=min(2, n)))
+        thetas = list(itertools.takewhile(lambda t: len(t.indices) <= 2, sequences(range(n))))
         rng.shuffle(thetas)
         for theta in thetas[:25]:
             cuts.append(aggregated_cut(inst, theta))

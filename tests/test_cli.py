@@ -5,7 +5,6 @@ import pytest
 
 import mixcuts
 from mixcuts.cli import main
-from mixcuts.hull import FAMILY_SEQUENCE_BOUND
 
 from conftest import FIXTURES, fixture_path
 
@@ -246,17 +245,32 @@ def test_twosided_band_report(capsys):
 
 
 def test_twosided_refuses_a_family_above_its_sequence_bound(tmp_path, capsys):
-    """Nine non-zero scenarios have 986,409 sequences, more than the hull
-    family's bound: the command exits 2 and the error names the bound,
-    instead of printing the counts of a shortened family."""
+    """Ten non-zero scenarios have 9,864,100 sequences, more than the work
+    budget: the command exits 2 and the error names the count and the
+    budget, instead of printing the counts of a shortened family."""
+    data = tmp_path / "ten.json"
+    data.write_text(
+        json.dumps({"w": [str(i) for i in range(1, 11)], "v": ["0"] * 10, "u_a": "10"})
+    )
+    code, out, err = run_cli(capsys, "twosided", str(data))
+    assert code == 2
+    assert err == (
+        "error: 9864100 sequences of the 10 rows outside the low set, "
+        "more than WORK_BUDGET = 2000000\n"
+    )
+    assert "extreme_points" not in out
+
+
+def test_twosided_counts_a_nine_scenario_family(tmp_path, capsys):
+    """Nine non-zero scenarios have 986,409 sequences, within the work
+    budget: the whole family is walked and its counts printed."""
     data = tmp_path / "nine.json"
     data.write_text(
         json.dumps({"w": [str(i) for i in range(1, 10)], "v": ["0"] * 9, "u_a": "9"})
     )
-    code, _, err = run_cli(capsys, "twosided", str(data))
-    assert code == 2
-    assert "986409 sequences" in err
-    assert f"FAMILY_SEQUENCE_BOUND = {FAMILY_SEQUENCE_BOUND}" in err
+    code, out, err = run_cli(capsys, "twosided", str(data))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["band_ok=yes", "extreme_points=513", "cuts=542"]
 
 
 LIFTED_EXAMPLE1 = json.dumps(
@@ -267,6 +281,15 @@ LIFTED_EXAMPLE1 = json.dumps(
         "lower": ["1", "1"],
         "epsilon": "7",
     }
+)
+
+# Over the work budget: at most 109,855 cuts at 257 vertex-list columns for the
+# validity sweep, and 9,864,100 sequences to certify an insufficient witness.
+EIGHT_ROWS = json.dumps(
+    {"n": 8, "k": 1, "W": [[str(i)] for i in range(1, 9)], "epsilon": "1"}
+)
+TEN_ROWS_INSUFFICIENT = json.dumps(
+    {"n": 10, "k": 2, "W": [[str(i), str(11 - i)] for i in range(1, 11)], "epsilon": "9"}
 )
 
 
@@ -309,8 +332,8 @@ class File(str):
         (["quantile", fixture_path("example1_probs.json"), "--risk=1/0"], 1),
         (["verify", fixture_path("example1.json"), "--samples=-1"], 2),
         (["verify", fixture_path("example1.json"), "--samples=0"], 2),
-        (["verify", fixture_path("example1.json"), "--mode=validity", "--max-chains=0"], 2),
-        (["verify", fixture_path("example1.json"), "--mode=validity", "--max-chains=-5"], 2),
+        (["verify", EIGHT_ROWS, "--mode=validity"], 2),
+        (["verify", TEN_ROWS_INSUFFICIENT, "--mode=witness"], 2),
         (
             [
                 "quantile",

@@ -3,7 +3,8 @@ another module of the package inside a function or class body, where it
 would hide a cycle until the line runs.  No module keeps a module-level
 import it never uses (the package's ``__init__`` only re-exports), the
 LP kernel with its certificate checks imports nothing from ``fractions``,
-and no module reads the name ``float`` or holds a float literal."""
+no module reads the name ``float`` or holds a float literal, and only the
+work budget's check in ``core`` refuses an input as too large."""
 
 import ast
 from pathlib import Path
@@ -225,3 +226,40 @@ def test_unreferenced_definition_detector():
 
 def test_every_public_definition_is_used_by_the_library():
     assert unreferenced_definitions({stem: parse(stem) for stem in MODULES}) == []
+
+
+def raisers(tree: ast.Module, name: str) -> list[str]:
+    """The top-level function or class (``<module>`` outside any) around each
+    raise statement that names the exception ``name``, also under an alias
+    bound by an import."""
+    names = {name} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == name and alias.asname
+    }
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc and names & names_read(node.exc):
+                found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_raiser_detector():
+    source = (
+        "from .core import GroundSetTooLarge as G\nfrom . import core\n"
+        "def f():\n    raise G('x')\n"
+        "class C:\n    def m(self):\n        raise core.GroundSetTooLarge\n"
+        "def g():\n    raise ValueError('GroundSetTooLarge')\n"
+        "if True:\n    raise GroundSetTooLarge()\n"
+    )
+    assert raisers(ast.parse(source), "GroundSetTooLarge") == ["f", "C", "<module>"]
+
+
+def test_only_the_work_budget_refuses_an_input_as_too_large():
+    found = {stem: raisers(parse(stem), "GroundSetTooLarge") for stem in MODULES}
+    assert {stem: where for stem, where in found.items() if where} == {
+        "core": ["check_work"]
+    }

@@ -3,6 +3,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -241,7 +242,7 @@ def test_band_hull_keeps_every_facet_of_long_sequences():
     outside = [i for i in range(EIGHT.n) if EIGHT.w[i] or EIGHT.v[i]]
     assert len(outside) == 8
     short = {cut.canonical_key() for j in range(inst.k) for cut in mix_star_cuts(inst, j)}
-    for theta in sequences(outside, max_length=4):
+    for theta in takewhile(lambda t: len(t.indices) <= 4, sequences(outside)):
         cut = fraction_aggregated_cut(inst, theta)
         if cut.kind is CutKind.AMIX_STAR:
             short.add(cut.canonical_key())
