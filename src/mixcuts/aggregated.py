@@ -18,7 +18,9 @@ heads.  Each step costs O(k) integer operations on the instance scaled by
 one common denominator.  :func:`fold` runs the step over one given
 sequence, for :func:`aggregated_cut` and both branches of separation;
 :func:`walk` enumerates sequences depth first on it, keeping per node only
-its heads, L and the point's running sum.  The starred family has its own
+its heads, L, the point's running sum and its unused free indices, and
+can skip every subtree that cannot reach a floor the caller raises to the
+best gap found.  The starred family has its own
 depth-first loop (:func:`starred_rows`) on the same step: because
 prepending never raises L, a subtree whose L has fallen below epsilon holds
 no starred cut and is skipped whole, and below the root only an index that
@@ -26,8 +28,9 @@ raises some column head is prepended.
 
 The linking oracle z -> max(epsilon, sum_j column_max_j(z)) decides how the
 family is separated: when it is submodular (:func:`diagnose` reads this off
-the coefficient matrix and epsilon) one greedy pass finds the most violated
-cut, and the mixing and aggregated families describe the hull.
+the coefficient matrix and epsilon) one greedy pass, on the indices that
+raise a column maximum, finds the most violated cut, and the mixing and
+aggregated families describe the hull.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Generator, Iterator, Optional, Sequence
 
 from .core import (
     CutKind,
@@ -44,14 +47,16 @@ from .core import (
     LinearCut,
     LowerBoundsNotReduced,
     MixingInstance,
+    ONE,
     SequenceTheta,
     ValidationError,
+    ZERO,
     check_point,
     check_work,
-    scale_point,
+    integer_point,
     unscale,
 )
-from .mixing import reduce_lower_bounds, separate_mixing
+from .mixing import column_raisers, reduce_lower_bounds, separate_mixing
 from .submodular import greedy_vertex, max_sum_oracle
 
 
@@ -61,7 +66,7 @@ def total_cut(
     """The cut ``sum_j y_j + z . z >= rhs`` of an integer row over D."""
     scale = inst.scaled[0]
     return LinearCut(
-        [Fraction(1)] * inst.k,
+        [ONE] * inst.k,
         unscale(z, scale),
         Fraction(rhs, scale),
         kind,
@@ -158,37 +163,52 @@ def _gap(acc: int, l: int, eps: int, tail: int, base: int) -> int:
     return acc + cap * tail - base
 
 
+def _free_tables(
+    weights: Sequence[Sequence[int]], free: Sequence[int], slack: Sequence[int]
+) -> tuple[list[list[int]], list[int]]:
+    """Tables over the subsets of the indices ``free``, each subset a
+    bitmask over their positions there: ``tops[j][mask]`` is the largest
+    column-j value of its rows and ``widest[mask]`` its largest p * (1 -
+    z_i), both 0 for the empty subset.  The subsets with position t are
+    those below it with t added, so each entry costs one comparison."""
+    tops: list[list[int]] = [[0] for _ in weights[0]]
+    widest = [0]
+    for i in free:
+        for col, v in zip(tops, weights[i]):
+            col += [t if t > v else v for t in col]
+        s = slack[i]
+        widest += [w if w > s else s for w in widest]
+    return tops, widest
+
+
 def _subtree_bound(
-    weights: Sequence[Sequence[int]],
-    free: Sequence[int],
-    theta: Sequence[int],
+    tops: Sequence[Sequence[int]],
+    widest: Sequence[int],
+    rest: int,
     heads: Sequence[int],
-    slack: Sequence[int],
 ) -> int:
     """An upper bound on how far the gap of a sequence S + theta, for any
     nonempty prefix S of unused indices, exceeds ``max(gap, acc - base)``
-    of theta itself (in :func:`_gap`'s terms); ``free`` are the indices
-    with p * (1 - z_i) > 0.
+    of theta itself (in :func:`_gap`'s terms); ``rest`` is the set of
+    unused indices with p * (1 - z_i) > 0 in the tables of
+    :func:`_free_tables`, and ``heads`` are theta's column heads.
 
     S + theta keeps the last index, so ``tail``, and its L is at most that
     of theta and at least 0, so ``cap * tail`` is at most the larger of 0
     and its value at theta.  Its acc adds, for each index of S, its gain
     times p * (1 - z_i); an index with z_i >= 1 adds nothing.  In column j
     an index gains only where it joins the chain, and the gains along the
-    chain telescope, so the unused free indices gain at most m_j - head_j
-    together, m_j the largest of their column values; each unit is weighted
-    by at most their largest p * (1 - z_i).  The bound is that weight times
-    the sum over the columns; it is 0 when no free index is left.
+    chain telescope, so the unused free indices gain at most
+    ``tops[j][rest] - head_j`` together; each unit is weighted by at most
+    ``widest[rest]``.  The bound is that weight times the sum over the
+    columns; it is 0 when no free index is left.
     """
-    rest = [f for f in free if f not in theta]
-    if not rest:
-        return 0
     rise = 0
-    for j, head in enumerate(heads):
-        top = max(weights[f][j] for f in rest)
+    for col, head in zip(tops, heads):
+        top = col[rest]
         if top > head:
             rise += top - head
-    return rise * max(slack[f] for f in rest)
+    return rise * widest[rest]
 
 
 def walk(
@@ -196,27 +216,32 @@ def walk(
     ground: Sequence[int],
     point: tuple[int, Sequence[int], Sequence[int]],
     violated: bool = False,
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
+) -> Generator[tuple[tuple[int, ...], int, int], Optional[int], None]:
     """Every sequence of distinct indices from ``ground``, of every length
     up to ``len(ground)``, depth first by prepending, as ``(theta, l,
     gap)``.  The walk has no depth cap: a caller counts its sequences
     (``count_sequences``) against the work budget before it starts.
 
     ``l`` is D * L(Theta) for the common denominator D of ``inst.scaled``,
-    as :func:`fold` gives it; each node keeps only its heads, L and acc
-    (:func:`_gap`), and :func:`fold` rebuilds the row of a sequence kept.
-    The point (y, z) comes checked and scaled, as ``core.scale_point`` gives
-    it: ``(p, p * y, p * z)`` in integers.  ``gap`` is the violation of
-    ``aggregated_cut(inst, theta)`` at it times D times p, so it is
-    positive exactly when the cut is violated and orders sequences by
-    violation.
+    as :func:`fold` gives it; each node keeps only its heads, L, acc
+    (:func:`_gap`) and its unused free indices, and :func:`fold` rebuilds
+    the row of a sequence kept.  The point (y, z) comes checked and scaled,
+    as ``core.integer_point`` gives it: ``(p, p * y, p * z)`` in integers.
+    ``gap`` is the violation of ``aggregated_cut(inst, theta)`` at it
+    times D times p, so it is positive exactly when the cut is violated
+    and orders sequences by violation.
 
-    ``violated`` yields only the sequences whose cut is violated at the
-    point, and skips each subtree that holds none by the bound of
-    :func:`_subtree_bound`.  Only sequences that are not violated
-    are skipped, so the first or the most violated sequence found is the
-    one the full walk finds.  The starred family has its own loop,
-    :func:`_starred_nodes`.
+    ``violated`` yields only the sequences whose gap reaches a floor, at
+    first 1 (every violated sequence), and skips each subtree in which no
+    gap reaches it, by the bound of :func:`_subtree_bound` read from the
+    tables of :func:`_free_tables`, built once per walk.  A caller after
+    the most violated sequence raises the floor to the best gap so far by
+    sending it (``nodes.send(gap)``, answered with None); the walk then
+    skips every subtree whose bound is below it, and never one whose bound
+    equals it, so no sequence that ties the best is lost.  Only sequences
+    below the floor are skipped, so the first or the most violated
+    sequence found is the one the full walk finds.  The starred family has
+    its own loop, :func:`_starred_nodes`.
 
     The walk keeps one frame per depth level.
     """
@@ -227,29 +252,42 @@ def walk(
     p, y_p, at_one = point  # at_one[i] = p * z_i
     slack = [p - v for v in at_one]  # p * (1 - z_i)
     base = scale * sum(y_p)
-    free = [i for i in ground if slack[i] > 0]
-    # Frame: (theta, heads, l, acc, remaining candidates).
-    stack = [((), [0] * k, None, 0, iter(ground))]
+    # The indices with p * (1 - z_i) > 0, whose tables the bound reads; the
+    # full walk reads no bound.
+    free = [i for i in ground if slack[i] > 0] if violated else []
+    bits = [0] * inst.n  # an index's bit in the bitmasks over ``free``
+    for t, i in enumerate(free):
+        bits[i] = 1 << t
+    tops, widest = _free_tables(weights, free, slack)
+    floor = 1
+    # Frame: (theta, heads, l, acc, unused free indices, remaining candidates).
+    stack = [((), [0] * k, None, 0, len(widest) - 1, iter(ground))]
     while stack:
-        theta, heads, low, acc, candidates = stack[-1]
+        theta, heads, low, acc, rest, candidates = stack[-1]
         for i in candidates:
             if i in theta:
                 continue
             new_heads, gain, l = _prepend(weights[i], heads, low)
             new_acc = acc + gain * slack[i]
             new_theta = (i,) + theta
+            new_rest = rest & ~bits[i]
             descend = len(new_theta) < len(ground)
             gap = _gap(new_acc, l, eps, at_one[new_theta[-1]], base)
-            if gap > 0 or not violated:
+            if not violated:
                 yield new_theta, l, gap
-            if violated:
+            else:
+                if gap >= floor:
+                    sent = yield new_theta, l, gap
+                    if sent is not None:
+                        floor = sent
+                        yield None  # the answer to send(); next() resumes here
                 descend = descend and (
-                    _subtree_bound(weights, free, new_theta, new_heads, slack)
+                    _subtree_bound(tops, widest, new_rest, new_heads)
                     + max(gap, new_acc - base)
-                    > 0
+                    >= floor
                 )
             if descend:
-                stack.append((new_theta, new_heads, l, new_acc, iter(ground)))
+                stack.append((new_theta, new_heads, l, new_acc, new_rest, iter(ground)))
                 break
         else:
             stack.pop()
@@ -351,8 +389,8 @@ def linking_cut(inst: MixingInstance) -> LinearCut:
     """The linking constraint sum_j (y_j - lower_j) >= epsilon, written as
     sum_j y_j >= epsilon + sum_j lower_j."""
     return LinearCut(
-        [Fraction(1)] * inst.k,
-        [Fraction(0)] * inst.n,
+        [ONE] * inst.k,
+        [ZERO] * inst.n,
         inst.epsilon + sum(inst.lower, Fraction(0)),
         CutKind.LINKING,
     )
@@ -427,21 +465,44 @@ def _diagnosis(inst: MixingInstance) -> HullDiagnosis:
 def relaxation_holds(
     inst: MixingInstance, point: tuple[int, Sequence[int], Sequence[int]]
 ) -> bool:
-    """Whether a point, scaled as ``core.scale_point`` gives it, satisfies
-    the relaxation rows, in integers on ``inst.scaled``: z in the unit box,
-    the linking row sum(y) >= epsilon and every big-M row y_j >= w_ij (1 -
-    z_i).  With z in the box the big-M rows also give y >= 0."""
+    """Whether a point, checked and scaled as ``core.integer_point`` gives
+    it, satisfies the relaxation rows, in integers on ``inst.scaled``: z in
+    the unit box, which the check has made sure of, the linking row sum(y)
+    >= epsilon and every big-M row y_j >= w_ij (1 - z_i).  With z in the
+    box the big-M rows also give y >= 0."""
     p, y, z = point
     scale, weights, eps, _ = inst.scaled
     return (
-        all(0 <= v <= p for v in z)
-        and sum(y) * scale >= eps * p
+        sum(y) * scale >= eps * p
         and all(
             y[j] * scale >= v * (p - s)
             for row, s in zip(weights, z)
             for j, v in enumerate(row)
         )
     )
+
+
+def _linking_sequence(inst: MixingInstance, slack: Sequence[int]) -> list[int]:
+    """The support of the greedy vertex of the linking oracle z ->
+    max(epsilon, sum_j column_max_j(z)) against the objective ``slack`` =
+    p * (1 - z), latest first: the sequence of the most violated cut when
+    the oracle is submodular.
+
+    The greedy takes the indices by slack descending, ties by ascending
+    index.  An index that raises no running column maximum in that order
+    (:func:`mixing.column_raisers`, from 0) leaves the oracle's value as it
+    is, so its entry is 0; the greedy runs on the raisers alone, given in
+    that order (its stable sort keeps it), and its nested sets have the
+    same column maxima as on every index.
+    """
+    _, weights, eps, _ = inst.scaled
+    order = sorted(range(inst.n), key=slack.__getitem__, reverse=True)
+    raised = set().union(*column_raisers(weights, order, [0] * inst.k, inst.peaks))
+    # The raisers back in the greedy's order: slack descending, ties by index.
+    raisers = sorted(sorted(raised), key=slack.__getitem__, reverse=True)
+    g = max_sum_oracle([weights[i] for i in raisers], [0] * inst.k, eps, "linking")
+    vertex = greedy_vertex(g, [slack[i] for i in raisers])
+    return [raisers[t] for t in reversed(vertex.permutation) if vertex.pi[t]]
 
 
 def separate_aggregated(
@@ -463,14 +524,17 @@ def separate_aggregated(
     (``tests/test_walk.py`` keeps such a point).
 
     Both branches run in integers on the instance scaled by D and the point
-    scaled by p, with the prepend step; the sequence returned is folded
-    once (:func:`fold`) for its row, and only its cut is built.
+    parsed and scaled by p in one pass (``core.integer_point``), with the
+    prepend step.  The greedy runs on the indices that can gain
+    (:func:`_linking_sequence`); the enumeration skips each subtree whose
+    bound is below the best gap found so far (:func:`walk`).  The sequence
+    returned is folded once (:func:`fold`) for its row, and only its cut is
+    built.
     """
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("reduce lower bounds first")
-    y, z = check_point(inst, y_bar, z_bar)
-    p, y_p, z_p = scale_point(y, z)
-    scale, weights, eps, _ = inst.scaled
+    p, y_p, z_p = integer_point(inst, y_bar, z_bar)
+    scale, _, eps, _ = inst.scaled
     y_total = sum(y_p)  # p * sum(y)
     if y_total * scale < eps * p:
         raise EpsilonViolated(
@@ -480,9 +544,7 @@ def separate_aggregated(
     slack = [p - v for v in z_p]  # p * (1 - z_i)
 
     if diagnose(inst).g_submodular:
-        g = max_sum_oracle(weights, [0] * inst.k, eps, "linking")
-        vertex = greedy_vertex(g, slack)
-        theta = [i for i in reversed(vertex.permutation) if vertex.pi[i]]
+        theta = _linking_sequence(inst, slack)
         if not theta:
             return None  # only the linking constraint itself, already satisfied
         heads, gains, l = fold(inst, theta)
@@ -499,12 +561,22 @@ def separate_aggregated(
         ground = list(range(inst.n))
     if not ground:
         return None
+    # Candidates in the greedy's order, slack descending and ties by index:
+    # its sequence, often the best or near it, comes early and raises the
+    # walk's floor.
+    ground.sort(key=slack.__getitem__, reverse=True)
     check_work(count_sequences(len(ground)), f"sequences of {len(ground)} indices")
     best: Optional[tuple[int, ...]] = None
     best_gap = 0
-    for theta, _, gap in walk(inst, ground, point=(p, y_p, z_p)):
-        if gap > best_gap or (gap == best_gap and best is not None and theta < best):
+    # The walk yields only gaps at its floor or above, so after the first
+    # sequence a gap not above the best ties it.
+    nodes = walk(inst, ground, (p, y_p, z_p), violated=True)
+    for theta, _, gap in nodes:
+        if gap > best_gap:
             best, best_gap = theta, gap
+            nodes.send(gap)  # skip each subtree that cannot reach this gap
+        elif theta < best:  # type: ignore[operator]
+            best = theta
     if best is None:
         return None
     heads, gains, l = fold(inst, best)

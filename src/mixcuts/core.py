@@ -134,18 +134,28 @@ def _fracs(values: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(parse_rational(v) for v in values)
 
 
-_ZERO = Fraction(0)
+# The shared zero and one: builders put these in their cuts, and a cut's
+# zero coefficients are all ZERO.
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def _coeff(value: RationalLike) -> Fraction:
+    """One parsed coefficient, a zero as the shared ``ZERO``."""
+    value = parse_rational(value)
+    return value if value else ZERO
 
 
 def _coeffs(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """Like :func:`_fracs`, with every zero the one shared ``Fraction(0)``;
-    a value that is already a Fraction is taken as it is."""
-    out = []
-    for v in values:
-        if type(v) is not Fraction:
-            v = parse_rational(v)
-        out.append(v if v else _ZERO)
-    return tuple(out)
+    """Like :func:`_fracs`, with every zero the shared ``ZERO``.  ``ZERO``
+    itself and a nonzero Fraction are taken as they are; anything else is
+    parsed by :func:`_coeff`."""
+    return tuple(
+        [
+            v if v is ZERO or (type(v) is Fraction and v) else _coeff(v)
+            for v in values
+        ]
+    )
 
 
 class CutKind(Enum):
@@ -186,7 +196,9 @@ class LinearCut:
     ) -> None:
         object.__setattr__(self, "y_coeffs", _coeffs(y_coeffs))
         object.__setattr__(self, "z_coeffs", _coeffs(z_coeffs))
-        object.__setattr__(self, "rhs", parse_rational(rhs))
+        object.__setattr__(
+            self, "rhs", rhs if type(rhs) is Fraction else parse_rational(rhs)
+        )
         object.__setattr__(self, "kind", kind)
 
     @property
@@ -311,8 +323,9 @@ class MixingInstance:
     def k(self) -> int:
         return len(self.weights[0])
 
-    @property
+    @cached_property
     def lower_is_zero(self) -> bool:
+        """Whether every lower bound is 0, computed once."""
         return all(l == 0 for l in self.lower)
 
     @cached_property
@@ -463,7 +476,8 @@ def check_point(
     inst: MixingInstance, y_bar: Sequence[RationalLike], z_bar: Sequence[RationalLike]
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Parse a point (y, z) of the instance's space and check that z lies in
-    the unit box."""
+    the unit box, for a caller that needs its Fractions; the separators take
+    the integer view of :func:`integer_point`."""
     y, z = _fracs(y_bar), _fracs(z_bar)
     if len(y) != inst.k or len(z) != inst.n:
         raise DimensionMismatch("point dimensions disagree with instance")
@@ -472,23 +486,42 @@ def check_point(
     return y, z
 
 
-def scale_point(
-    y: Sequence[Fraction], z: Sequence[Fraction]
+def _ratios(values: Sequence[RationalLike]) -> list[tuple[int, int]]:
+    """Each entry of a list or tuple of rationals as ``(numerator,
+    denominator)``: a Fraction or an int read once, anything else parsed by
+    :func:`parse_rational`; not a list or tuple is a :class:`ParseError`."""
+    if not isinstance(values, (list, tuple)):
+        raise ParseError(f"not a list of rationals: {values!r}")
+    return [
+        (
+            v if type(v) is Fraction or type(v) is int else parse_rational(v)
+        ).as_integer_ratio()
+        for v in values
+    ]
+
+
+def integer_point(
+    inst: MixingInstance, y_bar: Sequence[RationalLike], z_bar: Sequence[RationalLike]
 ) -> tuple[int, list[int], list[int]]:
-    """Common denominator p of a point (y, z), with both scaled by p:
-    ``(p, y, z)`` in integers."""
-    p = math.lcm(*(v.denominator for v in y), *(v.denominator for v in z))
-    return (
-        p,
-        [v.numerator * (p // v.denominator) for v in y],
-        [v.numerator * (p // v.denominator) for v in z],
-    )
+    """Parse, check and scale a point (y, z) of the instance's space in one
+    pass: ``(p, p * y, p * z)`` in integers, p the common denominator of
+    the point.  It raises what :func:`check_point` raises, in the same
+    order: an unparsable y, then z, then the dimensions, then z outside the
+    unit box."""
+    y, z = _ratios(y_bar), _ratios(z_bar)
+    if len(y) != inst.k or len(z) != inst.n:
+        raise DimensionMismatch("point dimensions disagree with instance")
+    p = math.lcm(*{d for _, d in y}, *{d for _, d in z})
+    z_p = [a * (p // b) for a, b in z]
+    if min(z_p) < 0 or max(z_p) > p:
+        raise DomainError("z outside the unit box")
+    return p, [a * (p // b) for a, b in y], z_p
 
 
 def unscale(values: Iterable[int], scale: int) -> list[Fraction]:
     """Integers over the denominator ``scale`` as Fractions, every zero the
-    one shared ``Fraction(0)``."""
-    return [Fraction(v, scale) if v else _ZERO for v in values]
+    shared ``ZERO``."""
+    return [Fraction(v, scale) if v else ZERO for v in values]
 
 
 def complement(z: Sequence[Fraction]) -> tuple[Fraction, ...]:

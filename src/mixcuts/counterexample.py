@@ -31,7 +31,7 @@ from .core import (
     SequenceTheta,
     check_work,
     complement,
-    scale_point,
+    integer_point,
 )
 from .mixing import separate_mixing
 from .vertices import MembershipResult, membership, v_representation
@@ -200,7 +200,7 @@ def certify_witness(
     """
     check_certify_work(inst)
     y, z = point
-    scaled = scale_point(y, z)
+    scaled = integer_point(inst, y, z)
     messages = [
         "ok: relaxation rows hold"
         if relaxation_holds(inst, scaled)

@@ -24,11 +24,12 @@ from .core import (
     CutKind,
     LinearCut,
     MixingInstance,
+    ONE,
     RiskOutOfRange,
-    check_point,
+    ZERO,
     check_work,
+    integer_point,
     parse_rational,
-    scale_point,
     unscale,
 )
 
@@ -106,8 +107,8 @@ def _row_cut(inst: MixingInstance, j: int, row: ColumnRow) -> LinearCut:
     starred when the head reaches the column maximum."""
     scale = inst.scaled[0]
     z, head = row
-    y = [Fraction(0)] * inst.k
-    y[j] = Fraction(1)
+    y = [ZERO] * inst.k
+    y[j] = ONE
     return LinearCut(
         y,
         unscale(z, scale),
@@ -119,6 +120,31 @@ def _row_cut(inst: MixingInstance, j: int, row: ColumnRow) -> LinearCut:
 def _column_cut(inst: MixingInstance, j: int, chain: Sequence[int]) -> LinearCut:
     """The mixing cut of a chain of column j (see :func:`_column_row`)."""
     return _row_cut(inst, j, _column_row(inst, j, chain))
+
+
+def column_raisers(
+    weights: Sequence[Sequence[int]],
+    order: Sequence[int],
+    floors: Sequence[int],
+    peaks: Sequence[int],
+) -> list[list[int]]:
+    """The running-maximum pass of every column over the indices in
+    ``order``: per column, the indices that raise its maximum, which starts
+    at the column's floor, in that order.  A column's pass stops at its
+    peak, above which no index can raise it."""
+    raised = []
+    for j, (top, peak) in enumerate(zip(floors, peaks)):
+        chain = []
+        if top < peak:
+            for i in order:
+                w = weights[i][j]
+                if w > top:
+                    top = w
+                    chain.append(i)
+                    if w == peak:
+                        break
+        raised.append(chain)
+    return raised
 
 
 def separate_mixing(
@@ -140,28 +166,27 @@ def separate_mixing(
     the column maximum when that exceeds lower_j.
 
     Everything runs in integers: the weights scaled by the instance's common
-    denominator D, one sort of p * (1 - z) for the point's common
+    denominator D, the point parsed and scaled in one pass
+    (``core.integer_point``), one sort of p * (1 - z) for the point's common
     denominator p shared by every column, and the test y_j >= lower_j +
-    pi.(1 - z) times D * p.  Only a violated column's cut is built, over D.
+    pi.(1 - z) times D * p.  A column's pass (:func:`column_raisers`)
+    stops at its maximum, above which no index can raise it.  Only a
+    violated column's cut is built, over D.
     """
-    y, z = check_point(inst, y_bar, z_bar)
-    p, y_p, z_p = scale_point(y, z)
+    p, y_p, z_p = integer_point(inst, y_bar, z_bar)
     slack = [p - v for v in z_p]  # p * (1 - z_i)
     # Slack descending, ties by ascending index: a stable sort keeps equal
     # values in index order, also when reversed.
     order = sorted(range(inst.n), key=slack.__getitem__, reverse=True)
     scale, weights, _, lower = inst.scaled
     cuts = []
-    for j in range(inst.k):
+    for j, chain in enumerate(column_raisers(weights, order, lower, inst.peaks)):
         top = lower[j]
         bound = top * p
-        chain = []
-        for i in order:
+        for i in chain:
             w = weights[i][j]
-            if w > top:
-                bound += (w - top) * slack[i]
-                top = w
-                chain.append(i)
+            bound += (w - top) * slack[i]
+            top = w
         if y_p[j] * scale < bound:
             chain.reverse()  # latest first: values decreasing
             cuts.append(_column_cut(inst, j, chain))

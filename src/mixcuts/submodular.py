@@ -1,8 +1,8 @@
 """Set-function oracles and greedy extreme points of their polymatroids.
 
-Subsets of the ground set are bitmasks.  Oracles memoize their values, which
-is safe because they are pure; all operations here are reentrant.  Nothing
-here fixes the number type: oracles built on integers yield integer values
+Subsets of the ground set are bitmasks.  Oracles are pure and keep no memo:
+a greedy's nested sets never ask for a mask twice.  Nothing here fixes the
+number type: oracles built on integers yield integer values
 and vertices, oracles built on ``Fraction`` s yield ``Fraction`` s.
 """
 
@@ -33,15 +33,10 @@ class SetFunctionOracle:
     def __init__(self, ground_size: int, func: Callable[[int], Exact], name: str = ""):
         self.ground_size = ground_size
         self._func = func
-        self._memo: dict[int, Exact] = {}
         self.name = name
 
     def value(self, subset: SubsetLike) -> Exact:
-        mask = as_mask(subset)
-        cached = self._memo.get(mask)
-        if cached is None:
-            cached = self._memo[mask] = self._func(mask)
-        return cached
+        return self._func(as_mask(subset))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SetFunctionOracle(n={self.ground_size}, name={self.name!r})"
@@ -55,29 +50,29 @@ def max_sum_oracle(
 ) -> SetFunctionOracle:
     """Oracle S -> max(eps, sum_j max(floor_j, max_{i in S} rows[i][j])).
 
-    Each evaluation remembers its mask and column maxima.  When the next mask
-    is a superset of the last one only the new rows are folded in, so the
-    greedy's nested sets cost O(k) each; any other mask starts again from the
-    floors.
+    The oracle keeps the last mask and its column maxima, and updates them
+    in place: when the next mask is a superset of the last one only the new
+    rows are folded in, so the greedy's nested sets cost O(k) each; any
+    other mask starts again from the floors.  One oracle serves one caller
+    at a time.
     """
-    floors = tuple(floors)
-    last = (0, floors)  # one tuple, so a reader never mixes two evaluations
+    floors = list(floors)
+    state = [0, floors.copy()]  # the last mask and its column maxima
 
     def value(mask: int) -> Exact:
-        nonlocal last
-        seen, best = last
+        seen, best = state
         if mask & seen == seen:
             new = mask ^ seen
         else:
-            new, best = mask, floors
-        best = list(best)
+            new = mask
+            best = state[1] = floors.copy()
+        state[0] = mask
         while new:
             bit = new & -new
             new ^= bit
             for j, v in enumerate(rows[bit.bit_length() - 1]):
                 if v > best[j]:
                     best[j] = v
-        last = (mask, tuple(best))
         total = sum(best)
         return total if total > eps else eps
 

@@ -31,11 +31,10 @@ from .core import (
     LinearCut,
     LowerBoundsNotReduced,
     MixingInstance,
+    ZERO,
     check_work,
 )
 from .exactlp import solve_feasibility, verify_farkas, verify_feasible
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,7 @@ def membership(
             den * result.den,
         ):
             raise InternalInvariant("membership certificate failed verification")
-        x = [_ZERO] * len(common[0])
+        x = [ZERO] * len(common[0])
         for j, v in support:
             x[j] = Fraction(v, result.den)
         return MembershipResult(True, tuple(x[:npts]), tuple(x[npts:]), None)

@@ -23,8 +23,11 @@ that the library's integer code is compared against.
 - The ``Fraction`` witness points: the three closed forms and their
   dispatch, each written out on its own.
 - An instance's column and row sum, which the library no longer offers.
+- The point check and scaling as two passes over ``Fraction``s, the
+  reference for ``core.integer_point``.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -51,6 +54,7 @@ from mixcuts import (
     sequences,
     to_mixing,
 )
+from mixcuts.core import check_point
 from mixcuts.hull import CutMatrix, hull_cut_family, project_to_cut_polyhedron
 from mixcuts.submodular import SetFunctionOracle
 from mixcuts.vertices import (
@@ -281,10 +285,19 @@ def dominates_linking(inst: MixingInstance, theta: SequenceTheta) -> bool:
     return inst.epsilon <= l_theta(inst, theta)
 
 
+def memoized(f: SetFunctionOracle) -> SetFunctionOracle:
+    """The oracle f with a memo: the brute-force checks and the
+    permutation sweeps ask for the same masks many times, which the
+    library's greedy never does."""
+    return SetFunctionOracle(f.ground_size, functools.cache(f._func), f.name)
+
+
 def column_oracle(inst: MixingInstance, j: int) -> SetFunctionOracle:
     """Oracle z -> max(lower_j, max_i w[i][j] z_i) over indicator bitmasks."""
-    return max_sum_oracle(
-        [(w,) for w in column(inst, j)], (inst.lower[j],), Fraction(0), f"column-{j}"
+    return memoized(
+        max_sum_oracle(
+            [(w,) for w in column(inst, j)], (inst.lower[j],), Fraction(0), f"column-{j}"
+        )
     )
 
 
@@ -292,7 +305,7 @@ def linking_oracle(inst: MixingInstance) -> SetFunctionOracle:
     """Oracle z -> max(epsilon, sum_j column_max_j(z)) over indicator bitmasks."""
     if not inst.lower_is_zero:
         raise LowerBoundsNotReduced("linking oracle requires zero lower bounds")
-    return max_sum_oracle(inst.weights, inst.lower, inst.epsilon, "linking")
+    return memoized(max_sum_oracle(inst.weights, inst.lower, inst.epsilon, "linking"))
 
 
 def is_submodular(f: SetFunctionOracle) -> bool:
@@ -959,3 +972,22 @@ def fraction_witness(inst: MixingInstance) -> tuple[WitnessPoint, str]:
         if pair_min == diag.l_w_eps:
             return fraction_witness_lw(inst, p, q), "pair-minimum"
     raise AssertionError("no attaining pair")
+
+
+def scale_point(
+    y: Sequence[Fraction], z: Sequence[Fraction]
+) -> tuple[int, list[int], list[int]]:
+    """Common denominator p of a point (y, z), with both scaled by p:
+    ``(p, y, z)`` in integers."""
+    p = math.lcm(*(v.denominator for v in y), *(v.denominator for v in z))
+    return (
+        p,
+        [v.numerator * (p // v.denominator) for v in y],
+        [v.numerator * (p // v.denominator) for v in z],
+    )
+
+
+def two_pass_point(inst: MixingInstance, y_bar, z_bar) -> tuple[int, list[int], list[int]]:
+    """A point parsed and checked by ``core.check_point``, then scaled by
+    :func:`scale_point`: what ``core.integer_point`` does in one pass."""
+    return scale_point(*check_point(inst, y_bar, z_bar))

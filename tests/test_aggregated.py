@@ -16,9 +16,11 @@ from mixcuts import (
     separate_aggregated,
     sequences,
 )
-from mixcuts.aggregated import count_sequences, fold
-from mixcuts.core import complement
+from mixcuts import aggregated
+from mixcuts.aggregated import HullDiagnosis, _linking_sequence, count_sequences, fold, walk
+from mixcuts.core import complement, integer_point
 from mixcuts.hull import diagnose, v_representation
+from mixcuts.submodular import greedy_vertex, max_sum_oracle
 
 from conftest import random_weights
 from helpers import (
@@ -428,3 +430,143 @@ def test_count_sequences():
     assert count_sequences(3) == 3 + 6 + 6
     assert count_sequences(5) == 5 + 20 + 60 + 120 + 120
     assert sum(1 for _ in sequences(range(4))) == count_sequences(4)
+
+
+def test_linking_greedy_on_the_raisers_equals_the_greedy_on_every_index():
+    """On greedy draws and slacks with many ties, the linking greedy run on
+    the raisers alone has the support and order of the greedy on all n
+    indices, submodular or not."""
+    rng = random.Random(109)
+    seen = {"skipped": 0, "all raise": 0, "stopped early": 0, "empty": 0}
+    for _ in range(400):
+        inst = greedy_draw(rng)
+        slack = [rng.randint(0, 4) for _ in range(inst.n)]
+        _, weights, eps, _ = inst.scaled
+        full = greedy_vertex(max_sum_oracle(weights, [0] * inst.k, eps), slack)
+        want = [i for i in reversed(full.permutation) if full.pi[i]]
+        assert _linking_sequence(inst, slack) == want
+        # The raisers in the greedy order, by the definition.
+        tops, raisers = [0] * inst.k, []
+        for i in full.permutation:
+            if any(v > t for v, t in zip(weights[i], tops)):
+                raisers.append(i)
+            tops = [max(v, t) for v, t in zip(weights[i], tops)]
+        seen["skipped"] += len(raisers) < inst.n
+        seen["all raise"] += len(raisers) == inst.n
+        # Indices after the last raiser, which the pass never looks at.
+        seen["stopped early"] += bool(raisers) and raisers[-1] != full.permutation[-1]
+        seen["empty"] += not want
+    assert min(seen.values()) >= 20, seen
+
+
+def enumeration_draw(rng: random.Random) -> MixingInstance:
+    """A small instance with ties from few distinct values, zero weights,
+    an occasional zero column, fractional entries, and epsilon anywhere
+    from 0 to above every row sum."""
+    n, k = rng.randint(2, 6), rng.randint(1, 3)
+    values = rng.choice([(0, 2, 2, 5), (0, 1, 3, 3, 6), (0, 4, 4), (1, 2, 3, 4)])
+    den = rng.choice((1, 1, 2))
+    w = [[Fraction(rng.choice(values), den) for _ in range(k)] for _ in range(n)]
+    if k > 1 and rng.random() < 0.2:
+        j = rng.randrange(k)
+        for row in w:
+            row[j] = Fraction(0)
+    top = max(sum(row) for row in w)
+    draw = rng.random()
+    if draw < 0.1:
+        eps = Fraction(0)
+    elif draw < 0.25:
+        eps = top + rng.randint(0, 2)
+    else:
+        eps = Fraction(rng.randint(1, 4 * int(top) + 4), 4)
+    return MixingInstance(w, None, eps)
+
+
+def enumeration_point(rng: random.Random, inst: MixingInstance, loose: bool):
+    """z with ties and entries at 0 and 1, and y on the big-M rows (many
+    violated and tied cuts) or, when ``loose``, below them, usually so far
+    that the ground is every index; sum(y) meets epsilon."""
+    n, k = inst.n, inst.k
+    z = [Fraction(rng.choice((0, 1, 1, 1, 2, 2, 3, 3, 3)), 3) for _ in range(n)]
+    y = [max(inst.weights[i][j] * (1 - z[i]) for i in range(n)) for j in range(k)]
+    if loose:
+        y = [v * Fraction(rng.choice((1, 2, 3)), 4) for v in y]
+        y[0] -= Fraction(rng.randint(0, 4), 2)
+    y[-1] += max(Fraction(0), inst.epsilon - sum(y))
+    return y, z
+
+
+def exhaustive_best(inst: MixingInstance, y, z):
+    """Whether the point satisfies the big-M rows, the enumeration branch's
+    ground (the indices below 1 if so, else every index) and the best
+    sequence over every sequence of it: the largest gap, ties to the
+    smallest sequence; None when no cut is violated."""
+    big_m = all(
+        y[j] >= inst.weights[i][j] * (1 - z[i]) for i in range(inst.n) for j in range(inst.k)
+    )
+    ground = [i for i in range(inst.n) if not big_m or z[i] < 1]
+    point = integer_point(inst, y, z)
+    best = min(
+        ((-gap, theta) for theta, _, gap in walk(inst, ground, point) if gap > 0),
+        default=None,
+    )
+    return big_m, ground, None if best is None else best[1]
+
+
+NOT_SUBMODULAR = HullDiagnosis(frozenset(), True, True, True, None, False)
+
+
+def test_enumeration_prunes_by_the_best_gap_and_returns_the_exhaustive_best(monkeypatch):
+    """600 draws: 500 insufficient instances, and 100 with epsilon = 0
+    (always submodular, so the enumeration branch is forced by a diagnosis
+    that says otherwise).  The branch must return the cut of the exhaustive
+    best sequence over its ground, gap first and then the smallest
+    sequence, and its pruned walk must visit fewer nodes in total than the
+    full walk."""
+    rng = random.Random(4343)
+    calls = []
+    prepend = aggregated._prepend
+
+    def counting(*args):
+        calls.append(None)
+        return prepend(*args)
+
+    monkeypatch.setattr(aggregated, "_prepend", counting)
+    pruned = full = 0
+    seen = dict.fromkeys(
+        ("insufficient", "eps 0", "big-M", "every index", "found", "none", "tie"), 0
+    )
+    while seen["insufficient"] < 500 or seen["eps 0"] < 100:
+        inst = enumeration_draw(rng)
+        forced = inst.epsilon == 0
+        if forced:
+            if seen["eps 0"] >= 100:
+                continue
+            monkeypatch.setattr(aggregated, "diagnose", lambda _: NOT_SUBMODULAR)
+        elif diagnose(inst).g_submodular or seen["insufficient"] >= 500:
+            continue
+        y, z = enumeration_point(rng, inst, loose=rng.random() < 0.5)
+        calls.clear()
+        big_m, ground, best = exhaustive_best(inst, y, z)
+        full += len(calls)
+        calls.clear()
+        got = separate_aggregated(inst, y, z)
+        monkeypatch.setattr(aggregated, "diagnose", diagnose)
+        if best is None:
+            assert got is None
+            pruned += len(calls)
+            seen["none"] += 1
+        else:
+            want = aggregated_cut(inst, SequenceTheta(best))
+            assert (got.kind, got.y_coeffs, got.z_coeffs, got.rhs) == (
+                want.kind, want.y_coeffs, want.z_coeffs, want.rhs
+            )
+            pruned += len(calls) - len(best)  # the fold of the sequence kept
+            seen["found"] += 1
+            point = integer_point(inst, y, z)
+            gaps = [gap for _, _, gap in walk(inst, ground, point)]
+            seen["tie"] += gaps.count(max(gaps)) > 1
+        seen["eps 0" if forced else "insufficient"] += 1
+        seen["big-M" if big_m else "every index"] += 1
+    assert min(seen.values()) >= 50, seen
+    assert pruned < full, (pruned, full)

@@ -18,7 +18,7 @@ from mixcuts import (
     parse_rational,
     serialize_instance,
 )
-from mixcuts.core import _ZERO, InvalidSequence, loads_point, DimensionMismatch
+from mixcuts.core import ZERO, InvalidSequence, loads_point, DimensionMismatch
 
 from helpers import canonicalize
 
@@ -156,8 +156,8 @@ def test_cut_keeps_fraction_coefficients_and_shares_zero():
     half = Fraction(1, 2)
     cut = LinearCut((half, Fraction(0)), (0, "3/4", Fraction(0, 5)), half)
     assert cut.y_coeffs[0] is half and cut.rhs is half
-    assert cut.y_coeffs[1] is _ZERO
-    assert cut.z_coeffs[0] is _ZERO and cut.z_coeffs[2] is _ZERO
+    assert cut.y_coeffs[1] is ZERO
+    assert cut.z_coeffs[0] is ZERO and cut.z_coeffs[2] is ZERO
     assert cut.z_coeffs[1] == Fraction(3, 4)
 
 

@@ -10,16 +10,20 @@ mixed denominators in y and z, nonzero lower bounds, a column whose maximum
 lies below its lower bound, epsilon = 0 and all-zero columns, and each pair
 is also moved onto the cuts it yields, where nothing is violated.  Mixing
 separation is also compared at the sizes of the separate benchmark's greedy
-cells (n up to 64, k up to 5).
+cells (n up to 64, k up to 5).  The one-pass point parse
+(``core.integer_point``) is compared with the check and the scaling it
+replaced (``helpers.two_pass_point``), on valid and malformed points.
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from mixcuts import (
     LinearCut,
+    MixcutsError,
     MixingInstance,
     diagnose,
     reduce_lower_bounds,
@@ -27,7 +31,9 @@ from mixcuts import (
     separate_mixing,
 )
 
-from helpers import column, fraction_greedy_aggregated, round_trip_mixing
+from mixcuts.core import integer_point
+
+from helpers import column, fraction_greedy_aggregated, round_trip_mixing, two_pass_point
 
 PAIRS = 400
 Z_POOL = (0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4))
@@ -167,3 +173,71 @@ def test_mixing_tie_break_by_ascending_index(z, pi):
     inst = MixingInstance([[3], [5]], [1], 0)
     (cut,) = separate_mixing(inst, (Fraction(1),), z)
     assert cut.z_coeffs == pi and cut.rhs == 1 + sum(pi)
+
+
+def as_entry(rng: random.Random, value: Fraction):
+    """One point entry written as a Fraction, an int when it is whole, an
+    'a/b' string, or a decimal string when it has one."""
+    forms = [value, f"{value.numerator}/{value.denominator}"]
+    if value.denominator == 1:
+        forms.append(value.numerator)
+    if value.denominator in (1, 2, 4, 5):
+        forms.append(str(Decimal(value.numerator) / value.denominator))
+    return rng.choice(forms)
+
+
+def test_point_pass_equals_the_check_then_the_scaling():
+    rng = random.Random(31)
+    seen = {"Fraction": 0, "int": 0, "a/b": 0, "decimal": 0, "tuple": 0, "list": 0}
+    for trial in range(PAIRS):
+        inst, y, z = random_pair(rng, trial)
+        y = [as_entry(rng, v) for v in y]
+        z = [as_entry(rng, v) for v in z]
+        for v in y + z:
+            if isinstance(v, str):
+                seen["a/b" if "/" in v else "decimal"] += 1
+            else:
+                seen[type(v).__name__] += 1
+        wrap = tuple if trial % 2 else list
+        seen[wrap.__name__] += 1
+        y, z = wrap(y), wrap(z)
+        assert integer_point(inst, y, z) == two_pass_point(inst, y, z)
+    assert min(seen.values()) >= 50, seen
+
+
+def malformed_points(inst: MixingInstance):
+    """Points of the instance's space with one or two faults each, the
+    faults in every order of precedence: entries that do not parse, a y or
+    z that is not a list, wrong lengths, and z outside the unit box."""
+    y, z = [Fraction(1)] * inst.k, [Fraction(1, 2)] * inst.n
+    bad_entries = (True, False, None, 0.5, "1/0", "abc", [1])
+    for bad in bad_entries:
+        yield [bad] + y[1:], z
+        yield y, z[:-1] + [bad]
+        yield [bad] + y[1:], [Fraction(3)] + z[1:]  # y fails before z's box
+        yield y[:-1] + [bad], z + [bad]  # y fails before z
+        yield y + [1], [bad] * inst.n  # z fails before the lengths
+    for not_list in (None, 3, "1 2", {0: 1}, iter(y)):
+        yield not_list, z
+        yield y, not_list
+        yield not_list, not_list
+    yield y + [0], z
+    yield y[:-1], z
+    yield y, z + [0]
+    yield y + [0], [2] * inst.n  # the lengths fail before the box
+    for out in (Fraction(-1, 3), -1, Fraction(4, 3), "3/2", "1.5", 2):
+        yield y, z[:-1] + [out]
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (5, 3)])
+def test_point_pass_raises_what_the_check_raises(n, k):
+    inst = MixingInstance([[1] * k] * n, None, 0)
+    raised = set()
+    for y, z in malformed_points(inst):
+        with pytest.raises(MixcutsError) as want:
+            two_pass_point(inst, y, z)
+        with pytest.raises(MixcutsError) as got:
+            integer_point(inst, y, z)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        raised.add(type(got.value).__name__)
+    assert raised == {"ParseError", "DimensionMismatch", "DomainError"}

@@ -73,8 +73,8 @@ def test_max_sum_oracle_matches_from_scratch(seed):
     rows = random_rows(rng, n, k)
     floors = [Fraction(rng.choice(VALUES)) for _ in range(k)]
     eps = Fraction(rng.choice((0, 0, 1, 3, 7)))
-    # The raw evaluation sees every mask, repeats included; the oracle's
-    # memo answers repeats without evaluating.
+    # The raw evaluation and the oracle see every mask, repeats included,
+    # supersets of the last mask and others.
     raw = max_sum_oracle(rows, floors, eps)._func
     oracle = max_sum_oracle(rows, floors, eps)
     for mask in mask_walk(rng, n, 60):

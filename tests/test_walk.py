@@ -27,7 +27,6 @@ from mixcuts import (
     witness,
 )
 from mixcuts.aggregated import _starred_nodes, fold, starred_rows, walk
-from mixcuts.core import scale_point
 
 from conftest import random_insufficient_instance
 from helpers import (
@@ -36,6 +35,7 @@ from helpers import (
     fraction_aggregated_cut,
     fraction_hull_cut_family,
     l_theta,
+    scale_point,
     telescope,
 )
 
