@@ -51,7 +51,6 @@ from .core import (
     SequenceTheta,
     ValidationError,
     ZERO,
-    check_point,
     check_work,
     integer_point,
     unscale,
@@ -498,8 +497,7 @@ def _linking_sequence(inst: MixingInstance, slack: Sequence[int]) -> list[int]:
     _, weights, eps, _ = inst.scaled
     order = sorted(range(inst.n), key=slack.__getitem__, reverse=True)
     raised = set().union(*column_raisers(weights, order, [0] * inst.k, inst.peaks))
-    # The raisers back in the greedy's order: slack descending, ties by index.
-    raisers = sorted(sorted(raised), key=slack.__getitem__, reverse=True)
+    raisers = [i for i in order if i in raised]
     g = max_sum_oracle([weights[i] for i in raisers], [0] * inst.k, eps, "linking")
     vertex = greedy_vertex(g, [slack[i] for i in raisers])
     return [raisers[t] for t in reversed(vertex.permutation) if vertex.pi[t]]
@@ -604,7 +602,8 @@ def separate(
     unknown = set(families) - {"mix", "amix"}
     if unknown:
         raise ValidationError(f"unknown families {sorted(unknown)}")
-    y, z = check_point(inst, y_bar, z_bar)
+    p, y_p, z_p = integer_point(inst, y_bar, z_bar)
+    y, z = unscale(y_p, p), unscale(z_p, p)
     if not families:
         raise ValidationError("no cut family chosen: name mix, amix or both")
     found = []

@@ -140,19 +140,13 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _coeff(value: RationalLike) -> Fraction:
-    """One parsed coefficient, a zero as the shared ``ZERO``."""
-    value = parse_rational(value)
-    return value if value else ZERO
-
-
 def _coeffs(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     """Like :func:`_fracs`, with every zero the shared ``ZERO``.  ``ZERO``
     itself and a nonzero Fraction are taken as they are; anything else is
-    parsed by :func:`_coeff`."""
+    parsed."""
     return tuple(
         [
-            v if v is ZERO or (type(v) is Fraction and v) else _coeff(v)
+            v if v is ZERO or (type(v) is Fraction and v) else parse_rational(v) or ZERO
             for v in values
         ]
     )
@@ -472,20 +466,6 @@ def loads_point(text: str, k: int, n: int) -> tuple[tuple[Fraction, ...], tuple[
     return y, z
 
 
-def check_point(
-    inst: MixingInstance, y_bar: Sequence[RationalLike], z_bar: Sequence[RationalLike]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Parse a point (y, z) of the instance's space and check that z lies in
-    the unit box, for a caller that needs its Fractions; the separators take
-    the integer view of :func:`integer_point`."""
-    y, z = _fracs(y_bar), _fracs(z_bar)
-    if len(y) != inst.k or len(z) != inst.n:
-        raise DimensionMismatch("point dimensions disagree with instance")
-    if any(v.numerator < 0 or v.numerator > v.denominator for v in z):
-        raise DomainError("z outside the unit box")
-    return y, z
-
-
 def _ratios(values: Sequence[RationalLike]) -> list[tuple[int, int]]:
     """Each entry of a list or tuple of rationals as ``(numerator,
     denominator)``: a Fraction or an int read once, anything else parsed by
@@ -505,9 +485,9 @@ def integer_point(
 ) -> tuple[int, list[int], list[int]]:
     """Parse, check and scale a point (y, z) of the instance's space in one
     pass: ``(p, p * y, p * z)`` in integers, p the common denominator of
-    the point.  It raises what :func:`check_point` raises, in the same
-    order: an unparsable y, then z, then the dimensions, then z outside the
-    unit box."""
+    the point.  It raises, in this order: a :class:`ParseError` for an
+    unparsable y, then z, a :class:`DimensionMismatch`, then a
+    :class:`DomainError` for z outside the unit box."""
     y, z = _ratios(y_bar), _ratios(z_bar)
     if len(y) != inst.k or len(z) != inst.n:
         raise DimensionMismatch("point dimensions disagree with instance")

@@ -24,7 +24,8 @@ that the library's integer code is compared against.
   dispatch, each written out on its own.
 - An instance's column and row sum, which the library no longer offers.
 - The point check and scaling as two passes over ``Fraction``s, the
-  reference for ``core.integer_point``.
+  reference for ``core.integer_point``; the check alone was
+  ``core.check_point``.
 """
 
 import functools
@@ -43,6 +44,7 @@ from mixcuts import (
     LinearCut,
     LowerBoundsNotReduced,
     MixingInstance,
+    ParseError,
     PolymatroidVertex,
     SequenceTheta,
     TwoSidedData,
@@ -54,7 +56,6 @@ from mixcuts import (
     sequences,
     to_mixing,
 )
-from mixcuts.core import check_point
 from mixcuts.hull import CutMatrix, hull_cut_family, project_to_cut_polyhedron
 from mixcuts.submodular import SetFunctionOracle
 from mixcuts.vertices import (
@@ -987,7 +988,27 @@ def scale_point(
     )
 
 
+def check_point(
+    inst: MixingInstance, y_bar, z_bar
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """A point (y, z) parsed to Fractions and checked: y, then z, each a
+    list or tuple of rationals, then the dimensions, then z in the unit
+    box."""
+
+    def fracs(values) -> tuple[Fraction, ...]:
+        if not isinstance(values, (list, tuple)):
+            raise ParseError(f"not a list of rationals: {values!r}")
+        return tuple(parse_rational(v) for v in values)
+
+    y, z = fracs(y_bar), fracs(z_bar)
+    if len(y) != inst.k or len(z) != inst.n:
+        raise DimensionMismatch("point dimensions disagree with instance")
+    if any(v.numerator < 0 or v.numerator > v.denominator for v in z):
+        raise DomainError("z outside the unit box")
+    return y, z
+
+
 def two_pass_point(inst: MixingInstance, y_bar, z_bar) -> tuple[int, list[int], list[int]]:
-    """A point parsed and checked by ``core.check_point``, then scaled by
+    """A point parsed and checked by :func:`check_point`, then scaled by
     :func:`scale_point`: what ``core.integer_point`` does in one pass."""
     return scale_point(*check_point(inst, y_bar, z_bar))
