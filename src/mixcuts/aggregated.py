@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Generator, Iterator, Optional, Sequence
 
 from .core import (
@@ -399,15 +400,19 @@ def linking_cut(inst: MixingInstance) -> LinearCut:
 class HullDiagnosis:
     """Verdict of the hull-sufficiency conditions for one instance.
 
-    ``l_w_eps`` is None when no row lies outside the low set.
+    ``l_w_eps``, the least columnwise-minimum sum over pairs of ``rows``
+    (the rows outside the low set, over the denominator ``scale``; one
+    row's sum when it is alone, None when there is none), is computed the
+    first time it is read.
     """
 
     i_bar: frozenset[int]
     c1_ok: bool
     c2_ok: bool
     negligible: bool
-    l_w_eps: Optional[Fraction]
     g_submodular: bool
+    rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
+    scale: int = field(default=1, repr=False, compare=False)
 
     @property
     def sufficient(self) -> bool:
@@ -415,10 +420,37 @@ class HullDiagnosis:
         the linking oracle is submodular."""
         return self.g_submodular
 
+    @cached_property
+    def l_w_eps(self) -> Optional[Fraction]:
+        rows = self.rows
+        if len(rows) < 2:
+            return Fraction(sum(rows[0]), self.scale) if rows else None
+        floor, best = _pair_floor(rows), None
+        for total in _pair_sums(rows):
+            if best is None or total < best:
+                best = total
+            if best <= floor:  # no pair sum is below the floor
+                break
+        return Fraction(best, self.scale)
+
+
+def _pair_floor(rows: Sequence[Sequence[int]]) -> int:
+    """The sum of the column minima of two or more rows, a lower bound on
+    every pair sum.  It is also each row's own bound sum_j min(w_pj,
+    column_min_j), since no entry is below its column minimum."""
+    return sum(map(min, *rows))
+
+
+def _pair_sums(rows: Sequence[Sequence[int]]) -> Iterator[int]:
+    """sum_j min(w_pj, w_qj) over the pairs p < q of the rows, in
+    ``itertools.combinations`` order."""
+    return (sum(map(min, p, q)) for p, q in itertools.combinations(rows, 2))
+
 
 def diagnose(inst: MixingInstance) -> HullDiagnosis:
-    """Compute the index set of low rows, its negligibility, the pairwise
-    minimum constant, and the resulting submodularity/sufficiency verdict.
+    """Compute the index set of low rows, its negligibility and the
+    resulting submodularity/sufficiency verdict; the pairwise minimum
+    constant is computed when read.
 
     The verdict depends on the instance alone, so it is computed once and
     kept on the instance, the way ``functools.cached_property`` keeps a
@@ -447,18 +479,14 @@ def _diagnosis(inst: MixingInstance) -> HullDiagnosis:
         c1_ok = c2_ok = True
     negligible = c1_ok and c2_ok
 
-    if not outside:
-        pair_min = None
-    elif len(outside) == 1:
-        pair_min = sums[outside[0]]
-    else:
-        pair_min = min(
-            sum(map(min, w[p], w[q])) for p, q in itertools.combinations(outside, 2)
-        )
-
-    g_submodular = negligible and (pair_min is None or eps <= pair_min)
-    l_w_eps = None if pair_min is None else Fraction(pair_min, scale)
-    return HullDiagnosis(i_bar, c1_ok, c2_ok, negligible, l_w_eps, g_submodular)
+    # Submodular exactly when negligible and no pair sum is below epsilon.
+    rows = tuple(w[i] for i in outside)
+    g_submodular = negligible and (
+        len(rows) < 2
+        or _pair_floor(rows) >= eps
+        or all(total >= eps for total in _pair_sums(rows))
+    )
+    return HullDiagnosis(i_bar, c1_ok, c2_ok, negligible, g_submodular, rows, scale)
 
 
 def relaxation_holds(

@@ -261,6 +261,12 @@ class MixingInstance:
     the constraint ``sum_j y_j >= epsilon + sum_j lower_j``.  All entries are
     nonnegative exact rationals.  Optional scenario probabilities must sum to
     one exactly.
+
+    The constructor reads every entry once as an integer ratio and keeps
+    ``scaled``: the common denominator D of the weights, epsilon and lower
+    bounds, with all three scaled by D, ``(D, weights, epsilon, lower)`` in
+    integers.  The ``Fraction`` matrix ``weights`` is built from it the
+    first time it is read.
     """
 
     weights: tuple[tuple[Fraction, ...], ...]
@@ -275,7 +281,7 @@ class MixingInstance:
         epsilon: RationalLike = 0,
         probabilities: Optional[Sequence[RationalLike]] = None,
     ) -> None:
-        rows = tuple(_fracs(row) for row in weights)
+        rows = [_ratios(row) for row in weights]
         if not rows:
             raise ValidationError("instance needs at least one scenario row")
         k = len(rows[0])
@@ -283,12 +289,12 @@ class MixingInstance:
             raise ValidationError("instance needs at least one column")
         if any(len(row) != k for row in rows):
             raise ValidationError("ragged coefficient matrix")
-        if any(w < 0 for row in rows for w in row):
+        if any(a < 0 for row in rows for a, _ in row):
             raise ValidationError("negative coefficient entry")
-        low = _fracs(lower) if lower is not None else tuple(Fraction(0) for _ in range(k))
+        low = _ratios(lower) if lower is not None else [(0, 1)] * k
         if len(low) != k:
             raise ValidationError(f"lower bound vector has length {len(low)}, expected {k}")
-        if any(l < 0 for l in low):
+        if any(a < 0 for a, _ in low):
             raise ValidationError("negative lower bound")
         eps = parse_rational(epsilon)
         if eps < 0:
@@ -304,43 +310,41 @@ class MixingInstance:
                 raise ValidationError("negative probability")
             if sum(probs) != 1:
                 raise ValidationError("probabilities do not sum to 1 exactly")
-        object.__setattr__(self, "weights", rows)
-        object.__setattr__(self, "lower", low)
+        scale = math.lcm(
+            eps.denominator, *{b for row in rows for _, b in row}, *{b for _, b in low}
+        )
+        object.__setattr__(self, "lower", tuple(Fraction(a, b) for a, b in low))
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "scaled", (
+            scale,
+            tuple(tuple(a * (scale // b) for a, b in row) for row in rows),
+            eps.numerator * (scale // eps.denominator),
+            tuple(a * (scale // b) for a, b in low),
+        ))
+
+    def __getattr__(self, name: str):
+        """Build ``weights`` from ``scaled`` when it is first read; every
+        other attribute is found without this hook or does not exist."""
+        if name != "weights":
+            raise AttributeError(name)
+        scale, rows = self.scaled[:2]
+        view = tuple(tuple(Fraction(v, scale) for v in row) for row in rows)
+        object.__setattr__(self, "weights", view)
+        return view
 
     @property
     def n(self) -> int:
-        return len(self.weights)
+        return len(self.scaled[1])
 
     @property
     def k(self) -> int:
-        return len(self.weights[0])
+        return len(self.scaled[1][0])
 
     @cached_property
     def lower_is_zero(self) -> bool:
         """Whether every lower bound is 0, computed once."""
-        return all(l == 0 for l in self.lower)
-
-    @cached_property
-    def scaled(
-        self,
-    ) -> tuple[int, tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
-        """Common denominator D of the weights, epsilon and lower bounds, with
-        all three scaled by D: ``(D, weights, epsilon, lower)`` in integers,
-        computed once."""
-        scale = math.lcm(
-            self.epsilon.denominator,
-            *(w.denominator for row in self.weights for w in row),
-            *(l.denominator for l in self.lower),
-        )
-        weights = tuple(
-            tuple(w.numerator * (scale // w.denominator) for w in row)
-            for row in self.weights
-        )
-        eps = self.epsilon.numerator * (scale // self.epsilon.denominator)
-        lower = tuple(l.numerator * (scale // l.denominator) for l in self.lower)
-        return scale, weights, eps, lower
+        return not any(self.scaled[3])
 
     @cached_property
     def peaks(self) -> tuple[int, ...]:
@@ -394,10 +398,8 @@ def loads_instance(text: str) -> MixingInstance:
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     try:
-        n = int(doc["n"])
-        k = int(doc["k"])
-        w_rows = doc["W"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, k, w_rows = parse_count(doc["n"]), parse_count(doc["k"]), doc["W"]
+    except KeyError as exc:
         raise ParseError(f"missing or malformed field: {exc}") from exc
     if not isinstance(w_rows, list) or any(not isinstance(r, list) for r in w_rows):
         raise ParseError("W must be a list of rows")
@@ -407,6 +409,19 @@ def loads_instance(text: str) -> MixingInstance:
     epsilon = doc.get("epsilon", "0")
     probabilities = doc.get("probabilities")
     return MixingInstance(w_rows, lower, epsilon, probabilities)
+
+
+def parse_count(value: Union[int, str]) -> int:
+    """A dimension field: an int or an integer string; a bool, any other
+    number or anything else is a :class:`ParseError`."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        try:
+            return int(value)
+        except ValueError as exc:
+            raise ParseError(f"missing or malformed field: {exc}") from exc
+    raise ParseError(f"missing or malformed field: not an integer: {value!r}")
 
 
 def read_text(path: str) -> str:
@@ -466,16 +481,33 @@ def loads_point(text: str, k: int, n: int) -> tuple[tuple[Fraction, ...], tuple[
     return y, z
 
 
+def _ratio(v: RationalLike) -> tuple[int, int]:
+    """One rational that is not an int or a Fraction as ``(numerator,
+    denominator)`` in lowest terms: a string of ASCII digits, or two such
+    strings around one '/', read by ``int()`` (up to 640 characters, the
+    least digit limit ``int()`` may be set to), anything else parsed by
+    :func:`parse_rational`, whose errors these share."""
+    if type(v) is str and v.isascii() and len(v) <= 640:
+        num, slash, den = v.partition("/")
+        if num.isdigit() and not slash:
+            return int(num), 1
+        if num.isdigit() and den.isdigit():
+            a, b = int(num), int(den)
+            if not b:
+                raise ParseError(f"not a rational: {v!r}")
+            g = math.gcd(a, b)
+            return a // g, b // g
+    return parse_rational(v).as_integer_ratio()
+
+
 def _ratios(values: Sequence[RationalLike]) -> list[tuple[int, int]]:
     """Each entry of a list or tuple of rationals as ``(numerator,
-    denominator)``: a Fraction or an int read once, anything else parsed by
-    :func:`parse_rational`; not a list or tuple is a :class:`ParseError`."""
+    denominator)``: a Fraction or an int read as it is, anything else by
+    :func:`_ratio`; not a list or tuple is a :class:`ParseError`."""
     if not isinstance(values, (list, tuple)):
         raise ParseError(f"not a list of rationals: {values!r}")
     return [
-        (
-            v if type(v) is Fraction or type(v) is int else parse_rational(v)
-        ).as_integer_ratio()
+        v.as_integer_ratio() if type(v) is Fraction or type(v) is int else _ratio(v)
         for v in values
     ]
 

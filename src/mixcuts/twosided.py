@@ -26,6 +26,7 @@ from .core import (
     ParseError,
     RationalLike,
     SequenceTheta,
+    parse_count,
     parse_rational,
     unscale,
 )
@@ -88,7 +89,7 @@ def loads_twosided(text: str) -> TwoSidedData:
     if not isinstance(w, list) or not isinstance(v, list):
         raise ParseError("w and v must be lists")
     n = doc.get("n")
-    if n is not None and (len(w) != int(n) or len(v) != int(n)):
+    if n is not None and not parse_count(n) == len(w) == len(v):
         raise DimensionMismatch("w/v length disagrees with declared n")
     return TwoSidedData(w, v, ua)
 

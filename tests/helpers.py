@@ -26,11 +26,14 @@ that the library's integer code is compared against.
 - The point check and scaling as two passes over ``Fraction``s, the
   reference for ``core.integer_point``; the check alone was
   ``core.check_point``.
+- The instance constructor as it was before it read integer ratios: every
+  entry parsed to a ``Fraction``, the integer view computed from them.
 """
 
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -56,6 +59,7 @@ from mixcuts import (
     sequences,
     to_mixing,
 )
+from mixcuts.core import ValidationError, _fracs
 from mixcuts.hull import CutMatrix, hull_cut_family, project_to_cut_polyhedron
 from mixcuts.submodular import SetFunctionOracle
 from mixcuts.vertices import (
@@ -1012,3 +1016,63 @@ def two_pass_point(inst: MixingInstance, y_bar, z_bar) -> tuple[int, list[int], 
     """A point parsed and checked by :func:`check_point`, then scaled by
     :func:`scale_point`: what ``core.integer_point`` does in one pass."""
     return scale_point(*check_point(inst, y_bar, z_bar))
+
+
+@dataclass(frozen=True)
+class FractionInstance:
+    """``MixingInstance`` as its constructor was written over ``Fraction``s:
+    the reference of the integer constructor.  Its fields, ``scaled``,
+    hash and repr (but for the class name) are what the library's must be,
+    and it raises the same errors in the same order."""
+
+    weights: tuple[tuple[Fraction, ...], ...]
+    lower: tuple[Fraction, ...]
+    epsilon: Fraction
+    probabilities: Optional[tuple[Fraction, ...]] = None
+
+    def __init__(self, weights, lower=None, epsilon=0, probabilities=None) -> None:
+        rows = tuple(_fracs(row) for row in weights)
+        if not rows:
+            raise ValidationError("instance needs at least one scenario row")
+        k = len(rows[0])
+        if k == 0:
+            raise ValidationError("instance needs at least one column")
+        if any(len(row) != k for row in rows):
+            raise ValidationError("ragged coefficient matrix")
+        if any(w < 0 for row in rows for w in row):
+            raise ValidationError("negative coefficient entry")
+        low = _fracs(lower) if lower is not None else tuple(Fraction(0) for _ in range(k))
+        if len(low) != k:
+            raise ValidationError(f"lower bound vector has length {len(low)}, expected {k}")
+        if any(l < 0 for l in low):
+            raise ValidationError("negative lower bound")
+        eps = parse_rational(epsilon)
+        if eps < 0:
+            raise ValidationError("negative epsilon")
+        probs = None
+        if probabilities is not None:
+            probs = _fracs(probabilities)
+            if len(probs) != len(rows):
+                raise ValidationError(f"{len(probs)} probabilities for {len(rows)} scenarios")
+            if any(p < 0 for p in probs):
+                raise ValidationError("negative probability")
+            if sum(probs) != 1:
+                raise ValidationError("probabilities do not sum to 1 exactly")
+        object.__setattr__(self, "weights", rows)
+        object.__setattr__(self, "lower", low)
+        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "probabilities", probs)
+
+    @functools.cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+        scale = math.lcm(
+            self.epsilon.denominator,
+            *(w.denominator for row in self.weights for w in row),
+            *(l.denominator for l in self.lower),
+        )
+        weights = tuple(
+            tuple(w.numerator * (scale // w.denominator) for w in row) for row in self.weights
+        )
+        eps = self.epsilon.numerator * (scale // self.epsilon.denominator)
+        lower = tuple(l.numerator * (scale // l.denominator) for l in self.lower)
+        return scale, weights, eps, lower

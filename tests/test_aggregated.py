@@ -513,7 +513,7 @@ def exhaustive_best(inst: MixingInstance, y, z):
     return big_m, ground, None if best is None else best[1]
 
 
-NOT_SUBMODULAR = HullDiagnosis(frozenset(), True, True, True, None, False)
+NOT_SUBMODULAR = HullDiagnosis(frozenset(), True, True, True, False)
 
 
 def test_enumeration_prunes_by_the_best_gap_and_returns_the_exhaustive_best(monkeypatch):
