@@ -11,9 +11,9 @@ denominator, so a row the pivot leaves alone is not rewritten.
 
 Both outcomes carry an integer certificate: a feasible result is x / den with
 x >= 0 and Ax = b, an infeasible one is u with u.A <= 0 in every column and
-u.b > 0.  :func:`verify_feasible` (on the support of x) and
-:func:`verify_farkas` check a certificate against any integer system,
-which need not be the one solved.
+u.b > 0.  :func:`verify_feasible` (on the support of x, reading the system by
+columns) and :func:`verify_farkas` (by rows) check a certificate against
+any integer system, which need not be the one solved.
 Nothing here uses ``Fraction``.
 """
 
@@ -148,23 +148,26 @@ def solve_feasibility(
 
 
 def verify_feasible(
-    a_rows: Sequence[Sequence[int]],
+    columns: Sequence[Sequence[tuple[int, int]]],
     b: Sequence[int],
     support: Sequence[tuple[int, int]],
     den: int,
 ) -> bool:
-    """Whether x / den is nonnegative and solves Ax = b (den > 0), where x
-    is given by its support: ``(column, multiplier)`` pairs, each multiplier
-    positive and each column present in every row; x is 0 elsewhere."""
+    """Whether x / den is nonnegative and solves Ax = b (den > 0), with A
+    given by its columns: ``columns[j]`` lists column j's nonzero entries
+    as ``(row, value)`` pairs, each row an index of b.  x is given by its
+    support: ``(column, multiplier)`` pairs, each multiplier positive and
+    each column one of A's; x is 0 elsewhere.  Only the support's columns
+    are read."""
     if den <= 0:
         return False
-    width = min(map(len, a_rows), default=0)
-    if any(v <= 0 or not 0 <= j < width for j, v in support):
-        return False
-    return all(
-        sum(row[j] * v for j, v in support) == rhs * den
-        for row, rhs in zip(a_rows, b)
-    )
+    lhs = [0] * len(b)
+    for j, v in support:
+        if v <= 0 or not 0 <= j < len(columns):
+            return False
+        for i, a in columns[j]:
+            lhs[i] += a * v
+    return lhs == [rhs * den for rhs in b]
 
 
 def verify_farkas(

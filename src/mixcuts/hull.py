@@ -11,9 +11,10 @@ point outside it.
 
 The closure branch runs in integers from the drawn or enumerated point to
 the re-checked certificate: box points are numerators over one denominator,
-projected on the family's integer matrix (each cut reading only its nonzero
-z terms), complemented and handed to the chain certificate as one integer
-target; the cut polyhedron's vertices come from an integer
+drawn, complemented and sorted into their chains once per (n, samples,
+seed), projected on the family's integer matrix (a column's starred mixing
+rows by one running-minimum pass, every other cut by its nonzero z terms)
+and handed with their chains to the chain certificate; the cut polyhedron's vertices come from an integer
 double-description pass on its homogenised cone, gcd-reduced rays with
 bitmask zero sets and the combinatorial adjacency test, once the number of
 bases shows they are few enough.  A ``Fraction`` is made only for the
@@ -27,6 +28,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
@@ -42,6 +44,7 @@ from .core import (
     CutKind,
     LinearCut,
     MixingInstance,
+    ValidationError,
     check_work,
     complement,
     cut_text,
@@ -52,6 +55,8 @@ from .mixing import mix_star_cuts, star_rows
 from .vertices import (
     SeparatingHyperplane,
     VRepresentation,
+    certify_chain,
+    chain_links,
     decompose,
     membership,
     v_representation,
@@ -122,9 +127,14 @@ class CutMatrix:
     floor on one coordinate) and -1 when every y coefficient is 1 (a floor
     on the total; with one column both shapes are 0).  ``rows[r]`` holds the
     y then the z coefficients and ``rhs[r]`` the right-hand side, all times
-    the common ``denominator``.  ``z_terms[r]`` lists cut r's nonzero z
-    coefficients as ``(i, coefficient)`` pairs, read off ``rows`` once when
-    the matrix is built.
+    the common ``denominator``.
+
+    When the first ``starred`` rows are the starred mixing rows of every
+    column, ``stars[j]`` lists column j's ``(i, drop)`` pairs by w_ij
+    descending, drop being w_ij less the next value (the last: less 0), and
+    the projection reads them in place of those rows.  ``terms`` holds each
+    later row as ``(z terms, rhs, shape)``, its nonzero z coefficients as
+    ``(i, coefficient)`` pairs, read off ``rows`` once.
     """
 
     k: int
@@ -133,23 +143,32 @@ class CutMatrix:
     rows: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
     shapes: tuple[int, ...]
-    z_terms: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    starred: int = 0
+    stars: tuple[tuple[tuple[int, int], ...], ...] = ()
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        k = self.k
+        k, r = self.k, self.starred
         terms = tuple(
-            tuple((i, c) for i, c in enumerate(row[k:]) if c) for row in self.rows
+            (tuple((i, c) for i, c in enumerate(row[k:]) if c), rhs, shape)
+            for row, rhs, shape in zip(self.rows[r:], self.rhs[r:], self.shapes[r:])
         )
-        object.__setattr__(self, "z_terms", terms)
+        object.__setattr__(self, "terms", terms)
 
 
 def _cut_matrix(inst: MixingInstance, rows: dict[Row, CutKind]) -> CutMatrix:
-    """The rows of :func:`family_rows` as one matrix over their D."""
-    scale, k = inst.scaled[0], inst.k
+    """The rows of :func:`family_rows` as one matrix over their D, its
+    leading starred mixing rows read as each column's values (the lower
+    bounds are zero)."""
+    scale, weights, _, _ = inst.scaled
+    k = inst.k
     units = [tuple(scale if c == j else 0 for c in range(k)) for j in range(k)]
     units.append((scale,) * k)  # shape -1: every y coefficient 1
+    stars = []
+    for j in range(k):
+        order = sorted(range(inst.n), key=lambda i: -weights[i][j])
+        values = [weights[i][j] for i in order] + [0]
+        stars.append(tuple(zip(order, map(int.__sub__, values, values[1:]))))
     return CutMatrix(
         k,
         inst.n,
@@ -157,6 +176,8 @@ def _cut_matrix(inst: MixingInstance, rows: dict[Row, CutKind]) -> CutMatrix:
         tuple(units[shape] + z for shape, z, _ in rows),
         tuple(rhs for _, _, rhs in rows),
         tuple(shape for shape, _, _ in rows),
+        sum(kind is CutKind.MIX_STAR for kind in rows.values()),
+        tuple(stars),
     )
 
 
@@ -174,11 +195,20 @@ def project_to_cut_polyhedron(
     linking constraint and aggregated cuts) may force a higher total, and the
     shortfall is added to one designated coordinate.  The result satisfies
     every cut and is tight somewhere, which is where closure failures show.
-    Each cut reads only its nonzero z terms (:attr:`CutMatrix.z_terms`).
+    A column's starred mixing rows (:attr:`CutMatrix.stars`) give their
+    maximum by one running-minimum pass of z in descending value order, the
+    maximum over every chain headed at the column's peak; every other cut
+    reads only its nonzero z terms (:attr:`CutMatrix.terms`).
     """
     y = [0] * family.k
+    for j, pairs in enumerate(family.stars):
+        least = z_den
+        for i, drop in pairs:
+            if z[i] < least:
+                least = z[i]
+            y[j] += drop * (z_den - least)
     total_floor = 0
-    for terms, rhs, shape in zip(family.z_terms, family.rhs, family.shapes):
+    for terms, rhs, shape in family.terms:
         need = rhs * z_den
         for i, c in terms:
             need -= c * z[i]
@@ -197,15 +227,29 @@ _BOX_DENOMINATORS = (2, 3, 4, 5)
 _BOX_SCALE = math.lcm(*_BOX_DENOMINATORS)
 
 
-def _random_box_point(rng: random.Random, n: int) -> list[int]:
-    """A point of the unit box as integers over ``_BOX_SCALE``: per
-    coordinate a denominator d drawn from ``_BOX_DENOMINATORS``, then a
-    numerator in 0..d."""
-    z = []
-    for _ in range(n):
-        d = rng.choice(_BOX_DENOMINATORS)
-        z.append(rng.randint(0, d) * (_BOX_SCALE // d))
-    return z
+# The streams of at most this many samples are kept, the last few read
+# (:func:`_kept_draws`); a longer one is drawn afresh as it is read.
+_KEPT_SAMPLES = 256
+
+
+def _draws(n: int, samples: int, seed: int):
+    """The sample stream of ``random.Random(seed)``, all over
+    ``_BOX_SCALE``: per sample a point z of the unit box (per coordinate a
+    denominator d drawn from ``_BOX_DENOMINATORS``, then a numerator in
+    0..d), its complement 1 - z (the indicator view) and the
+    :func:`~mixcuts.vertices.chain_links` of that complement.  None of it
+    depends on the instance."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        dens = (rng.choice(_BOX_DENOMINATORS) for _ in range(n))
+        z = tuple(rng.randint(0, d) * (_BOX_SCALE // d) for d in dens)
+        c = tuple(_BOX_SCALE - v for v in z)
+        yield z, c, tuple(chain_links(c, _BOX_SCALE))
+
+
+@lru_cache(maxsize=8)
+def _kept_draws(n: int, samples: int, seed: int) -> tuple:
+    return tuple(_draws(n, samples, seed))
 
 
 def _cut_polyhedron_vertices(
@@ -272,15 +316,13 @@ def _cut_polyhedron_vertices(
     return sorted((ray[:d], ray[d]) for ray in rays if ray[d])
 
 
-def _inside(vrep: VRepresentation, target: list[int], den: int) -> bool:
-    """Whether the point with target (z, 1, y) over ``den``, z in the
-    indicator view, lies in the hull: by the chain certificate, and by the
-    membership LP where the chain proves nothing."""
-    if decompose(vrep, target, den) is not None:
-        return True
+def _outside(vrep: VRepresentation, target: list[int], den: int) -> bool:
+    """Whether the membership LP puts the point with target (z, 1, y) over
+    ``den``, z in the indicator view, outside the hull; asked only where
+    the point's chain proves nothing."""
     n = vrep.n
     point = _fractions(target, den)
-    return membership(vrep, point[n + 1 :], point[:n]).inside
+    return not membership(vrep, point[n + 1 :], point[:n]).inside
 
 
 def _fractions(values: Sequence[int], den: int) -> tuple[Fraction, ...]:
@@ -363,22 +405,27 @@ def check_sufficiency(
     seed: int = 20240,
     basis_work_bound: int = BASIS_ENUMERATION_WORK,
 ) -> SufficiencyReport:
-    """Certify the diagnosis empirically.
+    """Certify the diagnosis empirically; ``samples`` must be at least 1.
 
     Sufficient instances: sample points of the cut polyhedron (seeded
     projections of random box points, and every vertex when its system has
     at most ``basis_work_bound`` bases, listed by the double description of
     :func:`_cut_polyhedron_vertices`) and confirm each is inside the hull:
-    by the chain certificate of :func:`mixcuts.vertices.decompose` first,
-    and by the membership LP where the chain proves nothing, so a point is
-    counted outside only on the LP's verdict.  Every point stays in
-    integers from its draw or its ray to the chain certificate; a
-    ``Fraction`` is made only for the LP or for a failure message, and no
-    ``LinearCut`` is made.  Insufficient instances:
-    build the explicit witness point for the failing condition and certify
+    by the chain certificate first, and by the membership LP where the
+    chain proves nothing, so a point is counted outside only on the LP's
+    verdict.  The box points and their chains depend only on (n, samples,
+    seed), so a short stream is drawn and sorted once for the next checks of
+    its size (:func:`_kept_draws`) and each sample's certificate is built on
+    its chain (:func:`mixcuts.vertices.certify_chain`); a vertex's is
+    :func:`mixcuts.vertices.decompose`.  Every point stays in integers from
+    its draw or its ray to the chain certificate; a ``Fraction`` is made
+    only for the LP or for a failure message, and no ``LinearCut`` is made.
+    Insufficient instances: build the explicit witness point for the failing condition and certify
     that it satisfies every mixing and aggregated mixing cut yet lies
     outside the hull, by the membership LP.
     """
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples}")
     diag = diagnose(inst)
     failures: list[str] = []
 
@@ -386,17 +433,17 @@ def check_sufficiency(
         vrep = v_representation(inst)
         rows = family_rows(inst)
         family = _cut_matrix(inst, rows)
-        rng = random.Random(seed)
         k = inst.k
         # A sample's y is over D * Z, so its z is scaled by D to share it.
         scale = family.denominator
         sample_den = scale * _BOX_SCALE
         checked = 0
-        for s in range(samples):
-            z = _random_box_point(rng, inst.n)
+        draws = _draws if samples > _KEPT_SAMPLES else _kept_draws
+        for s, (z, c, links) in enumerate(draws(inst.n, samples, seed)):
             y = project_to_cut_polyhedron(family, z, _BOX_SCALE, s % k)
-            target = [sample_den - scale * v for v in z] + [sample_den] + y
-            if not _inside(vrep, target, sample_den):
+            target = [scale * v for v in c] + [sample_den] + y
+            proof = certify_chain(vrep, target, sample_den, links, scale)
+            if proof is None and _outside(vrep, target, sample_den):
                 failures.append(
                     f"projected sample {s} outside hull: "
                     f"y={_fractions(y, sample_den)} z={_fractions(z, _BOX_SCALE)}"
@@ -406,7 +453,9 @@ def check_sufficiency(
         if vertices is not None:
             for num, den in vertices:
                 y, z = num[:k], num[k:]
-                if not _inside(vrep, [den - v for v in z] + [den] + list(y), den):
+                target = [den - v for v in z] + [den] + list(y)
+                proof = decompose(vrep, target, den)
+                if proof is None and _outside(vrep, target, den):
                     failures.append(
                         "cut-polyhedron vertex outside hull: "
                         f"{_fractions(y, den)} {_fractions(z, den)}"

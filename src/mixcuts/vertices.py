@@ -46,8 +46,9 @@ class VRepresentation:
 
     The membership LP's constraint matrix has one column per point, then one
     per ray, and the rows: n z rows, the convexity row, k y rows.  It is
-    cached in integers once per vertex list, in two scalings (see
-    :attr:`lp_matrix` and :attr:`common_matrix`).
+    cached in integers once per vertex list, in two scalings by rows (see
+    :attr:`lp_matrix` and :attr:`common_matrix`) and by columns for the
+    certificate checks (:attr:`columns`).
 
     ``masks`` is the enumerator's record for :func:`decompose`: for each
     binary z (as a bitmask, bit i for z_i), ``(floor, deficit, columns)``
@@ -88,13 +89,30 @@ class VRepresentation:
     @cached_property
     def common_matrix(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """``(den, rows)``: the constraint matrix times ``den``, the points'
-        and rays' own integers.  The certificates are checked against it."""
+        and rays' own integers, for the LP's face, the Farkas check and
+        :func:`check_validity`."""
         den = self.den
         columns = self.points + self.rays
         rows = [tuple(v * den for v in row) for row in zip(*(z for _, z in columns))]
         rows.append((den,) * len(self.points) + (0,) * len(self.rays))
         rows += zip(*(y for y, _ in columns))
         return den, tuple(rows)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The columns of :attr:`common_matrix`, read straight off the points
+        and rays: each column's nonzero entries as ``(row, value)`` pairs in
+        row order.  Every certificate of an inside verdict is checked
+        against them."""
+        den, n, npts = self.den, self.n, len(self.points)
+        return tuple(
+            (
+                *((i, v * den) for i, v in enumerate(z) if v),
+                *(((n, den),) if c < npts else ()),
+                *((n + 1 + j, v) for j, v in enumerate(y) if v),
+            )
+            for c, (y, z) in enumerate(self.points + self.rays)
+        )
 
 
 def mask_floors(inst: MixingInstance) -> list[tuple[int, ...]]:
@@ -193,7 +211,8 @@ def membership(
     whose z has more rows active lies, in y, in the region of the point
     without them); on a list built by hand, such as the band-clipped hull,
     it can be positive.  Both certificates are re-checked in integers
-    against the full common-denominator matrix before returning.
+    against the full common-denominator matrix before returning, x by its
+    columns (:attr:`VRepresentation.columns`).
     """
     k, n = vrep.k, vrep.n
     if len(y) != k or len(z) != n:
@@ -231,7 +250,7 @@ def membership(
         # (common / den) x = target_int / target_den, in integers.
         support = [(j, v) for j, v in zip(columns, result.x) if v]
         if not verify_feasible(
-            common, target_int, [(j, target_den * v) for j, v in support],
+            vrep.columns, target_int, [(j, target_den * v) for j, v in support],
             den * result.den,
         ):
             raise InternalInvariant("membership certificate failed verification")
@@ -280,49 +299,70 @@ def decompose(
     point c and len(points) + d for the ray of y direction d.  Every other
     multiplier is 0.
 
-    z sorted in descending order (ties by ascending index) gives the nested
-    masks S_0 = {} < S_1 < ... < S_n, S_t holding the t largest entries,
-    with weights lambda_t = z_(t) - z_(t+1) (z_(0) = 1, z_(n+1) = 0); they
-    sum to 1 and their masks average to z.  Mask S_t contributes its floor
-    and owes its deficit, as :attr:`VRepresentation.masks` records them (a
-    list without that record gets None); the point is inside when the slack
-    y - sum lambda_t floor_t is nonnegative and covers sum lambda_t
-    deficit_t.  The deficit is filled into the columns in index order, every
-    mask spreading its points by that one fill, and what is left goes on
-    the rays.  All of this is integer over the vertex list's D and ``den``.
-    The support, at most one column per point of the chain's masks and
-    per ray, is re-checked against the common-denominator matrix by the
-    checker :func:`membership` uses for its own (only the support's
-    columns are read); no ``Fraction`` is made.
+    It is :func:`certify_chain` on the :func:`chain_links` of z; a list
+    without the enumerator's record (:attr:`VRepresentation.masks`) and a z
+    outside the unit box get None.
     """
     k, n = vrep.k, vrep.n
     if len(target) != n + 1 + k:
         raise DimensionMismatch("point dimensions disagree with representation")
     if den <= 0 or target[n] != den:
         raise DomainError("the target's convexity entry must be its denominator")
-    masks = vrep.masks
-    if masks is None:
-        return None
-    common_den, common = vrep.common_matrix
     z = target[:n]
-    if min(z) < 0 or max(z) > den:
-        return None  # z is outside the unit box
-    order = sorted(range(n), key=z.__getitem__, reverse=True)
-    levels = [den] + [z[i] for i in order] + [0]
+    if vrep.masks is None or min(z) < 0 or max(z) > den:
+        return None
+    return certify_chain(vrep, target, den, chain_links(z, den))
 
+
+def chain_links(z: Sequence[int], top: int) -> list[tuple[int, int]]:
+    """The chain of a z in [0, top]^n, integers over ``top``: z sorted in
+    descending order (ties by ascending index) gives the nested masks S_0 =
+    {} < ... < S_n, S_t (bit i for z_i) holding the t largest entries, with
+    weights z_(t) - z_(t+1) over ``top`` (z_(0) = top, z_(n+1) = 0) that sum
+    to 1 and average the masks to z: the ``(weight, mask)`` links of
+    nonzero weight."""
+    links, mask, level = [], 0, top
+    for i in sorted(range(len(z)), key=z.__getitem__, reverse=True):
+        if level > z[i]:
+            links.append((level - z[i], mask))
+        level = z[i]
+        mask |= 1 << i
+    if level:
+        links.append((level, mask))
+    return links
+
+
+def certify_chain(
+    vrep: VRepresentation, target: Sequence[int], den: int, links, scale: int = 1
+) -> Optional[tuple[list[tuple[int, int]], int]]:
+    """The chain certificate of :func:`decompose` for the target (z, 1, y)
+    over ``den`` on the chain of its z, on a vertex list with the
+    enumerator's record: ``links`` are :func:`chain_links` of z over ``den
+    / scale``, so each weight times ``scale`` is lambda_t over ``den``.
+    None when the chain proves nothing.
+
+    Mask S_t contributes its floor and owes its deficit, as
+    :attr:`VRepresentation.masks` records them; the point is inside when
+    the slack y - sum lambda_t floor_t is nonnegative and covers sum
+    lambda_t deficit_t.  The deficit is filled into the columns in index
+    order, every mask spreading its points by that one fill, and what is
+    left goes on the rays.  All of this is integer over the vertex list's D
+    and ``den``.  The support, at most one column per point of the chain's
+    masks and per ray, is re-checked by the checker :func:`membership` uses
+    for its own, which reads only the support's columns
+    (:attr:`VRepresentation.columns`); no ``Fraction`` is made.
+    """
+    masks, common_den = vrep.masks, vrep.den
     # Units of 1 / (den * D) from here on: slack, deficits and the fill.
-    slack = [v * common_den for v in target[n + 1 :]]
+    slack = [v * common_den for v in target[vrep.n + 1 :]]
     owed = 0
     chain = []
-    mask = 0
-    for t, weight in enumerate(a - b for a, b in zip(levels, levels[1:])):
-        if weight:
-            floor, deficit, columns = masks[mask]
-            chain.append((weight, columns))
-            slack = [s - weight * f for s, f in zip(slack, floor)]
-            owed += weight * deficit
-        if t < n:
-            mask |= 1 << order[t]
+    for weight, mask in links:
+        weight *= scale
+        floor, deficit, columns = masks[mask]
+        chain.append((weight, columns))
+        slack = [s - weight * f for s, f in zip(slack, floor)]
+        owed += weight * deficit
     if any(s < 0 for s in slack) or sum(slack) < owed:
         return None
     fill, rest = [], owed
@@ -348,7 +388,7 @@ def decompose(
             support.append((npts + d, (s - f) * spread * den))
     # The multipliers are (v / (den * x_den)), v = den * (x_den * them).
     x_den = unit * spread
-    if not verify_feasible(common, target, support, common_den * x_den):
+    if not verify_feasible(vrep.columns, target, support, common_den * x_den):
         raise InternalInvariant("chain certificate failed verification")
     return support, den * x_den
 

@@ -17,6 +17,11 @@ that the library's integer code is compared against.
   coefficients.
 - ``Fraction`` front ends of the closure check's integer entries: the
   projection, the basis vertices and the chain certificate.
+- The closure check as it ran one sample at a time, before its draws were
+  kept and its starred rows read as columns: the reference that
+  ``check_sufficiency`` is compared against field by field.
+- The column view of a row-form integer system, the form
+  ``exactlp.verify_feasible`` reads.
 - The ``Fraction`` vertex list and band hull: floors, deficits, the band
   check and the clipping in ``Fraction`` arithmetic; a vertex list's points
   read as ``Fraction``s, and a vertex list built by hand from them.
@@ -33,6 +38,7 @@ that the library's integer code is compared against.
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -60,6 +66,7 @@ from mixcuts import (
     to_mixing,
 )
 from mixcuts.core import ValidationError, _fracs
+from mixcuts import hull
 from mixcuts.hull import CutMatrix, hull_cut_family, project_to_cut_polyhedron
 from mixcuts.submodular import SetFunctionOracle
 from mixcuts.vertices import (
@@ -67,6 +74,8 @@ from mixcuts.vertices import (
     SeparatingHyperplane,
     VRepresentation,
     decompose as chain_decompose,
+    membership,
+    v_representation,
 )
 
 BRUTE_FORCE_BOUND = 16
@@ -462,6 +471,12 @@ def support(x: Sequence[int]) -> list[tuple[int, int]]:
     return [(j, v) for j, v in enumerate(x) if v]
 
 
+def columns_of(rows: Sequence[Sequence[int]]) -> list[tuple[tuple[int, int], ...]]:
+    """The columns of an integer system given by rows, each as its nonzero
+    ``(row, value)`` entries in row order."""
+    return [tuple((i, v) for i, v in enumerate(col) if v) for col in zip(*rows)]
+
+
 def scale_rows(
     a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> tuple[list[list[int]], list[int], list[int]]:
@@ -769,6 +784,61 @@ def chain_certificate(
         vrep, [t.numerator * (den // t.denominator) for t in target], den
     )
     return None if certificate is None else chain_result(vrep, certificate)
+
+
+def per_sample_check_sufficiency(
+    inst: MixingInstance,
+    samples: int = 50,
+    seed: int = 20240,
+    basis_work_bound: int = hull.BASIS_ENUMERATION_WORK,
+) -> "hull.SufficiencyReport":
+    """The closure branch of ``hull.check_sufficiency`` (the instance must
+    read as sufficient to ``hull.diagnose``) as it ran before the sample
+    streams were kept: every box point drawn afresh from
+    ``random.Random(seed)``, projected on the family's matrix with every
+    row read as a row, complemented and certified by ``decompose``, with
+    the membership LP where the chain proves nothing."""
+    diag = hull.diagnose(inst)
+    assert diag.sufficient
+    vrep = v_representation(inst)
+    rows = hull.family_rows(inst)
+    full = hull._cut_matrix(inst, rows)
+    family = CutMatrix(full.k, full.n, full.denominator, full.rows, full.rhs, full.shapes)
+    n, k, box = inst.n, inst.k, hull._BOX_SCALE
+
+    def inside(target, den):
+        if chain_decompose(vrep, target, den) is not None:
+            return True
+        point = [Fraction(v, den) for v in target]
+        return membership(vrep, point[n + 1 :], point[:n]).inside
+
+    def read(values, den):
+        return tuple(Fraction(v, den) for v in values)
+
+    rng = random.Random(seed)
+    scale = family.denominator
+    sample_den = scale * box
+    failures = []
+    checked = 0
+    for s in range(samples):
+        z = [int(v * box) for v in fraction_box_point(rng, n)]
+        y = project_to_cut_polyhedron(family, z, box, s % k)
+        if not inside([sample_den - scale * v for v in z] + [sample_den] + y, sample_den):
+            failures.append(
+                f"projected sample {s} outside hull: "
+                f"y={read(y, sample_den)} z={read(z, box)}"
+            )
+        checked += 1
+    vertices = hull._cut_polyhedron_vertices(family, basis_work_bound)
+    for num, den in vertices or ():
+        y, z = num[:k], num[k:]
+        if not inside([den - v for v in z] + [den] + list(y), den):
+            failures.append(f"cut-polyhedron vertex outside hull: {read(y, den)} {read(z, den)}")
+        checked += 1
+    return hull.SufficiencyReport(
+        diag, "closure", checked, tuple(failures), None, None, (), None,
+        not failures, inst, tuple(rows.items()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 ``vertices.decompose`` proves a point inside the hull, the LP agrees and the
 multipliers solve the point/ray system exactly; on sufficient instances it
 proves every closure check, so ``check_sufficiency`` runs no LP there; it
-gives no verdict on witness points, on vertex lists of another shape or on a
-corrupted cached matrix.  ``decompose`` takes an integer target; the tests
-reach it at Fraction points through ``helpers.chain_certificate``."""
+gives no verdict on witness points or on vertex lists of another shape, and
+a corrupted cached column makes it raise.  ``decompose`` takes an integer
+target; the tests reach it at Fraction points through
+``helpers.chain_certificate``."""
 
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from mixcuts import (
     witness,
 )
 from mixcuts import hull
+from mixcuts.vertices import certify_chain
 
 from conftest import random_insufficient_instance
 from helpers import (
@@ -95,22 +97,27 @@ def assert_certificate(vrep: VRepresentation, y, z, result) -> None:
 def test_chain_certifies_every_closure_check(monkeypatch):
     counts = {"certified": 0, "lp": 0}
 
-    def checked_decompose(vrep, target, den):
-        # The integer entry check_sufficiency calls, with each certificate
+    def checked(entry):
+        # An integer entry check_sufficiency calls (certify_chain on a
+        # sample's kept chain, decompose at a vertex), with each certificate
         # read back as Fractions and checked against the LP.
-        result = decompose(vrep, target, den)
-        if result is not None:
-            point = [Fraction(v, den) for v in target]
-            y, z = point[vrep.n + 1 :], point[: vrep.n]
-            assert_certificate(vrep, y, z, chain_result(vrep, result))
-            counts["certified"] += 1
-        return result
+        def call(vrep, target, den, *chain):
+            result = entry(vrep, target, den, *chain)
+            if result is not None:
+                point = [Fraction(v, den) for v in target]
+                y, z = point[vrep.n + 1 :], point[: vrep.n]
+                assert_certificate(vrep, y, z, chain_result(vrep, result))
+                counts["certified"] += 1
+            return result
+
+        return call
 
     def counted_membership(vrep, y, z):
         counts["lp"] += 1
         return membership(vrep, y, z)
 
-    monkeypatch.setattr(hull, "decompose", checked_decompose)
+    monkeypatch.setattr(hull, "decompose", checked(decompose))
+    monkeypatch.setattr(hull, "certify_chain", checked(certify_chain))
     monkeypatch.setattr(hull, "membership", counted_membership)
     rng = random.Random(15001)
     samples = 8
@@ -206,16 +213,20 @@ def test_witness_points_get_no_chain_certificate(example2, example3, example4):
 def test_corrupted_common_matrix_raises(row, delta):
     # At z = 0 the chain is the empty mask alone, and y = (eps, 0) is its
     # point for column 0, so the certificate uses that point's column only.
+    # The checker reads the common matrix by its columns' nonzero entries
+    # (``VRepresentation.columns``); the entry of that column in the row is
+    # changed by delta, or added where it was zero.
     inst = MixingInstance([[3, 1], [1, 4], [2, 2]], None, Fraction(7, 2))
     vrep = v_representation(inst)
     y, z = (Fraction(7, 2), Fraction(0)), (0, 0, 0)
     column = fraction_vertices(vrep).points.index((y, z))
     assert chain_certificate(vrep, y, z).coefficients[column] == 1
-    den, rows = vrep.common_matrix
-    corrupted = [list(r) for r in rows]
     index = {"z": 0, "convexity": vrep.n, "y": vrep.n + 1}[row]
-    corrupted[index][column] += delta
-    vrep.__dict__["common_matrix"] = (den, tuple(map(tuple, corrupted)))
+    entries = dict(vrep.columns[column])
+    entries[index] = entries.get(index, 0) + delta
+    corrupted = list(vrep.columns)
+    corrupted[column] = tuple(sorted(entries.items()))
+    vrep.__dict__["columns"] = tuple(corrupted)
     with pytest.raises(InternalInvariant):
         chain_certificate(vrep, y, z)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from mixcuts.exactlp import solve_feasibility, verify_farkas, verify_feasible
 
-from helpers import fraction_verify_feasible, scale_rows, support
+from helpers import columns_of, fraction_verify_feasible, scale_rows, support
 
 
 def solve_scaled(a_rows, b):
@@ -68,7 +68,7 @@ def test_constructed_feasible_systems():
         b = [sum(row[j] * x_star[j] for j in range(ncols)) for row in a]
         rows, rhs, res = solve_scaled(a, b)
         assert res.feasible
-        assert verify_feasible(rows, rhs, support(res.x), res.den)
+        assert verify_feasible(columns_of(rows), rhs, support(res.x), res.den)
         x = [Fraction(v, res.den) for v in res.x]
         assert fraction_verify_feasible(a, b, x)
 
@@ -86,7 +86,7 @@ def test_random_systems_certified_and_cross_checked():
         rows, rhs, res = solve_scaled(a, b)
         if res.feasible:
             feasible_seen += 1
-            assert verify_feasible(rows, rhs, support(res.x), res.den)
+            assert verify_feasible(columns_of(rows), rhs, support(res.x), res.den)
         else:
             infeasible_seen += 1
             assert verify_farkas(rows, rhs, res.farkas)
@@ -105,3 +105,38 @@ def test_edge_cases():
     res = solve_feasibility([[1]], [-1])
     assert not res.feasible
     assert verify_farkas([[1]], [-1], res.farkas)
+
+
+def test_column_checker_equals_the_fraction_check():
+    """The checker reads a system by its columns' nonzero entries: on
+    random systems and candidate x, feasible or not, it agrees with the
+    Fraction check of every row; a row no support column touches must have
+    a zero right-hand side; x with a zero, negative or out-of-range entry
+    and a nonpositive denominator are rejected."""
+    rng = random.Random(4243)
+    verdicts = set()
+    for _ in range(300):
+        m, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(ncols)] for _ in range(m)]
+        x = [rng.choice((0, rng.randint(1, 3))) for _ in range(ncols)]
+        den = rng.randint(1, 3)
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+        if rng.random() < 0.5:
+            rhs = [b * den for b in rhs]
+        if rng.random() < 0.3:
+            rhs[rng.randrange(m)] += rng.choice((-1, 1)) * den
+        got = verify_feasible(columns_of(rows), rhs, support(x), den)
+        want = fraction_verify_feasible(rows, rhs, [Fraction(v, den) for v in x])
+        assert got == want
+        verdicts.add(got)
+    assert verdicts == {True, False}
+    rows, rhs = [[1, 0], [0, 2]], [3, 0]
+    columns = columns_of(rows)
+    assert columns == [((0, 1),), ((1, 2),)]
+    assert verify_feasible(columns, rhs, [(0, 3)], 1)
+    assert not verify_feasible(columns, [3, 1], [(0, 3)], 1)  # row 1 untouched
+    assert not verify_feasible(columns, rhs, [(0, 3), (1, 0)], 1)
+    assert not verify_feasible(columns, rhs, [(0, 4), (1, -1)], 1)
+    assert not verify_feasible(columns, rhs, [(0, 3), (2, 1)], 1)
+    assert not verify_feasible(columns, rhs, [(0, 3), (-1, 1)], 1)
+    assert not verify_feasible(columns, rhs, [(0, 3)], 0)

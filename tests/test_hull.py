@@ -21,13 +21,19 @@ from mixcuts import (
     v_representation,
 )
 from mixcuts.cli import main
-from mixcuts.core import CutKind, DimensionMismatch, complement, serialize_instance
+from mixcuts.core import (
+    CutKind,
+    DimensionMismatch,
+    ValidationError,
+    complement,
+    serialize_instance,
+)
 from mixcuts.hull import (
     BASIS_ENUMERATION_WORK,
     _cut_polyhedron_vertices,
 )
 
-from conftest import random_instance, random_sufficient_instance
+from conftest import fixture_path, random_instance, random_sufficient_instance
 from helpers import (
     column_oracle,
     cut_matrix,
@@ -311,6 +317,19 @@ def test_check_sufficiency_example1(example1):
     assert {str(cut) for cut in starred} <= set(printed)
     again = check_sufficiency(example1, samples=25)
     assert report.to_json() == again.to_json()
+
+
+@pytest.mark.parametrize("samples", [0, -1, -50])
+def test_check_sufficiency_refuses_a_verdict_on_no_samples(
+    example1, example2, samples, capsys
+):
+    # Either branch; the CLI's own check comes first, with its own message.
+    for inst in (example1, example2):
+        with pytest.raises(ValidationError) as refused:
+            check_sufficiency(inst, samples=samples)
+        assert str(refused.value) == f"samples must be at least 1, got {samples}"
+    assert main(["verify", fixture_path("example1.json"), f"--samples={samples}"]) == 2
+    assert f"--samples must be at least 1, got {samples}" in capsys.readouterr().err
 
 
 def test_closure_report_prints_the_hull_family_cuts(capsys):

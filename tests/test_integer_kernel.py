@@ -30,7 +30,7 @@ from mixcuts.hull import (
     _BOX_SCALE,
     _cut_matrix,
     _cut_polyhedron_vertices,
-    _random_box_point,
+    _draws,
     family_rows,
     project_to_cut_polyhedron,
 )
@@ -38,6 +38,7 @@ from mixcuts.hull import (
 from conftest import random_insufficient_instance, random_sufficient_instance
 from helpers import (
     chain_certificate,
+    columns_of,
     cut_matrix,
     fraction_box_point,
     fraction_cut_polyhedron_vertices,
@@ -180,6 +181,8 @@ def test_cached_matrices_equal_the_scaled_fraction_rows():
         assert matrix == tuple(
             tuple(int(v * common) * factor for v in row) for row in rows
         )
+        # the column view the certificates are checked against
+        assert list(vrep.columns) == columns_of(matrix)
         below += common < den
     assert below
 
@@ -206,23 +209,22 @@ def test_projection_equals_the_fraction_oracle():
 
 
 def test_integer_samples_equal_the_fraction_draws_and_projection():
-    """Twin rng streams: the integer sampler draws the points the Fraction
-    sampler draws, in the same order of rng calls, and the integer
+    """The integer sample stream of a seed draws the points the Fraction
+    sampler draws from its own ``random.Random(seed)``, and the integer
     projection on the family's own matrix lifts them to the reference's y."""
     rng = random.Random(8084)
     for seed, inst in enumerate(closure_instances(rng, 40, max_n=5)):
         cuts = hull_cut_family(inst)
         family = _cut_matrix(inst, family_rows(inst))
-        ours, theirs = random.Random(seed), random.Random(seed)
+        theirs = random.Random(seed)
         den = family.denominator * _BOX_SCALE
-        for s in range(12):
-            z = _random_box_point(ours, inst.n)
+        for s, (z, _, _) in enumerate(_draws(inst.n, 12, seed)):
             want_z = fraction_box_point(theirs, inst.n)
             assert tuple(Fraction(v, _BOX_SCALE) for v in z) == want_z
             y = project_to_cut_polyhedron(family, z, _BOX_SCALE, s % inst.k)
             want_y, _ = fraction_projection(inst, cuts, want_z, s % inst.k)
             assert tuple(Fraction(v, den) for v in y) == want_y
-        assert ours.getstate() == theirs.getstate()
+        assert s == 11
 
 
 def test_family_matrix_is_the_fraction_cut_matrix_over_the_instance_denominator():
@@ -461,24 +463,28 @@ def test_tampered_x_fails_the_integer_check():
     common, den, target_den, rhs, result, _ = example_certificates(inst, y, z)
     assert result.feasible
     x = [target_den * v for v in result.x]
-    assert verify_feasible(common, rhs, support(x), den * result.den)
+    # the vertex list's own columns, which are those of its common matrix
+    columns = v_representation(inst).columns
+    assert list(columns) == columns_of(common)
+    assert verify_feasible(columns, rhs, support(x), den * result.den)
     for j in range(len(x)):
         for step in (1, -1):
             tampered = list(x)
             tampered[j] += step
             # a zero entry left in the support is rejected as well
             for entries in (support(tampered), list(enumerate(tampered))):
-                assert not verify_feasible(common, rhs, entries, den * result.den)
+                assert not verify_feasible(columns, rhs, entries, den * result.den)
 
 
 TAMPERS = {
     # the sums over the support no longer hold
-    "entry + 1": lambda rows, support: [(support[0][0], support[0][1] + 1)]
+    "entry + 1": lambda columns, support: [(support[0][0], support[0][1] + 1)]
     + support[1:],
     # the sums still hold, only the sign check rejects it
-    "negative entry": lambda rows, support: support + [(support[0][0], -1)]
+    "negative entry": lambda columns, support: support + [(support[0][0], -1)]
     + [(support[0][0], 1)],
-    "column past the rows": lambda rows, support: support + [(len(rows[0]), 1)],
+    # a column one past the matrix's last (the name is the row length's)
+    "column past the rows": lambda columns, support: support + [(len(columns), 1)],
 }
 
 
@@ -493,8 +499,8 @@ def test_tampered_support_raises(monkeypatch, entry, tamper):
     check = chain_certificate if entry == "decompose" else membership
     assert check(vrep, y, z).inside
 
-    def tampered(rows, rhs, support, den):
-        return verify_feasible(rows, rhs, TAMPERS[tamper](rows, list(support)), den)
+    def tampered(columns, rhs, support, den):
+        return verify_feasible(columns, rhs, TAMPERS[tamper](columns, list(support)), den)
 
     monkeypatch.setattr(vertices, "verify_feasible", tampered)
     with pytest.raises(InternalInvariant):
