@@ -14,10 +14,11 @@ the re-checked certificate: box points are numerators over one denominator,
 drawn, complemented and sorted into their chains once per (n, samples,
 seed), projected on the family's integer matrix (a column's starred mixing
 rows by one running-minimum pass, every other cut by its nonzero z terms)
-and handed with their chains to the chain certificate; the cut polyhedron's vertices come from an integer
-double-description pass on its homogenised cone, gcd-reduced rays with
-bitmask zero sets and the combinatorial adjacency test, once the number of
-bases shows they are few enough.  A ``Fraction`` is made only for the
+and handed with their chains to the chain certificate; the cut
+polyhedron's vertices come from an integer double-description pass on its
+homogenised cone, gcd-reduced rays with bitmask zero sets and the
+combinatorial adjacency test, once the number of bases shows they are few
+enough.  A ``Fraction`` is made only for the
 membership LP or a failure message; the report prints the family's cuts
 from its integer rows.
 """
@@ -168,7 +169,9 @@ def _cut_matrix(inst: MixingInstance, rows: dict[Row, CutKind]) -> CutMatrix:
     for j in range(k):
         order = sorted(range(inst.n), key=lambda i: -weights[i][j])
         values = [weights[i][j] for i in order] + [0]
-        stars.append(tuple(zip(order, map(int.__sub__, values, values[1:]))))
+        stars.append(
+            tuple((i, values[t] - values[t + 1]) for t, i in enumerate(order))
+        )
     return CutMatrix(
         k,
         inst.n,
@@ -420,9 +423,9 @@ def check_sufficiency(
     :func:`mixcuts.vertices.decompose`.  Every point stays in integers from
     its draw or its ray to the chain certificate; a ``Fraction`` is made
     only for the LP or for a failure message, and no ``LinearCut`` is made.
-    Insufficient instances: build the explicit witness point for the failing condition and certify
-    that it satisfies every mixing and aggregated mixing cut yet lies
-    outside the hull, by the membership LP.
+    Insufficient instances: build the explicit witness point for the
+    failing condition and certify that it satisfies every mixing and
+    aggregated mixing cut yet lies outside the hull, by the membership LP.
     """
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")

@@ -333,7 +333,11 @@ def chain_links(z: Sequence[int], top: int) -> list[tuple[int, int]]:
 
 
 def certify_chain(
-    vrep: VRepresentation, target: Sequence[int], den: int, links, scale: int = 1
+    vrep: VRepresentation,
+    target: Sequence[int],
+    den: int,
+    links: Sequence[tuple[int, int]],
+    scale: int = 1,
 ) -> Optional[tuple[list[tuple[int, int]], int]]:
     """The chain certificate of :func:`decompose` for the target (z, 1, y)
     over ``den`` on the chain of its z, on a vertex list with the

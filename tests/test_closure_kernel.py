@@ -245,7 +245,8 @@ def test_a_moved_point_of_the_vertex_list_is_caught():
         scale = family.denominator
         den = scale * _BOX_SCALE
         y = project_to_cut_polyhedron(family, z, _BOX_SCALE, 0)
-        support, _ = certify_chain(vrep, [scale * v for v in c] + [den] + y, den, links, scale)
+        target = [scale * v for v in c] + [den] + y
+        support, _ = certify_chain(vrep, target, den, links, scale)
         point = next(j for j, _ in support if j < len(vrep.points))
         points = list(vrep.points)
         py, pz = points[point]
