@@ -20,7 +20,6 @@ from .core import (
     RiskOutOfRange,
     SequenceTheta,
     ValidationError,
-    complement,
     format_rational,
     load_instance,
     loads_instance,
@@ -58,11 +57,7 @@ from .vertices import (
 )
 from .counterexample import (
     certify_witness,
-    find_minimal_U,
     witness,
-    witness_c1,
-    witness_c2,
-    witness_lw,
 )
 from .hull import (
     SufficiencyReport,

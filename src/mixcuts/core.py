@@ -536,6 +536,8 @@ def unscale(values: Iterable[int], scale: int) -> list[Fraction]:
     return [Fraction(v, scale) if v else ZERO for v in values]
 
 
-def complement(z: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Map z to 1 - z componentwise (the switch between the two variable views)."""
-    return tuple(Fraction(1) - parse_rational(v) for v in z)
+def indicator_target(point: tuple) -> tuple[list[int], int]:
+    """A point ``(p, p * y, p * z)`` scaled by :func:`integer_point` as the
+    membership target (1 - z, 1, y) over p: ``(target, p)``."""
+    p, y, z = point
+    return [p - v for v in z] + [p] + y, p

@@ -30,7 +30,7 @@ from .core import (
     PreconditionFailed,
     SequenceTheta,
     check_work,
-    complement,
+    indicator_target,
     integer_point,
 )
 from .mixing import separate_mixing
@@ -196,7 +196,8 @@ def certify_witness(
     holds (``tests/test_walk.py`` keeps such a point).
 
     Pass the point's membership verdict when it is already known; otherwise
-    the membership LP is solved here.
+    the membership LP is solved here, on the target of the point as scaled
+    once for the sweeps (:func:`mixcuts.core.indicator_target`).
     """
     check_certify_work(inst)
     y, z = point
@@ -232,7 +233,7 @@ def certify_witness(
         messages.append(f"FAIL: aggregated cut violated for {bad_agg[1]}: {cut}")
 
     if verdict is None:
-        verdict = membership(v_representation(inst), y, complement(z))
+        verdict = membership(v_representation(inst), *indicator_target(scaled))
     messages.append(
         "ok: membership LP certifies the point outside the hull"
         if not verdict.inside

@@ -18,9 +18,9 @@ and handed with their chains to the chain certificate; the cut
 polyhedron's vertices come from an integer double-description pass on its
 homogenised cone, gcd-reduced rays with bitmask zero sets and the
 combinatorial adjacency test, once the number of bases shows they are few
-enough.  A ``Fraction`` is made only for the
-membership LP or a failure message; the report prints the family's cuts
-from its integer rows.
+enough.  The membership LP takes the same integer target; a ``Fraction``
+is made only for a failure message, and the report prints the family's
+cuts from its integer rows.
 """
 
 from __future__ import annotations
@@ -47,15 +47,15 @@ from .core import (
     MixingInstance,
     ValidationError,
     check_work,
-    complement,
     cut_text,
     format_rational,
+    indicator_target,
+    integer_point,
 )
 from .counterexample import certify_witness, check_certify_work, witness
 from .mixing import mix_star_cuts, star_rows
 from .vertices import (
     SeparatingHyperplane,
-    VRepresentation,
     certify_chain,
     chain_links,
     decompose,
@@ -319,15 +319,6 @@ def _cut_polyhedron_vertices(
     return sorted((ray[:d], ray[d]) for ray in rays if ray[d])
 
 
-def _outside(vrep: VRepresentation, target: list[int], den: int) -> bool:
-    """Whether the membership LP puts the point with target (z, 1, y) over
-    ``den``, z in the indicator view, outside the hull; asked only where
-    the point's chain proves nothing."""
-    n = vrep.n
-    point = _fractions(target, den)
-    return not membership(vrep, point[n + 1 :], point[:n]).inside
-
-
 def _fractions(values: Sequence[int], den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, den) for v in values)
 
@@ -420,12 +411,13 @@ def check_sufficiency(
     seed), so a short stream is drawn and sorted once for the next checks of
     its size (:func:`_kept_draws`) and each sample's certificate is built on
     its chain (:func:`mixcuts.vertices.certify_chain`); a vertex's is
-    :func:`mixcuts.vertices.decompose`.  Every point stays in integers from
-    its draw or its ray to the chain certificate; a ``Fraction`` is made
-    only for the LP or for a failure message, and no ``LinearCut`` is made.
-    Insufficient instances: build the explicit witness point for the
-    failing condition and certify that it satisfies every mixing and
-    aggregated mixing cut yet lies outside the hull, by the membership LP.
+    :func:`mixcuts.vertices.decompose`, and the LP takes the same integer
+    target.  Every point stays in integers from its draw or its ray to the
+    re-checked certificate; a ``Fraction`` is made only for a failure
+    message, and no ``LinearCut`` is made.  Insufficient instances: build
+    the explicit witness point for the failing condition and certify that
+    it satisfies every mixing and aggregated mixing cut yet lies outside
+    the hull, by the membership LP.
     """
     if samples < 1:
         raise ValidationError(f"samples must be at least 1, got {samples}")
@@ -437,41 +429,42 @@ def check_sufficiency(
         rows = family_rows(inst)
         family = _cut_matrix(inst, rows)
         k = inst.k
+
+        def inside(target: list[int], den: int, proof) -> bool:
+            # The chain certificate, else the membership LP's verdict.
+            return proof is not None or membership(vrep, target, den).inside
+
         # A sample's y is over D * Z, so its z is scaled by D to share it.
         scale = family.denominator
         sample_den = scale * _BOX_SCALE
-        checked = 0
         draws = _draws if samples > _KEPT_SAMPLES else _kept_draws
         for s, (z, c, links) in enumerate(draws(inst.n, samples, seed)):
             y = project_to_cut_polyhedron(family, z, _BOX_SCALE, s % k)
             target = [scale * v for v in c] + [sample_den] + y
             proof = certify_chain(vrep, target, sample_den, links, scale)
-            if proof is None and _outside(vrep, target, sample_den):
+            if not inside(target, sample_den, proof):
                 failures.append(
                     f"projected sample {s} outside hull: "
                     f"y={_fractions(y, sample_den)} z={_fractions(z, _BOX_SCALE)}"
                 )
-            checked += 1
-        vertices = _cut_polyhedron_vertices(family, basis_work_bound)
-        if vertices is not None:
-            for num, den in vertices:
-                y, z = num[:k], num[k:]
-                target = [den - v for v in z] + [den] + list(y)
-                proof = decompose(vrep, target, den)
-                if proof is None and _outside(vrep, target, den):
-                    failures.append(
-                        "cut-polyhedron vertex outside hull: "
-                        f"{_fractions(y, den)} {_fractions(z, den)}"
-                    )
-                checked += 1
+        vertices = _cut_polyhedron_vertices(family, basis_work_bound) or ()
+        for num, den in vertices:
+            y, z = num[:k], num[k:]
+            target = [den - v for v in z] + [den] + list(y)
+            if not inside(target, den, decompose(vrep, target, den)):
+                failures.append(
+                    "cut-polyhedron vertex outside hull: "
+                    f"{_fractions(y, den)} {_fractions(z, den)}"
+                )
         return SufficiencyReport(
-            diag, "closure", checked, tuple(failures), None, None, tuple(), None,
-            not failures, inst, tuple(rows.items()),
+            diag, "closure", samples + len(vertices), tuple(failures), None, None,
+            tuple(), None, not failures, inst, tuple(rows.items()),
         )
 
     check_certify_work(inst)  # before the vertex list and the LP
     point, case = witness(inst, diag)
-    verdict = membership(v_representation(inst), point[0], complement(point[1]))
+    target = indicator_target(integer_point(inst, *point))
+    verdict = membership(v_representation(inst), *target)
     assertions = certify_witness(inst, point, verdict=verdict)
     ok = all(msg.startswith("ok") for msg in assertions)
     return SufficiencyReport(

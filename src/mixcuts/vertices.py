@@ -31,7 +31,6 @@ from .core import (
     LinearCut,
     LowerBoundsNotReduced,
     MixingInstance,
-    ZERO,
     check_work,
 )
 from .exactlp import solve_feasibility, verify_farkas, verify_feasible
@@ -182,44 +181,52 @@ class SeparatingHyperplane:
 @dataclass(frozen=True)
 class MembershipResult:
     inside: bool
-    # Convex multipliers per vrep point and ray multipliers, when inside.
-    coefficients: Optional[tuple[Fraction, ...]]
-    ray_coefficients: Optional[tuple[Fraction, ...]]
+    # When inside, the multipliers as :func:`decompose` gives them.
+    certificate: Optional[tuple[list[tuple[int, int]], int]]
     hyperplane: Optional[SeparatingHyperplane]
+
+
+def _check_target(vrep: VRepresentation, target: Sequence[int], den: int) -> None:
+    """Refuse a target that is not (z, 1, y) over ``den`` > 0 for the list."""
+    if len(target) != vrep.n + 1 + vrep.k:
+        raise DimensionMismatch("point dimensions disagree with representation")
+    if den <= 0 or target[vrep.n] != den:
+        raise DomainError("the target's convexity entry must be its denominator")
 
 
 def membership(
     vrep: VRepresentation,
-    y: Sequence[Fraction],
-    z: Sequence[Fraction],
+    target: Sequence[int],
+    den: int,
 ) -> MembershipResult:
-    """Exact test for (y, z) in conv(points) + cone(rays), with certificate.
+    """Exact test for a point in conv(points) + cone(rays), with certificate.
+
+    It takes and gives the forms of :func:`decompose`: the target (z, 1, y)
+    over ``den`` > 0, and an inside verdict's multipliers as ``(support,
+    x_den)``; an outside verdict carries a strictly separating hyperplane.
 
     Solves the feasibility LP "convex combination of points plus nonnegative
     ray multiples equals the target" by the integer simplex on the target's
     face of the hull.  Every column's z is nonnegative, so where the target
     has z_i = 0 a solution puts no weight on a column with z_i > 0: those
-    columns and the rows z_i = 0 are dropped before the LP, and the rest of
-    the vertex list's row-scaled matrix is solved as it stands; only the
-    right-hand side is built here.  A feasible x is scattered back with
-    zeros on the dropped columns.  An infeasible outcome gives a Farkas
-    vector on the kept rows, which is lifted to the dropped rows: row i
-    gets the multiplier -max(0, u.A_j) over the dropped columns j with
-    z_ij > 0, so u.A <= 0 holds on every column, and u.b is unchanged
-    because b_i = 0; the lifted vector is a strictly separating hyperplane.
-    On the list of :func:`v_representation` the lift is always 0 (a point
-    whose z has more rows active lies, in y, in the region of the point
-    without them); on a list built by hand, such as the band-clipped hull,
-    it can be positive.  Both certificates are re-checked in integers
-    against the full common-denominator matrix before returning, x by its
+    columns and the rows z_i = 0 are dropped before the LP, and each kept
+    row of the vertex list's row-scaled matrix is rescaled only by its
+    target entry's denominator in lowest terms, so the LP does not depend
+    on ``den``.  A feasible x is the support.  An infeasible outcome gives
+    a Farkas vector on the kept rows, which is lifted to the dropped rows:
+    row i gets the multiplier -max(0, u.A_j) over the dropped columns j
+    with z_ij > 0, so u.A <= 0 holds on every column, and u.b is unchanged
+    because b_i = 0; the lifted vector is the hyperplane.  On the list of
+    :func:`v_representation` the lift is always 0 (a point whose z has
+    more rows active lies, in y, in the region of the point without them);
+    on a list built by hand, such as the band-clipped hull, it can be
+    positive.  Both certificates are re-checked in integers against the
+    full common-denominator matrix before returning, the support by its
     columns (:attr:`VRepresentation.columns`).
     """
-    k, n = vrep.k, vrep.n
-    if len(y) != k or len(z) != n:
-        raise DimensionMismatch("point dimensions disagree with representation")
-    npts = len(vrep.points)
-    target = [Fraction(v) for v in z] + [Fraction(1)] + [Fraction(v) for v in y]
-    den, common = vrep.common_matrix
+    _check_target(vrep, target, den)
+    n = vrep.n
+    common_den, common = vrep.common_matrix
     # The face: rows where the target's z is 0, and the columns they keep.
     dropped = [i for i in range(n) if not target[i]]
     kept_rows = [r for r in range(len(common)) if r >= n or target[r]]
@@ -230,39 +237,31 @@ def membership(
         columns = range(len(common[0]))
     # Each LP row is scaled by the lcm of its own and its rhs's denominators.
     rows, row_scales = vrep.lp_matrix
-    a_rows = []
-    b = []
-    scales = []
+    a_rows, b, scales = [], [], []
     for r in kept_rows:
         t, row_scale = target[r], row_scales[r]
-        scale = math.lcm(row_scale, t.denominator)
+        scale = math.lcm(row_scale, den // math.gcd(t, den))
         factor = scale // row_scale
         row = rows[r]
         a_rows.append([row[j] * factor for j in columns])
-        b.append(t.numerator * (scale // t.denominator))
+        b.append(t * scale // den)
         scales.append(scale)
     result = solve_feasibility(a_rows, b)
 
-    # The target over one common denominator L, for the checks.
-    target_den = math.lcm(*(t.denominator for t in target))
-    target_int = [t.numerator * (target_den // t.denominator) for t in target]
     if result.feasible:
-        # (common / den) x = target_int / target_den, in integers.
+        # (common / common_den) x = target / den, in integers.
         support = [(j, v) for j, v in zip(columns, result.x) if v]
         if not verify_feasible(
-            vrep.columns, target_int, [(j, target_den * v) for j, v in support],
-            den * result.den,
+            vrep.columns, target, [(j, den * v) for j, v in support],
+            common_den * result.den,
         ):
             raise InternalInvariant("membership certificate failed verification")
-        x = [ZERO] * len(common[0])
-        for j, v in support:
-            x[j] = Fraction(v, result.den)
-        return MembershipResult(True, tuple(x[:npts]), tuple(x[npts:]), None)
+        return MembershipResult(True, (support, result.den), None)
 
     # The LP's Farkas vector, mapped back through the row scales, proves the
     # face system infeasible: u.A <= 0 on every kept column and u.b > 0.
-    # Times den it is an integer vector on the rows of ``common`` with the
-    # same plane, so each dropped row's multiplier is an integer there.
+    # Times common_den it is an integer vector on the rows of ``common`` with
+    # the same plane, so each dropped row's multiplier is an integer there.
     u = [0] * len(common)
     for r, scale, v in zip(kept_rows, scales, result.farkas):
         u[r] = scale * v
@@ -270,16 +269,16 @@ def membership(
     for r in kept_rows:
         if u[r]:
             lift = [s + u[r] * v for s, v in zip(lift, common[r])]
-    u = [v * den for v in u]
+    u = [v * common_den for v in u]
     for i in dropped:
         u[i] = -max([0] + [s for s, v in zip(lift, common[i]) if v])
     # Lifted this way, u.A <= 0 on every column, u.b > 0, and phi <= bound
     # on every point, phi does not grow along a ray, and phi(target) > bound.
-    if not verify_farkas(common, target_int, u):
+    if not verify_farkas(common, target, u):
         raise InternalInvariant("separating hyperplane failed verification")
-    u = [Fraction(v, den * result.den) for v in u]
+    u = [Fraction(v, common_den * result.den) for v in u]
     return MembershipResult(
-        False, None, None, SeparatingHyperplane(tuple(u[n + 1 :]), tuple(u[:n]), -u[n])
+        False, None, SeparatingHyperplane(tuple(u[n + 1 :]), tuple(u[:n]), -u[n])
     )
 
 
@@ -297,18 +296,14 @@ def decompose(
     denominator: ``(support, x_den)``, with ``support`` the ``(column,
     numerator)`` pairs of the nonzero ones, column c < len(points) for
     point c and len(points) + d for the ray of y direction d.  Every other
-    multiplier is 0.
+    multiplier is 0.  :func:`membership` takes and gives the same forms.
 
     It is :func:`certify_chain` on the :func:`chain_links` of z; a list
     without the enumerator's record (:attr:`VRepresentation.masks`) and a z
     outside the unit box get None.
     """
-    k, n = vrep.k, vrep.n
-    if len(target) != n + 1 + k:
-        raise DimensionMismatch("point dimensions disagree with representation")
-    if den <= 0 or target[n] != den:
-        raise DomainError("the target's convexity entry must be its denominator")
-    z = target[:n]
+    _check_target(vrep, target, den)
+    z = target[: vrep.n]
     if vrep.masks is None or min(z) < 0 or max(z) > den:
         return None
     return certify_chain(vrep, target, den, chain_links(z, den))
@@ -404,10 +399,12 @@ def check_validity(inst: MixingInstance, cut: LinearCut, vrep=None) -> bool:
     vertices (complemented from the epigraph view) on the vertex list's
     common-denominator matrix, so the check is exact and in integers.  Pass a
     precomputed vertex representation to amortize enumeration and scaling
-    over many cuts.
+    over many cuts; a list of another (k, n) is refused.
     """
     if cut.k != inst.k or cut.n != inst.n:
         raise DimensionMismatch("cut dimensions disagree with instance")
+    if vrep is not None and (vrep.k, vrep.n) != (inst.k, inst.n):
+        raise DimensionMismatch("vertex list dimensions disagree with instance")
     # Rays (e_j, 0): the cut must not be violated in any unbounded direction.
     if any(a < 0 for a in cut.y_coeffs):
         return False

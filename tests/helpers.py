@@ -16,7 +16,10 @@ that the library's integer code is compared against.
   and the cut matrix of any list of cuts, read off their ``Fraction``
   coefficients.
 - ``Fraction`` front ends of the closure check's integer entries: the
-  projection, the basis vertices and the chain certificate.
+  projection, the basis vertices, the chain certificate and the membership
+  LP; a point's complement 1 - z, which the library no longer offers; an
+  inside certificate read as ``Fraction`` multipliers, or in lowest
+  terms.
 - The closure check as it ran one sample at a time, before its draws were
   kept and its starred rows read as columns: the reference that
   ``check_sufficiency`` is compared against field by field.
@@ -57,7 +60,6 @@ from mixcuts import (
     PolymatroidVertex,
     SequenceTheta,
     TwoSidedData,
-    complement,
     diagnose,
     greedy_vertex,
     max_sum_oracle,
@@ -587,9 +589,9 @@ def fraction_membership(
     denominators, a feasible x gets zeros on the dropped columns, and a
     Farkas vector gets -max(0, u.A_j) over the dropped columns j with a
     nonzero entry in each dropped row.  Both certificates are checked
-    against the full system."""
+    against the full system; x is returned in the support form, in lowest
+    terms (:func:`support_form`)."""
     n = vrep.n
-    npts = len(vrep.points)
     a_rows = fraction_rows(fraction_vertices(vrep))
     b = [Fraction(v) for v in z] + [Fraction(1)] + [Fraction(v) for v in y]
     ncols = len(a_rows[0])
@@ -607,7 +609,7 @@ def fraction_membership(
             full_x[j] = v
         if not fraction_verify_feasible(a_rows, b, full_x):
             raise InternalInvariant("oracle membership certificate failed")
-        return MembershipResult(True, tuple(full_x[:npts]), tuple(full_x[npts:]), None)
+        return MembershipResult(True, support_form(full_x), None)
     full_u = [Fraction(0)] * len(a_rows)
     for r, s, v in zip(kept, scales, u):
         full_u[r] = s * v
@@ -627,16 +629,16 @@ def full_fraction_membership(
     vrep: VRepresentation, y: Sequence[Fraction], z: Sequence[Fraction]
 ) -> MembershipResult:
     """The membership LP built in Fractions over every column of the vertex
-    list, solved and checked by the oracle."""
+    list, solved and checked by the oracle; x is returned in the support
+    form, in lowest terms (:func:`support_form`)."""
     n = vrep.n
-    npts = len(vrep.points)
     a_rows = fraction_rows(fraction_vertices(vrep))
     b = [Fraction(v) for v in z] + [Fraction(1)] + [Fraction(v) for v in y]
     feasible, x, u = fraction_solve_feasibility(a_rows, b)
     if feasible:
         if not fraction_verify_feasible(a_rows, b, x):
             raise InternalInvariant("oracle membership certificate failed")
-        return MembershipResult(True, x[:npts], x[npts:], None)
+        return MembershipResult(True, support_form(x), None)
     return farkas_result(a_rows, b, u, n)
 
 
@@ -645,7 +647,7 @@ def farkas_result(a_rows, b, u, n: int) -> MembershipResult:
     if not fraction_verify_farkas(a_rows, b, u):
         raise InternalInvariant("oracle separating hyperplane failed")
     plane = SeparatingHyperplane(tuple(u[n + 1 :]), tuple(u[:n]), -u[n])
-    return MembershipResult(False, None, None, plane)
+    return MembershipResult(False, None, plane)
 
 
 def fraction_projection(
@@ -759,9 +761,43 @@ def vertex_points(vertices, k: int):
     return [(point[:k], point[k:]) for point in points]
 
 
-def chain_result(vrep: VRepresentation, certificate) -> MembershipResult:
-    """The integer multipliers ``(support, x_den)`` of ``vertices.decompose``
-    as the ``MembershipResult`` the LP would give; a column the support
+def complement(z: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Map z to 1 - z componentwise (the switch between the two variable
+    views)."""
+    return tuple(Fraction(1) - parse_rational(v) for v in z)
+
+
+def target(y: Sequence[Fraction], z: Sequence[Fraction]) -> tuple[list[int], int]:
+    """A Fraction point (y, z), z in the indicator view, as the integer
+    target (z, 1, y) over the lcm of its denominators, the form
+    ``vertices.membership`` and ``vertices.decompose`` take."""
+    point = [Fraction(v) for v in z] + [Fraction(1)] + [Fraction(v) for v in y]
+    den = math.lcm(*(t.denominator for t in point))
+    return [t.numerator * (den // t.denominator) for t in point], den
+
+
+def membership_at(
+    vrep: VRepresentation, y: Sequence[Fraction], z: Sequence[Fraction]
+) -> MembershipResult:
+    """``vertices.membership`` at a Fraction point (y, z), z in the
+    indicator view."""
+    return membership(vrep, *target(y, z))
+
+
+def chain_certificate(
+    vrep: VRepresentation, y: Sequence[Fraction], z: Sequence[Fraction]
+) -> Optional[MembershipResult]:
+    """``vertices.decompose`` at a Fraction point (y, z), z in the indicator
+    view, as the ``MembershipResult`` the LP gives, or None."""
+    certificate = chain_decompose(vrep, *target(y, z))
+    return None if certificate is None else MembershipResult(True, certificate, None)
+
+
+def multipliers(
+    vrep: VRepresentation, certificate
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """An inside certificate ``(support, x_den)`` read as Fractions: the
+    multiplier of every point, then of every ray; a column the support
     lists twice is rejected."""
     support, x_den = certificate
     x = [Fraction(0)] * (len(vrep.points) + len(vrep.rays))
@@ -770,20 +806,27 @@ def chain_result(vrep: VRepresentation, certificate) -> MembershipResult:
             raise InternalInvariant(f"column {j} listed twice")
         x[j] = Fraction(v, x_den)
     npts = len(vrep.points)
-    return MembershipResult(True, tuple(x[:npts]), tuple(x[npts:]), None)
+    return tuple(x[:npts]), tuple(x[npts:])
 
 
-def chain_certificate(
-    vrep: VRepresentation, y: Sequence[Fraction], z: Sequence[Fraction]
-) -> Optional[MembershipResult]:
-    """``vertices.decompose`` at a Fraction point (y, z), z in the indicator
-    view: the target (z, 1, y) over the lcm of its denominators."""
-    target = [Fraction(v) for v in z] + [Fraction(1)] + [Fraction(v) for v in y]
-    den = math.lcm(*(t.denominator for t in target))
-    certificate = chain_decompose(
-        vrep, [t.numerator * (den // t.denominator) for t in target], den
-    )
-    return None if certificate is None else chain_result(vrep, certificate)
+def support_form(x: Sequence[Fraction]) -> tuple[list[tuple[int, int]], int]:
+    """Fraction multipliers as an inside certificate ``(support, x_den)`` in
+    lowest terms: x_den the lcm of their denominators, and the
+    ``(column, numerator)`` pairs of the nonzero ones in column order."""
+    x_den = math.lcm(*(v.denominator for v in x))
+    support = [(j, v.numerator * (x_den // v.denominator)) for j, v in enumerate(x) if v]
+    return support, x_den
+
+
+def in_lowest_terms(result: MembershipResult) -> MembershipResult:
+    """A membership result with its inside certificate divided by the gcd
+    of its denominator and numerators, the form of :func:`support_form`."""
+    if result.certificate is None:
+        return result
+    support, x_den = result.certificate
+    g = math.gcd(x_den, *(v for _, v in support))
+    reduced = [(j, v // g) for j, v in support]
+    return MembershipResult(True, (reduced, x_den // g), None)
 
 
 def per_sample_check_sufficiency(
@@ -809,8 +852,7 @@ def per_sample_check_sufficiency(
     def inside(target, den):
         if chain_decompose(vrep, target, den) is not None:
             return True
-        point = [Fraction(v, den) for v in target]
-        return membership(vrep, point[n + 1 :], point[:n]).inside
+        return membership(vrep, target, den).inside
 
     def read(values, den):
         return tuple(Fraction(v, den) for v in values)

@@ -18,13 +18,14 @@ from mixcuts import (
 )
 from mixcuts import aggregated
 from mixcuts.aggregated import HullDiagnosis, _linking_sequence, count_sequences, fold, walk
-from mixcuts.core import complement, integer_point
+from mixcuts.core import integer_point
 from mixcuts.hull import diagnose, v_representation
 from mixcuts.submodular import greedy_vertex, max_sum_oracle
 
 from conftest import random_weights
 from helpers import (
     column,
+    complement,
     decompose,
     dominates_linking,
     fraction_aggregated_cut,

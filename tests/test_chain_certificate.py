@@ -3,9 +3,9 @@
 multipliers solve the point/ray system exactly; on sufficient instances it
 proves every closure check, so ``check_sufficiency`` runs no LP there; it
 gives no verdict on witness points or on vertex lists of another shape, and
-a corrupted cached column makes it raise.  ``decompose`` takes an integer
-target; the tests reach it at Fraction points through
-``helpers.chain_certificate``."""
+a corrupted cached column makes it raise.  ``decompose`` and ``membership``
+take an integer target; the tests reach them at Fraction points through
+``helpers.chain_certificate`` and ``helpers.membership_at``."""
 
 import random
 from fractions import Fraction
@@ -18,7 +18,6 @@ from mixcuts import (
     TwoSidedData,
     VRepresentation,
     check_sufficiency,
-    complement,
     decompose,
     diagnose,
     hull_with_bounds,
@@ -28,14 +27,16 @@ from mixcuts import (
     witness,
 )
 from mixcuts import hull
-from mixcuts.vertices import certify_chain
+from mixcuts.vertices import MembershipResult, certify_chain
 
 from conftest import random_insufficient_instance
 from helpers import (
     chain_certificate,
-    chain_result,
+    complement,
     fraction_hull_with_bounds,
     fraction_vertices,
+    membership_at,
+    multipliers,
     vertex_list,
 )
 
@@ -81,8 +82,8 @@ def assert_certificate(vrep: VRepresentation, y, z, result) -> None:
     """The LP calls (y, z) inside, and the chain's multipliers are a convex
     combination of the points plus nonnegative ray multiples equal to it."""
     assert result.inside and result.hyperplane is None
-    assert membership(vrep, y, z).inside
-    coeffs, ray_coeffs = result.coefficients, result.ray_coefficients
+    assert membership_at(vrep, y, z).inside
+    coeffs, ray_coeffs = multipliers(vrep, result.certificate)
     assert len(coeffs) == len(vrep.points) and len(ray_coeffs) == len(vrep.rays)
     assert all(c >= 0 for c in coeffs + ray_coeffs)
     assert sum(coeffs) == 1
@@ -106,15 +107,15 @@ def test_chain_certifies_every_closure_check(monkeypatch):
             if result is not None:
                 point = [Fraction(v, den) for v in target]
                 y, z = point[vrep.n + 1 :], point[: vrep.n]
-                assert_certificate(vrep, y, z, chain_result(vrep, result))
+                assert_certificate(vrep, y, z, MembershipResult(True, result, None))
                 counts["certified"] += 1
             return result
 
         return call
 
-    def counted_membership(vrep, y, z):
+    def counted_membership(vrep, target, den):
         counts["lp"] += 1
-        return membership(vrep, y, z)
+        return membership(vrep, target, den)
 
     monkeypatch.setattr(hull, "decompose", checked(decompose))
     monkeypatch.setattr(hull, "certify_chain", checked(certify_chain))
@@ -182,7 +183,7 @@ def test_chain_never_certifies_a_point_the_lp_puts_outside():
             z = tuple(rng.choice(pool) for _ in range(inst.n))
             y = tuple(top * Fraction(rng.randint(0, 8), 8) for _ in range(inst.k))
             certificate = chain_certificate(vrep, y, z)
-            inside = membership(vrep, y, z).inside
+            inside = membership_at(vrep, y, z).inside
             assert inside or certificate is None, (inst, y, z)
             if certificate is not None:
                 assert_certificate(vrep, y, z, certificate)
@@ -204,7 +205,7 @@ def test_witness_points_get_no_chain_certificate(example2, example3, example4):
     for inst in instances:
         (y, z), _ = witness(inst)
         vrep = v_representation(inst)
-        assert not membership(vrep, y, complement(z)).inside
+        assert not membership_at(vrep, y, complement(z)).inside
         assert chain_certificate(vrep, y, complement(z)) is None
 
 
@@ -220,7 +221,8 @@ def test_corrupted_common_matrix_raises(row, delta):
     vrep = v_representation(inst)
     y, z = (Fraction(7, 2), Fraction(0)), (0, 0, 0)
     column = fraction_vertices(vrep).points.index((y, z))
-    assert chain_certificate(vrep, y, z).coefficients[column] == 1
+    coeffs, _ = multipliers(vrep, chain_certificate(vrep, y, z).certificate)
+    assert coeffs[column] == 1
     index = {"z": 0, "convexity": vrep.n, "y": vrep.n + 1}[row]
     entries = dict(vrep.columns[column])
     entries[index] = entries.get(index, 0) + delta
@@ -243,13 +245,13 @@ def test_vertex_lists_of_another_shape_get_no_verdict():
     second = shifted.index(((Fraction(0), Fraction(7, 2)), (0, 0, 0)))
     shifted[second] = ((Fraction(1, 2), Fraction(7, 2)), (0, 0, 0))
     moved = vertex_list(shifted, rays)
-    assert membership(moved, y, z).inside
+    assert membership_at(moved, y, z).inside
     assert chain_certificate(moved, y, z) is None
     # A ray that is not a unit y direction.
     slanted = vertex_list(
         points, (((Fraction(1), Fraction(1)), (0, 0, 0)),) + rays[1:]
     )
-    assert membership(slanted, y, z).inside
+    assert membership_at(slanted, y, z).inside
     assert chain_certificate(slanted, y, z) is None
 
 
@@ -259,5 +261,5 @@ def test_band_hull_gets_no_chain_verdict():
     clipped = vertex_list(*fraction_hull_with_bounds(data).clipped)
     points = fraction_vertices(clipped).points
     for y, z in points[:: max(1, len(points) // 20)]:
-        assert membership(clipped, y, z).inside
+        assert membership_at(clipped, y, z).inside
         assert chain_certificate(clipped, y, z) is None

@@ -9,12 +9,9 @@ from mixcuts import (
     PreconditionFailed,
     certify_witness,
     diagnose,
-    find_minimal_U,
     witness,
-    witness_c1,
-    witness_c2,
-    witness_lw,
 )
+from mixcuts.counterexample import find_minimal_U, witness_c1, witness_c2, witness_lw
 
 from conftest import random_insufficient_instance
 from helpers import fraction_witness, row_sum

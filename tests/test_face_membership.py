@@ -6,7 +6,7 @@ smaller LP back to the dropped rows.  Here its verdict is compared with the
 ``Fraction`` LP over the whole vertex list, each "outside" plane is checked
 at every point and ray of the full list and at the target, and every field
 is compared with the ``Fraction`` twin that restricts and lifts the same
-way.  The points mix entries at 0, at 1 and in between, and include the
+way, the inside certificate in lowest terms.  The points mix entries at 0, at 1 and in between, and include the
 witness points of all three failure cases.
 """
 
@@ -15,20 +15,21 @@ from fractions import Fraction
 
 from mixcuts import (
     MixingInstance,
-    complement,
     diagnose,
     hull_with_bounds,
-    membership,
     v_representation,
     witness,
 )
 
 from conftest import random_band_data, random_insufficient_instance
 from helpers import (
+    complement,
     fraction_hull_with_bounds,
     fraction_membership,
     fraction_vertices,
     full_fraction_membership,
+    in_lowest_terms,
+    membership_at,
     vertex_list,
 )
 
@@ -126,9 +127,9 @@ def check_against_full_lp(vrep, y, z, seen) -> None:
     """The verdict of the full LP, every field of the Fraction twin, and an
     "outside" plane that holds on the whole list and cuts off the point;
     counts what was seen."""
-    got = membership(vrep, y, z)
+    got = membership_at(vrep, y, z)
     assert got.inside == full_fraction_membership(vrep, y, z).inside, (vrep, y, z)
-    assert got == fraction_membership(vrep, y, z), (vrep, y, z)
+    assert in_lowest_terms(got) == fraction_membership(vrep, y, z), (vrep, y, z)
     dropped = [i for i, v in enumerate(z) if v == 0]
     seen["dropped"] += bool(dropped)
     seen["fractional"] += any(0 < v < 1 for v in z)
@@ -168,7 +169,7 @@ def test_face_membership_equals_the_full_lp_on_the_hull_vertex_list():
         vrep = v_representation(inst)
         check_against_full_lp(vrep, y, z, seen)
         if case in witnesses:
-            assert not membership(vrep, y, z).inside, (case, inst)
+            assert not membership_at(vrep, y, z).inside, (case, inst)
             witnesses[case] += 1
     assert len(cases) >= 300
     assert all(count >= 10 for count in witnesses.values()), witnesses

@@ -12,6 +12,8 @@ from mixcuts import (
     MixingInstance,
     aggregated_cut,
     check_sufficiency,
+    check_validity,
+    decompose,
     diagnose,
     hull_cut_family,
     load_instance,
@@ -24,10 +26,11 @@ from mixcuts.cli import main
 from mixcuts.core import (
     CutKind,
     DimensionMismatch,
+    DomainError,
     ValidationError,
-    complement,
     serialize_instance,
 )
+from mixcuts.mixing import mix_star_cuts
 from mixcuts.hull import (
     BASIS_ENUMERATION_WORK,
     _cut_polyhedron_vertices,
@@ -36,12 +39,16 @@ from mixcuts.hull import (
 from conftest import fixture_path, random_instance, random_sufficient_instance
 from helpers import (
     column_oracle,
+    complement,
     cut_matrix,
     fraction_vertices,
     is_submodular,
     l_theta,
     linking_oracle,
+    membership_at,
+    multipliers,
     project,
+    target,
     vertex_points,
 )
 
@@ -251,7 +258,7 @@ def test_insufficient_instances_have_closure_vertices_outside():
         outside = [
             (y, z)
             for y, z in vertices
-            if not membership(vrep, y, complement(z)).inside
+            if not membership_at(vrep, y, complement(z)).inside
         ]
         assert outside, (inst, len(vertices))
         found += len(outside)
@@ -270,23 +277,50 @@ def test_membership_certificates(example1):
     vrep = v_representation(example1)
     points = fraction_vertices(vrep).points
     y, z = points[11]
-    res = membership(vrep, y, z)
+    res = membership_at(vrep, y, z)
     assert res.inside
-    assert sum(res.coefficients) == 1
+    assert sum(multipliers(vrep, res.certificate)[0]) == 1
     # average of two vertices is inside
     (y1, z1), (y2, z2) = points[0], points[30]
     mid_y = tuple((a + b) / 2 for a, b in zip(y1, y2))
     mid_z = tuple(Fraction(a + b, 2) for a, b in zip(z1, z2))
-    assert membership(vrep, mid_y, mid_z).inside
+    assert membership_at(vrep, mid_y, mid_z).inside
     # far outside: below every linking value
-    res = membership(vrep, (Fraction(0), Fraction(0)), mid_z)
+    res = membership_at(vrep, (Fraction(0), Fraction(0)), mid_z)
     assert not res.inside
     plane = res.hyperplane
     phi = sum(a * v for a, v in zip(plane.y_coeffs, (Fraction(0), Fraction(0))))
     phi += sum(a * v for a, v in zip(plane.z_coeffs, mid_z))
     assert phi > plane.bound
     with pytest.raises(DimensionMismatch):
-        membership(vrep, (Fraction(0),), mid_z)
+        membership_at(vrep, (Fraction(0),), mid_z)
+
+
+@pytest.mark.parametrize("entry", [membership, decompose])
+def test_membership_and_decompose_refuse_the_same_targets(example1, entry):
+    vrep = v_representation(example1)
+    good, den = target(*fraction_vertices(vrep).points[11])
+    assert entry(vrep, good, den)
+    with pytest.raises(DimensionMismatch):
+        entry(vrep, good[:-1], den)
+    with pytest.raises(DimensionMismatch):
+        entry(vrep, good + [0], den)
+    for bad_den in (den + 1, 0, -den):
+        with pytest.raises(DomainError):
+            entry(vrep, good, bad_den)
+    with pytest.raises(DomainError):
+        entry(vrep, [2 * v for v in good], den)
+
+
+def test_check_validity_refuses_a_vertex_list_of_another_size():
+    inst = MixingInstance([[1, 2], [2, 1], [3, 0]], None, 2)
+    cut = mix_star_cuts(inst, 0)[0]
+    assert check_validity(inst, cut)
+    assert check_validity(inst, cut, v_representation(inst))
+    for other in ([[1, 2], [2, 1], [3, 0], [1, 1]], [[1], [2], [3]]):
+        vrep = v_representation(MixingInstance(other, None, 2))
+        with pytest.raises(DimensionMismatch):
+            check_validity(inst, cut, vrep)
 
 
 def test_membership_example2_witness_outside(example2):
@@ -295,7 +329,7 @@ def test_membership_example2_witness_outside(example2):
     vrep = v_representation(example2)
     (y, z), case = witness(example2)
     assert case == "pair-minimum"
-    res = membership(vrep, y, complement(z))
+    res = membership_at(vrep, y, complement(z))
     assert not res.inside
 
 
@@ -404,7 +438,7 @@ def test_cut_polyhedron_vertices_all_inside():
     assert vertices  # small case: enumeration must run and find vertices
     vrep = v_representation(inst)
     for y, z in vertices:
-        assert membership(vrep, y, complement(z)).inside
+        assert membership_at(vrep, y, complement(z)).inside
 
 
 def test_projection_points_satisfy_all_cuts(example1):

@@ -18,7 +18,6 @@ from mixcuts import (
     MixingInstance,
     check_sufficiency,
     check_validity,
-    complement,
     hull_cut_family,
     membership,
     v_representation,
@@ -39,6 +38,7 @@ from conftest import random_insufficient_instance, random_sufficient_instance
 from helpers import (
     chain_certificate,
     columns_of,
+    complement,
     cut_matrix,
     fraction_box_point,
     fraction_cut_polyhedron_vertices,
@@ -47,9 +47,12 @@ from helpers import (
     fraction_rows,
     fraction_solve_feasibility,
     fraction_vertices,
+    in_lowest_terms,
+    membership_at,
     project,
     scale_rows,
     support,
+    target,
     vertex_points,
 )
 
@@ -152,12 +155,39 @@ def test_membership_equals_the_fraction_oracle_in_every_field():
         )
         for _ in range(4):
             y, z, _ = kernel_target(rng, vrep)
-            got = membership(vrep, y, z)
-            assert got == fraction_membership(vrep, y, z), (inst, y, z)
+            got = membership_at(vrep, y, z)
+            assert in_lowest_terms(got) == fraction_membership(vrep, y, z), (inst, y, z)
             inside += got.inside
             outside += not got.inside
     assert inside + outside == 300
     assert inside >= 60 and outside >= 60 and zero_eps and zero_column
+
+
+@pytest.mark.parametrize("m", [2, 6, 35])
+def test_membership_is_unchanged_when_the_target_and_den_are_scaled(monkeypatch, m):
+    """Each LP row is scaled by the denominator of its target entry in lowest
+    terms, so the target and ``den`` times m give the same LP, pivots and
+    answer, in every field."""
+    systems = []
+
+    def recorded(a_rows, b):
+        systems.append((a_rows, b))
+        return solve_feasibility(a_rows, b)
+
+    monkeypatch.setattr(vertices, "solve_feasibility", recorded)
+    rng = random.Random(8087)
+    verdicts = set()
+    for _ in range(40):
+        vrep = v_representation(kernel_instance(rng))
+        for _ in range(4):
+            y, z, _ = kernel_target(rng, vrep)
+            point, den = target(y, z)
+            got = membership(vrep, point, den)
+            scaled = membership(vrep, [m * v for v in point], m * den)
+            assert scaled == got, (vrep, y, z)
+            assert systems[-1] == systems[-2]
+            verdicts.add(got.inside)
+    assert verdicts == {True, False}
 
 
 def test_cached_matrices_equal_the_scaled_fraction_rows():
@@ -496,7 +526,7 @@ def test_tampered_support_raises(monkeypatch, entry, tamper):
     inst = MixingInstance([[3, 1], [1, 4], [2, 2]], None, Fraction(7, 2))
     vrep = v_representation(inst)
     y, z = (Fraction(2), Fraction(2)), (0, 0, 0)
-    check = chain_certificate if entry == "decompose" else membership
+    check = chain_certificate if entry == "decompose" else membership_at
     assert check(vrep, y, z).inside
 
     def tampered(columns, rhs, support, den):
@@ -536,13 +566,13 @@ def test_corrupted_cached_lp_row_raises(delta):
     vrep = v_representation(inst)
     y, z = (Fraction(7, 2), Fraction(0)), (0, 0, 0)
     column = fraction_vertices(vrep).points.index((y, z))
-    assert membership(vrep, y, z).inside
+    assert membership_at(vrep, y, z).inside
     rows, scales = vrep.lp_matrix
     corrupted = [list(row) for row in rows]
     corrupted[vrep.n + 1][column] += delta
     vrep.__dict__["lp_matrix"] = (tuple(map(tuple, corrupted)), scales)
     with pytest.raises(InternalInvariant):
-        membership(vrep, y, z)
+        membership_at(vrep, y, z)
 
 
 def test_check_validity_equals_evaluation_at_every_point():

@@ -8,7 +8,6 @@ from mixcuts import (
     DomainError,
     GroundSetTooLarge,
     greedy_vertex,
-    membership,
 )
 from mixcuts.submodular import SetFunctionOracle
 
@@ -17,6 +16,7 @@ from helpers import (
     column_oracle,
     is_submodular,
     linking_oracle,
+    membership_at,
     separate_polymatroid,
     vertex_list,
     weighted_combination,
@@ -178,7 +178,7 @@ def test_separation_decision_matches_epigraph_hull():
             z = [Fraction(rng.randint(0, 3), 3) for _ in range(n)]
             y = Fraction(rng.randint(0, 30), 2)
             cut = separate_polymatroid(f, y, z)
-            inside = membership(vrep, (y,), z).inside
+            inside = membership_at(vrep, (y,), z).inside
             assert (cut is None) == inside
             if cut is not None:
                 assert cut.violation((y,), z) > 0

@@ -19,7 +19,6 @@ from mixcuts import (
     format_rational,
     generalized_cut,
     hull_with_bounds,
-    membership,
     sequences,
     to_mixing,
     v_representation,
@@ -38,6 +37,7 @@ from helpers import (
     fraction_hull_with_bounds,
     fraction_v_representation,
     fraction_vertices,
+    membership_at,
     telescope,
     vertex_list,
 )
@@ -168,12 +168,12 @@ def test_hull_with_bounds_band_and_membership():
         (y1, z1), (y2, z2) = points[a], points[b]
         y = tuple((u + v) / 2 for u, v in zip(y1, y2))
         z = tuple(Fraction(u + v, 2) for u, v in zip(z1, z2))
-        assert membership(clipped, y, z).inside
+        assert membership_at(clipped, y, z).inside
         # pushing along the shared ray stays inside
         lifted = (y[0] + 3, y[1] + 3)
-        assert membership(clipped, lifted, z).inside
+        assert membership_at(clipped, lifted, z).inside
         # far outside the band is rejected
-        assert not membership(clipped, (y[0] + 5 * ua, y[1]), z).inside
+        assert not membership_at(clipped, (y[0] + 5 * ua, y[1]), z).inside
 
 
 def test_hull_with_bounds_degenerate_v_zero():
