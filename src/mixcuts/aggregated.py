@@ -48,10 +48,8 @@ from .core import (
     LinearCut,
     LowerBoundsNotReduced,
     MixingInstance,
-    ONE,
     SequenceTheta,
     ValidationError,
-    ZERO,
     check_work,
     integer_point,
     unscale,
@@ -64,13 +62,7 @@ def total_cut(
     inst: MixingInstance, z: Sequence[int], rhs: int, kind: CutKind
 ) -> LinearCut:
     """The cut ``sum_j y_j + z . z >= rhs`` of an integer row over D."""
-    scale = inst.scaled[0]
-    return LinearCut(
-        [ONE] * inst.k,
-        unscale(z, scale),
-        Fraction(rhs, scale),
-        kind,
-    )
+    return inst.row_cut((inst.scaled[0],) * inst.k, z, rhs, kind)
 
 
 def _chain_sum_cut(
@@ -388,12 +380,8 @@ def starred_rows(
 def linking_cut(inst: MixingInstance) -> LinearCut:
     """The linking constraint sum_j (y_j - lower_j) >= epsilon, written as
     sum_j y_j >= epsilon + sum_j lower_j."""
-    return LinearCut(
-        [ONE] * inst.k,
-        [ZERO] * inst.n,
-        inst.epsilon + sum(inst.lower, Fraction(0)),
-        CutKind.LINKING,
-    )
+    _, _, eps, lower = inst.scaled
+    return total_cut(inst, (0,) * inst.n, eps + sum(lower), CutKind.LINKING)
 
 
 @dataclass(frozen=True)
@@ -645,8 +633,13 @@ def separate(
         else:
             reduced, shift = reduce_lower_bounds(inst)
             cut = separate_aggregated(reduced, [v - s for v, s in zip(y, shift)], z)
+            if cut is not None and not inst.lower_is_zero:
+                # Its row over D (the reduced instance's denominator divides
+                # D), with sum(lower) added to the right-hand side.
+                scale, _, _, lower = inst.scaled
+                z_row = [v.numerator * (scale // v.denominator) for v in cut.z_coeffs]
+                rhs = cut.rhs.numerator * (scale // cut.rhs.denominator) + sum(lower)
+                cut = total_cut(inst, z_row, rhs, cut.kind)
             if cut is not None:
-                lift = sum((a * s for a, s in zip(cut.y_coeffs, shift)), Fraction(0))
-                cut = LinearCut(cut.y_coeffs, cut.z_coeffs, cut.rhs + lift, cut.kind)
                 found.append((cut.violation(y, z), cut))
     return found

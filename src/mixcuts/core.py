@@ -134,8 +134,9 @@ def _fracs(values: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(parse_rational(v) for v in values)
 
 
-# The shared zero and one: builders put these in their cuts, and a cut's
-# zero coefficients are all ZERO.
+# The shared zero and one: every zero coefficient of a cut is ZERO, whether
+# parsed by ``LinearCut`` or assembled by :meth:`MixingInstance.row_cut`,
+# and an assembled cut's coefficient 1 is ONE.
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -351,15 +352,54 @@ class MixingInstance:
         """Column maxima of the scaled weights (``scaled[1]``), computed once."""
         return tuple(map(max, zip(*self.scaled[1])))
 
+    def row_cut(
+        self, y: tuple[int, ...], z: Sequence[int], rhs: int, kind: CutKind
+    ) -> LinearCut:
+        """The cut ``y . y + z . z >= rhs`` of an integer row over the
+        instance's denominator D (``scaled[0]``): every mixing, aggregated
+        and linking cut the library builds is assembled here.
+
+        Each distinct integer becomes a ``Fraction`` over D once per
+        instance and is shared by all of the instance's cuts (0 is ``ZERO``
+        and D is ``ONE``), and so is each distinct y tuple.  The row is
+        trusted, not parsed: it has k and n entries, all integers.
+        """
+        memo = self.__dict__.get("_row_values")
+        if memo is None:
+            memo = self.__dict__["_row_values"] = ({0: ZERO, self.scaled[0]: ONE}, {})
+        values, y_tuples = memo
+        try:
+            z_coeffs = tuple(map(values.__getitem__, z))
+            rhs_value = values[rhs]
+            y_coeffs = y_tuples[y]
+        except KeyError:  # a value or a y tuple first met: make it, once
+            scale = self.scaled[0]
+            for v in {*y, *z, rhs}.difference(values):
+                values[v] = Fraction(v, scale)
+            z_coeffs = tuple(map(values.__getitem__, z))
+            rhs_value = values[rhs]
+            y_coeffs = y_tuples.setdefault(y, tuple(map(values.__getitem__, y)))
+        cut = object.__new__(LinearCut)
+        object.__setattr__(cut, "y_coeffs", y_coeffs)
+        object.__setattr__(cut, "z_coeffs", z_coeffs)
+        object.__setattr__(cut, "rhs", rhs_value)
+        object.__setattr__(cut, "kind", kind)
+        return cut
+
 
 @dataclass(frozen=True)
 class SequenceTheta:
-    """An ordered sequence of distinct scenario indices (0-based)."""
+    """An ordered sequence of distinct scenario indices (0-based), each an
+    ``int`` (not a bool, a float or a string), as :func:`parse_count` takes
+    a dimension."""
 
     indices: tuple[int, ...]
 
     def __init__(self, indices: Iterable[int]) -> None:
-        idx = tuple(int(i) for i in indices)
+        idx = tuple(indices)
+        wrong = [i for i in idx if type(i) is not int]
+        if wrong:
+            raise InvalidSequence(f"sequence index not an int: {wrong[0]!r}")
         if not idx:
             raise InvalidSequence("sequence must be nonempty")
         if len(set(idx)) != len(idx):

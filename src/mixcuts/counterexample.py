@@ -33,7 +33,7 @@ from .core import (
     indicator_target,
     integer_point,
 )
-from .mixing import separate_mixing
+from .mixing import violated_mixing_cuts
 from .vertices import MembershipResult, membership, v_representation
 
 Point = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
@@ -180,6 +180,7 @@ def certify_witness(
     inst: MixingInstance,
     point: Point,
     verdict: Optional[MembershipResult] = None,
+    scaled: Optional[tuple[int, list[int], list[int]]] = None,
 ) -> list[str]:
     """Replay the witness argument, returning one message per assertion:
     the point satisfies the relaxed constraint rows, every mixing cut,
@@ -195,13 +196,15 @@ def certify_witness(
     violated sequences can go through it, even where every relaxation row
     holds (``tests/test_walk.py`` keeps such a point).
 
-    Pass the point's membership verdict when it is already known; otherwise
-    the membership LP is solved here, on the target of the point as scaled
-    once for the sweeps (:func:`mixcuts.core.indicator_target`).
+    The point is checked and scaled once, by ``core.integer_point``, for
+    every check; pass ``scaled``, what that gives for it, when it is
+    already known.  Pass the point's membership verdict when it is already
+    known; otherwise the membership LP is solved here, on the target of the
+    scaled point (:func:`mixcuts.core.indicator_target`).
     """
     check_certify_work(inst)
-    y, z = point
-    scaled = integer_point(inst, y, z)
+    if scaled is None:
+        scaled = integer_point(inst, *point)
     messages = [
         "ok: relaxation rows hold"
         if relaxation_holds(inst, scaled)
@@ -210,7 +213,7 @@ def certify_witness(
 
     # Greedy separation is exact per column: it returns nothing exactly when
     # every mixing cut, starred or not, holds at a point of the unit box.
-    bad_mix = separate_mixing(inst, y, z)
+    bad_mix = violated_mixing_cuts(inst, scaled)
     messages.append(
         f"FAIL: mixing cut violated: {bad_mix[0]}"
         if bad_mix

@@ -463,9 +463,9 @@ def check_sufficiency(
 
     check_certify_work(inst)  # before the vertex list and the LP
     point, case = witness(inst, diag)
-    target = indicator_target(integer_point(inst, *point))
-    verdict = membership(v_representation(inst), *target)
-    assertions = certify_witness(inst, point, verdict=verdict)
+    scaled = integer_point(inst, *point)
+    verdict = membership(v_representation(inst), *indicator_target(scaled))
+    assertions = certify_witness(inst, point, verdict=verdict, scaled=scaled)
     ok = all(msg.startswith("ok") for msg in assertions)
     return SufficiencyReport(
         diag, "witness", 0, tuple(failures), point, case, tuple(assertions),

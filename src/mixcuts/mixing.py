@@ -9,8 +9,8 @@ order, the closed form of the greedy vertex of the column function, all in
 integers on the instance's and the point's integer views.  One builder
 writes every mixing cut from its chain as an integer row over the
 instance's common denominator, for the enumerated chains of a column and
-the chain of a violated column pass alike; a ``LinearCut`` is made only
-from a row that is returned.
+the chain of a violated column pass alike; a cut is assembled
+(``MixingInstance.row_cut``) only from a row that is returned.
 """
 
 from __future__ import annotations
@@ -24,13 +24,10 @@ from .core import (
     CutKind,
     LinearCut,
     MixingInstance,
-    ONE,
     RiskOutOfRange,
-    ZERO,
     check_work,
     integer_point,
     parse_rational,
-    unscale,
 )
 
 
@@ -105,16 +102,11 @@ def _column_row(inst: MixingInstance, j: int, chain: Sequence[int]) -> ColumnRow
 def _row_cut(inst: MixingInstance, j: int, row: ColumnRow) -> LinearCut:
     """The cut ``y_j + z . z >= head`` of an integer row of column j over D;
     starred when the head reaches the column maximum."""
-    scale = inst.scaled[0]
     z, head = row
-    y = [ZERO] * inst.k
-    y[j] = ONE
-    return LinearCut(
-        y,
-        unscale(z, scale),
-        Fraction(head, scale),
-        CutKind.MIX_STAR if head >= inst.peaks[j] else CutKind.MIX,
-    )
+    y = [0] * inst.k
+    y[j] = inst.scaled[0]
+    kind = CutKind.MIX_STAR if head >= inst.peaks[j] else CutKind.MIX
+    return inst.row_cut(tuple(y), z, head, kind)
 
 
 def _column_cut(inst: MixingInstance, j: int, chain: Sequence[int]) -> LinearCut:
@@ -173,7 +165,16 @@ def separate_mixing(
     stops at its maximum, above which no index can raise it.  Only a
     violated column's cut is built, over D.
     """
-    p, y_p, z_p = integer_point(inst, y_bar, z_bar)
+    return violated_mixing_cuts(inst, integer_point(inst, y_bar, z_bar))
+
+
+def violated_mixing_cuts(
+    inst: MixingInstance, point: tuple[int, Sequence[int], Sequence[int]]
+) -> list[LinearCut]:
+    """The integer stage of :func:`separate_mixing`, on a point already
+    checked and scaled as ``core.integer_point`` gives it: ``(p, p * y, p
+    * z)``."""
+    p, y_p, z_p = point
     slack = [p - v for v in z_p]  # p * (1 - z_i)
     # Slack descending, ties by ascending index: a stable sort keeps equal
     # values in index order, also when reversed.

@@ -28,7 +28,6 @@ from .core import (
     SequenceTheta,
     parse_count,
     parse_rational,
-    unscale,
 )
 from .hull import Row, family_rows, hull_cut_family
 from .vertices import mask_floors
@@ -138,7 +137,9 @@ def generalized_cut(
     with columns w and v, whose coefficients are the gains of the w and v
     chains; it is not capped.  It equals the transformed cut under the
     substitution identity y_1 + y_2 = 2*y_c + u_a, which is verified
-    coefficientwise here.
+    coefficientwise here.  Both cuts are assembled on the transformed
+    instance, whose denominator D the plain instance's divides (v_i is
+    (v_i + u_a) - u_a), so they share their coefficients' Fractions.
     """
     inst = to_mixing(data)
     theta.validate_for(data.n)
@@ -146,12 +147,10 @@ def generalized_cut(
 
     plain = MixingInstance(list(zip(data.w, data.v)))
     heads, z, _ = fold(plain, theta.indices)
-    scale = plain.scaled[0]
-    original = LinearCut(
-        (Fraction(2), Fraction(0)),
-        unscale(z, scale),
-        Fraction(sum(heads), scale),
-        primed.kind,
+    scale = inst.scaled[0]
+    t = scale // plain.scaled[0]
+    original = inst.row_cut(
+        (2 * scale, 0), [v * t for v in z], sum(heads) * t, primed.kind
     )
 
     # Substitution audit: identical z coefficients, right-hand sides offset

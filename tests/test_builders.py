@@ -110,12 +110,18 @@ def test_hull_family_matches_the_fraction_reference(block):
 def test_hull_family_builds_one_cut_per_member_and_hashes_no_fraction(monkeypatch):
     built = []
     init = LinearCut.__init__
+    row_cut = MixingInstance.row_cut
     hashed = []
     fraction_hash = Fraction.__hash__
 
     def counting(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
+
+    def counting_row_cut(self, *args, **kwargs):
+        cut = row_cut(self, *args, **kwargs)
+        built.append(cut)
+        return cut
 
     def counting_hash(self):
         hashed.append(self)
@@ -125,6 +131,7 @@ def test_hull_family_builds_one_cut_per_member_and_hashes_no_fraction(monkeypatc
     for _ in range(40):
         inst = family_case(rng)
         monkeypatch.setattr(LinearCut, "__init__", counting)
+        monkeypatch.setattr(MixingInstance, "row_cut", counting_row_cut)
         monkeypatch.setattr(Fraction, "__hash__", counting_hash)
         cuts = hull_cut_family(inst)
         monkeypatch.undo()

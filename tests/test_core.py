@@ -18,7 +18,7 @@ from mixcuts import (
     parse_rational,
     serialize_instance,
 )
-from mixcuts.core import ZERO, InvalidSequence, loads_point, DimensionMismatch
+from mixcuts.core import ONE, ZERO, InvalidSequence, loads_point, DimensionMismatch
 
 from helpers import canonicalize
 
@@ -234,3 +234,69 @@ def test_sequence_theta_validation():
         SequenceTheta((1, 1))
     with pytest.raises(InvalidSequence):
         SequenceTheta((0, 2)).validate_for(2)
+    assert SequenceTheta(i for i in (1, 0)).indices == (1, 0)
+    for bad in ([1.9, 0], [True, 0], [0, False], ["2", 0], [Fraction(1), 0], [None]):
+        with pytest.raises(InvalidSequence):
+            SequenceTheta(bad)
+
+
+def random_row(rng: random.Random, inst: MixingInstance):
+    """A row over the instance's D with zeros, units, repeats and signs."""
+    scale = inst.scaled[0]
+    pool = [0, 0, scale, -scale, 2 * scale] + [rng.randint(-12, 12) for _ in range(3)]
+    y = tuple(rng.choice(pool) for _ in range(inst.k))
+    return y, [rng.choice(pool) for _ in range(inst.n)], rng.choice(pool)
+
+
+def test_row_cut_equals_the_parsed_cut():
+    """The assembly point fills a cut from an integer row over D; the
+    parser, given the same values, must build the same cut."""
+    rng = random.Random(4300)
+    checked = 0
+    for _ in range(200):
+        n, k, den = rng.randint(1, 6), rng.randint(1, 3), rng.choice([1, 2, 6, 12])
+        weights = [[Fraction(rng.randint(0, 9), den) for _ in range(k)] for _ in range(n)]
+        inst = MixingInstance(weights, None, Fraction(rng.randint(0, 9), den))
+        scale = inst.scaled[0]
+        objects = {}
+        for _ in range(5):
+            y, z, rhs = random_row(rng, inst)
+            if not any(y) and not any(z) and not rhs:
+                continue  # the all-zero cut has no canonical form
+            kind = rng.choice(list(CutKind))
+            got = inst.row_cut(y, z, rhs, kind)
+            want = LinearCut(
+                [Fraction(v, scale) for v in y],
+                [Fraction(v, scale) for v in z],
+                Fraction(rhs, scale),
+                kind,
+            )
+            assert type(got) is LinearCut and not hasattr(got, "__dict__")
+            assert type(got.y_coeffs) is tuple and type(got.z_coeffs) is tuple
+            assert (got.y_coeffs, got.z_coeffs, got.rhs, got.kind) == (
+                want.y_coeffs, want.z_coeffs, want.rhs, want.kind
+            )
+            assert got == want and str(got) == str(want) and hash(got) == hash(want)
+            assert got.canonical_key() == want.canonical_key()
+            values = got.y_coeffs + got.z_coeffs + (got.rhs,)
+            assert all(type(v) is Fraction for v in values)
+            assert all(v is ZERO for v in values if v == 0)
+            assert all(v is ONE for v in values if v == 1)
+            for v in values:  # equal values of one instance: one object
+                assert objects.setdefault(v, v) is v
+            assert inst.row_cut(y, z, rhs, kind).y_coeffs is got.y_coeffs
+            checked += 1
+    assert checked > 900
+
+
+def test_row_cut_values_are_each_instances_own():
+    halves = MixingInstance([[Fraction(1, 2)]], None, 0)
+    thirds = MixingInstance([[Fraction(1, 3)]], None, 0)
+    assert halves.scaled[0] == 2 and thirds.scaled[0] == 3
+    a = halves.row_cut((2,), [1], 3, CutKind.MIX)
+    b = thirds.row_cut((3,), [1], 3, CutKind.MIX)
+    assert (a.z_coeffs, a.rhs) == ((Fraction(1, 2),), Fraction(3, 2))
+    assert (b.z_coeffs, b.rhs) == ((Fraction(1, 3),), ONE)
+    assert a.y_coeffs == b.y_coeffs == (ONE,) and a.y_coeffs[0] is ONE
+    assert halves.row_cut((2,), [1], 1, CutKind.MIX).z_coeffs[0] is a.z_coeffs[0]
+    assert thirds.row_cut((3,), [1], 1, CutKind.MIX).z_coeffs[0] is b.z_coeffs[0]

@@ -1,5 +1,6 @@
 import collections
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from mixcuts import (
     diagnose,
     witness,
 )
+from mixcuts.cli import main
+from mixcuts.core import integer_point
 from mixcuts.counterexample import find_minimal_U, witness_c1, witness_c2, witness_lw
 
-from conftest import random_insufficient_instance
+from conftest import fixture_path, random_insufficient_instance
 from helpers import fraction_witness, row_sum
 
 
@@ -155,3 +158,20 @@ def test_witness_matches_the_fraction_reference():
     assert sum(cases.values()) >= 300
     assert min(cases[c] for c in ("peak-sum", "dominance", "pair-minimum")) >= 50
     assert min(drawn.values()) >= 50, drawn
+
+
+def test_verify_scales_the_witness_once(monkeypatch, capsys):
+    """A witness ``verify`` checks and scales its point once: the membership
+    target, the relaxation rows and both cut sweeps read the same integers."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return integer_point(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mixcuts") and getattr(module, "integer_point", None) is integer_point:
+            monkeypatch.setattr(module, "integer_point", counting)
+    assert main(["verify", fixture_path("example2.json")]) == 0
+    assert '"branch": "witness"' in capsys.readouterr().out
+    assert len(calls) == 1

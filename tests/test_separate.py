@@ -73,10 +73,16 @@ def test_pairs_cover_every_case():
 def test_separate_mixing_matches_round_trip_with_one_cut_each(monkeypatch):
     built = []
     init = LinearCut.__init__
+    row_cut = MixingInstance.row_cut
 
     def counting(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
+
+    def counting_row_cut(self, *args, **kwargs):
+        cut = row_cut(self, *args, **kwargs)
+        built.append(cut)
+        return cut
 
     rng = random.Random(3)
     separated = 0
@@ -84,8 +90,9 @@ def test_separate_mixing_matches_round_trip_with_one_cut_each(monkeypatch):
         inst, y, z = random_pair(rng, trial)
         expected = round_trip_mixing(inst, y, z)
         monkeypatch.setattr(LinearCut, "__init__", counting)
+        monkeypatch.setattr(MixingInstance, "row_cut", counting_row_cut)
         cuts = separate_mixing(inst, y, z)
-        monkeypatch.setattr(LinearCut, "__init__", init)
+        monkeypatch.undo()
         assert [as_tuple(c) for c in cuts] == [as_tuple(c) for c in expected]
         assert list(map(id, built)) == list(map(id, cuts))  # one cut each
         assert all(c.violation(y, z) > 0 for c in cuts)
