@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Generator, Iterator, Optional, Sequence
@@ -45,6 +44,7 @@ from typing import Generator, Iterator, Optional, Sequence
 from .core import (
     CutKind,
     EpsilonViolated,
+    Frozen,
     LinearCut,
     LowerBoundsNotReduced,
     MixingInstance,
@@ -384,23 +384,32 @@ def linking_cut(inst: MixingInstance) -> LinearCut:
     return total_cut(inst, (0,) * inst.n, eps + sum(lower), CutKind.LINKING)
 
 
-@dataclass(frozen=True)
-class HullDiagnosis:
+class HullDiagnosis(Frozen):
     """Verdict of the hull-sufficiency conditions for one instance.
 
     ``l_w_eps``, the least columnwise-minimum sum over pairs of ``rows``
     (the rows outside the low set, over the denominator ``scale``; one
     row's sum when it is alone, None when there is none), is computed the
-    first time it is read.
+    first time it is read.  The verdict is the five fields of ``==``,
+    ``hash`` and ``repr``; ``rows`` and ``scale`` are not part of it.
     """
 
-    i_bar: frozenset[int]
-    c1_ok: bool
-    c2_ok: bool
-    negligible: bool
-    g_submodular: bool
-    rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
-    scale: int = field(default=1, repr=False, compare=False)
+    _fields = ("i_bar", "c1_ok", "c2_ok", "negligible", "g_submodular")
+
+    def __init__(
+        self,
+        i_bar: frozenset[int],
+        c1_ok: bool,
+        c2_ok: bool,
+        negligible: bool,
+        g_submodular: bool,
+        rows: tuple[tuple[int, ...], ...] = (),
+        scale: int = 1,
+    ) -> None:
+        self.__dict__.update(
+            i_bar=i_bar, c1_ok=c1_ok, c2_ok=c2_ok, negligible=negligible,
+            g_submodular=g_submodular, rows=rows, scale=scale,
+        )
 
     @property
     def sufficient(self) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -153,6 +152,42 @@ def _coeffs(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     )
 
 
+class Frozen:
+    """Base of the library's immutable classes that have their own
+    constructor.
+
+    ``__init__`` sets each attribute once, past ``__setattr__`` (through
+    ``object.__setattr__`` or the instance's ``__dict__``); a later
+    assignment or deletion raises ``AttributeError``.  ``==``, ``hash`` and
+    ``repr`` read the attributes named in ``_fields``, in order: two objects
+    of one class are equal when those are.  No code is generated.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class CutKind(Enum):
     MIX = "Mix"
     MIX_STAR = "Mix*"
@@ -167,8 +202,7 @@ class CutKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class LinearCut:
+class LinearCut(Frozen):
     """A linear inequality ``y_coeffs . y + z_coeffs . z >= rhs``.
 
     The stored direction is always ">="; canonicalization only scales by
@@ -177,10 +211,11 @@ class LinearCut:
     integer forms are identical.
     """
 
+    __slots__ = _fields = ("y_coeffs", "z_coeffs", "rhs", "kind")
     y_coeffs: tuple[Fraction, ...]
     z_coeffs: tuple[Fraction, ...]
     rhs: Fraction
-    kind: CutKind = CutKind.POLYMATROID
+    kind: CutKind
 
     def __init__(
         self,
@@ -253,8 +288,7 @@ def cut_text(y: Sequence[int], z: Sequence[int], rhs: int, kind: CutKind) -> str
     return f"{ys} | {zs} | >= {rhs} | {kind.value}"
 
 
-@dataclass(frozen=True)
-class MixingInstance:
+class MixingInstance(Frozen):
     """Scenario data (coefficient matrix, lower bounds, linking threshold).
 
     ``weights[i][j]`` couples binary indicator i with continuous variable j;
@@ -270,10 +304,11 @@ class MixingInstance:
     first time it is read.
     """
 
+    _fields = ("weights", "lower", "epsilon", "probabilities")
     weights: tuple[tuple[Fraction, ...], ...]
     lower: tuple[Fraction, ...]
     epsilon: Fraction
-    probabilities: Optional[tuple[Fraction, ...]] = None
+    probabilities: Optional[tuple[Fraction, ...]]
 
     def __init__(
         self,
@@ -387,12 +422,12 @@ class MixingInstance:
         return cut
 
 
-@dataclass(frozen=True)
-class SequenceTheta:
+class SequenceTheta(Frozen):
     """An ordered sequence of distinct scenario indices (0-based), each an
     ``int`` (not a bool, a float or a string), as :func:`parse_count` takes
     a dimension."""
 
+    _fields = ("indices",)
     indices: tuple[int, ...]
 
     def __init__(self, indices: Iterable[int]) -> None:

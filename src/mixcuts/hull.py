@@ -28,11 +28,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .aggregated import (
     HullDiagnosis,
@@ -43,6 +42,7 @@ from .aggregated import (
 )
 from .core import (
     CutKind,
+    Frozen,
     LinearCut,
     MixingInstance,
     ValidationError,
@@ -119,8 +119,7 @@ def hull_cut_family(inst: MixingInstance) -> list[LinearCut]:
     return cuts
 
 
-@dataclass(frozen=True)
-class CutMatrix:
+class CutMatrix(Frozen):
     """A cut family ``y_coeffs . y + z_coeffs . z >= rhs`` as one integer
     matrix over a common denominator, each cut tagged with its shape.
 
@@ -138,23 +137,27 @@ class CutMatrix:
     ``(i, coefficient)`` pairs, read off ``rows`` once.
     """
 
-    k: int
-    n: int
-    denominator: int
-    rows: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
-    shapes: tuple[int, ...]
-    starred: int = 0
-    stars: tuple[tuple[tuple[int, int], ...], ...] = ()
-    terms: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("k", "n", "denominator", "rows", "rhs", "shapes", "starred", "stars")
 
-    def __post_init__(self) -> None:
-        k, r = self.k, self.starred
+    def __init__(
+        self,
+        k: int,
+        n: int,
+        denominator: int,
+        rows: tuple[tuple[int, ...], ...],
+        rhs: tuple[int, ...],
+        shapes: tuple[int, ...],
+        starred: int = 0,
+        stars: tuple[tuple[tuple[int, int], ...], ...] = (),
+    ) -> None:
         terms = tuple(
-            (tuple((i, c) for i, c in enumerate(row[k:]) if c), rhs, shape)
-            for row, rhs, shape in zip(self.rows[r:], self.rhs[r:], self.shapes[r:])
+            (tuple((i, c) for i, c in enumerate(row[k:]) if c), b, shape)
+            for row, b, shape in zip(rows[starred:], rhs[starred:], shapes[starred:])
         )
-        object.__setattr__(self, "terms", terms)
+        self.__dict__.update(
+            k=k, n=n, denominator=denominator, rows=rows, rhs=rhs, shapes=shapes,
+            starred=starred, stars=stars, terms=terms,
+        )
 
 
 def _cut_matrix(inst: MixingInstance, rows: dict[Row, CutKind]) -> CutMatrix:
@@ -323,8 +326,7 @@ def _fractions(values: Sequence[int], den: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, den) for v in values)
 
 
-@dataclass(frozen=True)
-class SufficiencyReport:
+class SufficiencyReport(NamedTuple):
     """The outcome of :func:`check_sufficiency`.
 
     The closure branch keeps the hull family as the distinct integer rows
@@ -341,7 +343,7 @@ class SufficiencyReport:
     failures: tuple[str, ...]
     witness: Optional[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]
     witness_case: Optional[str]
-    witness_assertions: tuple[str, ...] = field(default_factory=tuple)
+    witness_assertions: tuple[str, ...] = ()
     witness_plane: Optional[SeparatingHyperplane] = None
     ok: bool = True
     instance: Optional[MixingInstance] = None

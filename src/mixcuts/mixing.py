@@ -39,18 +39,24 @@ def reduce_lower_bounds(
     A cut alpha.y + beta.z >= gamma on the reduced instance is valid for the
     original one as alpha.(y - lower) + beta.z >= gamma, i.e. with right-hand
     side gamma + alpha.lower.
+
+    The reduced instance depends on the instance alone, so it is built once
+    and kept on the instance, the way ``aggregated.diagnose`` keeps its
+    verdict: a second call returns the same object, with its diagnosis.
     """
     shift = inst.lower
     if inst.lower_is_zero:
         return inst, shift
-    reduced = [
-        [max(Fraction(0), w - shift[j]) for j, w in enumerate(row)]
-        for row in inst.weights
-    ]
-    return (
-        MixingInstance(reduced, None, inst.epsilon, inst.probabilities),
-        shift,
-    )
+    reduced = inst.__dict__.get("_reduced")
+    if reduced is None:
+        rows = [
+            [max(Fraction(0), w - shift[j]) for j, w in enumerate(row)]
+            for row in inst.weights
+        ]
+        reduced = inst.__dict__["_reduced"] = MixingInstance(
+            rows, None, inst.epsilon, inst.probabilities
+        )
+    return reduced, shift
 
 
 def quantile_lower_bounds(inst: MixingInstance, risk: Fraction) -> tuple[Fraction, ...]:

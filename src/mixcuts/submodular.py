@@ -8,9 +8,8 @@ and vertices, oracles built on ``Fraction`` s yield ``Fraction`` s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .core import DimensionMismatch
 
@@ -79,8 +78,7 @@ def max_sum_oracle(
     return SetFunctionOracle(len(rows), value, name=name)
 
 
-@dataclass(frozen=True)
-class PolymatroidVertex:
+class PolymatroidVertex(NamedTuple):
     """Greedy extreme point: pi[sigma(t)] telescopes the oracle's gains."""
 
     pi: tuple[Exact, ...]

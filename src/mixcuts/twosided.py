@@ -10,7 +10,6 @@ vertices, which recovers the full description of the original set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -20,6 +19,7 @@ from .core import (
     ConditionViolated,
     CutKind,
     DimensionMismatch,
+    Frozen,
     InternalInvariant,
     LinearCut,
     MixingInstance,
@@ -33,10 +33,10 @@ from .hull import Row, family_rows, hull_cut_family
 from .vertices import mask_floors
 
 
-@dataclass(frozen=True)
-class TwoSidedData:
+class TwoSidedData(Frozen):
     """Per-scenario sums and differences plus the upper bound u_a."""
 
+    _fields = ("w", "v", "u_a")
     w: tuple[Fraction, ...]
     v: tuple[Fraction, ...]
     u_a: Fraction
@@ -162,8 +162,7 @@ def generalized_cut(
     return primed, original
 
 
-@dataclass(frozen=True)
-class BandedHullReport:
+class BandedHullReport(Frozen):
     """The band-clipped hull of two-sided data, kept in integers.
 
     The certified description is the whole hull family, kept as the
@@ -172,13 +171,18 @@ class BandedHullReport:
     :attr:`cut_count` counts it, and :attr:`cuts` builds it as
     ``LinearCut``s on first read.  ``point_count`` counts the hull's
     extreme points, read off its per-mask floors (:func:`mask_floors`)
-    without building them.
+    without building them.  The band holds at every extreme point:
+    :func:`hull_with_bounds` checks it before it makes a report.
     """
 
-    instance: MixingInstance
-    band_ok: bool
-    point_count: int
-    family_rows: tuple[Row, ...]
+    _fields = ("instance", "point_count", "family_rows")
+
+    def __init__(
+        self, instance: MixingInstance, point_count: int, family_rows: tuple[Row, ...]
+    ) -> None:
+        self.__dict__.update(
+            instance=instance, point_count=point_count, family_rows=family_rows
+        )
 
     @property
     def cut_count(self) -> int:
@@ -244,7 +248,6 @@ def hull_with_bounds(data: TwoSidedData) -> BandedHullReport:
         else:
             count += 2
             widest = max(widest, abs(f1 - f2) + deficit)
-    band_ok = widest <= band
-    if not band_ok:
+    if widest > band:
         raise InternalInvariant("an extreme point violates the band")
-    return BandedHullReport(inst, band_ok, count, rows)
+    return BandedHullReport(inst, count, rows)

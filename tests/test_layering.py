@@ -3,10 +3,14 @@ another module of the package inside a function or class body, where it
 would hide a cycle until the line runs.  No module keeps a module-level
 import it never uses (the package's ``__init__`` only re-exports), the
 LP kernel with its certificate checks imports nothing from ``fractions``,
-no module reads the name ``float`` or holds a float literal, and only the
-work budget's check in ``core`` refuses an input as too large."""
+no module imports ``dataclasses`` (importing the command line loads
+neither it nor ``inspect``), no module reads the name ``float`` or holds a
+float literal, and only the work budget's check in ``core`` refuses an
+input as too large."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,6 +114,26 @@ def test_fractions_import_detector():
 
 def test_lp_kernel_is_integer_only():
     assert imports_from(parse("exactlp"), "fractions") == []
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_no_dataclasses_in_the_library(stem):
+    assert imports_from(parse(stem), "dataclasses") == []
+
+
+def test_importing_the_command_line_loads_no_dataclasses_or_inspect():
+    code = (
+        "import sys, mixcuts.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=PACKAGE.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
 
 
 def float_uses(tree: ast.Module) -> list[int]:

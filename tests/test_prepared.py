@@ -12,11 +12,15 @@ import pytest
 from mixcuts import (
     MixingInstance,
     diagnose,
+    load_instance,
     loads_instance,
     max_sum_oracle,
+    reduce_lower_bounds,
+    separate,
     separate_mixing,
     serialize_instance,
 )
+from mixcuts.core import loads_point, read_text
 from mixcuts import aggregated
 from mixcuts.cli import main
 
@@ -200,6 +204,26 @@ def test_verify_runs_the_diagnosis_body_once(monkeypatch, capsys, name):
     assert main(["verify", fixture_path(name)]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_separate_reduces_the_lower_bounds_once(monkeypatch):
+    """The reduced instance is kept on the instance, so three ``separate``
+    calls with nonzero lower bounds run its diagnosis once."""
+    calls = []
+    body = aggregated._diagnosis
+
+    def counted(inst):
+        calls.append(inst)
+        return body(inst)
+
+    monkeypatch.setattr(aggregated, "_diagnosis", counted)
+    inst = load_instance(fixture_path("example1_lifted.json"))
+    y, z = loads_point(read_text(fixture_path("point_example1.json")), inst.k, inst.n)
+    y = [v + b for v, b in zip(y, inst.lower)]
+    found = [separate(inst, y, z) for _ in range(3)]
+    assert found[0] and found[0] == found[1] == found[2]
+    assert len(calls) == 1
+    assert reduce_lower_bounds(inst)[0] is calls[0]
 
 
 def test_cuts_carry_no_dict_and_share_one_zero(example1):
