@@ -4,8 +4,8 @@ When the sufficiency conditions fail there is a fractional point that
 satisfies every mixing and aggregated mixing inequality yet lies outside the
 convex hull.  In each of the three failure cases the point puts equal
 fractional weight on a set U of rows, and one builder, :func:`_point`,
-makes it from U and the total of y, in integers on ``inst.scaled``; the
-three constructors check their case and name U and that total.
+makes it from U and the total of y, in integers on ``inst.scaled``;
+:func:`witness` finds the failing case and names U and that total once.
 :func:`certify_witness` replays the full argument executably (cut sweeps
 plus the exact membership LP).
 """
@@ -39,11 +39,6 @@ from .vertices import MembershipResult, membership, v_representation
 Point = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
 
 
-def _require_reduced(inst: MixingInstance) -> None:
-    if not inst.lower_is_zero:
-        raise LowerBoundsNotReduced("witness constructions require zero lower bounds")
-
-
 def _times(value: Fraction, scale: int) -> int:
     """``value * scale`` for a value whose denominator divides ``scale``."""
     return value.numerator * (scale // value.denominator)
@@ -67,105 +62,57 @@ def _point(inst: MixingInstance, u: Sequence[int], total: int) -> Point:
     return tuple(Fraction(v, size * scale) for v in y), z
 
 
-def find_minimal_U(inst: MixingInstance) -> tuple[int, ...]:
-    """Inclusion-minimal subset of the low rows whose columnwise peaks still
-    exceed the linking threshold (greedy deletion, ascending index order)."""
-    _require_reduced(inst)
-    diag = diagnose(inst)
-    if diag.c2_ok:
-        raise PreconditionFailed("peak condition holds; no violating subset exists")
-    _, weights, eps, _ = inst.scaled
-    u = sorted(diag.i_bar)
-
-    def exceeds(subset: list[int]) -> bool:
-        return bool(subset) and sum(_peaks(weights, subset)) > eps
-
-    # One ascending pass: the peak sum only grows with the subset, so an
-    # index kept against a superset of the final U stays kept.
-    for i in list(u):
-        trial = [v for v in u if v != i]
-        if exceeds(trial):
-            u = trial
-    for i in u:  # minimality audit: every single deletion must fail
-        if exceeds([v for v in u if v != i]):
-            raise PreconditionFailed(f"deletion of {i} should have been taken")
-    return tuple(u)
-
-
-def witness_c2(inst: MixingInstance, u: Sequence[int]) -> Point:
-    """Point for a violated peak-sum condition: :func:`_point` on U with
-    sum(y) equal to the linking threshold exactly."""
-    _require_reduced(inst)
-    u = sorted(set(u))
-    if len(u) < 2:
-        raise PreconditionFailed("violating subset must have at least two rows")
-    _, weights, eps, _ = inst.scaled
-    if sum(_peaks(weights, u)) <= eps:
-        raise PreconditionFailed("subset does not violate the peak-sum condition")
-    return _point(inst, u, len(u) * eps)
-
-
-def witness_c1(inst: MixingInstance, p: int, q: int) -> Point:
-    """Point for a violated dominance condition at rows p (outside the low
-    set) and q (inside, beating p somewhere): :func:`_point` on {p, q} with
-    sum(y) = (epsilon + rowsum(p)) / 2."""
-    _require_reduced(inst)
-    diag = diagnose(inst)
-    if p in diag.i_bar or q not in diag.i_bar:
-        raise PreconditionFailed("need p outside and q inside the low-row set")
-    _, weights, eps, _ = inst.scaled
-    if all(a <= b for a, b in zip(weights[q], weights[p])):
-        raise PreconditionFailed(f"row {q} never beats row {p}")
-    return _point(inst, (p, q), eps + sum(weights[p]))
-
-
-def witness_lw(inst: MixingInstance, p: int, q: int) -> Point:
-    """Point for a linking threshold above the pairwise minimum constant,
-    built from the attaining pair outside the low-row set: :func:`_point`
-    on {p, q} with sum(y) = (rowsum(p) + rowsum(q)) / 2, which is half the
-    sum of the pair's columnwise maxima and minima.
-
-    It cannot be certified when the pair's columnwise minima are 0 in every
-    column but the last.  Then y = (w_p + w_q) / 2, and the point is the
-    midpoint of the two hull points with y = w_p, z_p = 0 and y = w_q,
-    z_q = 0 (every other z at 1), so it lies inside the hull.
-    """
-    _require_reduced(inst)
-    diag = diagnose(inst)
-    if p == q or p in diag.i_bar or q in diag.i_bar:
-        raise PreconditionFailed("need two distinct rows outside the low-row set")
-    scale, weights, eps, _ = inst.scaled
-    pair_min = sum(map(min, weights[p], weights[q]))
-    if diag.l_w_eps is None or not (pair_min == _times(diag.l_w_eps, scale) < eps):
-        raise PreconditionFailed("pair does not attain a constant below epsilon")
-    return _point(inst, (p, q), sum(weights[p]) + sum(weights[q]))
-
-
 def witness(
     inst: MixingInstance, diag: Optional[HullDiagnosis] = None
 ) -> tuple[Point, str]:
     """Build the witness for whichever condition fails, with a deterministic
-    choice of subset/pair (smallest in lexicographic order); the attaining
-    pair of the pair-minimum case is the first whose minimum is the
-    diagnosis's ``l_w_eps``."""
+    choice of subset/pair (smallest in lexicographic order).  Each case
+    names its rows once and hands them, with the total of y, to
+    :func:`_point`:
+
+    - peak-sum: U is the low-row set cut down by one ascending deletion
+      pass, and sum(y) is the linking threshold exactly;
+    - dominance: the first row p outside the low set that some row q inside
+      it beats in a column, and sum(y) = (epsilon + rowsum(p)) / 2;
+    - pair-minimum: the first pair outside the low set whose columnwise
+      minima sum to the diagnosis's ``l_w_eps``, and sum(y) = (rowsum(p) +
+      rowsum(q)) / 2, half the sum of the pair's columnwise maxima and
+      minima.
+
+    The pair-minimum point cannot be certified when the pair's columnwise
+    minima are 0 in every column but the last.  Then y = (w_p + w_q) / 2,
+    and the point is the midpoint of the two hull points with y = w_p,
+    z_p = 0 and y = w_q, z_q = 0 (every other z at 1), so it lies inside
+    the hull.
+    """
+    if not inst.lower_is_zero:
+        raise LowerBoundsNotReduced("witness constructions require zero lower bounds")
     if diag is None:
         diag = diagnose(inst)
     if diag.sufficient:
         raise PreconditionFailed("instance is sufficient; no witness exists")
+    scale, weights, eps, _ = inst.scaled
     if not diag.c2_ok:
-        return witness_c2(inst, find_minimal_U(inst)), "peak-sum"
-    scale, weights, _, _ = inst.scaled
+        # The peak sum only grows with the subset, so an index kept against
+        # a superset of the final U stays kept: one pass leaves U minimal.
+        u = sorted(diag.i_bar)
+        for i in list(u):
+            trial = [v for v in u if v != i]
+            if trial and sum(_peaks(weights, trial)) > eps:
+                u = trial
+        return _point(inst, u, len(u) * eps), "peak-sum"
     outside = [i for i in range(inst.n) if i not in diag.i_bar]
     if not diag.c1_ok:
         for p in outside:
             for q in sorted(diag.i_bar):
                 if any(a > b for a, b in zip(weights[q], weights[p])):
-                    return witness_c1(inst, p, q), "dominance"
+                    return _point(inst, (p, q), eps + sum(weights[p])), "dominance"
         raise PreconditionFailed("no violating pair found")  # pragma: no cover
     l_w_eps = _times(diag.l_w_eps, scale)
     for p, q in itertools.combinations(outside, 2):
         if sum(map(min, weights[p], weights[q])) == l_w_eps:
-            return witness_lw(inst, p, q), "pair-minimum"
+            total = sum(weights[p]) + sum(weights[q])
+            return _point(inst, (p, q), total), "pair-minimum"
     raise PreconditionFailed("no attaining pair found")  # pragma: no cover
 
 

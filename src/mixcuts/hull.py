@@ -399,13 +399,12 @@ def check_sufficiency(
     inst: MixingInstance,
     samples: int = 50,
     seed: int = 20240,
-    basis_work_bound: int = BASIS_ENUMERATION_WORK,
 ) -> SufficiencyReport:
     """Certify the diagnosis empirically; ``samples`` must be at least 1.
 
     Sufficient instances: sample points of the cut polyhedron (seeded
     projections of random box points, and every vertex when its system has
-    at most ``basis_work_bound`` bases, listed by the double description of
+    at most ``BASIS_ENUMERATION_WORK`` bases, listed by the double description of
     :func:`_cut_polyhedron_vertices`) and confirm each is inside the hull:
     by the chain certificate first, and by the membership LP where the
     chain proves nothing, so a point is counted outside only on the LP's
@@ -449,7 +448,7 @@ def check_sufficiency(
                     f"projected sample {s} outside hull: "
                     f"y={_fractions(y, sample_den)} z={_fractions(z, _BOX_SCALE)}"
                 )
-        vertices = _cut_polyhedron_vertices(family, basis_work_bound) or ()
+        vertices = _cut_polyhedron_vertices(family, BASIS_ENUMERATION_WORK) or ()
         for num, den in vertices:
             y, z = num[:k], num[k:]
             target = [den - v for v in z] + [den] + list(y)

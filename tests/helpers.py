@@ -833,7 +833,6 @@ def per_sample_check_sufficiency(
     inst: MixingInstance,
     samples: int = 50,
     seed: int = 20240,
-    basis_work_bound: int = hull.BASIS_ENUMERATION_WORK,
 ) -> "hull.SufficiencyReport":
     """The closure branch of ``hull.check_sufficiency`` (the instance must
     read as sufficient to ``hull.diagnose``) as it ran before the sample
@@ -871,7 +870,7 @@ def per_sample_check_sufficiency(
                 f"y={read(y, sample_den)} z={read(z, box)}"
             )
         checked += 1
-    vertices = hull._cut_polyhedron_vertices(family, basis_work_bound)
+    vertices = hull._cut_polyhedron_vertices(family, hull.BASIS_ENUMERATION_WORK)
     for num, den in vertices or ():
         y, z = num[:k], num[k:]
         if not inside([den - v for v in z] + [den] + list(y), den):

@@ -30,6 +30,7 @@ from mixcuts import (
     v_representation,
     witness,
 )
+from mixcuts import hull
 
 from conftest import (
     random_insufficient_instance,
@@ -218,7 +219,8 @@ def test_criterion_6_witness_suite(example2, example3, example4):
     )
 
 
-def test_criterion_7_sufficiency_closure():
+def test_criterion_7_sufficiency_closure(monkeypatch):
+    monkeypatch.setattr(hull, "BASIS_ENUMERATION_WORK", 0)
     rng = random.Random(1007)
     total_samples = 0
     for trial in range(100):
@@ -227,12 +229,7 @@ def test_criterion_7_sufficiency_closure():
         inst = random_sufficient_instance(
             rng, n, k, with_low_rows=(trial % 5 == 0 and n >= 3)
         )
-        report = check_sufficiency(
-            inst,
-            samples=200,
-            seed=20240 + trial,
-            basis_work_bound=0,
-        )
+        report = check_sufficiency(inst, samples=200, seed=20240 + trial)
         assert report.branch == "closure"
         assert report.ok, (inst, report.failures[:3])
         assert report.samples_checked >= 200

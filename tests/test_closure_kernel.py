@@ -150,8 +150,9 @@ def test_check_sufficiency_equals_the_per_sample_reference(monkeypatch):
             inst = random_insufficient_instance(rng, n, k, case)
             claimed = SimpleNamespace(sufficient=True, i_bar=diagnose(inst).i_bar)
             monkeypatch.setattr(hull, "diagnose", lambda _: claimed)
-            got = check_sufficiency(inst, samples=20, seed=n, basis_work_bound=10**6)
-            want = per_sample_check_sufficiency(inst, 20, n, basis_work_bound=10**6)
+            monkeypatch.setattr(hull, "BASIS_ENUMERATION_WORK", 10**6)
+            got = check_sufficiency(inst, samples=20, seed=n)
+            want = per_sample_check_sufficiency(inst, 20, n)
             monkeypatch.undo()
             for name in got._fields:
                 assert getattr(got, name) == getattr(want, name), name

@@ -12,28 +12,52 @@ from mixcuts import (
     diagnose,
     witness,
 )
+from mixcuts import counterexample
 from mixcuts.cli import main
 from mixcuts.core import integer_point
-from mixcuts.counterexample import find_minimal_U, witness_c1, witness_c2, witness_lw
 
 from conftest import fixture_path, random_insufficient_instance
 from helpers import fraction_witness, row_sum
 
 
+def low_rows(z):
+    """U, the rows a witness puts below 1."""
+    return tuple(i for i, v in enumerate(z) if v < 1)
+
+
 def test_find_minimal_u_example4(example4):
-    assert find_minimal_U(example4) == (3, 4)
+    (_, z), case = witness(example4)
+    assert case == "peak-sum"
+    assert low_rows(z) == (3, 4)
 
 
-def test_find_minimal_u_requires_violation(example1):
-    with pytest.raises(PreconditionFailed):
-        find_minimal_U(example1)
+def test_witness_c2_example4(example4):
+    (y, z), _ = witness(example4)
+    assert z == (1, 1, 1, Fraction(1, 2), Fraction(1, 2))
+    assert y == (3, 4)
+    assert sum(y) == example4.epsilon
 
 
 def test_find_minimal_u_minimality_random():
+    """U exceeds the threshold and loses that on any single deletion, on
+    planted two-row failures and on random draws whose low-row set has
+    rows to spare."""
     rng = random.Random(61)
-    for _ in range(15):
-        inst = random_insufficient_instance(rng, rng.randint(3, 6), 2, "c2")
-        u = find_minimal_U(inst)
+    insts = [
+        random_insufficient_instance(rng, rng.randint(3, 6), 2, "c2")
+        for _ in range(15)
+    ]
+    while len(insts) < 115:
+        n, k = rng.randint(3, 7), rng.randint(2, 3)
+        weights = [[rng.randint(0, 4) for _ in range(k)] for _ in range(n)]
+        inst = MixingInstance(weights, None, rng.randint(1, 6))
+        if not diagnose(inst).c2_ok:
+            insts.append(inst)
+    shrunk = 0
+    for inst in insts:
+        (_, z), case = witness(inst)
+        assert case == "peak-sum"
+        u = low_rows(z)
         assert len(u) >= 2
         peaks = lambda sub: sum(
             max(inst.weights[i][j] for i in sub) for j in range(inst.k)
@@ -43,22 +67,13 @@ def test_find_minimal_u_minimality_random():
             sub = [i for i in u if i != drop]
             if sub:
                 assert peaks(sub) <= inst.epsilon
-
-
-def test_witness_c2_example4(example4):
-    y, z = witness_c2(example4, (3, 4))
-    assert z == (1, 1, 1, Fraction(1, 2), Fraction(1, 2))
-    assert y == (3, 4)
-    assert sum(y) == example4.epsilon
-
-
-def test_witness_c2_rejects_singleton(example4):
-    with pytest.raises(PreconditionFailed):
-        witness_c2(example4, (4,))
+        shrunk += len(u) < len(diagnose(inst).i_bar)
+    assert shrunk >= 50
 
 
 def test_witness_c1_example3(example3):
-    y, z = witness_c1(example3, 2, 3)
+    (y, z), case = witness(example3)
+    assert case == "dominance"
     assert z == (1, 1, Fraction(1, 2), Fraction(1, 2), 1)
     assert y == (Fraction(13, 2), Fraction(9, 2))
     # the total strictly exceeds the linking threshold
@@ -67,11 +82,29 @@ def test_witness_c1_example3(example3):
 
 
 def test_witness_lw_example2(example2):
-    y, z = witness_lw(example2, 1, 2)
+    (y, z), case = witness(example2)
+    assert case == "pair-minimum"
     assert z == (1, Fraction(1, 2), Fraction(1, 2), 1, 1)
     assert y == (Fraction(13, 2), 6)
     assert sum(y) == Fraction(row_sum(example2, 1) + row_sum(example2, 2), 2)
     assert sum(y) == Fraction(25, 2)
+
+
+def test_witness_takes_the_diagnosis_it_is_given(
+    monkeypatch, example2, example3, example4
+):
+    """Given the diagnosis, the builder diagnoses nothing again, in each of
+    the three cases."""
+    insts = (example4, example3, example2)
+    cases = [(inst, diagnose(inst), witness(inst)) for inst in insts]
+    assert [want[1] for _, _, want in cases] == [
+        "peak-sum", "dominance", "pair-minimum"
+    ]
+    calls = []
+    monkeypatch.setattr(counterexample, "diagnose", calls.append)
+    for inst, diag, want in cases:
+        assert witness(inst, diag) == want
+    assert calls == []
 
 
 def test_witness_dispatch_priority(example2, example3, example4):
@@ -95,20 +128,21 @@ def test_certify_witness_examples(example2, example3, example4):
 def test_two_vertex_obstruction_arithmetic(example2, example3, example4):
     # each witness's y total falls strictly below the only candidate convex
     # combination of the two binary points it pins down
-    d4 = diagnose(example4)
-    u = find_minimal_U(example4)
+    (y, z), _ = witness(example4)
+    u = low_rows(z)
     peaks = sum(max(example4.weights[i][j] for i in u) for j in range(2))
     lam = Fraction(1, len(u))
-    y, _ = witness_c2(example4, u)
     assert sum(y) < lam * example4.epsilon + (1 - lam) * peaks
 
-    y3, _ = witness_c1(example3, 2, 3)
+    (y3, z3), _ = witness(example3)
+    assert low_rows(z3) == (2, 3)
     pair_max3 = sum(
         max(example3.weights[2][j], example3.weights[3][j]) for j in range(2)
     )
     assert sum(y3) < Fraction(example3.epsilon + pair_max3, 2)
 
-    y2, _ = witness_lw(example2, 1, 2)
+    (y2, z2), _ = witness(example2)
+    assert low_rows(z2) == (1, 2)
     pair_max2 = sum(
         max(example2.weights[1][j], example2.weights[2][j]) for j in range(2)
     )

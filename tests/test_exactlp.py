@@ -107,6 +107,17 @@ def test_edge_cases():
     assert verify_farkas([[1]], [-1], res.farkas)
 
 
+def test_farkas_checker_needs_a_positive_product_with_b():
+    """u.b must be strictly positive: u = 0, and a nonzero u with u.A <= 0
+    and u.b = 0, prove nothing and are rejected, next to a valid u."""
+    rows, rhs = [[1, 0], [-1, 0]], [1, -1]
+    assert not verify_farkas(rows, rhs, [0, 0])
+    assert not verify_farkas(rows, rhs, [1, 1])  # u.A = 0, u.b = 0
+    assert not verify_farkas([[1, 2]], [3], [0])
+    # the same u proves x_0 = 1, -x_0 = 1 infeasible: u.A = 0, u.b = 2
+    assert verify_farkas(rows, [1, 1], [1, 1])
+
+
 def test_column_checker_equals_the_fraction_check():
     """The checker reads a system by its columns' nonzero entries: on
     random systems and candidate x, feasible or not, it agrees with the

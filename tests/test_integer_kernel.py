@@ -298,7 +298,8 @@ def test_closure_failures_read_as_the_fraction_reference_writes_them(monkeypatch
         inst = random_insufficient_instance(rng, 3, 2, case)
         claimed = SimpleNamespace(sufficient=True, i_bar=hull.diagnose(inst).i_bar)
         monkeypatch.setattr(hull, "diagnose", lambda _: claimed)
-        report = check_sufficiency(inst, samples=12, seed=7, basis_work_bound=10**6)
+        monkeypatch.setattr(hull, "BASIS_ENUMERATION_WORK", 10**6)
+        report = check_sufficiency(inst, samples=12, seed=7)
         monkeypatch.undo()
         cuts = hull_cut_family(inst)
         vrep = v_representation(inst)
